@@ -18,8 +18,6 @@ from enum import Enum
 import numpy as np
 import scipy.linalg as sla
 
-TOL_ALG = 1e-10
-
 
 class Field(Enum):
     """Scalar field tag: real, complex or quaternion."""
@@ -101,10 +99,6 @@ def qconj(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out[..., 1:] *= -1.0
     return out
-
-
-def qabs(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.asarray(a) ** 2, axis=-1))
 
 
 def is_quat(A: np.ndarray) -> bool:

@@ -128,9 +128,16 @@ def _parse_field(text):
 def _validate_params(name: str, params: dict):
     entry = CATALOG[name]
     for key in params:
-        if key in entry.defaults:
-            continue
         if name == "perturbed" and key.startswith("base_"):
+            base = params.get("base", entry.defaults["base"])
+            known = CATALOG[base].defaults if base in CATALOG else {}
+            if key[5:] in known:
+                continue
+            raise ConfigError(
+                f"parameter '{key}' does not apply to base '{base}' "
+                f"(known: {sorted('base_' + k for k in known)})"
+            )
+        if key in entry.defaults:
             continue
         raise ConfigError(
             f"unknown parameter '{key}' for example '{name}' "
@@ -149,11 +156,15 @@ def make_chart(name: str, field, params: dict):
         )
     _validate_params(name, params)
     try:
-        return build_chart(name, field=field, **params)
-    except ConfigError:
-        raise
+        chart = build_chart(name, field=field, **params)
     except Exception as exc:
         raise ConfigError(f"could not build '{name}': {exc}") from exc
+    if field is not None and chart.field is not field:
+        raise ConfigError(
+            f"example '{name}' with {params or 'default parameters'} builds a "
+            f"chart over {chart.field.value!r}, not {field.value!r}"
+        )
+    return chart
 
 
 def safety_margin(fd_step) -> float:

@@ -33,10 +33,10 @@ from .immersion import (
     ImmersionChart,
     PointFrame,
     SecondFF,
+    _sphere_net,
     point_frame,
     second_fundamental_form,
     shape_norm,
-    wirtinger_max,
 )
 
 
@@ -147,12 +147,25 @@ class FatnessResult:
     alpha: Optional[AlphaElement]
     degenerate: bool
     gap: float  # certification slack of the probe minimization
+    grid_low: float = 0.0  # smallest value on the probe net
+    x: Optional[np.ndarray] = None  # minimizing unit tangent, frame coordinates
 
     @property
     def fat(self) -> Optional[bool]:
         if self.degenerate:
             return None
         return bool(self.margin > STRICT_EPS)
+
+    @property
+    def theta(self) -> CertifiedMax:
+        """Rank one over C and H: the maximal Wirtinger angle, cos θ = margin.
+
+        The certificate margin − gap ≤ min bounds θ by arccos(margin − gap).
+        """
+        theta = float(np.arccos(np.clip(self.margin, 0.0, 1.0)))
+        theta_grid = float(np.arccos(np.clip(self.grid_low, 0.0, 1.0)))
+        upper = float(np.arccos(np.clip(self.margin - self.gap, 0.0, 1.0)))
+        return CertifiedMax(theta, (self.x, None), theta_grid, upper - theta)
 
 
 def _jay_matrix(pf: PointFrame, alpha: AlphaElement) -> np.ndarray:
@@ -169,10 +182,26 @@ def _jay_matrix(pf: PointFrame, alpha: AlphaElement) -> np.ndarray:
 def fatness_margin(pf: PointFrame) -> FatnessResult:
     """min over unit tangents and probes of twice the curvature norm.
 
-    Equals the smallest singular value of the tangential J_alpha action,
-    minimized over the probe family.  The minimization is exact except over
-    the quaternionic probe sphere, where an eigenvalue-descent refinement of
-    a fine net is used and the net spacing is reported as the gap.
+    Equals the smallest singular value of the tangential J_alpha action
+    L(a) = Σ_t a_t L_t, minimized over the probe family; for rank one over C
+    and H it is also cos θ of the maximal Wirtinger angle.  Over R and C the
+    family is finite and the minimum exact.  Over H the probes a form the
+    sphere S²: σ_min is evaluated on a net of spacing δ, and the best four
+    net points are refined.  Each round takes the better of an alternating
+    step (fix a: x is the right singular vector; fix x: a is the λ_min
+    eigenvector of the Gram of the L_t x) and a Gauss-Newton step on the
+    residual L(a)x, which converges fast where the minimum is zero and
+    alternation crawls.  `gap = margin − lower` certifies lower ≤ true
+    minimum, with lower the larger of
+
+    * grid_low − ℓδ, as σ_min(L(a)) is ℓ = ‖[L_1 | L_2 | L_3]‖₂-Lipschitz;
+    * √(grid_low² − Λδ), as σ_min² = m + λ_min(Σ_st a_s a_t R_st) changes
+      by at most Λ = √2 (Σ_st ‖R_st‖₂²)^½ times ‖a − b‖, where
+      R_st = S_st − m δ_st I, S_st = ½(L_sᵀL_t + L_tᵀL_s) and m is the
+      mean eigenvalue of the S_tt.  Λ = 0 when the L_t act as the
+      quaternion units, so there the bound is grid_low itself;
+
+    less an allowance for rounding in the computed singular values.
     """
     field, k = pf.pt.field, pf.pt.k
     basis = alpha_basis(field, k)
@@ -180,48 +209,52 @@ def fatness_margin(pf: PointFrame) -> FatnessResult:
         return FatnessResult(0.0, None, True, 0.0)
     mats = [_jay_matrix(pf, a) for a in basis]
     if field is not Field.QUATERNION:
-        vals = [float(np.linalg.svd(L, compute_uv=False)[-1]) for L in mats]
-        i = int(np.argmin(vals))
-        return FatnessResult(vals[i], basis[i], False, 0.0)
+        svds = [np.linalg.svd(L) for L in mats]
+        i = int(np.argmin([s[-1] for _, s, _ in svds]))
+        _, s, Vt = svds[i]
+        return FatnessResult(float(s[-1]), basis[i], False, 0.0,
+                             grid_low=float(s[-1]), x=Vt[-1])
 
-    def sig_min(avec):
-        L = sum(float(c) * M for c, M in zip(avec, mats))
-        return float(np.linalg.svd(L, compute_uv=False)[-1])
+    Ls = np.stack(mats)
+    n = pf.n
+    net, delta = _sphere_net(3, 17)
+    vals = np.linalg.svd(np.einsum("mt,tba->mba", net, Ls), compute_uv=False)[:, -1]
+    grid_low = float(vals.min())
 
-    best, barg = np.inf, None
-    # deterministic net on the imaginary sphere, then local descent
-    grid = np.linspace(-1.0, 1.0, 17)
-    for a1 in grid:
-        for a2 in grid:
-            for a3 in grid:
-                v = np.array([a1, a2, a3])
-                nv = np.linalg.norm(v)
-                if nv < 0.3:
-                    continue
-                v = v / nv
-                s = sig_min(v)
-                if s < best:
-                    best, barg = s, v
-    v = barg
-    for _ in range(60):
-        L = sum(float(c) * M for c, M in zip(v, mats))
-        U, S, Vt = np.linalg.svd(L)
-        u_min, x_min = U[:, -1], Vt[-1]
-        # descend the linear form a -> u_min^T L(a) x_min
-        c = np.array([float(u_min @ M @ x_min) for M in mats])
-        sgn = -1.0 if (c @ v) > 0 else 1.0
-        cand = sgn * c / max(np.linalg.norm(c), 1e-15)
-        step = v + 0.5 * (cand - v)
-        step = step / np.linalg.norm(step)
-        if sig_min(step) < sig_min(v) - 1e-15:
-            v = step
-        else:
-            break
-    best = min(best, sig_min(v))
-    gap = 2.0 / 16.0 * np.sqrt(3.0) * max(np.linalg.norm(M, 2) for M in mats)
+    def sig_min(a):
+        s, Vt = np.linalg.svd(np.tensordot(a, Ls, axes=1))[1:]
+        return float(s[-1]), Vt[-1], a
+
+    best = (np.inf, None, None)
+    for j in np.argsort(vals, kind="stable")[:4]:
+        cur = sig_min(net[j])
+        for _ in range(40):
+            _, x, a = cur
+            Lx = Ls @ x
+            La = np.tensordot(a, Ls, axes=1)
+            # Gauss-Newton on the residual L(a)x, tangent to both spheres
+            J = np.concatenate([Lx.T - np.outer(Lx.T @ a, a), La - np.outer(La @ x, x)], axis=1)
+            step = a + np.linalg.lstsq(J, -La @ x, rcond=None)[0][:3]
+            nxt = min(sig_min(np.linalg.eigh(Lx @ Lx.T)[1][:, 0]),
+                      sig_min(step / np.linalg.norm(step)), key=lambda c: c[0])
+            if cur[0] - nxt[0] <= 1e-15:
+                break
+            cur = nxt
+        best = min(best, cur, key=lambda c: c[0])
+    margin, bx, barg = best
+
+    G = np.einsum("sba,tbc->stac", Ls, Ls)  # G[s, t] = L_sᵀ L_t
+    S = 0.5 * (G + G.transpose(1, 0, 2, 3))
+    m = np.sum(Ls**2) / (3 * n)  # Σ_t tr S_tt / 3n
+    R = S - m * np.eye(3)[:, :, None, None] * np.eye(n)
+    lip = np.linalg.norm(Ls.transpose(1, 0, 2).reshape(n, 3 * n), 2)
+    quad = np.sqrt(2.0 * np.sum(np.linalg.norm(R, 2, axis=(2, 3)) ** 2))
+    lower = max(grid_low - lip * delta, np.sqrt(max(grid_low**2 - quad * delta, 0.0)))
+    lower -= 10 * n * np.finfo(float).eps * lip  # rounding in the computed σ_min
     q = np.zeros(4)
-    q[1:] = v
-    return FatnessResult(best, AlphaElement.imaginary_unit(field, q), False, gap)
+    q[1:] = barg
+    return FatnessResult(margin, AlphaElement.imaginary_unit(field, q), False,
+                         max(margin - lower, 0.0), grid_low, bx)
 
 
 # ----------------------------------------------------------------------------
@@ -318,17 +351,6 @@ def base_sectional(pf: PointFrame, ff: SecondFF, x, y) -> float:
     amb = sectional_curvature_g0(xt, yt)
     return amb + inner_re(ff.apply(x, x).H, ff.apply(y, y).H) \
         - inner_re(ff.apply(x, y).H, ff.apply(x, y).H)
-
-
-def inequality_margin(pf: PointFrame, ff: SecondFF, x, y,
-                      alpha: AlphaElement) -> float:
-    """k_B(x, y) |tangential J_alpha x|^2 - (derivative component)^2 in g0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    kb = base_sectional(pf, ff, x, y)
-    jx = pf.project_tangential(alpha.jay(pf.from_coords(x)))
-    dr = dr_component(pf, ff, x, y, x, alpha)
-    return kb * inner_re(jx.H, jx.H) - dr * dr
 
 
 @dataclass(frozen=True)
@@ -437,8 +459,8 @@ def analyze_point(chart: ImmersionChart, u, normalize: bool = False,
     pf = point_frame(chart, u, **kwargs)
     ff = second_fundamental_form(chart, u, pf=pf)
     shp = shape_norm(ff)
-    theta = wirtinger_max(pf) if chart.field is not Field.REAL else None
     fat = fatness_margin(pf)
+    theta = fat.theta if chart.field is not Field.REAL else None
     par = parallel_residual(pf, ff)
     rad = radial_residual(pf, ff)
     ineq = inequality_min_margin(pf, ff)

@@ -207,10 +207,6 @@ def sectional_curvature_g0(x: GrassTangent, y: GrassTangent) -> float:
     return 0.5 * (frob(C1) ** 2 + frob(C2) ** 2)
 
 
-def bracket_lift_norm_sq(x: GrassTangent, y: GrassTangent) -> float:
-    return sectional_curvature_g0(x, y)
-
-
 # ----------------------------------------------------------------------------
 # J-structures (k = 1 over C and H)
 # ----------------------------------------------------------------------------

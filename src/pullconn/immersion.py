@@ -1,14 +1,14 @@
 """Parametrized immersions into Grassmannians: differentials, pull-back
-frames, second fundamental form, shape norm and Wirtinger statistics.
+frames, second fundamental form and shape norm.
 
 Charts map an open box in R^n to Grassmannian points.  Differentials come
 from an analytic formula when the chart provides one, otherwise from
 central finite differences of the projector map with one Richardson level.
-Second derivatives always use finite differences.  The maximizations over
-spheres (shape norm, quaternionic Wirtinger angle) return a refined value
-together with a grid certificate: for each grid direction the inner
-optimization is solved exactly, so the global maximum is bounded by
-refined value + lipschitz · grid resolution.
+Second derivatives always use finite differences.  The shape norm is a
+maximization over the tangent sphere; it returns a refined value together
+with a grid certificate: for each grid direction the inner optimization is
+solved exactly, so the global maximum is bounded by refined value +
+lipschitz · net spacing.  The sphere nets are capped at NET_BUDGET points.
 """
 from __future__ import annotations
 
@@ -19,16 +19,7 @@ import numpy as np
 
 from .algebra import Field, frob, inner_re, matmul, sym_eig_small
 from .constants import FD_STEP, FD_STEP2, IMMERSION_EPS
-from .homogeneous import (
-    FrameLift,
-    GrassPoint,
-    GrassTangent,
-    frame_lift,
-    imaginary_units,
-    j_apply,
-    lie_lift,
-    wirtinger_angle,
-)
+from .homogeneous import FrameLift, GrassPoint, GrassTangent, frame_lift, lie_lift
 
 
 class ChartDomainError(ValueError):
@@ -294,22 +285,31 @@ def second_fundamental_form(
 # certified sphere maximizations
 # ----------------------------------------------------------------------------
 
+NET_BUDGET = 10_000  # most points in one sphere net
+
+
 def _sphere_net(dim: int, resolution: int):
-    """Deterministic covering net of S^{dim-1} from a symmetric lattice."""
+    """Deterministic covering net of S^{dim-1} from a symmetric lattice.
+
+    Returns the net as an (m, dim) array and a radius delta: every unit
+    vector lies within distance delta of a net point.  The resolution is
+    lowered until the lattice has at most NET_BUDGET points; past that,
+    the net is the axes ±e_i, which every unit vector is within √2 of.
+    """
     if dim == 1:
-        return [np.array([1.0])], 0.0
+        return np.ones((1, 1)), 0.0
+    while resolution > 2 and resolution**dim > NET_BUDGET:
+        resolution -= 1
+    if resolution**dim > NET_BUDGET:
+        return np.concatenate([np.eye(dim), -np.eye(dim)]), float(np.sqrt(2.0))
     grid = np.linspace(-1.0, 1.0, resolution)
-    pts = []
-    mesh = np.meshgrid(*([grid] * dim), indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=1)
-    for v in flat:
-        nv = np.linalg.norm(v)
-        if nv < 0.3:
-            continue
-        pts.append(v / nv)
-    # resolution of the projected lattice on the sphere
+    flat = np.stack(np.meshgrid(*([grid] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    norms = np.linalg.norm(flat, axis=1)
+    keep = norms >= 0.3
+    # rounding a point of the cube surface to the lattice moves it by at
+    # most half a cell diagonal; its direction moves by at most a full one
     delta = 2.0 / (resolution - 1) * np.sqrt(dim)
-    return pts, delta
+    return flat[keep] / norms[keep, None], delta
 
 
 @dataclass(frozen=True)
@@ -379,70 +379,3 @@ def shape_norm(ff: SecondFF, resolution: int = 9, rounds: int = 60) -> Certified
             best, bx = v, x
     best = max(best, grid_best)
     return CertifiedMax(best, (bx, None), grid_best, lipschitz * delta)
-
-
-def wirtinger_max(pf: PointFrame, resolution: int = 13, rounds: int = 40) -> CertifiedMax:
-    """θ(p): maximal Wirtinger angle over unit tangents in the frame span."""
-    field = pf.pt.field
-    n = pf.n
-    units = imaginary_units(field)
-    # proj[q][a] = frame coordinates of Π_T(𝔍_q E_a)
-    proj = []
-    for q in units:
-        cols = []
-        for a in range(n):
-            ja = j_apply(pf.pt, q, pf.E[a])
-            cols.append(pf.tangent_coords(ja))
-        proj.append(np.stack(cols, axis=1))  # (n, n): [:, a]
-    if field is Field.COMPLEX:
-        C = proj[0]
-        s = np.linalg.svd(C, compute_uv=False)
-        theta = float(np.arccos(np.clip(s[-1], 0.0, 1.0)))
-        return CertifiedMax(theta, (None, None), theta, 0.0)
-
-    # quaternionic case: minimize λ_min of the 3×3 Gram of projections over X
-    def gram(x: np.ndarray) -> np.ndarray:
-        vecs = [proj[t] @ x for t in range(3)]
-        return np.array([[float(np.dot(a, b)) for b in vecs] for a in vecs])
-
-    def lam_min(x: np.ndarray):
-        w, Q = np.linalg.eigh(gram(x))
-        return float(w[0]), Q[:, 0]
-
-    def refine(x0: np.ndarray):
-        x = x0 / np.linalg.norm(x0)
-        val, avec = lam_min(x)
-        for _ in range(rounds):
-            # fix 𝔍 = Σ a_t 𝔍_t, minimize |Π_T 𝔍X|² over X: quadratic form
-            Mp = sum(float(a) * proj[t] for t, a in enumerate(avec))
-            Q = Mp.T @ Mp
-            w, Vq = np.linalg.eigh(0.5 * (Q + Q.T))
-            xn = Vq[:, 0]
-            if np.dot(xn, x) < 0:
-                xn = -xn
-            x = xn
-            val, avec = lam_min(x)
-        return val, x
-
-    net, delta = _sphere_net(n, resolution)
-    grid_low, grid_arg = np.inf, net[0]
-    for x in net:
-        v, _ = lam_min(x)
-        if v < grid_low:
-            grid_low, grid_arg = v, x
-    starts = [grid_arg] + [np.eye(n)[a] for a in range(n)]
-    low = np.inf
-    bx = starts[0]
-    for s0 in starts:
-        v, x = refine(s0)
-        if v < low:
-            low, bx = v, x
-    low = min(low, grid_low)
-    theta = float(np.arccos(np.sqrt(np.clip(low, 0.0, 1.0))))
-    theta_grid = float(np.arccos(np.sqrt(np.clip(grid_low, 0.0, 1.0))))
-    # λ_min is 2-Lipschitz along the X-sphere (projection Grams are ≤ 1)
-    return CertifiedMax(theta, (bx, None), theta_grid, 2.0 * delta)
-
-
-def wirtinger_of_vector(pf: PointFrame, x: GrassTangent) -> float:
-    return wirtinger_angle(pf.E, x)

@@ -37,7 +37,6 @@ from pullconn.immersion import (
     point_frame,
     second_fundamental_form,
     shape_norm,
-    wirtinger_max,
 )
 from pullconn import oracle
 
@@ -119,7 +118,7 @@ def test_criterion_04_angles_and_fatness():
         chart = build_chart("veronese", d=d)
         for u in _grid(-0.9, 0.9, 3):
             pf = point_frame(chart, u)
-            worst_theta = max(worst_theta, wirtinger_max(pf).value)
+            worst_theta = max(worst_theta, fatness_margin(pf).theta.value)
             worst_margin = max(worst_margin, abs(fatness_margin(pf).margin - 1.0))
     tr_margin = 0.0
     chart = build_chart("totally-real")
@@ -128,7 +127,7 @@ def test_criterion_04_angles_and_fatness():
     cl_theta = 0.0
     chart = build_chart("clifford")
     for u in _grid(-0.8, 0.8, 2):
-        theta = wirtinger_max(point_frame(chart, u)).value
+        theta = fatness_margin(point_frame(chart, u)).theta.value
         cl_theta = max(cl_theta, abs(theta - np.pi / 2))
     ok = worst_theta < 1e-6 and worst_margin < 1e-6 and tr_margin < 1e-8 \
         and cl_theta < 1e-6
@@ -274,7 +273,7 @@ def test_criterion_09_gauge_and_completion_independence():
                        radial_residual(pf, ff).value,
                        inequality_min_margin(pf, ff).min_margin]
                 if chart.field is not Field.REAL:
-                    row.append(wirtinger_max(pf).value)
+                    row.append(fatness_margin(pf).theta.value)
                 rows.append(row)
         arr = np.array(rows)
         spread = max(spread, float(np.max(arr.max(axis=0) - arr.min(axis=0))))

@@ -149,6 +149,31 @@ def test_analyze_exit_codes_config(tmp_path):
     assert main(["analyze"]) == 2
 
 
+def test_analyze_field_the_base_does_not_carry_exit2(capsys):
+    # perturbed wraps the complex veronese base by default
+    assert main(["analyze", "--example", "perturbed", "--field", "h"]) == 2
+    assert "over 'c', not 'h'" in capsys.readouterr().err
+
+
+def test_analyze_base_parameter_unknown_to_base_exit2(capsys):
+    # hline has no degree d
+    assert main(["analyze", "--example", "perturbed", "--param", "base=hline",
+                 "--param", "base_d=5"]) == 2
+    assert "'base_d' does not apply to base 'hline'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--example", "hline", "--random", "4", "--seed", "7"],
+    ["--example", "linear", "--field", "h", "--random", "1"],
+])
+def test_analyze_quaternionic_runs_exit0(tmp_path, argv):
+    code, report = run_json(tmp_path, ["analyze", *argv, "--workers", "1"])
+    assert code == 0
+    assert report["aggregate"]["failed_points"] == 0
+    for p in report["points"]:
+        assert p["fatness"]["gap"] <= 1e-12
+
+
 def test_analyze_boundary_margin_exit2():
     """A step so large the stencil cannot stay inside the box is refused."""
     assert main(["analyze", "--example", "veronese", "--fd-step", "0.7",

@@ -1,6 +1,7 @@
 """Chart plumbing and the example catalog: differentials, Gram matrices,
 second fundamental form, certified maximizations."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -19,15 +20,17 @@ from pullconn.catalog import (
     totally_real,
     veronese,
 )
+from pullconn.connection import fatness_margin
 from pullconn.immersion import (
+    NET_BUDGET,
     ChartDomainError,
     ImmersionChart,
     NotImmersionError,
+    _sphere_net,
     differential,
     point_frame,
     second_fundamental_form,
     shape_norm,
-    wirtinger_max,
 )
 
 
@@ -207,20 +210,50 @@ def test_shape_norm_certificate_invariants():
         assert probe <= res.value + 1e-9
 
 
+@pytest.mark.parametrize("dim,resolution", [(2, 9), (3, 9), (4, 9), (3, 17)])
+def test_sphere_net_keeps_the_lattices_within_budget(dim, resolution):
+    net, delta = _sphere_net(dim, resolution)
+    grid = np.linspace(-1.0, 1.0, resolution)
+    lattice = [v for v in itertools.product(grid, repeat=dim) if np.linalg.norm(v) >= 0.3]
+    assert net.shape == (len(lattice), dim)
+    assert np.allclose(net, [np.array(v) / np.linalg.norm(v) for v in lattice], atol=1e-15)
+    assert delta == 2.0 / (resolution - 1) * np.sqrt(dim)
+
+
+@pytest.mark.parametrize("dim,resolution,delta", [
+    (8, 9, np.sqrt(8.0)),   # lowered to resolution 3
+    (16, 9, np.sqrt(2.0)),  # even 2**16 points exceed the budget: the axes
+])
+def test_sphere_net_budget_widens_delta(dim, resolution, delta):
+    net, got = _sphere_net(dim, resolution)
+    assert net.shape[0] <= NET_BUDGET
+    assert got == pytest.approx(delta)
+
+
+@pytest.mark.parametrize("dim,resolution", [(3, 17), (4, 9), (5, 9), (8, 9), (16, 9)])
+def test_sphere_net_covers_within_delta(dim, resolution):
+    net, delta = _sphere_net(dim, resolution)
+    assert np.allclose(np.linalg.norm(net, axis=1), 1.0)
+    x = np.random.default_rng(dim).standard_normal((500, dim))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    nearest = np.sqrt(np.maximum(2.0 - 2.0 * np.max(x @ net.T, axis=1), 0.0))
+    assert nearest.max() <= delta
+
+
 def test_wirtinger_statistics_on_catalog():
-    assert wirtinger_max(point_frame(veronese(2), [0.3, -0.2])).value < 1e-6
-    assert wirtinger_max(point_frame(veronese(3), [0.1, 0.4])).value < 1e-6
+    assert fatness_margin(point_frame(veronese(2), [0.3, -0.2])).theta.value < 1e-6
+    assert fatness_margin(point_frame(veronese(3), [0.1, 0.4])).theta.value < 1e-6
     half_pi = np.pi / 2.0
-    assert abs(wirtinger_max(point_frame(clifford_torus(), [0.5, 1.0])).value - half_pi) < 1e-6
-    assert abs(wirtinger_max(point_frame(totally_real(2), [0.2, -0.3])).value - half_pi) < 1e-6
-    assert wirtinger_max(point_frame(quaternionic_line(3), [0.2, -0.1, 0.3, 0.05])).value < 1e-6
+    assert abs(fatness_margin(point_frame(clifford_torus(), [0.5, 1.0])).theta.value - half_pi) < 1e-6
+    assert abs(fatness_margin(point_frame(totally_real(2), [0.2, -0.3])).theta.value - half_pi) < 1e-6
+    assert fatness_margin(point_frame(quaternionic_line(3), [0.2, -0.1, 0.3, 0.05])).theta.value < 1e-6
 
 
 def test_totally_real_mixed_plane_angle():
     # a plane spanned by one real direction and i times another sits at
     # intermediate angle for the pair, but the max over the chart span is pi/2
     pf = point_frame(totally_real(3), [0.1, -0.2, 0.3])
-    res = wirtinger_max(pf)
+    res = fatness_margin(pf).theta
     assert abs(res.value - np.pi / 2.0) < 1e-6
 
 

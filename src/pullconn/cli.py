@@ -31,7 +31,6 @@ import sys
 import time
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import oracle
 from .algebra import Field
@@ -190,6 +189,8 @@ def sample_points(chart, grid, random_n, seed, fd_step):
         )
     if grid is not None and random_n is not None:
         raise ConfigError("--grid and --random are mutually exclusive")
+    if grid is None and random_n is None and chart.dim == 2:
+        grid = (4, 4)
     if grid is not None:
         if chart.dim != 2:
             raise ConfigError(
@@ -201,14 +202,11 @@ def sample_points(chart, grid, random_n, seed, fd_step):
         vs = np.linspace(lows[1], highs[1], b)
         return [np.array([x, y]) for x in us for y in vs]
     if random_n is None:
-        if chart.dim == 2:
-            grid = (4, 4)
-            us = np.linspace(lows[0], highs[0], 4)
-            vs = np.linspace(lows[1], highs[1], 4)
-            return [np.array([x, y]) for x in us for y in vs]
         random_n = 12
     if random_n < 1:
         raise ConfigError("--random must request at least one point")
+    from scipy.stats import qmc  # about 1 s to import; verify and list never sample
+
     sampler = qmc.Halton(d=chart.dim, scramble=True, seed=seed)
     unit = sampler.random(random_n)
     return [lows + row * (highs - lows) for row in unit]
@@ -383,14 +381,8 @@ def expectation_checks(entry, records, failures) -> list:
 # worker pool
 # ----------------------------------------------------------------------------
 
+# set before the pool forks, so every worker inherits the one built chart
 _WORKER = {}
-
-
-def _pool_init(name, field_value, params, normalize, fd_step):
-    field = None if field_value is None else Field.parse(field_value)
-    _WORKER["chart"] = build_chart(name, field=field, **params)
-    _WORKER["normalize"] = normalize
-    _WORKER["fd_step"] = fd_step
 
 
 def _pool_point(task):
@@ -405,18 +397,16 @@ def _pool_point(task):
                               "reason": str(exc)}
 
 
-def analyze_sample(chart_spec, points, normalize, fd_step, workers):
+def analyze_sample(chart, points, normalize, fd_step, workers):
     """Run analyze_point over a sample, preserving point order."""
-    name, field_value, params = chart_spec
+    _WORKER.update(chart=chart, normalize=normalize, fd_step=fd_step)
     results = [None] * len(points)
     if workers <= 1 or len(points) <= 1:
-        _pool_init(name, field_value, params, normalize, fd_step)
         for i, u in enumerate(points):
             results[i] = _pool_point((i, u))[1:]
     else:
         ctx = mp.get_context("fork")
-        with ctx.Pool(min(workers, len(points)), initializer=_pool_init,
-                      initargs=(name, field_value, params, normalize, fd_step)) as pool:
+        with ctx.Pool(min(workers, len(points))) as pool:
             for idx, status, rec in pool.imap_unordered(
                     _pool_point, list(enumerate(points)), chunksize=1):
                 results[idx] = (status, rec)
@@ -463,6 +453,10 @@ def _config_echo(args, chart=None, seed=None):
     return cfg
 
 
+def _workers(args) -> int:
+    return args.workers if args.workers else (os.cpu_count() or 1)
+
+
 def cmd_analyze(args) -> tuple:
     if not args.example:
         raise ConfigError("analyze needs --example NAME (see `pullconn list`)")
@@ -472,10 +466,8 @@ def cmd_analyze(args) -> tuple:
     grid = parse_grid(args.grid) if args.grid else None
     seed = args.seed if args.seed is not None else 0
     points = sample_points(chart, grid, args.random, seed, args.fd_step)
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
     records, failures = analyze_sample(
-        (args.example, None if field is None else field.value, params),
-        points, args.normalize, args.fd_step, workers)
+        chart, points, args.normalize, args.fd_step, _workers(args))
     agg = aggregate_records(records, failures)
     checks = expectation_checks(CATALOG[args.example], records, failures)
     report = {
@@ -613,8 +605,7 @@ def cmd_sweep(args) -> tuple:
         else:
             points = sample_points(chart, None, 6, seed, args.fd_step)
         records, failures = analyze_sample(
-            (args.example, None if field is None else field.value, params),
-            points, args.normalize, args.fd_step, 1)
+            chart, points, args.normalize, args.fd_step, _workers(args))
         agg = aggregate_records(records, failures)
         kb = records[0]["kb_probe"]["value"] if records else None
         if base_kb is None and kb is not None:
@@ -738,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and re-derive every closed form by brute force.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add_sampling(p):
         p.add_argument("--field", choices=["r", "c", "h"],
                        help="scalar field of the ambient Grassmannian")
         p.add_argument("--example", help="catalog chart name (see `list`)")
@@ -749,20 +740,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--random", type=int, metavar="N",
                        help="low-discrepancy sample of N interior points")
         p.add_argument("--seed", type=int, help="sampling seed (default 0)")
-        p.add_argument("--fd-step", type=float, dest="fd_step",
-                       help="finite difference step for chart differentials")
         p.add_argument("--normalize", action="store_true",
                        help="scale curvature so holomorphic sectionals reach 1")
-        p.add_argument("--out", help="write the report to FILE instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--workers", type=int,
                        help="worker processes for point analysis "
                             "(default: available parallelism)")
 
-    common(sub.add_parser("analyze", help="per-point analysis of one chart"))
-    common(sub.add_parser("verify", help="closed forms against brute-force oracles"))
-    common(sub.add_parser("sweep", help="one summary row per parameter value"))
-    common(sub.add_parser("list", help="catalog of example charts"))
+    def add_fd_step(p):
+        p.add_argument("--fd-step", type=float, dest="fd_step",
+                       help="finite difference step for chart differentials")
+
+    def add_output(p):
+        p.add_argument("--out", help="write the report to FILE instead of stdout")
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+
+    analyze = sub.add_parser("analyze", help="per-point analysis of one chart")
+    verify = sub.add_parser("verify", help="closed forms against brute-force oracles")
+    sweep = sub.add_parser("sweep", help="one summary row per parameter value")
+    listing = sub.add_parser("list", help="catalog of example charts")
+    for p in (analyze, sweep):
+        add_sampling(p)
+    for p in (analyze, verify, sweep):
+        add_fd_step(p)
+    for p in (analyze, verify, sweep, listing):
+        add_output(p)
     return parser
 
 

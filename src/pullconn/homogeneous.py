@@ -102,6 +102,11 @@ def tangent_strict(pt: GrassPoint, H: np.ndarray) -> GrassTangent:
     return GrassTangent(pt, H)
 
 
+def random_horizontal(rng: np.random.Generator, pt: GrassPoint, scale: float = 1.0) -> GrassTangent:
+    A = random_matrix(rng, pt.field, pt.N, pt.k, scale=scale)
+    return tangent(pt, A)
+
+
 @dataclass(frozen=True)
 class FrameLift:
     """Group element g = [V | W] whose first k columns are the Stiefel rep."""
@@ -266,97 +271,20 @@ def wirtinger_angle(basis, x: GrassTangent) -> float:
 # curvature normalization (max ambient sectional curvature in g0 units)
 # ----------------------------------------------------------------------------
 
-_NORMALIZATION_CACHE: dict = {}
+def curvature_normalization(field, N: int, k: int = 1) -> float:
+    """Max sectional curvature λ of G_k(K^N) in g0 units.
 
-
-def random_horizontal(rng: np.random.Generator, pt: GrassPoint, scale: float = 1.0) -> GrassTangent:
-    A = random_matrix(rng, pt.field, pt.N, pt.k, scale=scale)
-    return tangent(pt, A)
-
-
-def _tangent_real_basis(pt: GrassPoint):
-    """Real orthonormal basis of the horizontal space at pt."""
-    f = pt.field
-    W = complete_basis(pt.V)[:, pt.k :]
-    out = []
-    units = (1.0,) + tuple(_IMAG_UNITS.get(f, ()))
-    if f is Field.COMPLEX:
-        units = (1.0, 1j)
-    for j in range(pt.N - pt.k):
-        for a in range(pt.k):
-            for q in units:
-                H = zeros(f, pt.N, pt.k)
-                col = W[:, j : j + 1]
-                if f is Field.QUATERNION:
-                    qq = quat(1.0) if isinstance(q, float) else q
-                    H[:, a : a + 1] = scalar_right(col, qq)
-                else:
-                    H[:, a : a + 1] = col * q
-                out.append(GrassTangent(pt, H))
-    return out
-
-
-def _max_sec_from(pt: GrassPoint, x: GrassTangent, rounds: int = 12) -> float:
-    """Alternating maximization of |[X~,Y~]|₀² over unit orthonormal-ish pairs."""
-    basis = _tangent_real_basis(pt)
-    d = len(basis)
-
-    def quad_matrix(z: GrassTangent) -> np.ndarray:
-        M = np.zeros((d, d))
-        br = [None] * d
-        for a in range(d):
-            Hx, Hy = z.H, basis[a].H
-            C1 = matmul(ct(Hy), Hx) - matmul(ct(Hx), Hy)
-            C2 = matmul(Hy, ct(Hx)) - matmul(Hx, ct(Hy))
-            br[a] = (C1, C2)
-        for a in range(d):
-            for b in range(a, d):
-                v = 0.5 * (inner_re(br[a][0], br[b][0]) + inner_re(br[a][1], br[b][1]))
-                M[a, b] = v
-                M[b, a] = v
-        return M
-
-    cur = x.scaled(1.0 / x.norm())
-    val = 0.0
-    for _ in range(rounds):
-        M = quad_matrix(cur)
-        w, Q = np.linalg.eigh(M)
-        val = float(w[-1])
-        coeffs = Q[:, -1]
-        Hy = sum(c * e.H for c, e in zip(coeffs, basis))
-        nxt = GrassTangent(pt, Hy)
-        nxt = nxt.scaled(1.0 / nxt.norm())
-        if cur.inner(nxt) < 0:
-            nxt = nxt.scaled(-1.0)
-        cur = nxt
-    return val
-
-
-def curvature_normalization(field, N: int, k: int = 1, seed: int = 2024, samples: int = 60) -> float:
-    """Max sectional curvature λ of G_k(K^N) in g0 units (sampled + refined).
-
-    Used to rescale the metric so the ambient maximal curvature is 1.
+    Used to rescale the metric so the ambient maximal curvature is 1.  In
+    g0 units λ is 4 over C and H, 1 on the real projective spaces and their
+    duals, min(k, N−k) = 1, and 2 on the other real Grassmannians
+    (Bendokat–Zimmermann–Absil, "A Grassmann manifold handbook", 2020).
+    RP¹ has no 2-planes, so λ = 0 there.
     """
     f = Field.parse(field)
-    key = (f, N, k)
-    if key in _NORMALIZATION_CACHE:
-        return _NORMALIZATION_CACHE[key]
-    rng = np.random.default_rng(seed)
-    V = orthonormalize(random_matrix(rng, f, N, k))
-    pt = point_from_stiefel(V)
-    best = 0.0
-    for _ in range(samples):
-        x = random_horizontal(rng, pt)
-        x = x.scaled(1.0 / x.norm())
-        y = random_horizontal(rng, pt)
-        y = GrassTangent(pt, y.H - x.H * x.inner(y))
-        n = y.norm()
-        if n < 1e-9:
-            continue
-        y = y.scaled(1.0 / n)
-        best = max(best, sectional_curvature_g0(x, y))
-    for trial in range(3):
-        x = random_horizontal(rng, pt)
-        best = max(best, _max_sec_from(pt, x.scaled(1.0 / x.norm())))
-    _NORMALIZATION_CACHE[key] = best
-    return best
+    if not 1 <= k < N:
+        raise ValueError(f"G_k(K^N) needs 1 <= k < N, got k={k}, N={N}")
+    if f is not Field.REAL:
+        return 4.0
+    if N == 2:
+        return 0.0
+    return 1.0 if min(k, N - k) == 1 else 2.0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import Field, frob, inner_re, matmul, sym_eig_small
 from .constants import FD_STEP, FD_STEP2, IMMERSION_EPS
-from .homogeneous import FrameLift, GrassPoint, GrassTangent, frame_lift, lie_lift
+from .homogeneous import FrameLift, GrassPoint, GrassTangent, frame_lift
 
 
 class ChartDomainError(ValueError):
@@ -123,7 +123,7 @@ def _orthonormalize_real_span(vectors, tol: float = 1e-12):
 
 @dataclass(frozen=True)
 class PointFrame:
-    """Per-point bundle: differentials, Gram matrix, orthonormal frame, lifts."""
+    """Per-point bundle: differentials, Gram matrix, orthonormal frame, frame lift."""
 
     chart: ImmersionChart
     u: np.ndarray
@@ -133,7 +133,6 @@ class PointFrame:
     E: list            # orthonormal tangent frame (real inner product)
     coeff: np.ndarray  # E_a = Σ_i coeff[a, i] D_i
     frame: FrameLift
-    E_lifts: list      # lie lifts of E in `frame`
 
     @property
     def n(self) -> int:
@@ -153,11 +152,6 @@ class PointFrame:
     def from_coords(self, x: np.ndarray) -> GrassTangent:
         H = sum(float(c) * e.H for c, e in zip(x, self.E))
         return GrassTangent(self.pt, H)
-
-    def coords_in_differentials(self, t: GrassTangent) -> np.ndarray:
-        """Solve t = Σ_i c_i D_i for the tangential part of t."""
-        rhs = np.array([inner_re(t.H, d.H) for d in self.D])
-        return np.linalg.solve(self.gram, rhs)
 
 
 def point_frame(
@@ -189,8 +183,7 @@ def point_frame(
     for a in range(n):
         coeff[a] = np.linalg.solve(gram, [inner_re(E[a].H, d.H) for d in D])
     fr = frame_lift(pt, order=completion)
-    lifts = [lie_lift(fr, e) for e in E]
-    return PointFrame(chart, u, pt, D, gram, E, coeff, fr, lifts)
+    return PointFrame(chart, u, pt, D, gram, E, coeff, fr)
 
 
 # ----------------------------------------------------------------------------
@@ -366,11 +359,9 @@ def shape_norm(ff: SecondFF, resolution: int = 9, rounds: int = 60) -> Certified
         return val, x
 
     net, delta = _sphere_net(n, resolution)
-    grid_best, grid_arg = 0.0, net[0]
-    for x in net:
-        v, _, _ = eta_max(x)
-        if v > grid_best:
-            grid_best, grid_arg = v, x
+    sigma = np.linalg.svd(np.einsum("cab,mb->mca", A, net), compute_uv=False)[:, 0]
+    i = int(np.argmax(sigma))
+    grid_best, grid_arg = float(sigma[i]), net[i]
     starts = [grid_arg] + [np.eye(n)[a] for a in range(n)]
     best, bx = 0.0, starts[0]
     for s0 in starts:

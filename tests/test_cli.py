@@ -251,6 +251,14 @@ def test_verify_coarse_step_fails(tmp_path):
     assert "curvature-norm-vs-oracle/veronese" in failed
 
 
+def test_flags_a_command_does_not_take_exit2(capsys):
+    """A flag the subcommand would ignore is refused by the parser."""
+    assert main(["verify", "--example", "veronese"]) == 2
+    assert main(["list", "--grid", "2x2"]) == 2
+    assert main(["list", "--fd-step", "0.01"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------------
@@ -289,3 +297,15 @@ def test_sweep_csv(capsys):
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert len(rows) == 2
     assert float(rows[1]["kb_ratio.value"]) == pytest.approx(0.5, abs=1e-4)
+
+
+def test_sweep_workers_match_serial(tmp_path):
+    argv = ["sweep", "--example", "veronese", "--param", "d=1:2", "--grid", "2x2"]
+    code1, r1 = run_json(tmp_path, argv + ["--workers", "1"], "w1.json")
+    code2, r2 = run_json(tmp_path, argv + ["--workers", "2"], "w2.json")
+    assert code1 == code2 == 0
+    assert (r1["config"]["workers"], r2["config"]["workers"]) == (1, 2)
+    for r in (r1, r2):
+        r.pop("timing")
+        r["config"].pop("workers")
+    assert r1 == r2

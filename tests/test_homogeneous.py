@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pullconn.algebra import (
     Field,
+    complete_basis,
     ct,
     eye,
     frob,
@@ -294,7 +295,7 @@ def test_cp2_pinching_and_normalization():
     assert abs(sectional_curvature_g0(x, jx) - lam) < 1e-6 * lam
 
 
-def test_curvature_normalization_cached_and_scaled():
+def test_curvature_normalization_spelling_and_scale():
     lam1 = curvature_normalization("c", 3, 1)
     lam2 = curvature_normalization(Field.COMPLEX, 3, 1)
     assert lam1 == lam2
@@ -315,6 +316,89 @@ def test_curvature_normalization_cached_and_scaled():
     x = rand_unit_tangent(rng, pt)
     ix = j_apply(pt, quat(0, 1, 0, 0), x)
     assert abs(sectional_curvature_g0(x, ix) / lamh - 1.0) < 1e-6
+
+
+# ----------------------------------------------------------------------------
+# curvature normalization: the closed-form table against a sampling oracle
+# ----------------------------------------------------------------------------
+
+def _tangent_real_basis(pt):
+    """Real orthonormal basis of the horizontal space at pt."""
+    f = pt.field
+    W = complete_basis(pt.V)[:, pt.k:]
+    units = {Field.REAL: (1.0,), Field.COMPLEX: (1.0, 1j),
+             Field.QUATERNION: (quat(1, 0, 0, 0), quat(0, 1, 0, 0),
+                                quat(0, 0, 1, 0), quat(0, 0, 0, 1))}[f]
+    out = []
+    for j in range(pt.N - pt.k):
+        col = W[:, j:j + 1]
+        for a in range(pt.k):
+            for q in units:
+                H = zeros(f, pt.N, pt.k)
+                H[:, a:a + 1] = scalar_right(col, q) if f is Field.QUATERNION else col * q
+                out.append(GrassTangent(pt, H))
+    return out
+
+
+def _max_sec_from(pt, x, rounds=12):
+    """Alternating maximization of |[X~,Y~]|₀² over unit pairs from x."""
+    basis = _tangent_real_basis(pt)
+    d = len(basis)
+
+    def quad_matrix(z):
+        br = []
+        for e in basis:
+            C1 = matmul(ct(e.H), z.H) - matmul(ct(z.H), e.H)
+            C2 = matmul(e.H, ct(z.H)) - matmul(z.H, ct(e.H))
+            br.append((C1, C2))
+        M = np.zeros((d, d))
+        for a in range(d):
+            for b in range(a, d):
+                M[a, b] = M[b, a] = 0.5 * (inner_re(br[a][0], br[b][0])
+                                           + inner_re(br[a][1], br[b][1]))
+        return M
+
+    cur = x.scaled(1.0 / x.norm())
+    val = 0.0
+    for _ in range(rounds):
+        w, Q = np.linalg.eigh(quad_matrix(cur))
+        val = float(w[-1])
+        nxt = GrassTangent(pt, sum(c * e.H for c, e in zip(Q[:, -1], basis)))
+        nxt = nxt.scaled(1.0 / nxt.norm())
+        cur = nxt.scaled(-1.0) if cur.inner(nxt) < 0 else nxt
+    return val
+
+
+def sampled_normalization(field, N, k):
+    """Max sectional curvature of G_k(K^N) by 60 random orthonormal pairs,
+    then alternating refinement from 3 random starts."""
+    rng = np.random.default_rng(2024)
+    pt = rand_point(rng, field, N, k)
+    best = 0.0
+    for _ in range(60):
+        x = rand_unit_tangent(rng, pt)
+        y = random_horizontal(rng, pt)
+        y = GrassTangent(pt, y.H - x.H * x.inner(y))
+        if y.norm() < 1e-9:
+            continue
+        best = max(best, sectional_curvature_g0(x, y.scaled(1.0 / y.norm())))
+    for _ in range(3):
+        best = max(best, _max_sec_from(pt, rand_unit_tangent(rng, pt)))
+    return best
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_curvature_normalization_table_matches_sampler(field):
+    for N in range(2, 6):
+        for k in range(1, N):
+            want = sampled_normalization(field, N, k)
+            assert abs(curvature_normalization(field, N, k) - want) < 1e-9, (N, k)
+
+
+def test_curvature_normalization_rejects_bad_rank():
+    for N, k in ((3, 0), (3, 3), (3, 4), (2, -1)):
+        with pytest.raises(ValueError):
+            curvature_normalization(Field.REAL, N, k)
 
 
 def test_j_apply_contract():

@@ -26,6 +26,7 @@ from pullconn.immersion import (
     ChartDomainError,
     ImmersionChart,
     NotImmersionError,
+    _orthonormalize_real_span,
     _sphere_net,
     differential,
     point_frame,
@@ -208,6 +209,25 @@ def test_shape_norm_certificate_invariants():
         eta = dataclasses.replace(nu, H=nu.H / nn)
         probe = np.sqrt(sum(inner_re(ff.II[0][b].H, eta.H) ** 2 for b in range(pf.n)))
         assert probe <= res.value + 1e-9
+
+
+@pytest.mark.parametrize("chart,u", [
+    (veronese(3), [0.1, 0.4]),
+    (build_chart("perturbed", base="hline", amplitude=0.3), [0.2, -0.1, 0.3, 0.05]),
+])
+def test_shape_norm_net_matches_one_svd_per_point(chart, u):
+    """The batched net evaluation against the per-point loop it replaced."""
+    ff = second_fundamental_form(chart, u)
+    n = ff.pf.n
+    nu = _orthonormalize_real_span(
+        [ff.II[a][b] for a in range(n) for b in range(a, n)], tol=1e-10)
+    A = np.array([[[inner_re(ff.II[a][b].H, c.H) for b in range(n)] for a in range(n)]
+                  for c in nu])
+    net, _ = _sphere_net(n, 9)
+    loop = max(np.linalg.svd(np.einsum("cab,b->ca", A, x), compute_uv=False)[0]
+               for x in net)
+    assert loop > 0.1
+    assert shape_norm(ff).grid_best == pytest.approx(loop, rel=1e-12)
 
 
 @pytest.mark.parametrize("dim,resolution", [(2, 9), (3, 9), (4, 9), (3, 17)])

@@ -9,7 +9,8 @@ noncommutative scalars.
 
 Array rank decides the representation: rank 2 arrays are real/complex
 matrices, rank 3 arrays (trailing axis 4) are quaternion matrices; rank 0
-vs rank 1 likewise for scalars.
+vs rank 1 likewise for scalars.  Stacks of matrices, with leading batch
+axes, go through the *_stack helpers, which take the field explicitly.
 """
 from __future__ import annotations
 
@@ -156,6 +157,30 @@ def ct(A: np.ndarray) -> np.ndarray:
     if is_quat(A):
         return qconj(A).transpose(1, 0, 2)
     return np.asarray(A).conj().T
+
+
+def matmul_stack(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
+    """Matrix product over the trailing matrix axes of stacked matrices.
+
+    The field is passed, not read from the shape: a stack of real 4×4
+    matrices has the (m, n, 4) shape that is_quat takes for quaternions.
+    """
+    if field is Field.QUATERNION:
+        return np.einsum("stu,...mkt,...knu->...mns", QL, A, B)
+    return np.matmul(A, B)
+
+
+def ct_stack(A: np.ndarray, field: Field) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    if field is Field.QUATERNION:
+        return np.swapaxes(qconj(A), -3, -2)
+    return np.swapaxes(np.conj(A), -1, -2)
+
+
+def frob_stack(A: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every array in a stack, over all axes but the
+    first, shaped to broadcast against A."""
+    return np.sqrt(np.sum(np.real(np.conj(A) * A), axis=tuple(range(1, A.ndim)), keepdims=True))
 
 
 def scalar_right(A: np.ndarray, q) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Built-in example immersions.
 
-Each builder returns an ImmersionChart with closed-form evaluation and,
-where cheap, closed-form differentials.  Registry names are the ones the
-command line accepts.
+Each builder returns an ImmersionChart with a vectorized closed-form
+evaluation of a stack of coordinate rows and, where cheap, closed-form
+differentials.  Registry names are the ones the command line accepts.
 """
 from __future__ import annotations
 
@@ -11,21 +11,20 @@ from math import comb
 
 import numpy as np
 
-from .algebra import Field, ct, matmul, quat
-from .homogeneous import (
-    GrassPoint,
-    GrassTangent,
-    geodesic_stiefel_k1,
-    point_from_stiefel,
-)
+from .algebra import Field, ct, ct_stack, frob_stack, matmul, matmul_stack, quat
+from .homogeneous import GrassTangent, geodesic_stiefel_k1
 from .immersion import ImmersionChart
 
 
-def _k1_point(field: Field, w: np.ndarray) -> GrassPoint:
-    """Normalize a nonzero ambient vector to a rank-one point."""
-    pt = point_from_stiefel(w.reshape(w.shape[0], 1, *w.shape[1:]))
-    assert pt.field is field
-    return pt
+def _k1_stack(field: Field, W: np.ndarray):
+    """Rank-one points from stacked ambient columns W (B, N, 1[, 4]).
+
+    As point_from_stiefel: V = W/|W| unless |W|² is 1 within 1e-8, then
+    P = V V*.
+    """
+    n = frob_stack(W)
+    V = np.where(np.abs(n**2 - 1.0) > 1e-8, W / n, W)
+    return V, matmul_stack(V, ct_stack(V, field), field)
 
 
 def _scalar_slots(field: Field) -> int:
@@ -51,28 +50,29 @@ def linear_embedding(field: Field, m: int = 3, N: int = 4) -> ImmersionChart:
     d = _scalar_slots(field)
     n = d * (m - 1)
 
-    def ambient(u: np.ndarray) -> np.ndarray:
+    def ambient(U: np.ndarray) -> np.ndarray:
+        """Columns (B, N, 1[, 4]) with entries 1, u-blocks, 0, ..."""
+        B = U.shape[0]
         if field is Field.QUATERNION:
-            w = np.zeros((N, 4))
-            w[0] = quat(1.0)
-            for j in range(m - 1):
-                w[1 + j] = quat(*u[4 * j:4 * j + 4])
+            W = np.zeros((B, N, 1, 4))
+            W[:, 0, 0, 0] = 1.0
+            W[:, 1:m, 0] = U.reshape(B, m - 1, 4)
+        elif field is Field.COMPLEX:
+            W = np.zeros((B, N, 1), dtype=complex)
+            W[:, 0] = 1.0
+            W[:, 1:m, 0] = U[:, 0::2] + 1j * U[:, 1::2]
         else:
-            dt = float if field is Field.REAL else complex
-            w = np.zeros(N, dtype=dt)
-            w[0] = 1.0
-            for j in range(m - 1):
-                w[1 + j] = _real_to_scalar(field, u[d * j:d * j + d])
-        return w
+            W = np.zeros((B, N, 1))
+            W[:, 0] = 1.0
+            W[:, 1:m, 0] = U
+        return W
 
-    def ev(u: np.ndarray) -> GrassPoint:
-        return _k1_point(field, ambient(u))
+    def ev(U: np.ndarray):
+        return _k1_stack(field, ambient(U))
 
     def diff(u: np.ndarray):
-        pt = ev(u)
-        w = ambient(u)
-        nw = float(np.sqrt(np.sum(np.abs(w) ** 2))) if field is not Field.QUATERNION \
-            else float(np.sqrt(np.sum(w**2)))
+        pt = chart(u)
+        nw = frob_stack(ambient(u[None])).item()
         out = []
         for c in range(n):
             j, s = divmod(c, d)
@@ -90,10 +90,11 @@ def linear_embedding(field: Field, m: int = 3, N: int = 4) -> ImmersionChart:
         return out
 
     box = tuple((-1.5, 1.5) for _ in range(n))
-    return ImmersionChart(
+    chart = ImmersionChart(
         name="linear", field=field, N=N, k=1, dim=n, box=box,
         eval_point=ev, analytic_diff=diff, params={"m": m, "N": N},
     )
+    return chart
 
 
 # ----------------------------------------------------------------------------
@@ -106,27 +107,29 @@ def veronese(d: int = 2) -> ImmersionChart:
     coef = np.array([np.sqrt(comb(d, j)) for j in range(d + 1)])
     powers = np.arange(d + 1)
 
-    def ambient(z: complex) -> np.ndarray:
-        return coef * z**powers
+    def ambient(z: np.ndarray) -> np.ndarray:
+        """Rows coef_j z^j for each entry of z."""
+        return coef * z[:, None] ** powers
 
-    def ev(u: np.ndarray) -> GrassPoint:
-        return _k1_point(Field.COMPLEX, ambient(complex(u[0], u[1])))
+    def ev(U: np.ndarray):
+        return _k1_stack(Field.COMPLEX, ambient(U[:, 0] + 1j * U[:, 1])[:, :, None])
 
     def diff(u: np.ndarray):
         z = complex(u[0], u[1])
-        w = ambient(z)
+        w = ambient(np.array([z]))[0]
         wp = np.zeros(d + 1, dtype=complex)
         wp[1:] = coef[1:] * powers[1:] * z ** (powers[1:] - 1)
-        pt = ev(u)
+        pt = chart(u)
         h = (wp / np.linalg.norm(w)).reshape(d + 1, 1)
         h = h - matmul(pt.V, matmul(ct(pt.V), h))
         return [GrassTangent(pt, h), GrassTangent(pt, 1j * h)]
 
-    return ImmersionChart(
+    chart = ImmersionChart(
         name="veronese", field=Field.COMPLEX, N=d + 1, k=1, dim=2,
         box=((-1.2, 1.2), (-1.2, 1.2)), eval_point=ev, analytic_diff=diff,
         params={"d": d},
     )
+    return chart
 
 
 # ----------------------------------------------------------------------------
@@ -137,17 +140,14 @@ def totally_real(n: int = 2) -> ImmersionChart:
     if n < 1:
         raise ValueError("need n >= 1")
 
-    def ambient(u: np.ndarray) -> np.ndarray:
-        w = np.zeros(n + 1, dtype=complex)
-        w[0] = 1.0
-        w[1:] = u
-        return w
-
-    def ev(u: np.ndarray) -> GrassPoint:
-        return _k1_point(Field.COMPLEX, ambient(u))
+    def ev(U: np.ndarray):
+        W = np.zeros((U.shape[0], n + 1, 1), dtype=complex)
+        W[:, 0] = 1.0
+        W[:, 1:, 0] = U
+        return _k1_stack(Field.COMPLEX, W)
 
     def diff(u: np.ndarray):
-        pt = ev(u)
+        pt = chart(u)
         nw = np.sqrt(1.0 + float(u @ u))
         out = []
         for i in range(n):
@@ -158,10 +158,11 @@ def totally_real(n: int = 2) -> ImmersionChart:
         return out
 
     box = tuple((-1.5, 1.5) for _ in range(n))
-    return ImmersionChart(
+    chart = ImmersionChart(
         name="totally-real", field=Field.COMPLEX, N=n + 1, k=1, dim=n,
         box=box, eval_point=ev, analytic_diff=diff, params={"n": n},
     )
+    return chart
 
 
 # ----------------------------------------------------------------------------
@@ -169,14 +170,13 @@ def totally_real(n: int = 2) -> ImmersionChart:
 # ----------------------------------------------------------------------------
 
 def clifford_torus() -> ImmersionChart:
-    def ambient(u: np.ndarray) -> np.ndarray:
-        return np.array([np.exp(1j * u[0]), np.exp(1j * u[1]), 1.0 + 0j])
-
-    def ev(u: np.ndarray) -> GrassPoint:
-        return _k1_point(Field.COMPLEX, ambient(u))
+    def ev(U: np.ndarray):
+        W = np.ones((U.shape[0], 3, 1), dtype=complex)
+        W[:, :2, 0] = np.exp(1j * U)
+        return _k1_stack(Field.COMPLEX, W)
 
     def diff(u: np.ndarray):
-        pt = ev(u)
+        pt = chart(u)
         s = np.sqrt(3.0)
         out = []
         for i in range(2):
@@ -186,11 +186,12 @@ def clifford_torus() -> ImmersionChart:
             out.append(GrassTangent(pt, h))
         return out
 
-    return ImmersionChart(
+    chart = ImmersionChart(
         name="clifford", field=Field.COMPLEX, N=3, k=1, dim=2,
         box=((-3.0, 3.0), (-3.0, 3.0)), eval_point=ev, analytic_diff=diff,
         params={},
     )
+    return chart
 
 
 # ----------------------------------------------------------------------------
@@ -201,17 +202,14 @@ def quaternionic_line(N: int = 3) -> ImmersionChart:
     if N < 2:
         raise ValueError("need N >= 2")
 
-    def ambient(u: np.ndarray) -> np.ndarray:
-        w = np.zeros((N, 4))
-        w[0] = quat(1.0)
-        w[1] = quat(*u)
-        return w
-
-    def ev(u: np.ndarray) -> GrassPoint:
-        return _k1_point(Field.QUATERNION, ambient(u))
+    def ev(U: np.ndarray):
+        W = np.zeros((U.shape[0], N, 1, 4))
+        W[:, 0, 0, 0] = 1.0
+        W[:, 1, 0] = U
+        return _k1_stack(Field.QUATERNION, W)
 
     def diff(u: np.ndarray):
-        pt = ev(u)
+        pt = chart(u)
         nw = np.sqrt(1.0 + float(u @ u))
         out = []
         for s in range(4):
@@ -224,10 +222,11 @@ def quaternionic_line(N: int = 3) -> ImmersionChart:
         return out
 
     box = tuple((-1.5, 1.5) for _ in range(4))
-    return ImmersionChart(
+    chart = ImmersionChart(
         name="hline", field=Field.QUATERNION, N=N, k=1, dim=4,
         box=box, eval_point=ev, analytic_diff=diff, params={"N": N},
     )
+    return chart
 
 
 # ----------------------------------------------------------------------------
@@ -239,12 +238,23 @@ def grassmann_sub(k: int = 2, m: int = 4, N: int = 5) -> ImmersionChart:
         raise ValueError("need 1 <= k < m <= N")
     n = k * (m - k)
 
-    def ev(u: np.ndarray) -> GrassPoint:
-        B = u.reshape(m - k, k)
-        A = np.zeros((N, k))
-        A[:k] = np.eye(k)
-        A[k:m] = B
-        return point_from_stiefel(A)
+    def ev(U: np.ndarray):
+        B = U.shape[0]
+        A = np.zeros((B, N, k))
+        A[:, :k] = np.eye(k)
+        A[:, k:m] = U.reshape(B, m - k, k)
+        # as point_from_stiefel: orthonormal columns are kept, the others go
+        # through the two-sweep modified Gram-Schmidt of algebra.orthonormalize
+        off = frob_stack(np.swapaxes(A, 1, 2) @ A - np.eye(k)) > 1e-8 * np.sqrt(k)
+        cols = []
+        for j in range(k):
+            v = A[:, :, j]
+            for _ in range(2):
+                for q in cols:
+                    v = v - q * np.sum(q * v, axis=1, keepdims=True)
+            cols.append(v / frob_stack(v))
+        V = np.where(off, np.stack(cols, axis=2), A)
+        return V, V @ np.swapaxes(V, 1, 2)
 
     box = tuple((-1.0, 1.0) for _ in range(n))
     return ImmersionChart(
@@ -266,30 +276,31 @@ def perturbed(base: ImmersionChart = None, amplitude: float = 0.05,
         raise ValueError("perturbation wrapper supports rank-one charts only")
     rng = np.random.default_rng(seed)
     n = base.dim
+    field = base.field
     omegas = rng.integers(1, 3, size=(modes, n)) * rng.choice([-1.0, 1.0], size=(modes, n))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=modes)
-    if base.field is Field.QUATERNION:
+    if field is Field.QUATERNION:
         cvecs = rng.standard_normal((modes, base.N, 1, 4))
-    elif base.field is Field.COMPLEX:
+    elif field is Field.COMPLEX:
         cvecs = rng.standard_normal((modes, base.N, 1)) + 1j * rng.standard_normal((modes, base.N, 1))
     else:
         cvecs = rng.standard_normal((modes, base.N, 1))
     for i in range(modes):
         cvecs[i] = cvecs[i] / np.sqrt(np.sum(np.abs(cvecs[i]) ** 2))
 
-    def ev(u: np.ndarray) -> GrassPoint:
-        pt0 = base(u)
-        V0 = pt0.V
+    def ev(U: np.ndarray):
+        V0, _ = base.eval_point(U)
+        V0h = ct_stack(V0, field)
+        bcast = (-1,) + (1,) * (V0.ndim - 1)
         H = np.zeros_like(V0)
         for i in range(modes):
-            c = np.array(cvecs[i])
-            c = c - matmul(V0, matmul(ct(V0), c))
-            H = H + float(np.sin(np.dot(omegas[i], u) + phases[i])) * c
+            c = cvecs[i] - matmul_stack(V0, matmul_stack(V0h, cvecs[i], field), field)
+            H = H + np.sin(U @ omegas[i] + phases[i]).reshape(bcast) * c
         V1 = geodesic_stiefel_k1(V0, amplitude * H, 1.0)
-        return point_from_stiefel(V1)
+        return _k1_stack(field, V1)
 
     return ImmersionChart(
-        name="perturbed", field=base.field, N=base.N, k=1, dim=n,
+        name="perturbed", field=field, N=base.N, k=1, dim=n,
         box=base.box, eval_point=ev, analytic_diff=None,
         params={"base": base.name, "amplitude": amplitude, "seed": seed,
                 **{f"base_{k}": v for k, v in base.params.items()}},

@@ -25,6 +25,7 @@ from .algebra import (
     eye,
     field_of,
     frob,
+    frob_stack,
     inner_re,
     matmul,
     orthonormalize,
@@ -191,15 +192,16 @@ def geodesic(pt: GrassPoint, t: GrassTangent, s: float, order: str = "standard")
 
 
 def geodesic_stiefel_k1(V: np.ndarray, H: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """Closed-form k = 1 geodesic Stiefel representative (frame-free).
+    """Closed-form k = 1 geodesic Stiefel representatives (frame-free) for
+    stacks of columns V, H of shape (B, N, 1[, 4]).
 
     V(s) = V cos(s|H|) + (H/|H|) sin(s|H|); smooth through H = 0.
     """
-    c = frob(H)
+    c = frob_stack(H)
+    small = c < 1e-14
+    c = np.where(small, 1.0, c)
     x = s * c
-    if c < 1e-14:
-        return np.array(V, copy=True)
-    return V * np.cos(x) + H * (np.sin(x) / c)
+    return np.where(small, V, V * np.cos(x) + H * (np.sin(x) / c))
 
 
 def sectional_curvature_g0(x: GrassTangent, y: GrassTangent) -> float:

@@ -1,14 +1,16 @@
 """Parametrized immersions into Grassmannians: differentials, pull-back
 frames, second fundamental form and shape norm.
 
-Charts map an open box in R^n to Grassmannian points.  Differentials come
-from an analytic formula when the chart provides one, otherwise from
-central finite differences of the projector map with one Richardson level.
-Second derivatives always use finite differences.  The shape norm is a
-maximization over the tangent sphere; it returns a refined value together
-with a grid certificate: for each grid direction the inner optimization is
-solved exactly, so the global maximum is bounded by refined value +
-lipschitz · net spacing.  The sphere nets are capped at NET_BUDGET points.
+Charts map an open box in R^n to Grassmannian points and evaluate a whole
+stack of coordinate rows in one call.  Differentials come from an analytic
+formula when the chart provides one, otherwise from central finite
+differences of the projector map with one Richardson level, every stencil
+point in one chart call.  Second derivatives always use finite differences.
+The shape norm is a maximization over the tangent sphere; it returns a
+refined value together with a grid certificate: for each grid direction the
+inner optimization is solved exactly, so the global maximum is bounded by
+refined value + lipschitz · net spacing.  The sphere nets are capped at
+NET_BUDGET points.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import Field, frob, inner_re, matmul, sym_eig_small
+from .algebra import Field, ct_stack, frob, inner_re, matmul, matmul_stack, sym_eig_small
 from .constants import FD_STEP, FD_STEP2, IMMERSION_EPS
 from .homogeneous import FrameLift, GrassPoint, GrassTangent, frame_lift
 
@@ -40,7 +42,12 @@ class NotImmersionError(ValueError):
 
 @dataclass(frozen=True)
 class ImmersionChart:
-    """A smooth map from an open box in R^n into G_k(K^N)."""
+    """A smooth map from an open box in R^n into G_k(K^N).
+
+    eval_point maps coordinate rows U of shape (B, dim) to the stacked
+    Stiefel representatives V (B, N, k) and projectors P (B, N, N), with a
+    trailing quaternion axis of length 4 over H.
+    """
 
     name: str
     field: Field
@@ -48,12 +55,13 @@ class ImmersionChart:
     k: int
     dim: int
     box: tuple
-    eval_point: Callable[[np.ndarray], GrassPoint]
+    eval_point: Callable[[np.ndarray], tuple]
     analytic_diff: Optional[Callable[[np.ndarray], list]] = None
     params: dict = dc_field(default_factory=dict)
 
     def __call__(self, u) -> GrassPoint:
-        return self.eval_point(np.asarray(u, dtype=float))
+        V, P = self.eval_point(np.asarray(u, dtype=float)[None])
+        return GrassPoint(self.field, self.N, self.k, V[0], P[0])
 
     def check_interior(self, u, margin: float) -> None:
         u = np.asarray(u, dtype=float)
@@ -68,41 +76,79 @@ class ImmersionChart:
                 )
 
 
-def _project_tangent(pt: GrassPoint, M: np.ndarray) -> GrassTangent:
-    """Ambient matrix-space direction → tangent: Δ = PM(I−P) + (I−P)MP, H = ΔV."""
-    P = pt.P
-    PM = matmul(P, M)
-    MP = matmul(M, P)
-    delta = PM + MP - 2.0 * matmul(P, MP)
-    return GrassTangent(pt, matmul(delta, pt.V))
+def central_stencil(U: np.ndarray, h: float) -> np.ndarray:
+    """Richardson central-difference stencil around each row of U (B, n).
+
+    Returns (B, 1 + 4n, n): the centre, then u + h e_i, u − h e_i,
+    u + (h/2) e_i and u − (h/2) e_i for i = 0..n−1.
+    """
+    E = np.eye(U.shape[-1])
+    centre = U[:, None, :]
+    return np.concatenate(
+        [centre] + [centre + s * E for s in (h, -h, h / 2.0, -h / 2.0)], axis=1)
 
 
-def differential(chart: ImmersionChart, u, h: float = FD_STEP, richardson: bool = True,
-                 use_analytic: bool = True):
+def richardson_difference(F: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of values F (B, 1 + 4n, ...) on a central_stencil,
+    combined over the steps h and h/2: returns (B, n, ...) with [:, i] = ∂_i F."""
+    n = (F.shape[1] - 1) // 4
+    fp, fm, gp, gm = (F[:, 1 + q * n:1 + (q + 1) * n] for q in range(4))
+    d1 = (fp - fm) / (2.0 * h)
+    d2 = (gp - gm) / (2.0 * (h / 2.0))
+    return (4.0 * d2 - d1) / 3.0
+
+
+def _horizontal(P: np.ndarray, V: np.ndarray, M: np.ndarray, field: Field) -> np.ndarray:
+    """Ambient matrix-space direction → horizontal coordinates H = ΔV with
+    Δ = PM(I−P) + (I−P)MP; broadcasts over stacked P, V and M."""
+    PM = matmul_stack(P, M, field)
+    MP = matmul_stack(M, P, field)
+    delta = PM + MP - 2.0 * matmul_stack(P, MP, field)
+    return matmul_stack(delta, V, field)
+
+
+def differential(chart: ImmersionChart, u, h: float = FD_STEP, use_analytic: bool = True):
     """Coordinate differentials ∂φ/∂u_i as GrassTangents at φ(u)."""
     u = np.asarray(u, dtype=float)
     chart.check_interior(u, 2 * h)
-    pt = chart(u)
     if use_analytic and chart.analytic_diff is not None:
+        pt = chart(u)
         out = chart.analytic_diff(u)
         for t in out:
             if not np.isfinite(t.H).all():
                 raise ChartDomainError("non-finite analytic differential")
         return [GrassTangent(pt, t.H) for t in out]
-    out = []
-    for i in range(chart.dim):
-        d1 = _central_diff_P(chart, u, i, h)
-        if richardson:
-            d2 = _central_diff_P(chart, u, i, h / 2.0)
-            d1 = (4.0 * d2 - d1) / 3.0
-        out.append(_project_tangent(pt, d1))
-    return out
+    V, P, H = _fd_stack(chart, u[None], h)
+    pt = GrassPoint(chart.field, chart.N, chart.k, V[0], P[0])
+    return [GrassTangent(pt, Hi) for Hi in H[0]]
 
 
-def _central_diff_P(chart: ImmersionChart, u, i: int, h: float) -> np.ndarray:
-    e = np.zeros_like(u)
-    e[i] = h
-    return (chart(u + e).P - chart(u - e).P) / (2.0 * h)
+def differential_stack(chart: ImmersionChart, U, h: float = FD_STEP):
+    """Stacked (V, P, H) at every row of U (B, n), H[b, i] = ∂φ/∂u_i.
+
+    Analytic charts keep their formulas, one row at a time; otherwise the
+    stencils of all rows take one chart call.
+    """
+    U = np.asarray(U, dtype=float)
+    if chart.analytic_diff is not None:
+        Ds = [differential(chart, u, h) for u in U]
+        return (np.array([D[0].base.V for D in Ds]), np.array([D[0].base.P for D in Ds]),
+                np.array([[t.H for t in D] for D in Ds]))
+    for u in U:
+        chart.check_interior(u, 2 * h)
+    return _fd_stack(chart, U, h)
+
+
+def _fd_stack(chart: ImmersionChart, U: np.ndarray, h: float):
+    """(V, P, H) at the rows of U, H[b, i] the horizontal form of the
+    Richardson difference ∂_i P; one chart call for all stencils."""
+    B, n = U.shape
+    V, P = chart.eval_point(central_stencil(U, h).reshape(-1, n))
+    V = V.reshape(B, 1 + 4 * n, *V.shape[1:])[:, 0]
+    P = P.reshape(B, 1 + 4 * n, *P.shape[1:])
+    dP = richardson_difference(P, h)
+    P = P[:, 0]
+    return V, P, _horizontal(P[:, None], V[:, None], dP, chart.field)
 
 
 def _orthonormalize_real_span(vectors, tol: float = 1e-12):
@@ -190,16 +236,32 @@ def point_frame(
 # second fundamental form
 # ----------------------------------------------------------------------------
 
-def _second_partial_P(chart: ImmersionChart, u, i: int, j: int, h: float) -> np.ndarray:
-    ei = np.zeros_like(u)
-    ei[i] = h
-    if i == j:
-        return (chart(u + ei).P - 2.0 * chart(u).P + chart(u - ei).P) / h**2
-    ej = np.zeros_like(u)
-    ej[j] = h
-    return (
-        chart(u + ei + ej).P - chart(u + ei - ej).P - chart(u - ei + ej).P + chart(u - ei - ej).P
-    ) / (4.0 * h**2)
+def _second_partials_P(chart: ImmersionChart, u: np.ndarray, h: float) -> dict:
+    """∂_i∂_j P for i <= j at the steps h and h/2, from one chart call.
+
+    Returns {(step, i, j): matrix}; diagonal entries use the three-point
+    stencil, mixed ones the four corners u ± step e_i ± step e_j.
+    """
+    n = chart.dim
+    E = np.eye(n)
+    rows, where = [u], {}
+    for step in (h, h / 2.0):
+        for i in range(n):
+            ei = step * E[i]
+            for j in range(i, n):
+                ej = step * E[j]
+                corners = ([u + ei, u - ei] if i == j else
+                           [u + ei + ej, u + ei - ej, u - ei + ej, u - ei - ej])
+                where[step, i, j] = len(rows)
+                rows += corners
+    _, P = chart.eval_point(np.array(rows))
+    out = {}
+    for (step, i, j), r in where.items():
+        if i == j:
+            out[step, i, j] = (P[r] - 2.0 * P[0] + P[r + 1]) / step**2
+        else:
+            out[step, i, j] = (P[r] - P[r + 1] - P[r + 2] + P[r + 3]) / (4.0 * step**2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -226,7 +288,6 @@ class SecondFF:
 
 def second_fundamental_form(
     chart: ImmersionChart, u, pf: Optional[PointFrame] = None, h: float = FD_STEP2,
-    richardson: bool = True,
 ) -> SecondFF:
     u = np.asarray(u, dtype=float)
     chart.check_interior(u, 4 * h)
@@ -234,25 +295,24 @@ def second_fundamental_form(
         pf = point_frame(chart, u)
     n = pf.n
     pt = pf.pt
+    partials = _second_partials_P(chart, u, h)
 
     def coord_ff(step: float):
         out = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                M = _second_partial_P(chart, u, i, j, step)
-                t = _project_tangent(pt, M)
+                t = GrassTangent(pt, _horizontal(pt.P, pt.V, partials[step, i, j], pt.field))
                 nt = pf.project_normal(t)
                 out[i][j] = nt
                 out[j][i] = nt
         return out
 
     raw = coord_ff(h)
-    if richardson:
-        raw2 = coord_ff(h / 2.0)
-        raw = [
-            [GrassTangent(pt, (4.0 * raw2[i][j].H - raw[i][j].H) / 3.0) for j in range(n)]
-            for i in range(n)
-        ]
+    raw2 = coord_ff(h / 2.0)
+    raw = [
+        [GrassTangent(pt, (4.0 * raw2[i][j].H - raw[i][j].H) / 3.0) for j in range(n)]
+        for i in range(n)
+    ]
     # re-express against the orthonormal frame: II(E_a, E_b) = Σ c_ai c_bj II(∂_i, ∂_j)
     C = pf.coeff
     II = []

@@ -23,10 +23,12 @@ import scipy.linalg as sla
 from .algebra import (
     Field,
     ct,
+    ct_stack,
     expm_alg,
     frob,
     inner_re,
     matmul,
+    matmul_stack,
     orthonormalize,
     random_matrix,
 )
@@ -40,7 +42,13 @@ from .homogeneous import (
     proj_m,
     random_horizontal,
 )
-from .immersion import ImmersionChart, differential
+from .immersion import (
+    ImmersionChart,
+    central_stencil,
+    differential,
+    differential_stack,
+    richardson_difference,
+)
 
 # ----------------------------------------------------------------------------
 # scalar bookkeeping for fibre coefficients
@@ -236,38 +244,30 @@ def parallel_transport(chart: ImmersionChart, u0, u1, w0,
     """Transport a fibre vector along the straight coordinate segment.
 
     Integrates s' = [P', P] s with classical RK4; optionally re-projects
-    into the fibre after every step.  Returns (w1, endpoint).
+    into the fibre after every step.  The 2·steps + 1 RK4 nodes are
+    evaluated up front in one batch.  Returns (w1, endpoint).
     """
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
     du = u1 - u0
-
-    cache = {}
-
-    def field_at(t: float):
-        key = round(t, 12)
-        if key not in cache:
-            D = differential(chart, u0 + t * du)
-            Pd = sum(float(c) * tg.delta for c, tg in zip(du, D))
-            P = D[0].base.P
-            cache[key] = (matmul(Pd, P) - matmul(P, Pd), P)
-        return cache[key]
+    V, P, H = differential_stack(chart, u0 + np.outer(np.linspace(0.0, 1.0, 2 * steps + 1), du))
+    f = chart.field
+    Hd = np.einsum("i,bi...->b...", du, H)   # horizontal form of P' = Σ du_i ∂_i P
+    Pd = matmul_stack(Hd, ct_stack(V, f), f) + matmul_stack(V, ct_stack(Hd, f), f)
+    A = matmul_stack(Pd, P, f) - matmul_stack(P, Pd, f)
 
     s = np.array(w0, copy=True)
     hstep = 1.0 / steps
     for n in range(steps):
-        t = n * hstep
-        A1, _ = field_at(t)
-        A2, _ = field_at(t + hstep / 2.0)
-        A4, P4 = field_at(t + hstep)
+        A1, A2, A4 = A[2 * n], A[2 * n + 1], A[2 * n + 2]
         k1 = matmul(A1, s)
         k2 = matmul(A2, s + (hstep / 2.0) * k1)
         k3 = matmul(A2, s + (hstep / 2.0) * k2)
         k4 = matmul(A4, s + hstep * k3)
         s = s + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if project:
-            s = matmul(P4, s)
-    return s, chart(u1)
+            s = matmul(P[2 * n + 2], s)
+    return s, GrassPoint(f, chart.N, chart.k, V[-1], P[-1])
 
 
 def holonomy_map(chart: ImmersionChart, u, i: int, j: int, eps: float,
@@ -340,9 +340,9 @@ def exp_chart(pt: GrassPoint, X: GrassTangent, Y: GrassTangent,
         E1 = expm_alg(Yl * float(u[1]))
         return gE, E1
 
-    def ev(u):
-        gE, E1 = pieces(u)
-        return point_from_stiefel(matmul(gE, E1)[:, :k])
+    def ev(U):
+        pts = [point_from_stiefel(matmul(*pieces(u))[:, :k]) for u in U]
+        return np.array([p.V for p in pts]), np.array([p.P for p in pts])
 
     def diff(u):
         gE, E1 = pieces(u)
@@ -426,64 +426,43 @@ def lemma_omega_check(field, N: int, k: int, trials: int = 20,
 # ----------------------------------------------------------------------------
 
 def gram_at(chart: ImmersionChart, u) -> np.ndarray:
-    D = differential(chart, u)
+    """Gram matrices G_ab = Re tr(D_b* D_a) of the coordinate differentials
+    at u of shape (..., n), one differential_stack call for all points."""
+    U = np.asarray(u, dtype=float)
     n = chart.dim
-    G = np.empty((n, n))
-    for a in range(n):
-        for b in range(a, n):
-            G[a, b] = G[b, a] = inner_re(D[a].H, D[b].H)
-    return G
+    _, _, H = differential_stack(chart, U.reshape(-1, n))
+    H = H.reshape(H.shape[0], n, -1)
+    return np.real(np.einsum("bax,bcx->bac", H, np.conj(H))).reshape(U.shape[:-1] + (n, n))
 
 
 def christoffel(chart: ImmersionChart, u, h: float = FD_STEP) -> np.ndarray:
-    """Gamma[l, i, j] of the pulled-back metric, by Richardson differences."""
-    u = np.asarray(u, dtype=float)
+    """Gamma[..., l, i, j] of the pulled-back metric at u of shape (..., n),
+    by Richardson differences of the Gram matrix; one gram_at call."""
+    U = np.asarray(u, dtype=float)
     n = chart.dim
-
-    def dg(step):
-        out = np.empty((n, n, n))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = step
-            out[i] = (gram_at(chart, u + e) - gram_at(chart, u - e)) / (2.0 * step)
-        return out
-
-    d = dg(h)
-    d = (4.0 * dg(h / 2.0) - d) / 3.0
-    ginv = np.linalg.inv(gram_at(chart, u))
-    gamma = np.empty((n, n, n))
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                gamma[l, i, j] = 0.5 * sum(
-                    ginv[l, m] * (d[i][j, m] + d[j][i, m] - d[m][i, j])
-                    for m in range(n)
-                )
-    return gamma
+    stencil = central_stencil(U.reshape(-1, n), h)
+    G = gram_at(chart, stencil)
+    d = richardson_difference(G, h)          # d[b, i, j, m] = ∂_i g_jm
+    ginv = np.linalg.inv(G[:, 0])
+    T = d + np.swapaxes(d, 1, 2) - np.moveaxis(d, 1, -1)
+    gamma = 0.5 * np.einsum("blm,bijm->blij", ginv, T)
+    return gamma.reshape(U.shape[:-1] + (n, n, n))
 
 
 def base_transport(chart: ImmersionChart, u0, u1, x0, steps: int = 40) -> np.ndarray:
-    """Levi-Civita transport of coordinate components along a straight segment."""
+    """Levi-Civita transport of coordinate components along a straight
+    segment; the Christoffel symbols at all 2·steps + 1 RK4 nodes come from
+    one batched call."""
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
     du = u1 - u0
     x = np.array(x0, dtype=float)
-
-    cache = {}
-
-    def rhs_mat(t: float) -> np.ndarray:
-        key = round(t, 12)
-        if key not in cache:
-            gamma = christoffel(chart, u0 + t * du)
-            cache[key] = -np.einsum("lij,i->lj", gamma, du)
-        return cache[key]
+    gamma = christoffel(chart, u0 + np.outer(np.linspace(0.0, 1.0, 2 * steps + 1), du))
+    A = -np.einsum("blij,i->blj", gamma, du)
 
     hstep = 1.0 / steps
     for n in range(steps):
-        t = n * hstep
-        A1 = rhs_mat(t)
-        A2 = rhs_mat(t + hstep / 2.0)
-        A4 = rhs_mat(t + hstep)
+        A1, A2, A4 = A[2 * n], A[2 * n + 1], A[2 * n + 2]
         k1 = A1 @ x
         k2 = A2 @ (x + (hstep / 2.0) * k1)
         k3 = A2 @ (x + (hstep / 2.0) * k2)
@@ -511,8 +490,6 @@ def dr_oracle(chart: ImmersionChart, u, x_coords, y_coords, z_coords, w0, v0,
     wv0 = np.concatenate([w0, v0], axis=1)
 
     def f(t: float) -> float:
-        if t == 0.0:
-            return curvature_pairing_fd(chart, u, x_coords, y_coords, w0, v0)
         ut = u + t * z
         xy = base_transport(chart, u, ut, xy0, steps=base_steps)
         wv, _ = parallel_transport(chart, u, ut, wv0, steps=transport_steps)
@@ -535,19 +512,9 @@ def sectional_base_fd(chart: ImmersionChart, u, x_coords, y_coords,
                       h: float = FD_STEP2) -> float:
     """Sectional curvature of the pulled-back metric from its Christoffels."""
     u = np.asarray(u, dtype=float)
-    n = chart.dim
-
-    def dgamma(step):
-        out = np.empty((n, n, n, n))
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = step
-            out[i] = (christoffel(chart, u + e) - christoffel(chart, u - e)) / (2.0 * step)
-        return out
-
-    dG = dgamma(h)
-    dG = (4.0 * dgamma(h / 2.0) - dG) / 3.0
-    gam = christoffel(chart, u)
+    gam_all = christoffel(chart, central_stencil(u[None], h)[0])
+    dG = richardson_difference(gam_all[None], h)[0]   # dG[i] = ∂_i Gamma
+    gam = gam_all[0]
     G = gram_at(chart, u)
     # R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
     #           + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}

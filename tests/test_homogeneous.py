@@ -220,11 +220,11 @@ def test_geodesic_k1_closed_form_matches_expm():
         pt = rand_point(rng, field, 4, 1)
         t = random_horizontal(rng, pt)
         for s in (0.2, 1.1):
-            Va = geodesic_stiefel_k1(pt.V, t.H, s)
+            Va = geodesic_stiefel_k1(pt.V[None], t.H[None], s)[0]
             pa = point_from_stiefel(Va)
             pb = geodesic(pt, t, s)
             assert frob(pa.P - pb.P) < 1e-10
-    assert np.allclose(geodesic_stiefel_k1(pt.V, zeros(field, 4, 1), 0.5), pt.V)
+    assert np.allclose(geodesic_stiefel_k1(pt.V[None], zeros(field, 4, 1)[None], 0.5)[0], pt.V)
 
 
 def test_cp1_geodesic_period_pi():

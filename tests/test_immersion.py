@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pullconn.algebra import Field, ct, frob, inner_re, matmul
+from pullconn import cli
+from pullconn.algebra import (
+    Field, ct, eye, field_of, frob, inner_re, matmul, orthonormalize, random_matrix,
+)
 from pullconn.catalog import (
     CATALOG,
     build_chart,
@@ -21,6 +24,7 @@ from pullconn.catalog import (
     veronese,
 )
 from pullconn.connection import fatness_margin
+from pullconn.homogeneous import GrassTangent, point_from_stiefel, random_horizontal
 from pullconn.immersion import (
     NET_BUDGET,
     ChartDomainError,
@@ -33,6 +37,7 @@ from pullconn.immersion import (
     second_fundamental_form,
     shape_norm,
 )
+from pullconn.oracle import exp_chart
 
 
 def closed_form_charts():
@@ -138,8 +143,8 @@ def test_point_frame_gauge_keeps_gram_and_projector():
 def test_degenerate_chart_raises_not_immersion():
     base = veronese(2)
 
-    def ev(u):
-        return base(np.array([u[0], 0.0]))
+    def ev(U):
+        return base.eval_point(np.stack([U[:, 0], np.zeros(len(U))], axis=1))
 
     flat = ImmersionChart(name="degenerate", field=Field.COMPLEX, N=3, k=1,
                           dim=2, box=((-1.0, 1.0), (-1.0, 1.0)), eval_point=ev)
@@ -324,3 +329,48 @@ def test_grassmann_sub_is_totally_geodesic_with_rank_two():
     assert pf.pt.k == 2
     w = np.linalg.eigvalsh(pf.gram)
     assert w[0] > 0.1
+
+
+def _exp_pair_chart():
+    rng = np.random.default_rng(9)
+    pt = point_from_stiefel(orthonormalize(random_matrix(rng, Field.REAL, 4, 2)))
+    X = random_horizontal(rng, pt)
+    X = GrassTangent(pt, X.H / X.norm())
+    Y = random_horizontal(rng, pt)
+    Y = GrassTangent(pt, Y.H - X.H * inner_re(Y.H, X.H))
+    return exp_chart(pt, X, GrassTangent(pt, Y.H / Y.norm()), half_width=0.5)
+
+
+def batch_charts():
+    """Every `list` example over each of its fields (perturbed over R and H
+    on the linear and hline bases), and an exponential chart.  The linear
+    charts over R and C have N = 4, so their projector stacks (B, 4, 4) have
+    the shape that algebra.is_quat reads as one quaternion matrix."""
+    cases = [(name, field, {}) for name, entry in CATALOG.items() if name != "perturbed"
+             for field in entry.fields]
+    cases += [("perturbed", Field.REAL, {"base": "linear"}),
+              ("perturbed", Field.COMPLEX, {}),
+              ("perturbed", Field.QUATERNION, {"base": "hline", "amplitude": 0.3})]
+    charts = [pytest.param(cli.make_chart(name, field, params),
+                           id=f"{name}-{field.value}") for name, field, params in cases]
+    return charts + [pytest.param(_exp_pair_chart(), id="exp-pair-r")]
+
+
+@pytest.mark.parametrize("chart", batch_charts())
+def test_batched_evaluation_matches_single_points(chart):
+    rng = np.random.default_rng(5)
+    lo, hi = np.array(chart.box).T
+    U = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=(7, chart.dim))
+    V, P = chart.eval_point(U)
+    quat = (4,) if chart.field is Field.QUATERNION else ()
+    dtype = complex if chart.field is Field.COMPLEX else float
+    assert V.shape == (7, chart.N, chart.k) + quat and V.dtype == dtype
+    assert P.shape == (7, chart.N, chart.N) + quat and P.dtype == dtype
+    for b, u in enumerate(U):
+        pt = chart(u)
+        assert np.max(np.abs(P[b] - pt.P)) < 1e-14
+        assert np.max(np.abs(V[b] - pt.V)) < 1e-14
+        # one row read by the single-point algebra: same field, P = V V*, V* V = I
+        assert field_of(pt.V) is chart.field and field_of(pt.P) is chart.field
+        assert frob(matmul(pt.V, ct(pt.V)) - P[b]) < 1e-14
+        assert frob(matmul(ct(pt.V), pt.V) - eye(chart.field, chart.k)) < 1e-12

@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 
 from pullconn.algebra import Field, frob, inner_re, matmul, orthonormalize, random_matrix
 from pullconn.catalog import (
+    build_chart,
     clifford_torus,
     grassmann_sub,
     quaternionic_line,
     totally_real,
     veronese,
 )
-from pullconn.immersion import differential
+from pullconn.connection import alpha_basis, dr_component
+from pullconn.immersion import differential, point_frame, second_fundamental_form
 from pullconn.oracle import (
     base_transport,
     covariant_derivative,
@@ -258,6 +260,23 @@ def test_dr_oracle_vanishes_for_parallel_pullbacks():
         w = ch(u).V
         v = matmul(w, 1j * np.ones((1, 1)))
         assert abs(dr_oracle(ch, u, [1, 0], [0, 1], [1, 0], w, v)) < 1e-6
+
+
+def test_dr_oracle_on_quaternionic_four_dimensional_base():
+    """On a 2-dimensional base the curvature sees the transported pair only
+    through det(x, y), so only the trace of the Christoffel symbols reaches
+    the oracle; a 4-dimensional base exercises every symbol."""
+    chart = build_chart("perturbed", field="h", base="hline")
+    u = np.array([0.25, -0.3, 0.1, 0.2])
+    pf = point_frame(chart, u)
+    ff = second_fundamental_form(chart, u, pf=pf)
+    alpha = alpha_basis(chart.field, chart.k)[0]
+    w, v = alpha.fiber_pair(pf.pt.V)
+    for triple in [(0, 1, 0), (0, 2, 3)]:
+        x, y, z = np.eye(4)[list(triple)]
+        closed = dr_component(pf, ff, x, y, z, alpha)
+        xc, yc, zc = (pf.coeff.T @ t for t in (x, y, z))
+        assert abs(closed - 2.0 * dr_oracle(chart, u, xc, yc, zc, w, v)) < 1e-6
 
 
 def test_sectional_base_fd_reference_values():

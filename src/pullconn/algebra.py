@@ -164,9 +164,16 @@ def matmul_stack(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
 
     The field is passed, not read from the shape: a stack of real 4×4
     matrices has the (m, n, 4) shape that is_quat takes for quaternions.
+    Over H the product is two contractions: one real matmul gives every
+    component product T[m, t, n, u] = Σ_k A[m, k, t] B[k, n, u], and QL
+    combines the (t, u) pairs.
     """
     if field is Field.QUATERNION:
-        return np.einsum("stu,...mkt,...knu->...mns", QL, A, B)
+        A, B = np.asarray(A), np.asarray(B)
+        m, k, n = A.shape[-3], A.shape[-2], B.shape[-2]
+        At = np.swapaxes(A, -1, -2).reshape(A.shape[:-3] + (4 * m, k))
+        T = np.matmul(At, B.reshape(B.shape[:-3] + (k, 4 * n)))
+        return np.tensordot(T.reshape(T.shape[:-2] + (m, 4, n, 4)), QL, axes=([-3, -1], [1, 2]))
     return np.matmul(A, B)
 
 

@@ -11,8 +11,8 @@ from math import comb
 
 import numpy as np
 
-from .algebra import Field, ct, ct_stack, frob_stack, matmul, matmul_stack, quat
-from .homogeneous import GrassTangent, geodesic_stiefel_k1
+from .algebra import Field, ct_stack, frob_stack, matmul_stack
+from .homogeneous import geodesic_stiefel_k1, horizontal_stack
 from .immersion import ImmersionChart
 
 
@@ -27,16 +27,32 @@ def _k1_stack(field: Field, W: np.ndarray):
     return V, matmul_stack(V, ct_stack(V, field), field)
 
 
-def _scalar_slots(field: Field) -> int:
-    return field.real_dim
+def _k1_chart(name: str, field: Field, N: int, box: tuple, cols, dcols,
+              params: dict) -> ImmersionChart:
+    """Rank-one chart u ↦ [W(u)] with analytic differentials.
+
+    cols(U) gives the ambient columns W (B, N, 1[, 4]) of coordinate rows
+    U, and dcols(U) their derivatives ∂_i W (B, dim, N, 1[, 4]), or a
+    stack that broadcasts to it.  The differential of V = W/|W| at row b is
+    the horizontal part of ∂_i W / |W|.
+    """
+    def ev(U: np.ndarray):
+        return _k1_stack(field, cols(U))
+
+    def diff(U: np.ndarray):
+        W = cols(U)
+        V, P = _k1_stack(field, W)
+        H = horizontal_stack(V[:, None], dcols(U) / frob_stack(W)[:, None], field)
+        return V, P, H
+
+    return ImmersionChart(name=name, field=field, N=N, k=1, dim=len(box), box=box,
+                          eval_point=ev, analytic_diff=diff, params=params)
 
 
-def _real_to_scalar(field: Field, comps: np.ndarray):
-    if field is Field.REAL:
-        return float(comps[0])
-    if field is Field.COMPLEX:
-        return complex(comps[0], comps[1])
-    return quat(*comps)
+def _affine_dcols(cols, n: int):
+    """dcols of a chart whose columns are affine in u: ∂_i W = W(e_i) − W(0)."""
+    dW = cols(np.eye(n)) - cols(np.zeros((1, n)))
+    return lambda U: dW[None]
 
 
 # ----------------------------------------------------------------------------
@@ -47,10 +63,9 @@ def linear_embedding(field: Field, m: int = 3, N: int = 4) -> ImmersionChart:
     field = Field.parse(field)
     if not 2 <= m <= N:
         raise ValueError("need 2 <= m <= N")
-    d = _scalar_slots(field)
-    n = d * (m - 1)
+    n = field.real_dim * (m - 1)
 
-    def ambient(U: np.ndarray) -> np.ndarray:
+    def cols(U: np.ndarray) -> np.ndarray:
         """Columns (B, N, 1[, 4]) with entries 1, u-blocks, 0, ..."""
         B = U.shape[0]
         if field is Field.QUATERNION:
@@ -67,34 +82,9 @@ def linear_embedding(field: Field, m: int = 3, N: int = 4) -> ImmersionChart:
             W[:, 1:m, 0] = U
         return W
 
-    def ev(U: np.ndarray):
-        return _k1_stack(field, ambient(U))
-
-    def diff(u: np.ndarray):
-        pt = chart(u)
-        nw = frob_stack(ambient(u[None])).item()
-        out = []
-        for c in range(n):
-            j, s = divmod(c, d)
-            comps = np.zeros(d)
-            comps[s] = 1.0
-            if field is Field.QUATERNION:
-                dw = np.zeros((N, 1, 4))
-                dw[1 + j, 0] = quat(*comps)
-            else:
-                dw = np.zeros((N, 1), dtype=complex if field is Field.COMPLEX else float)
-                dw[1 + j, 0] = _real_to_scalar(field, comps)
-            h = dw / nw
-            h = h - matmul(pt.V, matmul(ct(pt.V), h))
-            out.append(GrassTangent(pt, h))
-        return out
-
     box = tuple((-1.5, 1.5) for _ in range(n))
-    chart = ImmersionChart(
-        name="linear", field=field, N=N, k=1, dim=n, box=box,
-        eval_point=ev, analytic_diff=diff, params={"m": m, "N": N},
-    )
-    return chart
+    return _k1_chart("linear", field, N, box, cols, _affine_dcols(cols, n),
+                     {"m": m, "N": N})
 
 
 # ----------------------------------------------------------------------------
@@ -107,29 +97,21 @@ def veronese(d: int = 2) -> ImmersionChart:
     coef = np.array([np.sqrt(comb(d, j)) for j in range(d + 1)])
     powers = np.arange(d + 1)
 
-    def ambient(z: np.ndarray) -> np.ndarray:
-        """Rows coef_j z^j for each entry of z."""
-        return coef * z[:, None] ** powers
+    def cols(U: np.ndarray) -> np.ndarray:
+        """Columns coef_j z^j, z = u_0 + i u_1."""
+        z = U[:, 0] + 1j * U[:, 1]
+        return (coef * z[:, None] ** powers)[:, :, None]
 
-    def ev(U: np.ndarray):
-        return _k1_stack(Field.COMPLEX, ambient(U[:, 0] + 1j * U[:, 1])[:, :, None])
+    def dcols(U: np.ndarray) -> np.ndarray:
+        """∂_0 W = dW/dz and ∂_1 W = i dW/dz."""
+        z = U[:, 0] + 1j * U[:, 1]
+        D = np.zeros((U.shape[0], 2, d + 1, 1), dtype=complex)
+        D[:, 0, 1:, 0] = coef[1:] * powers[1:] * z[:, None] ** (powers[1:] - 1)
+        D[:, 1] = 1j * D[:, 0]
+        return D
 
-    def diff(u: np.ndarray):
-        z = complex(u[0], u[1])
-        w = ambient(np.array([z]))[0]
-        wp = np.zeros(d + 1, dtype=complex)
-        wp[1:] = coef[1:] * powers[1:] * z ** (powers[1:] - 1)
-        pt = chart(u)
-        h = (wp / np.linalg.norm(w)).reshape(d + 1, 1)
-        h = h - matmul(pt.V, matmul(ct(pt.V), h))
-        return [GrassTangent(pt, h), GrassTangent(pt, 1j * h)]
-
-    chart = ImmersionChart(
-        name="veronese", field=Field.COMPLEX, N=d + 1, k=1, dim=2,
-        box=((-1.2, 1.2), (-1.2, 1.2)), eval_point=ev, analytic_diff=diff,
-        params={"d": d},
-    )
-    return chart
+    return _k1_chart("veronese", Field.COMPLEX, d + 1, ((-1.2, 1.2), (-1.2, 1.2)),
+                     cols, dcols, {"d": d})
 
 
 # ----------------------------------------------------------------------------
@@ -140,29 +122,15 @@ def totally_real(n: int = 2) -> ImmersionChart:
     if n < 1:
         raise ValueError("need n >= 1")
 
-    def ev(U: np.ndarray):
+    def cols(U: np.ndarray) -> np.ndarray:
         W = np.zeros((U.shape[0], n + 1, 1), dtype=complex)
         W[:, 0] = 1.0
         W[:, 1:, 0] = U
-        return _k1_stack(Field.COMPLEX, W)
-
-    def diff(u: np.ndarray):
-        pt = chart(u)
-        nw = np.sqrt(1.0 + float(u @ u))
-        out = []
-        for i in range(n):
-            dw = np.zeros((n + 1, 1), dtype=complex)
-            dw[1 + i, 0] = 1.0 / nw
-            h = dw - matmul(pt.V, matmul(ct(pt.V), dw))
-            out.append(GrassTangent(pt, h))
-        return out
+        return W
 
     box = tuple((-1.5, 1.5) for _ in range(n))
-    chart = ImmersionChart(
-        name="totally-real", field=Field.COMPLEX, N=n + 1, k=1, dim=n,
-        box=box, eval_point=ev, analytic_diff=diff, params={"n": n},
-    )
-    return chart
+    return _k1_chart("totally-real", Field.COMPLEX, n + 1, box, cols,
+                     _affine_dcols(cols, n), {"n": n})
 
 
 # ----------------------------------------------------------------------------
@@ -170,28 +138,18 @@ def totally_real(n: int = 2) -> ImmersionChart:
 # ----------------------------------------------------------------------------
 
 def clifford_torus() -> ImmersionChart:
-    def ev(U: np.ndarray):
+    def cols(U: np.ndarray) -> np.ndarray:
         W = np.ones((U.shape[0], 3, 1), dtype=complex)
         W[:, :2, 0] = np.exp(1j * U)
-        return _k1_stack(Field.COMPLEX, W)
+        return W
 
-    def diff(u: np.ndarray):
-        pt = chart(u)
-        s = np.sqrt(3.0)
-        out = []
-        for i in range(2):
-            dw = np.zeros((3, 1), dtype=complex)
-            dw[i, 0] = 1j * np.exp(1j * u[i]) / s
-            h = dw - matmul(pt.V, matmul(ct(pt.V), dw))
-            out.append(GrassTangent(pt, h))
-        return out
+    def dcols(U: np.ndarray) -> np.ndarray:
+        D = np.zeros((U.shape[0], 2, 3, 1), dtype=complex)
+        D[:, [0, 1], [0, 1], 0] = 1j * np.exp(1j * U)
+        return D
 
-    chart = ImmersionChart(
-        name="clifford", field=Field.COMPLEX, N=3, k=1, dim=2,
-        box=((-3.0, 3.0), (-3.0, 3.0)), eval_point=ev, analytic_diff=diff,
-        params={},
-    )
-    return chart
+    return _k1_chart("clifford", Field.COMPLEX, 3, ((-3.0, 3.0), (-3.0, 3.0)),
+                     cols, dcols, {})
 
 
 # ----------------------------------------------------------------------------
@@ -202,31 +160,15 @@ def quaternionic_line(N: int = 3) -> ImmersionChart:
     if N < 2:
         raise ValueError("need N >= 2")
 
-    def ev(U: np.ndarray):
+    def cols(U: np.ndarray) -> np.ndarray:
         W = np.zeros((U.shape[0], N, 1, 4))
         W[:, 0, 0, 0] = 1.0
         W[:, 1, 0] = U
-        return _k1_stack(Field.QUATERNION, W)
-
-    def diff(u: np.ndarray):
-        pt = chart(u)
-        nw = np.sqrt(1.0 + float(u @ u))
-        out = []
-        for s in range(4):
-            comps = np.zeros(4)
-            comps[s] = 1.0
-            dw = np.zeros((N, 1, 4))
-            dw[1, 0] = quat(*comps) / nw
-            h = dw - matmul(pt.V, matmul(ct(pt.V), dw))
-            out.append(GrassTangent(pt, h))
-        return out
+        return W
 
     box = tuple((-1.5, 1.5) for _ in range(4))
-    chart = ImmersionChart(
-        name="hline", field=Field.QUATERNION, N=N, k=1, dim=4,
-        box=box, eval_point=ev, analytic_diff=diff, params={"N": N},
-    )
-    return chart
+    return _k1_chart("hline", Field.QUATERNION, N, box, cols, _affine_dcols(cols, 4),
+                     {"N": N})
 
 
 # ----------------------------------------------------------------------------

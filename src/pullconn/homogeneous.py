@@ -21,6 +21,7 @@ from .algebra import (
     Field,
     complete_basis,
     ct,
+    ct_stack,
     expm_alg,
     eye,
     field_of,
@@ -28,6 +29,7 @@ from .algebra import (
     frob_stack,
     inner_re,
     matmul,
+    matmul_stack,
     orthonormalize,
     quat,
     random_matrix,
@@ -95,6 +97,12 @@ def tangent(pt: GrassPoint, A: np.ndarray) -> GrassTangent:
     """Horizontal projection of an ambient N×k array to a tangent at pt."""
     H = A - matmul(pt.V, matmul(ct(pt.V), A))
     return GrassTangent(pt, H)
+
+
+def horizontal_stack(V: np.ndarray, A: np.ndarray, field: Field) -> np.ndarray:
+    """Horizontal parts A − V(V*A) of stacked ambient N×k arrays A at
+    stacked Stiefel representatives V; broadcasts over leading axes."""
+    return A - matmul_stack(V, matmul_stack(ct_stack(V, field), A, field), field)
 
 
 def tangent_strict(pt: GrassPoint, H: np.ndarray) -> GrassTangent:

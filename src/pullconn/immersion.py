@@ -2,10 +2,11 @@
 frames, second fundamental form and shape norm.
 
 Charts map an open box in R^n to Grassmannian points and evaluate a whole
-stack of coordinate rows in one call.  Differentials come from an analytic
-formula when the chart provides one, otherwise from central finite
-differences of the projector map with one Richardson level, every stencil
-point in one chart call.  Second derivatives always use finite differences.
+stack of coordinate rows in one call.  Differentials of a stack come from
+one call of the chart's analytic formula when it has one, otherwise from
+central finite differences of the projector map with one Richardson level,
+every stencil point in one chart call.  Second derivatives always use
+finite differences.
 The shape norm is a maximization over the tangent sphere; it returns a
 refined value together with a grid certificate: for each grid direction the
 inner optimization is solved exactly, so the global maximum is bounded by
@@ -19,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import Field, ct_stack, frob, inner_re, matmul, matmul_stack, sym_eig_small
+from .algebra import Field, frob, inner_re, matmul, matmul_stack, sym_eig_small
 from .constants import FD_STEP, FD_STEP2, IMMERSION_EPS
 from .homogeneous import FrameLift, GrassPoint, GrassTangent, frame_lift
 
@@ -46,7 +47,10 @@ class ImmersionChart:
 
     eval_point maps coordinate rows U of shape (B, dim) to the stacked
     Stiefel representatives V (B, N, k) and projectors P (B, N, N), with a
-    trailing quaternion axis of length 4 over H.
+    trailing quaternion axis of length 4 over H.  analytic_diff, where the
+    chart has closed-form differentials, maps the same rows to (V, P, H):
+    the (V, P) of eval_point and the horizontal differentials
+    H (B, dim, N, k[, 4]), H[b, i] = ∂φ/∂u_i at row b.
     """
 
     name: str
@@ -56,7 +60,7 @@ class ImmersionChart:
     dim: int
     box: tuple
     eval_point: Callable[[np.ndarray], tuple]
-    analytic_diff: Optional[Callable[[np.ndarray], list]] = None
+    analytic_diff: Optional[Callable[[np.ndarray], tuple]] = None
     params: dict = dc_field(default_factory=dict)
 
     def __call__(self, u) -> GrassPoint:
@@ -74,6 +78,16 @@ class ImmersionChart:
                 raise ChartDomainError(
                     f"coordinate {ui:.4f} within {margin:.2e} of the box [{lo}, {hi}]"
                 )
+
+    def check_rows(self, U: np.ndarray, margin: float) -> None:
+        """check_interior on every row of U (B, dim) by one vectorized test
+        against the box; the first failing row raises check_interior's error."""
+        if U.ndim != 2 or U.shape[1] != self.dim:
+            raise ChartDomainError(f"expected {self.dim} coordinates, got shape {U.shape[1:]}")
+        lo, hi = np.array(self.box, dtype=float).T
+        inside = np.all((U >= lo + margin) & (U <= hi - margin), axis=1)   # False on NaN
+        if not inside.all():
+            self.check_interior(U[np.argmin(inside)], margin)
 
 
 def central_stencil(U: np.ndarray, h: float) -> np.ndarray:
@@ -108,34 +122,24 @@ def _horizontal(P: np.ndarray, V: np.ndarray, M: np.ndarray, field: Field) -> np
 
 
 def differential(chart: ImmersionChart, u, h: float = FD_STEP, use_analytic: bool = True):
-    """Coordinate differentials ∂φ/∂u_i as GrassTangents at φ(u)."""
-    u = np.asarray(u, dtype=float)
-    chart.check_interior(u, 2 * h)
-    if use_analytic and chart.analytic_diff is not None:
-        pt = chart(u)
-        out = chart.analytic_diff(u)
-        for t in out:
-            if not np.isfinite(t.H).all():
-                raise ChartDomainError("non-finite analytic differential")
-        return [GrassTangent(pt, t.H) for t in out]
-    V, P, H = _fd_stack(chart, u[None], h)
+    """Coordinate differentials ∂φ/∂u_i as GrassTangents at φ(u): row 0 of
+    differential_stack."""
+    V, P, H = differential_stack(chart, np.asarray(u, dtype=float)[None], h, use_analytic)
     pt = GrassPoint(chart.field, chart.N, chart.k, V[0], P[0])
     return [GrassTangent(pt, Hi) for Hi in H[0]]
 
 
-def differential_stack(chart: ImmersionChart, U, h: float = FD_STEP):
-    """Stacked (V, P, H) at every row of U (B, n), H[b, i] = ∂φ/∂u_i.
-
-    Analytic charts keep their formulas, one row at a time; otherwise the
-    stencils of all rows take one chart call.
-    """
+def differential_stack(chart: ImmersionChart, U, h: float = FD_STEP, use_analytic: bool = True):
+    """Stacked (V, P, H) at every row of U (B, n), H[b, i] = ∂φ/∂u_i: one
+    analytic_diff call when the chart has one, otherwise one chart call for
+    the stencils of all rows."""
     U = np.asarray(U, dtype=float)
-    if chart.analytic_diff is not None:
-        Ds = [differential(chart, u, h) for u in U]
-        return (np.array([D[0].base.V for D in Ds]), np.array([D[0].base.P for D in Ds]),
-                np.array([[t.H for t in D] for D in Ds]))
-    for u in U:
-        chart.check_interior(u, 2 * h)
+    chart.check_rows(U, 2 * h)
+    if use_analytic and chart.analytic_diff is not None:
+        V, P, H = chart.analytic_diff(U)
+        if not np.isfinite(H).all():
+            raise ChartDomainError("non-finite analytic differential")
+        return V, P, H
     return _fd_stack(chart, U, h)
 
 

@@ -22,10 +22,11 @@ import scipy.linalg as sla
 
 from .algebra import (
     Field,
-    ct,
     ct_stack,
     expm_alg,
+    eye,
     frob,
+    frob_stack,
     inner_re,
     matmul,
     matmul_stack,
@@ -37,6 +38,7 @@ from .homogeneous import (
     GrassPoint,
     GrassTangent,
     frame_lift,
+    horizontal_stack,
     lie_lift,
     point_from_stiefel,
     proj_m,
@@ -260,13 +262,13 @@ def parallel_transport(chart: ImmersionChart, u0, u1, w0,
     hstep = 1.0 / steps
     for n in range(steps):
         A1, A2, A4 = A[2 * n], A[2 * n + 1], A[2 * n + 2]
-        k1 = matmul(A1, s)
-        k2 = matmul(A2, s + (hstep / 2.0) * k1)
-        k3 = matmul(A2, s + (hstep / 2.0) * k2)
-        k4 = matmul(A4, s + hstep * k3)
+        k1 = matmul_stack(A1, s, f)
+        k2 = matmul_stack(A2, s + (hstep / 2.0) * k1, f)
+        k3 = matmul_stack(A2, s + (hstep / 2.0) * k2, f)
+        k4 = matmul_stack(A4, s + hstep * k3, f)
         s = s + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if project:
-            s = matmul(P[2 * n + 2], s)
+            s = matmul_stack(P[2 * n + 2], s, f)
     return s, GrassPoint(f, chart.N, chart.k, V[-1], P[-1])
 
 
@@ -308,7 +310,7 @@ def holonomy_generator(chart: ImmersionChart, u, i: int, j: int, eps: float,
         if field is Field.QUATERNION:
             qm = np.zeros((1, 1, 4))
             qm[0, 0] = q
-            return matmul(col, qm)
+            return matmul_stack(col, qm, field)
         return col * q
 
     M = np.zeros((n, n))
@@ -326,38 +328,69 @@ def holonomy_generator(chart: ImmersionChart, u, i: int, j: int, eps: float,
 # two-parameter exponential charts and the loop-generator fit
 # ----------------------------------------------------------------------------
 
+def _skew_exp(A: np.ndarray, field: Field):
+    """u ↦ the stack e^{u_b A} over the entries of a column u, for one
+    skew-Hermitian A.
+
+    Over R and C from one eigendecomposition iA = Q diag(w) Q*, so that
+    e^{uA} = Q diag(e^{−iuw}) Q* (Moler & Van Loan, "Nineteen dubious ways
+    to compute the exponential of a matrix, twenty-five years later", SIAM
+    Rev. 45, 2003, method 14); the real part over R.  Over H one expm_alg
+    call per entry.
+    """
+    if field is Field.QUATERNION:
+        return lambda u: np.array([expm_alg(A * float(t)) for t in u])
+    w, Q = np.linalg.eigh(1j * A)
+    Qh = Q.conj().T
+
+    def expo(u):
+        E = (Q * np.exp(-1j * np.multiply.outer(u, w))[:, None, :]) @ Qh
+        return E.real if field is Field.REAL else E
+    return expo
+
+
+def _stiefel_rows(V: np.ndarray, field: Field):
+    """(V, P) as point_from_stiefel gives them for every row of V (B, N, k[, 4]):
+    rows with V*V = I within 1e-8·√k are kept, the others orthonormalized."""
+    k = V.shape[2]
+    off = frob_stack(matmul_stack(ct_stack(V, field), V, field) - eye(field, k)) \
+        .reshape(-1) > 1e-8 * np.sqrt(k)
+    if off.any():
+        V = V.copy()
+        for b in np.flatnonzero(off):
+            V[b] = orthonormalize(V[b])
+    return V, matmul_stack(V, ct_stack(V, field), field)
+
+
 def exp_chart(pt: GrassPoint, X: GrassTangent, Y: GrassTangent,
               half_width: float = 1.0) -> ImmersionChart:
-    """Internal chart u -> span of (g e^{u1 X~} e^{u2 Y~})[:, :k]."""
+    """Internal chart u -> span of (g e^{u1 X~} e^{u2 Y~})[:, :k]; both
+    exponentials are computed once per coordinate row."""
     fr = frame_lift(pt)
     Xl = lie_lift(fr, X).mat
     Yl = lie_lift(fr, Y).mat
     g = fr.g
     k = pt.k
+    f = pt.field
+    expX, expY = _skew_exp(Xl, f), _skew_exp(Yl, f)
 
-    def pieces(u):
-        gE = matmul(g, expm_alg(Xl * float(u[0])))
-        E1 = expm_alg(Yl * float(u[1]))
-        return gE, E1
+    def pieces(U):
+        """g e^{u1 X~}, e^{u2 Y~} and the point (V, P) at every row of U."""
+        gE = matmul_stack(g, expX(U[:, 0]), f)
+        E1 = expY(U[:, 1])
+        return (gE, E1) + _stiefel_rows(matmul_stack(gE, E1[:, :, :k], f), f)
 
     def ev(U):
-        pts = [point_from_stiefel(matmul(*pieces(u))[:, :k]) for u in U]
-        return np.array([p.V for p in pts]), np.array([p.P for p in pts])
+        return pieces(U)[2:]
 
-    def diff(u):
-        gE, E1 = pieces(u)
-        V = matmul(gE, E1)[:, :k]
-        pt_u = point_from_stiefel(V)
-        dV0 = matmul(gE, matmul(Xl, E1))[:, :k]
-        dV1 = matmul(gE, matmul(E1, Yl))[:, :k]
-        out = []
-        for dV in (dV0, dV1):
-            H = dV - matmul(V, matmul(ct(V), dV))
-            out.append(GrassTangent(pt_u, H))
-        return out
+    def diff(U):
+        gE, E1, V, P = pieces(U)
+        dV = np.stack([matmul_stack(gE, matmul_stack(Xl, E1[:, :, :k], f), f),
+                       matmul_stack(gE, matmul_stack(E1, Yl[:, :k], f), f)], axis=1)
+        return V, P, horizontal_stack(V[:, None], dV, f)
 
     box = ((-half_width, half_width), (-half_width, half_width))
-    return ImmersionChart(name="exp-pair", field=pt.field, N=pt.N, k=k,
+    return ImmersionChart(name="exp-pair", field=f, N=pt.N, k=k,
                           dim=2, box=box, eval_point=ev, analytic_diff=diff)
 
 

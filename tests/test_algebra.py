@@ -14,6 +14,7 @@ from pullconn.algebra import (
     QONE,
     complete_basis,
     ct,
+    ct_stack,
     expm_alg,
     eye,
     field_of,
@@ -22,6 +23,7 @@ from pullconn.algebra import (
     inner_g0,
     inner_re,
     matmul,
+    matmul_stack,
     norm_g0,
     orthonormalize,
     qconj,
@@ -121,6 +123,36 @@ def test_mixed_real_quat_matmul():
     A = rng.standard_normal((2, 3))
     B = random_matrix(rng, Field.QUATERNION, 3, 2)
     assert np.allclose(matmul(A, B), matmul(from_real(A, Field.QUATERNION), B), atol=1e-14)
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((6, 3, 2), (6, 2, 4)),          # one stack axis
+    ((5, 4, 3, 3), (5, 4, 3, 2)),    # two stack axes
+    ((3, 3), (7, 3, 1)),             # one matrix against a stack
+])
+def test_matmul_stack_quaternion_matches_entrywise_qmul(shape_a, shape_b):
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal(shape_a + (4,))
+    B = rng.standard_normal(shape_b + (4,))
+    got = matmul_stack(A, B, Field.QUATERNION)
+    lead = np.broadcast_shapes(shape_a[:-2], shape_b[:-2])
+    m, k, n = shape_a[-2], shape_a[-1], shape_b[-1]
+    A, B = np.broadcast_to(A, lead + (m, k, 4)), np.broadcast_to(B, lead + (k, n, 4))
+    want = np.zeros(lead + (m, n, 4))
+    for idx in np.ndindex(*lead):
+        for i in range(m):
+            for j in range(n):
+                want[idx + (i, j)] = sum(qmul(A[idx + (i, t)], B[idx + (t, j)]) for t in range(k))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_matmul_stack_real_four_by_four_is_a_plain_matmul():
+    """A real (B, 4, 4) stack has the shape is_quat reads as quaternionic."""
+    rng = np.random.default_rng(12)
+    A, B = rng.standard_normal((2, 5, 4, 4))
+    assert np.array_equal(matmul_stack(A, B, Field.REAL), A @ B)
+    assert np.array_equal(ct_stack(A, Field.REAL), np.swapaxes(A, 1, 2))
 
 
 def test_inner_g0_reference_values():

@@ -24,6 +24,7 @@ from pullconn.catalog import (
     veronese,
 )
 from pullconn.connection import fatness_margin
+from pullconn.constants import FD_STEP
 from pullconn.homogeneous import GrassTangent, point_from_stiefel, random_horizontal
 from pullconn.immersion import (
     NET_BUDGET,
@@ -33,6 +34,7 @@ from pullconn.immersion import (
     _orthonormalize_real_span,
     _sphere_net,
     differential,
+    differential_stack,
     point_frame,
     second_fundamental_form,
     shape_norm,
@@ -56,7 +58,8 @@ def closed_form_charts():
 @pytest.mark.parametrize("chart,u", closed_form_charts(),
                          ids=lambda c: c.name + "-" + c.field.value if isinstance(c, ImmersionChart) else None)
 def test_analytic_differential_matches_finite_differences(chart, u):
-    analytic = chart.analytic_diff(u)
+    _, _, H = chart.analytic_diff(u[None])
+    analytic = [GrassTangent(chart(u), Hi) for Hi in H[0]]
     fd_chart = dataclasses.replace(chart, analytic_diff=None)
     numeric = differential(fd_chart, u)
     assert len(analytic) == chart.dim
@@ -331,9 +334,9 @@ def test_grassmann_sub_is_totally_geodesic_with_rank_two():
     assert w[0] > 0.1
 
 
-def _exp_pair_chart():
+def _exp_pair_chart(field=Field.REAL, N=4, k=2):
     rng = np.random.default_rng(9)
-    pt = point_from_stiefel(orthonormalize(random_matrix(rng, Field.REAL, 4, 2)))
+    pt = point_from_stiefel(orthonormalize(random_matrix(rng, field, N, k)))
     X = random_horizontal(rng, pt)
     X = GrassTangent(pt, X.H / X.norm())
     Y = random_horizontal(rng, pt)
@@ -374,3 +377,50 @@ def test_batched_evaluation_matches_single_points(chart):
         assert field_of(pt.V) is chart.field and field_of(pt.P) is chart.field
         assert frob(matmul(pt.V, ct(pt.V)) - P[b]) < 1e-14
         assert frob(matmul(ct(pt.V), pt.V) - eye(chart.field, chart.k)) < 1e-12
+
+
+def analytic_stacks():
+    """Every closed-form chart, five rows around its test point, and
+    exponential charts over R, C and H, five rows in their box."""
+    rng = np.random.default_rng(17)
+    cases = [pytest.param(chart, u + rng.uniform(-0.1, 0.1, size=(5, chart.dim)),
+                          id=f"{chart.name}-{chart.field.value}-{chart.dim}")
+             for chart, u in closed_form_charts()]
+    for field, N, k in [(Field.REAL, 4, 2), (Field.COMPLEX, 3, 1), (Field.QUATERNION, 3, 1)]:
+        cases.append(pytest.param(_exp_pair_chart(field, N, k), rng.uniform(-0.4, 0.4, size=(5, 2)),
+                                  id=f"exp-pair-{field.value}"))
+    return cases
+
+
+@pytest.mark.parametrize("chart,U", analytic_stacks())
+def test_batched_analytic_differentials_match_rows(chart, U):
+    V, P, H = chart.analytic_diff(U)
+    quat = (4,) if chart.field is Field.QUATERNION else ()
+    assert H.shape == (5, chart.dim, chart.N, chart.k) + quat
+    V0, P0 = chart.eval_point(U)
+    assert np.array_equal(V, V0) and np.array_equal(P, P0)
+    for b in range(5):
+        Vb, Pb, Hb = chart.analytic_diff(U[b:b + 1])
+        assert np.max(np.abs(Hb[0] - H[b])) < 1e-14
+        assert np.max(np.abs(Vb[0] - V[b])) < 1e-14
+        assert np.max(np.abs(Pb[0] - P[b])) < 1e-14
+    _, _, Hfd = differential_stack(chart, U, use_analytic=False)
+    assert np.max(np.abs(Hfd - H)) < 1e-8
+
+
+@pytest.mark.parametrize("chart", [veronese(2), grassmann_sub(2, 4, 5)],
+                         ids=["analytic", "finite-difference"])
+@pytest.mark.parametrize("bad", [5.0, np.nan], ids=["outside", "nan"])
+def test_stacked_domain_check_reports_the_failing_row(chart, bad):
+    lo, hi = np.array(chart.box).T
+    U = np.tile(0.5 * (lo + hi), (5, 1)) + 0.1
+    differential_stack(chart, U)
+    U[2, 1] = bad
+    U[4, 0] = np.nan   # a later failing row is not the one reported
+    with pytest.raises(ChartDomainError) as single:
+        chart.check_interior(U[2], 2 * FD_STEP)
+    with pytest.raises(ChartDomainError) as stacked:
+        differential_stack(chart, U)
+    assert str(stacked.value) == str(single.value)
+    with pytest.raises(ChartDomainError, match=f"expected {chart.dim} coordinates"):
+        differential_stack(chart, np.zeros((5, chart.dim + 1)))

@@ -1,6 +1,9 @@
 """Brute-force layer: stencils, transport, holonomy, generator fits."""
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,8 @@ from pullconn.catalog import (
 from pullconn.connection import alpha_basis, dr_component
 from pullconn.immersion import differential, point_frame, second_fundamental_form
 from pullconn.oracle import (
+    _skew_exp,
+    _stiefel_rows,
     base_transport,
     covariant_derivative,
     curvature_oracle,
@@ -33,7 +38,9 @@ from pullconn.oracle import (
     scalar_units,
     sectional_base_fd,
 )
-from pullconn.homogeneous import point_from_stiefel, random_horizontal, GrassTangent
+from pullconn.homogeneous import (
+    GrassTangent, frame_lift, lie_lift, point_from_stiefel, random_horizontal,
+)
 
 
 def sample_charts():
@@ -198,24 +205,57 @@ def test_m_basis_fit_roundtrip():
     assert res > 0.5
 
 
+def _unit_pair(rng, field, N, k):
+    """A random point and an orthonormal pair of horizontal tangents there."""
+    pt = point_from_stiefel(orthonormalize(random_matrix(rng, field, N, k)))
+    X = random_horizontal(rng, pt)
+    X = GrassTangent(pt, X.H / X.norm())
+    Y = random_horizontal(rng, pt)
+    Y = GrassTangent(pt, Y.H - X.H * inner_re(Y.H, X.H))
+    return pt, X, GrassTangent(pt, Y.H / Y.norm())
+
+
 def test_exp_chart_matches_finite_differences():
     rng = np.random.default_rng(9)
-    for field, N, k in [(Field.REAL, 4, 2), (Field.COMPLEX, 3, 1)]:
-        V = orthonormalize(random_matrix(rng, field, N, k))
-        pt = point_from_stiefel(V)
-        X = random_horizontal(rng, pt)
-        X = GrassTangent(pt, X.H / X.norm())
-        Y = random_horizontal(rng, pt)
-        Y = GrassTangent(pt, Y.H - X.H * inner_re(Y.H, X.H))
-        Y = GrassTangent(pt, Y.H / Y.norm())
+    for field, N, k in [(Field.REAL, 4, 2), (Field.COMPLEX, 3, 1), (Field.QUATERNION, 3, 1)]:
+        pt, X, Y = _unit_pair(rng, field, N, k)
         chart = exp_chart(pt, X, Y, half_width=0.5)
         u = np.array([0.1, -0.2])
-        import dataclasses
         fd = differential(dataclasses.replace(chart, analytic_diff=None), u)
         an = differential(chart, u)
         for a, f in zip(an, fd):
             assert frob(a.H - f.H) < 1e-8
         assert frob(chart(np.zeros(2)).P - pt.P) < 1e-12
+
+
+@pytest.mark.parametrize("field,N,k", [(Field.REAL, 4, 2), (Field.REAL, 5, 1),
+                                       (Field.COMPLEX, 3, 1), (Field.COMPLEX, 4, 2)])
+def test_eigh_exponential_matches_expm(field, N, k):
+    """e^{uX~} from one eigendecomposition against scipy's expm, for u up
+    to the half width of the charts lemma_omega_check builds and beyond."""
+    rng = np.random.default_rng(3)
+    pt, X, _ = _unit_pair(rng, field, N, k)
+    Xl = lie_lift(frame_lift(pt), X).mat
+    u = np.concatenate([np.linspace(-0.04, 0.04, 9), [-1.0, 0.5, 1.0]])
+    E = _skew_exp(Xl, field)(u)
+    assert E.dtype == (complex if field is Field.COMPLEX else float)
+    for t, Et in zip(u, E):
+        assert np.max(np.abs(Et - sla.expm(t * Xl))) < 1e-13
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
+def test_stiefel_rows_follow_point_from_stiefel(field):
+    """Orthonormal rows are kept as they are; a row off by more than 1e-8
+    is orthonormalized, as point_from_stiefel does for one point."""
+    rng = np.random.default_rng(4)
+    V = np.array([orthonormalize(random_matrix(rng, field, 4, 2)) for _ in range(3)])
+    V[1] = V[1] * (1.0 + 1e-6)
+    Vs, Ps = _stiefel_rows(V, field)
+    for b in range(3):
+        pt = point_from_stiefel(V[b])
+        assert np.max(np.abs(Vs[b] - pt.V)) < 1e-15
+        assert np.max(np.abs(Ps[b] - pt.P)) < 1e-14
+    assert np.array_equal(Vs[0], V[0]) and not np.array_equal(Vs[1], V[1])
 
 
 def test_base_transport_isometry_and_reversal():

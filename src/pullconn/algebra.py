@@ -91,11 +91,6 @@ QJ = quat(0.0, 0.0, 1.0)
 QK = quat(0.0, 0.0, 0.0, 1.0)
 
 
-def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quaternion product, broadcasting over leading axes."""
-    return np.einsum("stu,...t,...u->...s", QL, a, b)
-
-
 def qconj(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out[..., 1:] *= -1.0
@@ -184,32 +179,23 @@ def ct_stack(A: np.ndarray, field: Field) -> np.ndarray:
     return np.swapaxes(np.conj(A), -1, -2)
 
 
+def pair_re(X: np.ndarray, Y: np.ndarray, tail: int) -> np.ndarray:
+    """Real pairings Re tr(Y_j* X_i) of every X_i with every Y_j.
+
+    Each matrix is its trailing `tail` axes, flattened; the leading axes of
+    X and then of Y index the result.  Over H the arrays are real, so the
+    pairing is the plain dot product of the components.
+    """
+    X, Y = np.asarray(X), np.asarray(Y)
+    xs, ys = X.shape[:X.ndim - tail], Y.shape[:Y.ndim - tail]
+    out = X.reshape(int(np.prod(xs)), -1) @ np.conj(Y.reshape(int(np.prod(ys)), -1)).T
+    return np.real(out).reshape(xs + ys)
+
+
 def frob_stack(A: np.ndarray) -> np.ndarray:
     """Frobenius norm of every array in a stack, over all axes but the
     first, shaped to broadcast against A."""
     return np.sqrt(np.sum(np.real(np.conj(A) * A), axis=tuple(range(1, A.ndim)), keepdims=True))
-
-
-def scalar_right(A: np.ndarray, q) -> np.ndarray:
-    """Right scalar action A -> A q (quaternion q may be a (4,) array)."""
-    if is_quat(A):
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 0:
-            return np.asarray(A) * float(q)
-        return np.einsum("stu,mnt,u->mns", QL, np.asarray(A), q)
-    return np.asarray(A) * q
-
-
-def re_trace(A: np.ndarray) -> float:
-    if is_quat(A):
-        n = min(A.shape[0], A.shape[1])
-        return float(np.sum(A[np.arange(n), np.arange(n), 0]))
-    return float(np.real(np.trace(A)))
-
-
-def inner_g0(A: np.ndarray, B: np.ndarray) -> float:
-    """Bi-invariant pairing (1/2) Re tr(A B*)."""
-    return 0.5 * re_trace(matmul(A, ct(B)))
 
 
 def inner_re(A: np.ndarray, B: np.ndarray) -> float:
@@ -223,16 +209,13 @@ def frob(A: np.ndarray) -> float:
     return float(np.sqrt(max(inner_re(A, A), 0.0)))
 
 
-def norm_g0(A: np.ndarray) -> float:
-    return float(np.sqrt(max(inner_g0(A, A), 0.0)))
-
-
-def hstack(cols) -> np.ndarray:
-    return np.concatenate(list(cols), axis=1)
-
-
-def col(A: np.ndarray, j: int) -> np.ndarray:
-    return A[:, j : j + 1]
+def _strip(v: np.ndarray, cols) -> np.ndarray:
+    """v less its components along the orthonormal columns `cols`: two
+    sweeps of modified Gram-Schmidt, coefficients from the right."""
+    for _ in range(2):
+        for q in cols:
+            v = v - matmul(q, matmul(ct(q), v))
+    return v
 
 
 def orthonormalize(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -247,15 +230,12 @@ def orthonormalize(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     scale = max(frob(A) / max(np.sqrt(ncols), 1.0), 1.0)
     out = []
     for jcol in range(ncols):
-        v = np.array(col(A, jcol), copy=True)
-        for _ in range(2):
-            for q in out:
-                v = v - matmul(q, matmul(ct(q), v))
+        v = _strip(np.array(A[:, jcol:jcol + 1]), out)
         n = frob(v)
         if n < tol * scale:
             raise DegenerateColumnsError(jcol, n)
         out.append(v / n)
-    return hstack(out)
+    return np.concatenate(out, axis=1)
 
 
 def complete_basis(V: np.ndarray, order: str = "standard", tol: float = 1e-8) -> np.ndarray:
@@ -265,17 +245,12 @@ def complete_basis(V: np.ndarray, order: str = "standard", tol: float = 1e-8) ->
     order ("standard") or reversed ("reversed"); near-dependent candidates are
     dropped.  Deterministic for a given order.
     """
-    field = field_of(V)
-    N = V.shape[0]
-    k = V.shape[1]
+    N, k = V.shape[0], V.shape[1]
     idx = range(N) if order == "standard" else range(N - 1, -1, -1)
-    cols = [col(V, j) for j in range(k)]
-    I = eye(field, N)
+    cols = [V[:, j:j + 1] for j in range(k)]
+    I = eye(field_of(V), N)
     for j in idx:
-        v = np.array(col(I, j), copy=True)
-        for _ in range(2):
-            for q in cols:
-                v = v - matmul(q, matmul(ct(q), v))
+        v = _strip(np.array(I[:, j:j + 1]), cols)
         n = frob(v)
         if n > tol:
             cols.append(v / n)
@@ -283,11 +258,11 @@ def complete_basis(V: np.ndarray, order: str = "standard", tol: float = 1e-8) ->
             break
     if len(cols) != N:
         raise DegenerateColumnsError(len(cols), 0.0)
-    return hstack(cols)
+    return np.concatenate(cols, axis=1)
 
 
 # ----------------------------------------------------------------------------
-# exponential and small symmetric eigenproblems
+# exponential and random matrices
 # ----------------------------------------------------------------------------
 
 def expm_alg(A: np.ndarray) -> np.ndarray:
@@ -308,19 +283,6 @@ def expm_alg(A: np.ndarray) -> np.ndarray:
     for _ in range(s):
         out = matmul(out, out)
     return out
-
-
-def sym_eig_small(S: np.ndarray, check: bool = True, tol: float = 1e-8):
-    """Eigensystem of a small real symmetric matrix with canonical vector signs."""
-    S = np.asarray(S, dtype=float)
-    if check and (S.shape[0] != S.shape[1] or np.max(np.abs(S - S.T)) > tol * max(1.0, np.max(np.abs(S)))):
-        raise ValueError("matrix is not symmetric within tolerance")
-    w, Q = np.linalg.eigh(0.5 * (S + S.T))
-    for j in range(Q.shape[1]):
-        i = int(np.argmax(np.abs(Q[:, j])))
-        if Q[i, j] < 0:
-            Q[:, j] = -Q[:, j]
-    return w, Q
 
 
 def random_matrix(rng: np.random.Generator, field: Field, m: int, n: int, scale: float = 1.0) -> np.ndarray:

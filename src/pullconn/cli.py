@@ -11,7 +11,9 @@ sweep    one chart parameter over a range, one summary row per value
 
 Exit status: 0 on success, 1 when a declared expectation or verification
 check fails, 2 for configuration errors (bad flags, empty sweep ranges,
-sampling that would leave a chart's safe interior).
+sampling that would leave a chart's safe interior), 3 for an internal
+error: any other exception, reported as one ``error:`` line on stderr
+naming its type and message.
 
 Reports are a single JSON document (schema ``pullconn-report/1``) or a flat
 CSV.  Every numeric field is always present; a quantity that does not apply
@@ -35,7 +37,7 @@ import numpy as np
 from . import oracle
 from .algebra import Field
 from .catalog import CATALOG, build_chart
-from .connection import alpha_basis, analyze_point, curvature_norm, dr_component
+from .connection import analyze_point, curvature_norm
 from .constants import FD_STEP, FD_STEP2, STRICT_EPS
 from .immersion import (
     ChartDomainError,
@@ -368,12 +370,8 @@ def expectation_checks(entry, records, failures) -> list:
             worst, 1e-6, worst is not None and worst < 1e-6)
     if exp.get("breaks_parallel"):
         best = _agg_max(records, ("parallel", "residual"))
-        checks.append({
-            "name": "breaks-parallel",
-            "detail": "the perturbation leaves a visibly nonparallel curvature",
-            "value": best, "tolerance": 1e-3,
-            "pass": best is not None and best > 1e-3,
-        })
+        add("breaks-parallel", "the perturbation leaves a visibly nonparallel curvature",
+            best, 1e-3, best is not None and best > 1e-3)
     return checks
 
 
@@ -394,7 +392,7 @@ def _pool_point(task):
         return idx, "ok", point_record(pa)
     except (NotImmersionError, ChartDomainError) as exc:
         return idx, "error", {"u": [float(x) for x in np.asarray(u)],
-                              "reason": str(exc)}
+                              "error": type(exc).__name__, "reason": str(exc)}
 
 
 def analyze_sample(chart, points, normalize, fd_step, workers):
@@ -489,9 +487,8 @@ def _norm_vs_oracle(chart, u, h) -> float:
     """Worst relative error of the closed-form curvature norm against the
     finite-difference oracle, over frame directions and vertical probes."""
     pf = point_frame(chart, u)
-    probes = alpha_basis(chart.field, chart.k)
     worst = 0.0
-    for alpha in probes:
+    for alpha in pf.probes:
         w, v = alpha.fiber_pair(pf.pt.V)
         for a in range(pf.n):
             closed = curvature_norm(pf.E[a], alpha, pf.E)
@@ -507,17 +504,11 @@ def _dr_vs_oracle(chart, u, triples, fd_step) -> float:
     kwargs = {} if fd_step is None else {"h": fd_step}
     pf = point_frame(chart, u, **kwargs)
     ff = second_fundamental_form(chart, u, pf=pf)
-    alpha = alpha_basis(chart.field, chart.k)[0]
-    w, v = alpha.fiber_pair(pf.pt.V)
+    w, v = pf.probes[0].fiber_pair(pf.pt.V)
     worst = 0.0
-    for (ax, ay, az) in triples:
-        x = np.eye(pf.n)[ax]
-        y = np.eye(pf.n)[ay]
-        z = np.eye(pf.n)[az]
-        closed = dr_component(pf, ff, x, y, z, alpha)
-        xc, yc, zc = (pf.coeff.T @ t for t in (x, y, z))
-        orc = oracle.dr_oracle(chart, u, xc, yc, zc, w, v)
-        worst = max(worst, abs(closed - 2.0 * orc))
+    for triple in triples:
+        orc = oracle.dr_oracle(chart, u, *pf.coeff[list(triple)], w, v)
+        worst = max(worst, abs(ff.DR[(0,) + triple] - 2.0 * orc))
     return worst
 
 
@@ -783,6 +774,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     report = {"schema": SCHEMA, "command": args.command}
     report.update(body)
     report["timing"] = {"seconds": time.perf_counter() - start}

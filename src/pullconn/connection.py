@@ -1,5 +1,6 @@
-"""Closed-form frame layer: vertical probes, curvature pairings, fatness,
-parallelism and the curvature inequality, with per-point verdicts.
+"""Closed-form frame layer: fatness, parallelism and the curvature
+inequality, with per-point verdicts, as contractions of the per-point
+tensors of `immersion` (the J-action L and the derivative components DR).
 
 Conventions.  A vertical probe alpha is a normalized anti-Hermitian k-by-k
 scalar block: over R a decomposable x y^T - y x^T built from an orthonormal
@@ -11,22 +12,19 @@ quadratic forms minimize to extreme eigenvalues.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .algebra import Field, frob, inner_g0, inner_re, matmul, quat
+from .algebra import Field, ct_stack, matmul_stack
 from .constants import STRICT_EPS
-from .homogeneous import (
+from .homogeneous import (  # noqa: F401  (the probes are part of this module's API)
+    AlphaElement,
+    DegenerateStructureError,
     GrassTangent,
-    LieLift,
-    ad_alpha,
-    bracket,
+    alpha_basis,
     curvature_normalization,
-    emb_alpha,
-    lie_lift,
-    sectional_curvature_g0,
 )
 from .immersion import (
     CertifiedMax,
@@ -39,106 +37,16 @@ from .immersion import (
     shape_norm,
 )
 
-
-class DegenerateStructureError(ValueError):
-    """No vertical probes exist (rank one over R has trivial algebra)."""
-
-
-@dataclass(frozen=True)
-class AlphaElement:
-    """Normalized vertical-algebra probe."""
-
-    field: Field
-    k: int
-    mat: np.ndarray
-    pair: Optional[tuple] = None  # (x, y) over R
-
-    @staticmethod
-    def decomposable(x, y) -> "AlphaElement":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        k = x.shape[0]
-        if abs(x @ x - 1.0) > 1e-10 or abs(y @ y - 1.0) > 1e-10 or abs(x @ y) > 1e-10:
-            raise ValueError("decomposable probes need an orthonormal pair")
-        return AlphaElement(Field.REAL, k, np.outer(x, y) - np.outer(y, x), (x, y))
-
-    @staticmethod
-    def imaginary_unit(field, q) -> "AlphaElement":
-        f = Field.parse(field)
-        if f is Field.COMPLEX:
-            q = complex(q)
-            if abs(q.real) > 1e-12 or abs(abs(q) - 1.0) > 1e-10:
-                raise ValueError("probe must be a unit imaginary scalar")
-            return AlphaElement(f, 1, np.array([[q]]))
-        if f is Field.QUATERNION:
-            q = np.asarray(q, dtype=float)
-            if abs(q[0]) > 1e-12 or abs(np.dot(q, q) - 1.0) > 1e-10:
-                raise ValueError("probe must be a unit imaginary quaternion")
-            m = np.zeros((1, 1, 4))
-            m[0, 0] = q
-            return AlphaElement(f, 1, m)
-        raise DegenerateStructureError("rank-one real bundles have no probes")
-
-    def embedded(self, N: int) -> np.ndarray:
-        return emb_alpha(self.mat, N)
-
-    def jay(self, t: GrassTangent) -> GrassTangent:
-        return ad_alpha(self.mat, t)
-
-    def fiber_pair(self, V: np.ndarray):
-        """Section pair (w, v) whose curvature pairing matches the frame value."""
-        if self.field is Field.REAL:
-            x, y = self.pair
-            return matmul(V, x.reshape(-1, 1)), matmul(V, y.reshape(-1, 1))
-        return matmul(V, self.mat), V
-
-
-def alpha_basis(field: Field, k: int):
-    """Probes spanning the extremization domain (exactly, per field)."""
-    if field is Field.COMPLEX and k == 1:
-        return [AlphaElement.imaginary_unit(field, 1j)]
-    if field is Field.QUATERNION and k == 1:
-        return [AlphaElement.imaginary_unit(field, quat(0, 1, 0, 0)),
-                AlphaElement.imaginary_unit(field, quat(0, 0, 1, 0)),
-                AlphaElement.imaginary_unit(field, quat(0, 0, 0, 1))]
-    if field is Field.REAL:
-        if k < 2:
-            return []
-        basis = []
-        eye = np.eye(k)
-        for a in range(k):
-            for b in range(a + 1, k):
-                basis.append(AlphaElement.decomposable(eye[a], eye[b]))
-        return basis
-    raise NotImplementedError("probes for higher-rank C/H bundles are not needed here")
-
-
 # ----------------------------------------------------------------------------
-# pairings and norms
+# norms
 # ----------------------------------------------------------------------------
 
-def curvature_pairing(xl: LieLift, zl: LieLift, alpha: AlphaElement) -> float:
-    """Half the g0 pairing of [X~, Z~] against the embedded probe."""
-    if xl.frame is not zl.frame and frob(xl.frame.g - zl.frame.g) > 1e-12:
-        raise ValueError("lifts live in different frames")
-    N = xl.frame.pt.N
-    return 0.5 * inner_g0(bracket(xl.mat, zl.mat), alpha.embedded(N))
-
-
-def _check_orthonormal(tangents) -> None:
-    for a, ta in enumerate(tangents):
-        for b, tb in enumerate(tangents):
-            want = 1.0 if a == b else 0.0
-            if abs(inner_re(ta.H, tb.H) - want) > 1e-8:
-                raise ValueError("tangent list must be orthonormal")
-
-
-def curvature_norm(x: GrassTangent, alpha: AlphaElement, tangents) -> float:
-    """Half the norm of the tangential part of J_alpha X in the given span."""
-    _check_orthonormal(tangents)
-    jx = alpha.jay(x)
-    comps = np.array([inner_re(jx.H, t.H) for t in tangents])
-    return 0.5 * float(np.linalg.norm(comps))
+def curvature_norm(x: GrassTangent, alpha: AlphaElement, tangents: GrassTangent) -> float:
+    """Half the norm of the tangential part of J_alpha X in the span of the
+    orthonormal stack `tangents`."""
+    if np.max(np.abs(tangents.pair(tangents) - np.eye(len(tangents)))) > 1e-8:
+        raise ValueError("tangent list must be orthonormal")
+    return 0.5 * float(np.linalg.norm(tangents.pair(alpha.jay(x))))
 
 
 @dataclass(frozen=True)
@@ -168,17 +76,6 @@ class FatnessResult:
         return CertifiedMax(theta, (self.x, None), theta_grid, upper - theta)
 
 
-def _jay_matrix(pf: PointFrame, alpha: AlphaElement) -> np.ndarray:
-    """L[b, a] = <E_b, J_alpha E_a>: tangential action in the frame."""
-    n = pf.n
-    L = np.empty((n, n))
-    for a in range(n):
-        ja = alpha.jay(pf.E[a])
-        for b in range(n):
-            L[b, a] = inner_re(ja.H, pf.E[b].H)
-    return L
-
-
 def fatness_margin(pf: PointFrame) -> FatnessResult:
     """min over unit tangents and probes of twice the curvature norm.
 
@@ -203,19 +100,16 @@ def fatness_margin(pf: PointFrame) -> FatnessResult:
 
     less an allowance for rounding in the computed singular values.
     """
-    field, k = pf.pt.field, pf.pt.k
-    basis = alpha_basis(field, k)
+    basis = pf.probes
     if not basis:
         return FatnessResult(0.0, None, True, 0.0)
-    mats = [_jay_matrix(pf, a) for a in basis]
-    if field is not Field.QUATERNION:
-        svds = [np.linalg.svd(L) for L in mats]
-        i = int(np.argmin([s[-1] for _, s, _ in svds]))
-        _, s, Vt = svds[i]
-        return FatnessResult(float(s[-1]), basis[i], False, 0.0,
-                             grid_low=float(s[-1]), x=Vt[-1])
+    Ls = pf.L
+    if pf.pt.field is not Field.QUATERNION:
+        _, s, Vt = np.linalg.svd(Ls)
+        i = int(np.argmin(s[:, -1]))
+        return FatnessResult(float(s[i, -1]), basis[i], False, 0.0,
+                             grid_low=float(s[i, -1]), x=Vt[i, -1])
 
-    Ls = np.stack(mats)
     n = pf.n
     net, delta = _sphere_net(3, 17)
     vals = np.linalg.svd(np.einsum("mt,tba->mba", net, Ls), compute_uv=False)[:, -1]
@@ -253,47 +147,13 @@ def fatness_margin(pf: PointFrame) -> FatnessResult:
     lower -= 10 * n * np.finfo(float).eps * lip  # rounding in the computed σ_min
     q = np.zeros(4)
     q[1:] = barg
-    return FatnessResult(margin, AlphaElement.imaginary_unit(field, q), False,
+    return FatnessResult(margin, AlphaElement.imaginary_unit(Field.QUATERNION, q), False,
                          max(margin - lower, 0.0), grid_low, bx)
 
 
 # ----------------------------------------------------------------------------
 # the derivative component and its residuals
 # ----------------------------------------------------------------------------
-
-def dr_component(pf: PointFrame, ff: SecondFF, x, y, z, alpha: AlphaElement,
-                 path: str = "shape") -> float:
-    """Component of the covariant derivative of the curvature pairing.
-
-    x, y, z are frame-coordinate vectors.  The "shape" path contracts the
-    second fundamental form against J_alpha; the "bracket" path pairs frame
-    brackets of lifted tangents against the embedded probe.  The two are
-    algebraically identical.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if path == "shape":
-        jx = alpha.jay(pf.from_coords(x))
-        jy = alpha.jay(pf.from_coords(y))
-        return inner_re(ff.apply(y, z).H, jx.H) - inner_re(ff.apply(x, z).H, jy.H)
-    if path != "bracket":
-        raise ValueError(f"unknown path '{path}'")
-    N = pf.pt.N
-    xt = pf.from_coords(x)
-    yt = pf.from_coords(y)
-    xl = lie_lift(pf.frame, xt).mat
-    yl = lie_lift(pf.frame, yt).mat
-    iizy = lie_lift(pf.frame, ff.apply(z, y)).mat
-    iizx = lie_lift(pf.frame, ff.apply(z, x)).mat
-    emb = alpha.embedded(N)
-    return inner_g0(bracket(xl, iizy), emb) - inner_g0(bracket(yl, iizx), emb)
-
-
-def _extremal_abs(values) -> float:
-    """Exact max of |sum_t a_t v_t| over the unit probe sphere."""
-    return float(np.linalg.norm(np.asarray(values, dtype=float)))
-
 
 @dataclass(frozen=True)
 class ResidualResult:
@@ -309,25 +169,16 @@ class ResidualResult:
 
 
 def _residual_over_probes(pf: PointFrame, ff: SecondFF, radial: bool) -> ResidualResult:
-    field, k = pf.pt.field, pf.pt.k
-    basis = alpha_basis(field, k)
-    if not basis:
+    """Largest probe-extremized |DR| over frame triples (E_a, E_b, E_c) with
+    a ≠ b; radial triples have c = a.  The maximum of |Σ_t a_t DR_t| over
+    unit probe coefficients a is the norm over t."""
+    if not pf.probes:
         return ResidualResult(0.0, True, 0)
-    n = pf.n
-    eye = np.eye(n)
-    worst = 0.0
-    count = 0
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            zs = [a] if radial else range(n)
-            for c in zs:
-                vals = [dr_component(pf, ff, eye[a], eye[b], eye[c], al)
-                        for al in basis]
-                worst = max(worst, _extremal_abs(vals))
-                count += 1
-    return ResidualResult(worst, False, count)
+    size = np.linalg.norm(ff.DR, axis=0)
+    if radial:
+        size = np.diagonal(size, axis1=0, axis2=2).T   # size[a, b, a]
+    vals = size[~np.eye(pf.n, dtype=bool)]
+    return ResidualResult(float(vals.max(initial=0.0)), False, vals.size)
 
 
 def parallel_residual(pf: PointFrame, ff: SecondFF) -> ResidualResult:
@@ -344,13 +195,36 @@ def radial_residual(pf: PointFrame, ff: SecondFF) -> ResidualResult:
 # curvature inequality and the corollary bound
 # ----------------------------------------------------------------------------
 
-def base_sectional(pf: PointFrame, ff: SecondFF, x, y) -> float:
-    """Gauss-equation sectional curvature of the base for orthonormal x, y."""
-    xt = pf.from_coords(x)
-    yt = pf.from_coords(y)
-    amb = sectional_curvature_g0(xt, yt)
-    return amb + inner_re(ff.apply(x, x).H, ff.apply(y, y).H) \
-        - inner_re(ff.apply(x, y).H, ff.apply(x, y).H)
+def _row_pair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re tr(B_p* A_p) for every row p of two stacks of the same shape."""
+    return np.real(np.sum(A * np.conj(B), axis=tuple(range(1, A.ndim))))
+
+
+def base_sectional(pf: PointFrame, ff: SecondFF, x, y):
+    """Gauss-equation sectional curvature of the base for orthonormal
+    frame-coordinate pairs x, y of shape (n,) or (P, n).
+
+    The ambient term |[X~, Y~]|₀² = ½(|C₁|² + |C₂|²) with C₁ = Y*X − X*Y
+    and C₂ = YX* − XY* is bilinear in (x, y): it contracts the bracket
+    tensors C₁[a, b] = E_b*E_a − E_a*E_b and C₂[a, b] = E_bE_a* − E_aE_b*.
+    """
+    X, Y = np.atleast_2d(x).astype(float), np.atleast_2d(y).astype(float)
+    f = pf.pt.field
+    E = pf.E.H
+    Eh = ct_stack(E, f)
+    G1 = matmul_stack(Eh[:, None], E[None], f)     # E_a* E_b
+    G2 = matmul_stack(E[:, None], Eh[None], f)     # E_a E_b*
+
+    def bilinear(s, t, T):
+        return np.einsum("pa,pb,ab...->p...", s, t, T)
+
+    II = ff.II.H
+    C1 = bilinear(X, Y, G1.swapaxes(0, 1) - G1)
+    C2 = bilinear(X, Y, G2.swapaxes(0, 1) - G2)
+    Ixy = bilinear(X, Y, II)
+    kb = 0.5 * (_row_pair(C1, C1) + _row_pair(C2, C2)) \
+        + _row_pair(bilinear(X, X, II), bilinear(Y, Y, II)) - _row_pair(Ixy, Ixy)
+    return float(kb[0]) if np.ndim(x) == 1 else kb
 
 
 @dataclass(frozen=True)
@@ -358,6 +232,7 @@ class InequalityResult:
     min_margin: float
     degenerate: bool
     probes: int
+    kb_probe: Optional[float] = None  # base sectional of the first frame pair
 
     @property
     def strict(self) -> Optional[bool]:
@@ -366,45 +241,42 @@ class InequalityResult:
         return bool(self.min_margin > STRICT_EPS)
 
 
-def inequality_min_margin(pf: PointFrame, ff: SecondFF, extra: int = 6,
-                          seed: int = 20240) -> InequalityResult:
+SEEDED_PAIRS = 6     # random orthonormal pairs added to the frame pairs
+PAIR_SEED = 20240
+
+
+def _probe_pairs(n: int):
+    """(X, Y) of shape (P, n): the ordered frame pairs (e_a, e_b), a ≠ b, then
+    SEEDED_PAIRS seeded random orthonormal pairs; none when n < 2."""
+    if n < 2:
+        return np.zeros((0, n)), np.zeros((0, n))
+    a, b = np.nonzero(~np.eye(n, dtype=bool))
+    q = np.linalg.qr(np.random.default_rng(PAIR_SEED).standard_normal((SEEDED_PAIRS, n, 2)))[0]
+    return np.concatenate([np.eye(n)[a], q[..., 0]]), np.concatenate([np.eye(n)[b], q[..., 1]])
+
+
+def inequality_min_margin(pf: PointFrame, ff: SecondFF) -> InequalityResult:
     """Worst-case inequality margin over frame pairs, probe-exact.
 
-    For each ordered orthonormal pair the probe minimization is a quadratic
-    eigenvalue problem and is solved exactly.  A few seeded random rotations
-    of the pair are added to the deterministic frame probes.
+    For each ordered orthonormal pair (x, y) the probe minimization is the
+    smallest eigenvalue of kb(x, y)·Q − d dᵀ, with Q[s, t] the pairing of
+    the tangential parts of J_s x and J_t x and d_t = DR_t(x, y, x); all
+    pairs share one batched eigenvalue call.  The pairs are the frame
+    pairs and a few seeded random rotations of them.
     """
-    field, k = pf.pt.field, pf.pt.k
-    basis = alpha_basis(field, k)
-    if not basis:
-        return InequalityResult(0.0, True, 0)
-    n = pf.n
-    pairs = []
-    eye = np.eye(n)
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                pairs.append((eye[a], eye[b]))
-    if n >= 2:
-        rng = np.random.default_rng(seed)
-        for _ in range(extra):
-            q, _ = np.linalg.qr(rng.standard_normal((n, 2)))
-            pairs.append((q[:, 0], q[:, 1]))
-    if not pairs:
+    X, Y = _probe_pairs(pf.n)
+    kb = base_sectional(pf, ff, X, Y)
+    kb0 = float(kb[0]) if len(kb) else None
+    if not pf.probes:
+        return InequalityResult(0.0, True, 0, kb0)
+    if not len(X):
         # a one-dimensional base carries no 2-planes; vacuously strict
         return InequalityResult(float("inf"), False, 0)
-
-    worst = np.inf
-    for x, y in pairs:
-        kb = base_sectional(pf, ff, x, y)
-        jmat = np.stack([pf.tangent_coords(al.jay(pf.from_coords(x))) for al in basis])
-        Q = jmat @ jmat.T  # Q[s,t] = <Pi_T J_s x, Pi_T J_t x>
-        drv = np.array([dr_component(pf, ff, x, y, x, al) for al in basis])
-        M = kb * Q - np.outer(drv, drv)
-        lam = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]) if len(basis) > 1 \
-            else float(M[0, 0])
-        worst = min(worst, lam)
-    return InequalityResult(worst, False, len(pairs))
+    jx = np.einsum("tba,pa->ptb", pf.L, X)
+    drv = np.einsum("tabc,pa,pb,pc->pt", ff.DR, X, Y, X)
+    M = kb[:, None, None] * np.einsum("psb,ptb->pst", jx, jx) - drv[:, :, None] * drv[:, None, :]
+    lam = np.linalg.eigvalsh(0.5 * (M + M.swapaxes(1, 2)))[:, 0]
+    return InequalityResult(float(lam.min()), False, len(X), kb0)
 
 
 def corollary_bound(shape_sq_normalized: float, theta: float):
@@ -464,23 +336,15 @@ def analyze_point(chart: ImmersionChart, u, normalize: bool = False,
     par = parallel_residual(pf, ff)
     rad = radial_residual(pf, ff)
     ineq = inequality_min_margin(pf, ff)
-    kb = None
-    if pf.n >= 2:
-        e0 = np.zeros(pf.n)
-        e1 = np.zeros(pf.n)
-        e0[0] = 1.0
-        e1[1] = 1.0
-        kb = float(base_sectional(pf, ff, e0, e1))
     lam = None
     coro = None
     if normalize:
         lam = curvature_normalization(chart.field, chart.N, chart.k)
         if theta is not None:
             coro = corollary_bound(shp.value**2 / lam, theta.value)
-    w = np.linalg.eigvalsh(pf.gram)
     return PointAnalysis(
         u=np.asarray(u, dtype=float), field=chart.field, N=chart.N, k=chart.k,
-        dim=chart.dim, gram_min_eig=float(w[0]), shape=shp, theta=theta,
+        dim=chart.dim, gram_min_eig=pf.gram_min_eig, shape=shp, theta=theta,
         fatness=fat, parallel=par, radial=rad, inequality=ineq,
-        kb_probe=kb, normalization=lam, corollary=coro,
+        kb_probe=ineq.kb_probe, normalization=lam, corollary=coro,
     )

@@ -20,10 +20,8 @@ from .algebra import Field
 # finite differencing
 FD_STEP = 1e-3          # first derivatives (central + one Richardson level)
 FD_STEP2 = 10.0 ** -2.5  # second derivatives / mixed stencils
-FD_TOL = 1e-6
 
 # structural tolerances
-TOL_ALG = 1e-10         # exact linear algebra identities
 IMMERSION_EPS = 1e-8    # Gram matrix rank threshold for immersed charts
 STRICT_EPS = 1e-6       # verdict thresholds (fat / parallel / radial)
 

@@ -1,5 +1,6 @@
 """Grassmannians G_k(K^N) as homogeneous spaces: points, tangents, frame
-lifts, the block Lie-algebra decomposition, geodesics and curvature.
+lifts, the block Lie-algebra decomposition, vertical probes and the
+curvature normalization.
 
 A point is held both as a Stiefel representative V (N x k, V*V = I) and as
 the projector P = V V*.  Tangent vectors are horizontal Stiefel coordinates
@@ -14,6 +15,7 @@ agrees with the g0 norm of the lift and with the projector-model norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from .algebra import (
     complete_basis,
     ct,
     ct_stack,
-    expm_alg,
     eye,
     field_of,
     frob,
@@ -31,18 +32,11 @@ from .algebra import (
     matmul,
     matmul_stack,
     orthonormalize,
+    pair_re,
     quat,
     random_matrix,
-    scalar_right,
-    sym_eig_small,
     zeros,
 )
-from .constants import TOL_ALG
-
-_IMAG_UNITS = {
-    Field.COMPLEX: (1j,),
-    Field.QUATERNION: (quat(0, 1, 0, 0), quat(0, 0, 1, 0), quat(0, 0, 0, 1)),
-}
 
 
 @dataclass(frozen=True)
@@ -54,11 +48,6 @@ class GrassPoint:
     k: int
     V: np.ndarray
     P: np.ndarray
-
-    def gauge(self, u) -> "GrassPoint":
-        """Same point with Stiefel representative V·u (u a k×k unitary)."""
-        Vu = matmul(self.V, u)
-        return GrassPoint(self.field, self.N, self.k, Vu, self.P)
 
 
 def point_from_stiefel(V: np.ndarray) -> GrassPoint:
@@ -73,10 +62,32 @@ def point_from_stiefel(V: np.ndarray) -> GrassPoint:
 
 @dataclass(frozen=True)
 class GrassTangent:
-    """Tangent vector in horizontal Stiefel coordinates (V*H = 0)."""
+    """Tangent vector in horizontal Stiefel coordinates (V*H = 0), or a
+    stack of them: H of shape (..., N, k[, 4]).  Indexing a stack drops its
+    first axis."""
 
     base: GrassPoint
     H: np.ndarray
+
+    def __len__(self) -> int:
+        if self.H.ndim == self._tail:
+            raise TypeError("a single tangent is not a stack")
+        return len(self.H)
+
+    def __getitem__(self, i) -> "GrassTangent":
+        return GrassTangent(self.base, self.H[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def _tail(self) -> int:
+        return 3 if self.base.field is Field.QUATERNION else 2
+
+    def pair(self, other: "GrassTangent") -> np.ndarray:
+        """Real pairings of every tangent of this stack with every one of
+        `other`: shape (this stack..., other stack...)."""
+        return pair_re(self.H, other.H, self._tail)
 
     @property
     def delta(self) -> np.ndarray:
@@ -103,12 +114,6 @@ def horizontal_stack(V: np.ndarray, A: np.ndarray, field: Field) -> np.ndarray:
     """Horizontal parts A − V(V*A) of stacked ambient N×k arrays A at
     stacked Stiefel representatives V; broadcasts over leading axes."""
     return A - matmul_stack(V, matmul_stack(ct_stack(V, field), A, field), field)
-
-
-def tangent_strict(pt: GrassPoint, H: np.ndarray) -> GrassTangent:
-    if frob(matmul(ct(pt.V), H)) > TOL_ALG * max(1.0, frob(H)):
-        raise ValueError("H is not horizontal at the given point")
-    return GrassTangent(pt, H)
 
 
 def random_horizontal(rng: np.random.Generator, pt: GrassPoint, scale: float = 1.0) -> GrassTangent:
@@ -158,45 +163,15 @@ def lie_lift(frame: FrameLift, t: GrassTangent) -> LieLift:
     return LieLift(frame, matmul(ct(frame.W), t.H))
 
 
-def lift_to_tangent(lift: LieLift) -> GrassTangent:
-    H = matmul(lift.frame.W, lift.B)
-    return GrassTangent(lift.frame.pt, H)
-
-
-def emb_alpha(alpha_k: np.ndarray, N: int) -> np.ndarray:
-    """Embed a k×k anti-Hermitian block as diag(alpha, 0) in the N×N algebra."""
-    f = field_of(alpha_k)
-    k = alpha_k.shape[0]
-    out = zeros(f, N, N)
-    out[:k, :k] = alpha_k
-    return out
-
-
-def bracket(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return matmul(A, B) - matmul(B, A)
-
-
 def proj_m(A: np.ndarray, k: int) -> np.ndarray:
     """Top-left k×k block (the structure-algebra component for A ∈ h⊕m⊕p)."""
     return A[:k, :k]
 
 
-def proj_p_block(A: np.ndarray, k: int) -> np.ndarray:
-    """Lower-left (N−k)×k block, i.e. the B-coordinates of the p-part."""
-    return A[k:, :k]
-
-
 def ad_alpha(alpha_k: np.ndarray, t: GrassTangent) -> GrassTangent:
-    """[diag(alpha,0), X~]^p as a tangent: horizontal coordinates −H·alpha."""
-    return GrassTangent(t.base, -matmul(t.H, alpha_k))
-
-
-def geodesic(pt: GrassPoint, t: GrassTangent, s: float, order: str = "standard") -> GrassPoint:
-    """Point of the geodesic through pt with initial velocity t at time s."""
-    frame = frame_lift(pt, order=order)
-    lift = lie_lift(frame, t)
-    g = matmul(frame.g, expm_alg(lift.mat * s))
-    return point_from_stiefel(g[:, : pt.k])
+    """[diag(alpha,0), X~]^p as a tangent: horizontal coordinates −H·alpha,
+    for one tangent or a stack."""
+    return GrassTangent(t.base, -matmul_stack(t.H, alpha_k, t.base.field))
 
 
 def geodesic_stiefel_k1(V: np.ndarray, H: np.ndarray, s: float = 1.0) -> np.ndarray:
@@ -212,69 +187,78 @@ def geodesic_stiefel_k1(V: np.ndarray, H: np.ndarray, s: float = 1.0) -> np.ndar
     return np.where(small, V, V * np.cos(x) + H * (np.sin(x) / c))
 
 
-def sectional_curvature_g0(x: GrassTangent, y: GrassTangent) -> float:
-    """Unnormalized ambient sectional curvature k(X,Y) = |[X~,Y~]|₀²."""
-    if x.base.P is not y.base.P and frob(x.base.P - y.base.P) > 1e-9:
-        raise ValueError("tangents have different base points")
-    Hx, Hy = x.H, y.H
-    C1 = matmul(ct(Hy), Hx) - matmul(ct(Hx), Hy)
-    C2 = matmul(Hy, ct(Hx)) - matmul(Hx, ct(Hy))
-    return 0.5 * (frob(C1) ** 2 + frob(C2) ** 2)
-
-
 # ----------------------------------------------------------------------------
-# J-structures (k = 1 over C and H)
+# vertical probes
 # ----------------------------------------------------------------------------
 
-def imaginary_units(field: Field):
-    if field not in _IMAG_UNITS:
-        raise ValueError("J-structures exist only over C and H")
-    return _IMAG_UNITS[field]
+class DegenerateStructureError(ValueError):
+    """No vertical probes exist (rank one over R has trivial algebra)."""
 
 
-def j_apply(pt: GrassPoint, q, t: GrassTangent) -> GrassTangent:
-    """Right multiplication H ↦ H·q by a unit imaginary scalar (k = 1)."""
-    if pt.field is Field.REAL:
-        raise ValueError("j_apply is defined only over C and H")
-    if pt.k != 1:
-        raise ValueError("j_apply requires k = 1")
-    if pt.field is Field.COMPLEX:
-        if abs(np.real(q)) > TOL_ALG or abs(abs(q) - 1.0) > 1e-8:
-            raise ValueError("q must be a unit imaginary scalar")
-        return GrassTangent(pt, t.H * q)
-    q = np.asarray(q, dtype=float)
-    if abs(q[0]) > TOL_ALG or abs(np.linalg.norm(q) - 1.0) > 1e-8:
-        raise ValueError("q must be a unit imaginary quaternion")
-    return GrassTangent(pt, scalar_right(t.H, q))
+@dataclass(frozen=True)
+class AlphaElement:
+    """Normalized vertical-algebra probe."""
+
+    field: Field
+    k: int
+    mat: np.ndarray
+    pair: Optional[tuple] = None  # (x, y) over R
+
+    @staticmethod
+    def decomposable(x, y) -> "AlphaElement":
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        k = x.shape[0]
+        if abs(x @ x - 1.0) > 1e-10 or abs(y @ y - 1.0) > 1e-10 or abs(x @ y) > 1e-10:
+            raise ValueError("decomposable probes need an orthonormal pair")
+        return AlphaElement(Field.REAL, k, np.outer(x, y) - np.outer(y, x), (x, y))
+
+    @staticmethod
+    def imaginary_unit(field, q) -> "AlphaElement":
+        f = Field.parse(field)
+        if f is Field.COMPLEX:
+            q = complex(q)
+            if abs(q.real) > 1e-12 or abs(abs(q) - 1.0) > 1e-10:
+                raise ValueError("probe must be a unit imaginary scalar")
+            return AlphaElement(f, 1, np.array([[q]]))
+        if f is Field.QUATERNION:
+            q = np.asarray(q, dtype=float)
+            if abs(q[0]) > 1e-12 or abs(np.dot(q, q) - 1.0) > 1e-10:
+                raise ValueError("probe must be a unit imaginary quaternion")
+            m = np.zeros((1, 1, 4))
+            m[0, 0] = q
+            return AlphaElement(f, 1, m)
+        raise DegenerateStructureError("rank-one real bundles have no probes")
+
+    def jay(self, t: GrassTangent) -> GrassTangent:
+        return ad_alpha(self.mat, t)
+
+    def fiber_pair(self, V: np.ndarray):
+        """Section pair (w, v) whose curvature pairing matches the frame value."""
+        if self.field is Field.REAL:
+            x, y = self.pair
+            return matmul(V, x.reshape(-1, 1)), matmul(V, y.reshape(-1, 1))
+        return matmul(V, self.mat), V
 
 
-def wirtinger_angle(basis, x: GrassTangent) -> float:
-    """Angle θ(X) between the 𝔍-orbit of X and the span of `basis`.
-
-    Complex: arccos(|Π_T(JX)|/|X|).  Quaternion: maximize the angle over
-    unit aI+bJ+cK — the minimum eigenvalue of the 3×3 Gram form of the
-    projected images.
-    """
-    pt = x.base
-    nx = x.norm()
-    if nx < 1e-13:
-        raise ValueError("zero tangent vector")
-    coords = np.array([e.inner(x) for e in basis])
-    if abs(np.dot(coords, coords) - nx**2) > 1e-6 * nx**2:
-        raise ValueError("x does not lie in the span of the basis")
-    units = imaginary_units(pt.field)
-    proj = []
-    for q in units:
-        jx = j_apply(pt, q, x)
-        comps = np.array([e.inner(jx) for e in basis])
-        proj.append(comps)
-    if pt.field is Field.COMPLEX:
-        cosv = np.linalg.norm(proj[0]) / nx
-        return float(np.arccos(np.clip(cosv, 0.0, 1.0)))
-    G = np.array([[float(np.dot(a, b)) for b in proj] for a in proj]) / nx**2
-    w, _ = sym_eig_small(G, check=False)
-    lam = float(np.clip(w[0], 0.0, 1.0))
-    return float(np.arccos(np.sqrt(lam)))
+def alpha_basis(field: Field, k: int):
+    """Probes spanning the extremization domain (exactly, per field)."""
+    if field is Field.COMPLEX and k == 1:
+        return [AlphaElement.imaginary_unit(field, 1j)]
+    if field is Field.QUATERNION and k == 1:
+        return [AlphaElement.imaginary_unit(field, quat(0, 1, 0, 0)),
+                AlphaElement.imaginary_unit(field, quat(0, 0, 1, 0)),
+                AlphaElement.imaginary_unit(field, quat(0, 0, 0, 1))]
+    if field is Field.REAL:
+        if k < 2:
+            return []
+        basis = []
+        eye = np.eye(k)
+        for a in range(k):
+            for b in range(a + 1, k):
+                basis.append(AlphaElement.decomposable(eye[a], eye[b]))
+        return basis
+    raise NotImplementedError("probes for higher-rank C/H bundles are not needed here")
 
 
 # ----------------------------------------------------------------------------

@@ -16,13 +16,14 @@ NET_BUDGET points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import Field, frob, inner_re, matmul, matmul_stack, sym_eig_small
+from .algebra import Field, frob_stack, inner_re, matmul_stack
 from .constants import FD_STEP, FD_STEP2, IMMERSION_EPS
-from .homogeneous import FrameLift, GrassPoint, GrassTangent, frame_lift
+from .homogeneous import GrassPoint, GrassTangent, alpha_basis
 
 
 class ChartDomainError(ValueError):
@@ -155,116 +156,119 @@ def _fd_stack(chart: ImmersionChart, U: np.ndarray, h: float):
     return V, P, _horizontal(P[:, None], V[:, None], dP, chart.field)
 
 
-def _orthonormalize_real_span(vectors, tol: float = 1e-12):
-    """Modified Gram–Schmidt with *real* coefficients on GrassTangent-like
-    objects (tangent spaces are real vector spaces even over C/H)."""
+def _orthonormalize_real_span(H: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Modified Gram–Schmidt with *real* coefficients on a stack of
+    tangents H (m, ...), which span a real vector space even over C/H;
+    vectors whose residual norm falls below tol are dropped."""
     out = []
-    for v in vectors:
-        H = np.array(v.H, copy=True)
+    for v in H:
+        v = np.array(v, copy=True)
         for _ in range(2):
             for q in out:
-                H = H - q.H * inner_re(H, q.H)
-        n = float(np.sqrt(max(inner_re(H, H), 0.0)))
-        if n < tol:
-            continue
-        out.append(GrassTangent(v.base, H / n))
-    return out
+                v = v - q * inner_re(v, q)
+        n = float(np.sqrt(max(inner_re(v, v), 0.0)))
+        if n >= tol:
+            out.append(v / n)
+    return np.array(out)
 
 
 @dataclass(frozen=True)
 class PointFrame:
-    """Per-point bundle: differentials, Gram matrix, orthonormal frame, frame lift."""
+    """Per-point bundle: differentials, Gram matrix, orthonormal frame, and
+    the tangential J-action of the vertical probes, computed on first use."""
 
     chart: ImmersionChart
     u: np.ndarray
     pt: GrassPoint
-    D: list            # raw coordinate differentials ∂φ/∂u_i
-    gram: np.ndarray   # G_ij = Re tr(D_j* D_i)
-    E: list            # orthonormal tangent frame (real inner product)
-    coeff: np.ndarray  # E_a = Σ_i coeff[a, i] D_i
-    frame: FrameLift
+    D: GrassTangent       # raw coordinate differentials ∂φ/∂u_i, stacked
+    gram: np.ndarray      # G_ij = Re tr(D_j* D_i)
+    gram_min_eig: float
+    E: GrassTangent       # orthonormal tangent frame (real inner product), stacked
+    coeff: np.ndarray     # E_a = Σ_i coeff[a, i] D_i
 
     @property
     def n(self) -> int:
         return len(self.E)
 
+    @cached_property
+    def probes(self) -> list:
+        return alpha_basis(self.pt.field, self.pt.k)
+
+    @cached_property
+    def jay(self) -> GrassTangent:
+        """J_t E_a for every probe t and frame index a, H of shape (p, n, N, k[, 4])."""
+        return GrassTangent(self.pt, np.stack([al.jay(self.E).H for al in self.probes]))
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        """L[t, b, a] = <E_b, J_t E_a>: the tangential J-action in the frame."""
+        return self.E.pair(self.jay).transpose(1, 0, 2)
+
     def tangent_coords(self, t: GrassTangent) -> np.ndarray:
-        """Real components of a tangent vector in the orthonormal frame."""
-        return np.array([e.inner(t) for e in self.E])
+        """Real components of a tangent vector (or stack) in the orthonormal frame."""
+        return t.pair(self.E)
+
+    def from_coords(self, x) -> GrassTangent:
+        return GrassTangent(self.pt, np.tensordot(x, self.E.H, axes=1))
 
     def project_tangential(self, t: GrassTangent) -> GrassTangent:
-        H = sum((e.H * e.inner(t) for e in self.E), start=np.zeros_like(self.E[0].H))
-        return GrassTangent(self.pt, H)
+        return self.from_coords(self.tangent_coords(t))
 
     def project_normal(self, t: GrassTangent) -> GrassTangent:
         return GrassTangent(self.pt, t.H - self.project_tangential(t).H)
 
-    def from_coords(self, x: np.ndarray) -> GrassTangent:
-        H = sum(float(c) * e.H for c, e in zip(x, self.E))
-        return GrassTangent(self.pt, H)
 
+def point_frame(chart: ImmersionChart, u, h: float = FD_STEP, gauge=None) -> PointFrame:
+    """Differentials, Gram matrix and the Gram–Schmidt frame at φ(u).
 
-def point_frame(
-    chart: ImmersionChart,
-    u,
-    h: float = FD_STEP,
-    completion: str = "standard",
-    gauge=None,
-) -> PointFrame:
+    With gram = LLᵀ the Cholesky factorization, coeff = L⁻¹ is lower
+    triangular, so E = coeff·D is the Gram–Schmidt frame in index order.
+    `gauge` (a k×k unitary) replaces the Stiefel representative V by V·gauge.
+    """
     u = np.asarray(u, dtype=float)
-    D = differential(chart, u, h=h)
-    pt = D[0].base
+    f = chart.field
+    V, P, H = differential_stack(chart, u[None], h)
+    V, H = V[0], H[0]
     if gauge is not None:
-        V = matmul(pt.V, gauge)
-        pt = GrassPoint(pt.field, pt.N, pt.k, V, pt.P)
-        D = [GrassTangent(pt, matmul(t.H, gauge)) for t in D]
-    n = chart.dim
-    gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = inner_re(D[i].H, D[j].H)
-    w, _ = sym_eig_small(gram, check=False)
+        V, H = matmul_stack(V, gauge, f), matmul_stack(H, gauge, f)
+    pt = GrassPoint(f, chart.N, chart.k, V, P[0])
+    D = GrassTangent(pt, H)
+    gram = D.pair(D)
+    w = np.linalg.eigvalsh(gram)
     if w[0] <= IMMERSION_EPS:
         raise NotImmersionError(u, float(w[0]))
-    E = _orthonormalize_real_span(D)
-    if len(E) != n:
-        raise NotImmersionError(u, float(w[0]))
-    coeff = np.empty((n, n))
-    for a in range(n):
-        coeff[a] = np.linalg.solve(gram, [inner_re(E[a].H, d.H) for d in D])
-    fr = frame_lift(pt, order=completion)
-    return PointFrame(chart, u, pt, D, gram, E, coeff, fr)
+    coeff = np.linalg.inv(np.linalg.cholesky(gram))
+    E = GrassTangent(pt, np.tensordot(coeff, H, axes=1))
+    return PointFrame(chart, u, pt, D, gram, float(w[0]), E, coeff)
 
 
 # ----------------------------------------------------------------------------
 # second fundamental form
 # ----------------------------------------------------------------------------
 
-def _second_partials_P(chart: ImmersionChart, u: np.ndarray, h: float) -> dict:
-    """∂_i∂_j P for i <= j at the steps h and h/2, from one chart call.
+def _second_partials_P(chart: ImmersionChart, u: np.ndarray, h: float) -> np.ndarray:
+    """∂_i∂_j P at the steps h and h/2 from one chart call, shape
+    (2, n, n, N, N[, 4]).
 
-    Returns {(step, i, j): matrix}; diagonal entries use the three-point
-    stencil, mixed ones the four corners u ± step e_i ± step e_j.
+    Diagonal entries use the three-point stencil u ± step e_i, mixed ones
+    the four corners u ± step e_i ± step e_j (i < j).
     """
     n = chart.dim
-    E = np.eye(n)
-    rows, where = [u], {}
-    for step in (h, h / 2.0):
-        for i in range(n):
-            ei = step * E[i]
-            for j in range(i, n):
-                ej = step * E[j]
-                corners = ([u + ei, u - ei] if i == j else
-                           [u + ei + ej, u + ei - ej, u - ei + ej, u - ei - ej])
-                where[step, i, j] = len(rows)
-                rows += corners
-    _, P = chart.eval_point(np.array(rows))
-    out = {}
-    for (step, i, j), r in where.items():
-        if i == j:
-            out[step, i, j] = (P[r] - 2.0 * P[0] + P[r + 1]) / step**2
-        else:
-            out[step, i, j] = (P[r] - P[r + 1] - P[r + 2] + P[r + 3]) / (4.0 * step**2)
+    steps = np.array([h, h / 2.0])
+    eye = np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    diag = np.stack([eye, -eye], axis=1)
+    mixed = np.stack([eye[i] + eye[j], eye[i] - eye[j], eye[j] - eye[i], -eye[i] - eye[j]], axis=1)
+    offsets = np.concatenate([diag.reshape(-1, n), mixed.reshape(-1, n)])
+    U = u + steps[:, None, None] * offsets
+    _, P = chart.eval_point(np.concatenate([u[None], U.reshape(-1, n)]))
+    P0, P = P[0], P[1:].reshape((2, len(offsets)) + P.shape[1:])
+    sq = (steps**2).reshape((2, 1) + (1,) * P0.ndim)
+    pd = P[:, :2 * n].reshape((2, n, 2) + P0.shape)
+    pm = P[:, 2 * n:].reshape((2, len(i), 4) + P0.shape)
+    out = np.empty((2, n, n) + P0.shape, dtype=P.dtype)
+    out[:, np.arange(n), np.arange(n)] = (pd[:, :, 0] - 2.0 * P0 + pd[:, :, 1]) / sq
+    out[:, i, j] = out[:, j, i] = (pm[:, :, 0] - pm[:, :, 1] - pm[:, :, 2] + pm[:, :, 3]) / (4.0 * sq)
     return out
 
 
@@ -273,69 +277,39 @@ class SecondFF:
     """Normal-valued second fundamental form in the orthonormal frame."""
 
     pf: PointFrame
-    II: list                  # II[a][b]: GrassTangent, frame-indexed, normal
+    II: GrassTangent          # II[a][b] = II(E_a, E_b), H of shape (n, n, N, k[, 4])
     symmetry_residual: float
     normality_residual: float
 
-    def __getitem__(self, ab):
-        a, b = ab
-        return self.II[a][b]
-
-    def apply(self, x: np.ndarray, y: np.ndarray) -> GrassTangent:
-        """II(X, Y) for frame-coordinate vectors x, y."""
-        H = np.zeros_like(self.II[0][0].H)
-        for a, xa in enumerate(x):
-            for b, yb in enumerate(y):
-                H = H + (float(xa) * float(yb)) * self.II[a][b].H
-        return GrassTangent(self.pf.pt, H)
+    @cached_property
+    def DR(self) -> np.ndarray:
+        """DR[t, a, b, c], the derivative component of the curvature pairing
+        on the frame triple (E_a, E_b, E_c) for probe t: M − M with a and b
+        swapped, where M[t, a, b, c] = <II_bc, J_t E_a>."""
+        M = self.II.pair(self.pf.jay).transpose(2, 3, 0, 1)
+        return M - M.swapaxes(1, 2)
 
 
 def second_fundamental_form(
     chart: ImmersionChart, u, pf: Optional[PointFrame] = None, h: float = FD_STEP2,
 ) -> SecondFF:
+    """Normal part of the second derivatives at steps h and h/2, one
+    Richardson level, re-expressed against the orthonormal frame:
+    II(E_a, E_b) = Σ_ij coeff[a, i] coeff[b, j] II(∂_i, ∂_j)."""
     u = np.asarray(u, dtype=float)
     chart.check_interior(u, 4 * h)
     if pf is None:
         pf = point_frame(chart, u)
-    n = pf.n
     pt = pf.pt
-    partials = _second_partials_P(chart, u, h)
-
-    def coord_ff(step: float):
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                t = GrassTangent(pt, _horizontal(pt.P, pt.V, partials[step, i, j], pt.field))
-                nt = pf.project_normal(t)
-                out[i][j] = nt
-                out[j][i] = nt
-        return out
-
-    raw = coord_ff(h)
-    raw2 = coord_ff(h / 2.0)
-    raw = [
-        [GrassTangent(pt, (4.0 * raw2[i][j].H - raw[i][j].H) / 3.0) for j in range(n)]
-        for i in range(n)
-    ]
-    # re-express against the orthonormal frame: II(E_a, E_b) = Σ c_ai c_bj II(∂_i, ∂_j)
-    C = pf.coeff
-    II = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            H = np.zeros_like(raw[0][0].H)
-            for i in range(n):
-                for j in range(n):
-                    H = H + (C[a, i] * C[b, j]) * raw[i][j].H
-            row.append(GrassTangent(pt, H))
-        II.append(row)
-    sym = max(
-        frob(II[a][b].H - II[b][a].H) for a in range(n) for b in range(n)
-    )
-    nrm = max(
-        pf.project_tangential(II[a][b]).norm() for a in range(n) for b in range(n)
-    )
-    return SecondFF(pf, II, sym, nrm)
+    ddP = GrassTangent(pt, _horizontal(pt.P, pt.V, _second_partials_P(chart, u, h), pt.field))
+    normal = pf.project_normal(ddP).H
+    raw = (4.0 * normal[1] - normal[0]) / 3.0
+    II = GrassTangent(pt, np.einsum("ai,bj,ij...->ab...", pf.coeff, pf.coeff, raw))
+    n = pf.n
+    flat = (n * n,) + II.H.shape[2:]
+    sym = frob_stack((II.H - II.H.swapaxes(0, 1)).reshape(flat)).max()
+    nrm = frob_stack(pf.project_tangential(II).H.reshape(flat)).max()
+    return SecondFF(pf, II, float(sym), float(nrm))
 
 
 # ----------------------------------------------------------------------------
@@ -381,25 +355,21 @@ class CertifiedMax:
         return max(self.value, self.grid_best) + self.grid_gap
 
 
-def shape_norm(ff: SecondFF, resolution: int = 9, rounds: int = 60) -> CertifiedMax:
+SHAPE_NET_RESOLUTION = 9  # lattice points per axis of the shape norm's sphere net
+SHAPE_REFINE_ROUNDS = 60  # most alternating refinement rounds per start
+
+
+def shape_norm(ff: SecondFF) -> CertifiedMax:
     """|S(p)| = max over unit tangent X and unit normal η of |S_η X|.
 
     For each X the maximization over η and the output direction is an exact
     singular value problem, so a net over the X-sphere certifies the result.
     """
-    pf = ff.pf
-    n = pf.n
-    nu = _orthonormalize_real_span(
-        [ff.II[a][b] for a in range(n) for b in range(a, n)], tol=1e-10
-    )
-    if not nu:
+    n = ff.pf.n
+    nu = _orthonormalize_real_span(ff.II.H[np.triu_indices(n)], tol=1e-10)
+    if not len(nu):
         return CertifiedMax(0.0, (np.zeros(n), None), 0.0, 0.0)
-    m = len(nu)
-    A = np.zeros((m, n, n))
-    for c in range(m):
-        for a in range(n):
-            for b in range(n):
-                A[c, a, b] = inner_re(ff.II[a][b].H, nu[c].H)
+    A = GrassTangent(ff.pf.pt, nu).pair(ff.II)   # A[c, a, b] = <II_ab, ν_c>
     lipschitz = float(np.sqrt(np.sum(A**2)))
 
     def eta_max(x: np.ndarray):
@@ -410,7 +380,7 @@ def shape_norm(ff: SecondFF, resolution: int = 9, rounds: int = 60) -> Certified
     def refine(x0: np.ndarray):
         x = x0 / np.linalg.norm(x0)
         val = 0.0
-        for _ in range(rounds):
+        for _ in range(SHAPE_REFINE_ROUNDS):
             val, eta, _ = eta_max(x)
             B = np.einsum("cab,c->ab", A, eta)
             xn = np.linalg.svd(B)[2][0]
@@ -422,7 +392,7 @@ def shape_norm(ff: SecondFF, resolution: int = 9, rounds: int = 60) -> Certified
             x = xn
         return val, x
 
-    net, delta = _sphere_net(n, resolution)
+    net, delta = _sphere_net(n, SHAPE_NET_RESOLUTION)
     sigma = np.linalg.svd(np.einsum("cab,mb->mca", A, net), compute_uv=False)[:, 0]
     i = int(np.argmax(sigma))
     grid_best, grid_arg = float(sigma[i]), net[i]

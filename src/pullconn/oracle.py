@@ -6,8 +6,8 @@ expressions — projector stencils, RK4 integration and matrix logarithms
 only — so agreement with the frame layer is evidence, not tautology.
 
 Orientation note.  The fibre curvature operator that holonomy actually
-measures is the raw projector bracket ``P [d_i P, d_j P]``; the exported
-``curvature_oracle`` rescales it by ``bridge(field)`` so that pairings
+measures is the raw projector bracket ``P [d_i P, d_j P]``;
+``curvature_pairing_fd`` rescales it by ``bridge(field)`` so that pairings
 against vertical-algebra elements use the same normalization as the frame
 layer.  Loop traversal order matters: with the i-leg first, the loop
 generator is ``-eps^2`` times the raw operator; the opposite traversal
@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .algebra import (
+    QL,
     Field,
     ct_stack,
     expm_alg,
@@ -32,8 +33,9 @@ from .algebra import (
     matmul_stack,
     orthonormalize,
     random_matrix,
+    zeros,
 )
-from .constants import FD_STEP, FD_STEP2, TRANSPORT_STEPS, bridge
+from .constants import FD_STEP, TRANSPORT_STEPS, bridge
 from .homogeneous import (
     GrassPoint,
     GrassTangent,
@@ -68,44 +70,19 @@ def scalar_units(field: Field):
     return [1.0]
 
 
-def _coeff_basis_vector(field: Field, k: int, a: int, unit):
-    """Fibre coefficient e_a * unit as a k-by-1 scalar column."""
-    if field is Field.QUATERNION:
-        c = np.zeros((k, 1, 4))
-        c[a, 0] = unit
-        return c
-    c = np.zeros((k, 1), dtype=complex if field is Field.COMPLEX else float)
-    c[a, 0] = unit
-    return c
-
-
-def _scalar_component(field: Field, entry, unit) -> float:
-    if field is Field.QUATERNION:
-        return float(np.dot(entry, unit))
-    if field is Field.COMPLEX:
-        return float((np.conj(unit) * entry).real)
-    return float(entry)
-
-
 def m_basis(field: Field, k: int):
     """Basis of anti-Hermitian k-by-k scalar matrices (the vertical algebra)."""
     out = []
-
-    def zero():
-        if field is Field.QUATERNION:
-            return np.zeros((k, k, 4))
-        return np.zeros((k, k), dtype=complex if field is Field.COMPLEX else float)
-
     units = scalar_units(field)[1:]  # imaginary units only
     if field is not Field.REAL:
         for q in units:
             for a in range(k):
-                M = zero()
+                M = zeros(field, k, k)
                 M[a, a] = q
                 out.append(M)
     for a in range(k):
         for b in range(a + 1, k):
-            M = zero()
+            M = zeros(field, k, k)
             if field is Field.QUATERNION:
                 M[a, b] = _QUNITS[0]
                 M[b, a] = -_QUNITS[0]
@@ -114,7 +91,7 @@ def m_basis(field: Field, k: int):
                 M[b, a] = -1.0
             out.append(M)
             for q in units:
-                M = zero()
+                M = zeros(field, k, k)
                 M[a, b] = q
                 M[b, a] = q
                 out.append(M)
@@ -122,19 +99,18 @@ def m_basis(field: Field, k: int):
 
 
 def left_mult_matrix(field: Field, k: int, beta) -> np.ndarray:
-    """Real matrix of c -> beta c on fibre coefficients, basis e_a * unit_t."""
-    units = scalar_units(field)
-    d = len(units)
-    n = k * d
-    L = np.zeros((n, n))
-    for a in range(k):
-        for t, q in enumerate(units):
-            col = matmul(beta, _coeff_basis_vector(field, k, a, q))
-            for b in range(k):
-                entry = col[b, 0]
-                for s, qs in enumerate(units):
-                    L[b * d + s, a * d + t] = _scalar_component(field, entry, qs)
-    return L
+    """Real matrix of c -> beta c on fibre coefficients, basis e_a * unit_t:
+    row b·d + s, column a·d + t holds component s of beta_ba unit_t."""
+    beta = np.asarray(beta)
+    if field is Field.QUATERNION:
+        blocks = np.einsum("sxt,bax->bsat", QL, beta)      # beta_ba e_t = Σ_s QL[s, x, t] beta_ba[x] e_s
+    elif field is Field.COMPLEX:
+        blocks = np.stack([np.stack([beta.real, -beta.imag], -1),
+                           np.stack([beta.imag, beta.real], -1)], 1)   # [b, s, a, t]
+    else:
+        blocks = beta[:, None, :, None]
+    d = blocks.shape[1]
+    return blocks.reshape(k * d, k * d).astype(float)
 
 
 def fit_m_generator(field: Field, k: int, G: np.ndarray):
@@ -156,25 +132,8 @@ def fit_m_generator(field: Field, k: int, G: np.ndarray):
 
 
 # ----------------------------------------------------------------------------
-# covariant derivative and curvature stencils
+# curvature stencils
 # ----------------------------------------------------------------------------
-
-def covariant_derivative(chart: ImmersionChart, u, i: int, section,
-                         h: float = FD_STEP, richardson: bool = True):
-    """P * (central difference of the section) along coordinate i."""
-    u = np.asarray(u, dtype=float)
-    P = chart(u).P
-
-    def diff(step):
-        e = np.zeros_like(u)
-        e[i] = step
-        return (section(u + e) - section(u - e)) / (2.0 * step)
-
-    d = diff(h)
-    if richardson:
-        d = (4.0 * diff(h / 2.0) - d) / 3.0
-    return matmul(P, d)
-
 
 def _ambient_derivatives(chart: ImmersionChart, u, h: float = FD_STEP,
                          use_analytic: bool = True):
@@ -183,58 +142,15 @@ def _ambient_derivatives(chart: ImmersionChart, u, h: float = FD_STEP,
     return D[0].base, [t.delta for t in D]
 
 
-def curvature_raw(chart: ImmersionChart, u, i: int, j: int, w, h: float = FD_STEP):
-    """P [d_i P, d_j P] w — unbridged, exactly what holonomy measures."""
-    pt, dP = _ambient_derivatives(chart, u, h=h)
-    comm = matmul(dP[i], dP[j]) - matmul(dP[j], dP[i])
-    return matmul(pt.P, matmul(comm, w))
-
-
-def curvature_oracle(chart: ImmersionChart, u, i: int, j: int, w,
-                     method: str = "projector", h: float = FD_STEP2):
-    """Bridged fibre curvature R(d_i, d_j) w by one of two routes."""
-    if method == "projector":
-        return bridge(chart.field) * curvature_raw(chart, u, i, j, w)
-    if method != "commutator":
-        raise ValueError(f"unknown method '{method}'")
-    u = np.asarray(u, dtype=float)
-    P0 = chart(u).P
-
-    def grad_section(l, up, step):
-        e = np.zeros_like(up)
-        e[l] = step
-        dP = (chart(up + e).P - chart(up - e).P) / (2.0 * step)
-        return matmul(chart(up).P, matmul(dP, w))
-
-    def nested(step):
-        def second(i_, j_):
-            e = np.zeros_like(u)
-            e[i_] = step
-            inner = (grad_section(j_, u + e, step) - grad_section(j_, u - e, step)) / (2.0 * step)
-            return matmul(P0, inner)
-
-        return second(i, j) - second(j, i)
-
-    val = nested(h)
-    val = (4.0 * nested(h / 2.0) - val) / 3.0
-    return bridge(chart.field) * val
-
-
-def curvature_in_directions(chart: ImmersionChart, u, x_coords, y_coords, w,
-                            h: float = FD_STEP, use_analytic: bool = True):
-    """Bridged R(X, Y) w with X, Y given by coordinate components."""
+def curvature_pairing_fd(chart: ImmersionChart, u, x_coords, y_coords, w, v,
+                         h: float = FD_STEP, use_analytic: bool = True) -> float:
+    """Real pairing Re <R(X, Y) w, v> of the bridged fibre curvature, X and
+    Y given by coordinate components, from finite differences alone."""
     pt, dP = _ambient_derivatives(chart, u, h=h, use_analytic=use_analytic)
     DX = sum(float(c) * d for c, d in zip(x_coords, dP))
     DY = sum(float(c) * d for c, d in zip(y_coords, dP))
     comm = matmul(DX, DY) - matmul(DY, DX)
-    return bridge(chart.field) * matmul(pt.P, matmul(comm, w))
-
-
-def curvature_pairing_fd(chart: ImmersionChart, u, x_coords, y_coords, w, v,
-                         h: float = FD_STEP, use_analytic: bool = True) -> float:
-    """Real pairing Re <R(X, Y) w, v> from finite differences alone."""
-    return inner_re(curvature_in_directions(chart, u, x_coords, y_coords, w,
-                                            h=h, use_analytic=use_analytic), v)
+    return inner_re(bridge(chart.field) * matmul(pt.P, matmul(comm, w)), v)
 
 
 # ----------------------------------------------------------------------------
@@ -242,11 +158,11 @@ def curvature_pairing_fd(chart: ImmersionChart, u, x_coords, y_coords, w, v,
 # ----------------------------------------------------------------------------
 
 def parallel_transport(chart: ImmersionChart, u0, u1, w0,
-                       steps: int = TRANSPORT_STEPS, project: bool = True):
+                       steps: int = TRANSPORT_STEPS):
     """Transport a fibre vector along the straight coordinate segment.
 
-    Integrates s' = [P', P] s with classical RK4; optionally re-projects
-    into the fibre after every step.  The 2·steps + 1 RK4 nodes are
+    Integrates s' = [P', P] s with classical RK4 and re-projects into the
+    fibre after every step.  The 2·steps + 1 RK4 nodes are
     evaluated up front in one batch.  Returns (w1, endpoint).
     """
     u0 = np.asarray(u0, dtype=float)
@@ -267,8 +183,7 @@ def parallel_transport(chart: ImmersionChart, u0, u1, w0,
         k3 = matmul_stack(A2, s + (hstep / 2.0) * k2, f)
         k4 = matmul_stack(A4, s + hstep * k3, f)
         s = s + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if project:
-            s = matmul_stack(P[2 * n + 2], s, f)
+        s = matmul_stack(P[2 * n + 2], s, f)
     return s, GrassPoint(f, chart.N, chart.k, V[-1], P[-1])
 
 
@@ -504,9 +419,12 @@ def base_transport(chart: ImmersionChart, u0, u1, x0, steps: int = 40) -> np.nda
     return x
 
 
-def dr_oracle(chart: ImmersionChart, u, x_coords, y_coords, z_coords, w0, v0,
-              delta: float = 0.02, transport_steps: int = 24,
-              base_steps: int = 12) -> float:
+DR_DELTA = 0.02             # curve parameter step of dr_oracle's central differences
+DR_TRANSPORT_STEPS = 24     # RK4 steps of the fibre transport per evaluation
+DR_BASE_STEPS = 12          # RK4 steps of the Levi-Civita transport per evaluation
+
+
+def dr_oracle(chart: ImmersionChart, u, x_coords, y_coords, z_coords, w0, v0) -> float:
     """Transported derivative of t -> Re <R(X_t, Y_t) w_t, v_t> at t = 0.
 
     Base arguments ride Levi-Civita transport of the pulled-back metric,
@@ -524,42 +442,14 @@ def dr_oracle(chart: ImmersionChart, u, x_coords, y_coords, z_coords, w0, v0,
 
     def f(t: float) -> float:
         ut = u + t * z
-        xy = base_transport(chart, u, ut, xy0, steps=base_steps)
-        wv, _ = parallel_transport(chart, u, ut, wv0, steps=transport_steps)
+        xy = base_transport(chart, u, ut, xy0, steps=DR_BASE_STEPS)
+        wv, _ = parallel_transport(chart, u, ut, wv0, steps=DR_TRANSPORT_STEPS)
         return curvature_pairing_fd(chart, ut, xy[:, 0], xy[:, 1],
                                     wv[:, :k], wv[:, k:])
 
     def slope(dl: float) -> float:
         return (f(dl) - f(-dl)) / (2.0 * dl)
 
-    g1 = slope(delta)
-    g2 = slope(delta / 2.0)
+    g1 = slope(DR_DELTA)
+    g2 = slope(DR_DELTA / 2.0)
     return (4.0 * g2 - g1) / 3.0
-
-
-# ----------------------------------------------------------------------------
-# finite-difference Riemann tensor of the base metric (tests only)
-# ----------------------------------------------------------------------------
-
-def sectional_base_fd(chart: ImmersionChart, u, x_coords, y_coords,
-                      h: float = FD_STEP2) -> float:
-    """Sectional curvature of the pulled-back metric from its Christoffels."""
-    u = np.asarray(u, dtype=float)
-    gam_all = christoffel(chart, central_stencil(u[None], h)[0])
-    dG = richardson_difference(gam_all[None], h)[0]   # dG[i] = ∂_i Gamma
-    gam = gam_all[0]
-    G = gram_at(chart, u)
-    # R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
-    #           + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}
-    R = (
-        np.einsum("iljk->lkij", dG)
-        - np.einsum("jlik->lkij", dG)
-        + np.einsum("lim,mjk->lkij", gam, gam)
-        - np.einsum("ljm,mik->lkij", gam, gam)
-    )
-    Rlow = np.einsum("pl,lkij->pkij", G, R)
-    x = np.asarray(x_coords, dtype=float)
-    y = np.asarray(y_coords, dtype=float)
-    num = np.einsum("pkij,p,k,i,j->", Rlow, x, y, x, y)
-    den = (x @ G @ x) * (y @ G @ y) - (x @ G @ y) ** 2
-    return float(num / den)

@@ -1,0 +1,401 @@
+"""Reference computations that only the tests use.
+
+Two kinds live here.  Independent oracles: brute-force finite-difference
+curvature, the bracket form of the derivative component, geodesics,
+Wirtinger angles and the g0 algebra helpers.  Loop references: the
+per-frame-index loops that the array frame layer replaced, kept so the
+tests can check the contractions against them entry by entry.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from pullconn.algebra import (
+    QL,
+    Field,
+    ct,
+    expm_alg,
+    field_of,
+    frob,
+    inner_re,
+    is_quat,
+    matmul,
+    quat,
+    zeros,
+)
+from pullconn.constants import FD_STEP, FD_STEP2, bridge
+from pullconn.homogeneous import (
+    GrassTangent,
+    frame_lift,
+    lie_lift,
+    point_from_stiefel,
+)
+from pullconn.immersion import (
+    _horizontal,
+    _second_partials_P,
+    central_stencil,
+    richardson_difference,
+)
+from pullconn.oracle import _ambient_derivatives, christoffel, gram_at
+
+TOL_ALG = 1e-10  # exact linear algebra identities
+
+_IMAG_UNITS = {
+    Field.COMPLEX: (1j,),
+    Field.QUATERNION: (quat(0, 1, 0, 0), quat(0, 0, 1, 0), quat(0, 0, 0, 1)),
+}
+
+
+# ----------------------------------------------------------------------------
+# scalar-field algebra
+# ----------------------------------------------------------------------------
+
+def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quaternion product, broadcasting over leading axes."""
+    return np.einsum("stu,...t,...u->...s", QL, a, b)
+
+
+def scalar_right(A: np.ndarray, q) -> np.ndarray:
+    """Right scalar action A -> A q (quaternion q may be a (4,) array)."""
+    if is_quat(A):
+        q = np.asarray(q, dtype=float)
+        if q.ndim == 0:
+            return np.asarray(A) * float(q)
+        return np.einsum("stu,mnt,u->mns", QL, np.asarray(A), q)
+    return np.asarray(A) * q
+
+
+def re_trace(A: np.ndarray) -> float:
+    if is_quat(A):
+        n = min(A.shape[0], A.shape[1])
+        return float(np.sum(A[np.arange(n), np.arange(n), 0]))
+    return float(np.real(np.trace(A)))
+
+
+def inner_g0(A: np.ndarray, B: np.ndarray) -> float:
+    """Bi-invariant pairing (1/2) Re tr(A B*)."""
+    return 0.5 * re_trace(matmul(A, ct(B)))
+
+
+def norm_g0(A: np.ndarray) -> float:
+    return float(np.sqrt(max(inner_g0(A, A), 0.0)))
+
+
+def sym_eig_small(S: np.ndarray, check: bool = True, tol: float = 1e-8):
+    """Eigensystem of a small real symmetric matrix with canonical vector signs."""
+    S = np.asarray(S, dtype=float)
+    if check and (S.shape[0] != S.shape[1] or np.max(np.abs(S - S.T)) > tol * max(1.0, np.max(np.abs(S)))):
+        raise ValueError("matrix is not symmetric within tolerance")
+    w, Q = np.linalg.eigh(0.5 * (S + S.T))
+    for j in range(Q.shape[1]):
+        i = int(np.argmax(np.abs(Q[:, j])))
+        if Q[i, j] < 0:
+            Q[:, j] = -Q[:, j]
+    return w, Q
+
+
+# ----------------------------------------------------------------------------
+# the homogeneous model
+# ----------------------------------------------------------------------------
+
+def tangent_strict(pt, H: np.ndarray) -> GrassTangent:
+    if frob(matmul(ct(pt.V), H)) > TOL_ALG * max(1.0, frob(H)):
+        raise ValueError("H is not horizontal at the given point")
+    return GrassTangent(pt, H)
+
+
+def lift_to_tangent(lift) -> GrassTangent:
+    return GrassTangent(lift.frame.pt, matmul(lift.frame.W, lift.B))
+
+
+def emb_alpha(alpha_k: np.ndarray, N: int) -> np.ndarray:
+    """Embed a k×k anti-Hermitian block as diag(alpha, 0) in the N×N algebra."""
+    out = zeros(field_of(alpha_k), N, N)
+    k = alpha_k.shape[0]
+    out[:k, :k] = alpha_k
+    return out
+
+
+def bracket(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return matmul(A, B) - matmul(B, A)
+
+
+def proj_p_block(A: np.ndarray, k: int) -> np.ndarray:
+    """Lower-left (N−k)×k block, i.e. the B-coordinates of the p-part."""
+    return A[k:, :k]
+
+
+def geodesic(pt, t: GrassTangent, s: float, order: str = "standard"):
+    """Point of the geodesic through pt with initial velocity t at time s."""
+    frame = frame_lift(pt, order=order)
+    g = matmul(frame.g, expm_alg(lie_lift(frame, t).mat * s))
+    return point_from_stiefel(g[:, : pt.k])
+
+
+def sectional_curvature_g0(x: GrassTangent, y: GrassTangent) -> float:
+    """Unnormalized ambient sectional curvature k(X,Y) = |[X~,Y~]|₀²."""
+    if x.base.P is not y.base.P and frob(x.base.P - y.base.P) > 1e-9:
+        raise ValueError("tangents have different base points")
+    Hx, Hy = x.H, y.H
+    C1 = matmul(ct(Hy), Hx) - matmul(ct(Hx), Hy)
+    C2 = matmul(Hy, ct(Hx)) - matmul(Hx, ct(Hy))
+    return 0.5 * (frob(C1) ** 2 + frob(C2) ** 2)
+
+
+def imaginary_units(field: Field):
+    if field not in _IMAG_UNITS:
+        raise ValueError("J-structures exist only over C and H")
+    return _IMAG_UNITS[field]
+
+
+def j_apply(pt, q, t: GrassTangent) -> GrassTangent:
+    """Right multiplication H ↦ H·q by a unit imaginary scalar (k = 1)."""
+    if pt.field is Field.REAL:
+        raise ValueError("j_apply is defined only over C and H")
+    if pt.k != 1:
+        raise ValueError("j_apply requires k = 1")
+    if pt.field is Field.COMPLEX:
+        if abs(np.real(q)) > TOL_ALG or abs(abs(q) - 1.0) > 1e-8:
+            raise ValueError("q must be a unit imaginary scalar")
+        return GrassTangent(pt, t.H * q)
+    q = np.asarray(q, dtype=float)
+    if abs(q[0]) > TOL_ALG or abs(np.linalg.norm(q) - 1.0) > 1e-8:
+        raise ValueError("q must be a unit imaginary quaternion")
+    return GrassTangent(pt, scalar_right(t.H, q))
+
+
+def wirtinger_angle(basis, x: GrassTangent) -> float:
+    """Angle θ(X) between the 𝔍-orbit of X and the span of `basis`.
+
+    Complex: arccos(|Π_T(JX)|/|X|).  Quaternion: maximize the angle over
+    unit aI+bJ+cK — the minimum eigenvalue of the 3×3 Gram form of the
+    projected images.
+    """
+    pt = x.base
+    nx = x.norm()
+    if nx < 1e-13:
+        raise ValueError("zero tangent vector")
+    coords = np.array([e.inner(x) for e in basis])
+    if abs(np.dot(coords, coords) - nx**2) > 1e-6 * nx**2:
+        raise ValueError("x does not lie in the span of the basis")
+    proj = [np.array([e.inner(j_apply(pt, q, x)) for e in basis])
+            for q in imaginary_units(pt.field)]
+    if pt.field is Field.COMPLEX:
+        cosv = np.linalg.norm(proj[0]) / nx
+        return float(np.arccos(np.clip(cosv, 0.0, 1.0)))
+    G = np.array([[float(np.dot(a, b)) for b in proj] for a in proj]) / nx**2
+    w, _ = sym_eig_small(G, check=False)
+    lam = float(np.clip(w[0], 0.0, 1.0))
+    return float(np.arccos(np.sqrt(lam)))
+
+
+# ----------------------------------------------------------------------------
+# finite-difference curvature of the connection and of the base
+# ----------------------------------------------------------------------------
+
+def covariant_derivative(chart, u, i: int, section, h: float = FD_STEP, richardson: bool = True):
+    """P * (central difference of the section) along coordinate i."""
+    u = np.asarray(u, dtype=float)
+    P = chart(u).P
+
+    def diff(step):
+        e = np.zeros_like(u)
+        e[i] = step
+        return (section(u + e) - section(u - e)) / (2.0 * step)
+
+    d = diff(h)
+    if richardson:
+        d = (4.0 * diff(h / 2.0) - d) / 3.0
+    return matmul(P, d)
+
+
+def curvature_raw(chart, u, i: int, j: int, w, h: float = FD_STEP):
+    """P [d_i P, d_j P] w — unbridged, exactly what holonomy measures."""
+    pt, dP = _ambient_derivatives(chart, u, h=h)
+    comm = matmul(dP[i], dP[j]) - matmul(dP[j], dP[i])
+    return matmul(pt.P, matmul(comm, w))
+
+
+def curvature_oracle(chart, u, i: int, j: int, w, method: str = "projector", h: float = FD_STEP2):
+    """Bridged fibre curvature R(d_i, d_j) w by one of two routes."""
+    if method == "projector":
+        return bridge(chart.field) * curvature_raw(chart, u, i, j, w)
+    if method != "commutator":
+        raise ValueError(f"unknown method '{method}'")
+    u = np.asarray(u, dtype=float)
+    P0 = chart(u).P
+
+    def grad_section(l, up, step):
+        e = np.zeros_like(up)
+        e[l] = step
+        dP = (chart(up + e).P - chart(up - e).P) / (2.0 * step)
+        return matmul(chart(up).P, matmul(dP, w))
+
+    def nested(step):
+        def second(i_, j_):
+            e = np.zeros_like(u)
+            e[i_] = step
+            inner = (grad_section(j_, u + e, step) - grad_section(j_, u - e, step)) / (2.0 * step)
+            return matmul(P0, inner)
+
+        return second(i, j) - second(j, i)
+
+    val = nested(h)
+    val = (4.0 * nested(h / 2.0) - val) / 3.0
+    return bridge(chart.field) * val
+
+
+def sectional_base_fd(chart, u, x_coords, y_coords, h: float = FD_STEP2) -> float:
+    """Sectional curvature of the pulled-back metric from its Christoffels."""
+    u = np.asarray(u, dtype=float)
+    gam_all = christoffel(chart, central_stencil(u[None], h)[0])
+    dG = richardson_difference(gam_all[None], h)[0]   # dG[i] = ∂_i Gamma
+    gam = gam_all[0]
+    G = gram_at(chart, u)
+    # R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
+    #           + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}
+    R = (
+        np.einsum("iljk->lkij", dG)
+        - np.einsum("jlik->lkij", dG)
+        + np.einsum("lim,mjk->lkij", gam, gam)
+        - np.einsum("ljm,mik->lkij", gam, gam)
+    )
+    Rlow = np.einsum("pl,lkij->pkij", G, R)
+    x = np.asarray(x_coords, dtype=float)
+    y = np.asarray(y_coords, dtype=float)
+    num = np.einsum("pkij,p,k,i,j->", Rlow, x, y, x, y)
+    den = (x @ G @ x) * (y @ G @ y) - (x @ G @ y) ** 2
+    return float(num / den)
+
+
+# ----------------------------------------------------------------------------
+# frame brackets: the Lie-algebra form of the pairings
+# ----------------------------------------------------------------------------
+
+def curvature_pairing(xl, zl, alpha) -> float:
+    """Half the g0 pairing of [X~, Z~] against the embedded probe."""
+    if xl.frame is not zl.frame and frob(xl.frame.g - zl.frame.g) > 1e-12:
+        raise ValueError("lifts live in different frames")
+    return 0.5 * inner_g0(bracket(xl.mat, zl.mat), emb_alpha(alpha.mat, xl.frame.pt.N))
+
+
+def dr_component_bracket(pf, ff, x, y, z, alpha, order: str = "standard") -> float:
+    """The derivative component from frame brackets of lifted tangents,
+    paired against the embedded probe, in the frame lift of the given
+    completion order."""
+    fr = frame_lift(pf.pt, order=order)
+    xl = lie_lift(fr, pf.from_coords(x)).mat
+    yl = lie_lift(fr, pf.from_coords(y)).mat
+    iizy = lie_lift(fr, ii_apply(ff, z, y)).mat
+    iizx = lie_lift(fr, ii_apply(ff, z, x)).mat
+    emb = emb_alpha(alpha.mat, pf.pt.N)
+    return inner_g0(bracket(xl, iizy), emb) - inner_g0(bracket(yl, iizx), emb)
+
+
+# ----------------------------------------------------------------------------
+# loop references for the array frame layer
+# ----------------------------------------------------------------------------
+
+def orthonormalize_real_span(vectors, tol: float = 1e-12):
+    """Modified Gram–Schmidt with real coefficients, one GrassTangent at a time."""
+    out = []
+    for v in vectors:
+        H = np.array(v.H, copy=True)
+        for _ in range(2):
+            for q in out:
+                H = H - q.H * inner_re(H, q.H)
+        n = float(np.sqrt(max(inner_re(H, H), 0.0)))
+        if n >= tol:
+            out.append(GrassTangent(v.base, H / n))
+    return out
+
+
+def second_fundamental_form_loop(chart, u, pf, h: float = FD_STEP2) -> np.ndarray:
+    """II(E_a, E_b) as an (n, n, N, k[, 4]) array, built entry by entry: the
+    horizontal part of each ∂_i∂_j P, minus its frame components, one
+    Richardson level, then Σ_ij coeff[a, i] coeff[b, j] II(∂_i, ∂_j)."""
+    pt, n, C = pf.pt, pf.n, pf.coeff
+    partials = _second_partials_P(chart, np.asarray(u, dtype=float), h)
+
+    def normal(M):
+        H = _horizontal(pt.P, pt.V, M, pt.field)
+        coords = [inner_re(H, e.H) for e in pf.E]
+        return H - sum(c * e.H for c, e in zip(coords, pf.E))
+
+    raw = [[(4.0 * normal(partials[1, i, j]) - normal(partials[0, i, j])) / 3.0
+            for j in range(n)] for i in range(n)]
+    return np.array([[sum(C[a, i] * C[b, j] * raw[i][j] for i in range(n) for j in range(n))
+                      for b in range(n)] for a in range(n)])
+
+
+def jay_matrix(pf, alpha) -> np.ndarray:
+    """L[b, a] = <E_b, J_alpha E_a>, one pairing at a time."""
+    n = pf.n
+    L = np.empty((n, n))
+    for a in range(n):
+        ja = alpha.jay(pf.E[a])
+        for b in range(n):
+            L[b, a] = inner_re(ja.H, pf.E[b].H)
+    return L
+
+
+def ii_apply(ff, x, y) -> GrassTangent:
+    """II(X, Y) for frame-coordinate vectors x, y, summed entry by entry."""
+    H = np.zeros_like(ff.II[0][0].H)
+    for a, xa in enumerate(x):
+        for b, yb in enumerate(y):
+            H = H + (float(xa) * float(yb)) * ff.II[a][b].H
+    return GrassTangent(ff.pf.pt, H)
+
+
+def dr_component_loop(pf, ff, x, y, z, alpha) -> float:
+    """<II(y, z), J x> − <II(x, z), J y> through ii_apply."""
+    jx = alpha.jay(pf.from_coords(x))
+    jy = alpha.jay(pf.from_coords(y))
+    return inner_re(ii_apply(ff, y, z).H, jx.H) - inner_re(ii_apply(ff, x, z).H, jy.H)
+
+
+def residual_loop(pf, ff, probes, radial: bool):
+    """(worst probe norm of dr_component_loop over triples with a ≠ b, count)."""
+    n = pf.n
+    eye = np.eye(n)
+    worst, count = 0.0, 0
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            for c in ([a] if radial else range(n)):
+                vals = [dr_component_loop(pf, ff, eye[a], eye[b], eye[c], al) for al in probes]
+                worst = max(worst, float(np.linalg.norm(vals)))
+                count += 1
+    return worst, count
+
+
+def base_sectional_loop(pf, ff, x, y) -> float:
+    """Gauss equation through sectional_curvature_g0 and ii_apply."""
+    amb = sectional_curvature_g0(pf.from_coords(x), pf.from_coords(y))
+    return amb + inner_re(ii_apply(ff, x, x).H, ii_apply(ff, y, y).H) \
+        - inner_re(ii_apply(ff, x, y).H, ii_apply(ff, x, y).H)
+
+
+def inequality_loop(pf, ff, probes, extra: int = 6, seed: int = 20240):
+    """(min margin, pair count): one 2-plane at a time, the frame pairs
+    followed by `extra` seeded random rotations."""
+    n = pf.n
+    eye = np.eye(n)
+    pairs = [(eye[a], eye[b]) for a in range(n) for b in range(n) if a != b]
+    rng = np.random.default_rng(seed)
+    for _ in range(extra):
+        q, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+        pairs.append((q[:, 0], q[:, 1]))
+    worst = np.inf
+    for x, y in pairs:
+        kb = base_sectional_loop(pf, ff, x, y)
+        jmat = np.stack([[inner_re(al.jay(pf.from_coords(x)).H, e.H) for e in pf.E]
+                         for al in probes])
+        drv = np.array([dr_component_loop(pf, ff, x, y, x, al) for al in probes])
+        M = kb * (jmat @ jmat.T) - np.outer(drv, drv)
+        lam = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]) if len(probes) > 1 else float(M[0, 0])
+        worst = min(worst, lam)
+    return worst, len(pairs)
+

@@ -20,21 +20,16 @@ from pullconn.algebra import (
     field_of,
     frob,
     from_real,
-    inner_g0,
     inner_re,
     matmul,
     matmul_stack,
-    norm_g0,
     orthonormalize,
     qconj,
-    qmul,
     quat,
     random_matrix,
-    re_trace,
-    scalar_right,
-    sym_eig_small,
     zeros,
 )
+from reference import inner_g0, norm_g0, qmul, re_trace, scalar_right, sym_eig_small
 
 FIELDS = [Field.REAL, Field.COMPLEX, Field.QUATERNION]
 

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from pullconn import cli
 from pullconn.cli import main, parse_grid, parse_params, parse_range, ConfigError
+from pullconn.immersion import NotImmersionError
 
 
 def run_json(tmp_path, argv, name="report.json"):
@@ -188,6 +190,31 @@ def test_analyze_expectation_failure_exit1(tmp_path):
     assert code == 1
     failed = [c for c in report["checks"] if not c["pass"]]
     assert [c["name"] for c in failed] == ["breaks-parallel"]
+
+
+def test_analyze_internal_error_exit3(tmp_path, monkeypatch, capsys):
+    """An exception that is not a configuration error exits 3, never 1."""
+    def broken(*args, **kwargs):
+        raise RuntimeError("frame layer broke")
+
+    monkeypatch.setattr(cli, "analyze_point", broken)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--example", "veronese", "--grid", "2x2",
+                 "--workers", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: RuntimeError: frame layer broke"]
+    assert not out.exists()
+
+
+def test_failed_point_records_name_the_exception(tmp_path, monkeypatch):
+    def singular(chart, u, **kwargs):
+        raise NotImmersionError(u, 0.0)
+
+    monkeypatch.setattr(cli, "analyze_point", singular)
+    code, report = run_json(tmp_path, ["analyze", "--example", "veronese",
+                                       "--grid", "1x2", "--workers", "1"])
+    assert code == 1
+    assert [r["error"] for r in report["failed_points"]] == ["NotImmersionError"] * 2
+    assert "not an immersion" in report["failed_points"][0]["reason"]
 
 
 def test_analyze_workers_match_serial(tmp_path):

@@ -13,9 +13,9 @@ from scipy.optimize import minimize
 from pullconn import cli
 from pullconn.algebra import Field
 from pullconn.catalog import CATALOG
-from pullconn.connection import _jay_matrix, alpha_basis, analyze_point, fatness_margin
-from pullconn.homogeneous import wirtinger_angle
+from pullconn.connection import alpha_basis, analyze_point, fatness_margin
 from pullconn.immersion import point_frame
+from reference import jay_matrix, wirtinger_angle
 
 
 def _fibonacci_sphere(count: int = 4000) -> np.ndarray:
@@ -30,7 +30,7 @@ SPHERE = _fibonacci_sphere()
 
 
 def sampled_minimum(pf, starts: int = 3) -> float:
-    Ls = np.stack([_jay_matrix(pf, a) for a in alpha_basis(pf.pt.field, 1)])
+    Ls = np.stack([jay_matrix(pf, a) for a in alpha_basis(pf.pt.field, 1)])
     vals = np.linalg.svd(np.einsum("mt,tba->mba", SPHERE, Ls), compute_uv=False)[:, -1]
 
     def sig_min(angles):

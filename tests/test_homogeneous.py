@@ -10,35 +10,37 @@ from pullconn.algebra import (
     ct,
     eye,
     frob,
-    inner_g0,
     inner_re,
     matmul,
     orthonormalize,
     qconj,
-    qmul,
     quat,
     random_matrix,
-    scalar_right,
     zeros,
 )
 from pullconn.homogeneous import (
     GrassTangent,
     ad_alpha,
-    bracket,
     curvature_normalization,
-    emb_alpha,
     frame_lift,
-    geodesic,
     geodesic_stiefel_k1,
-    j_apply,
     lie_lift,
-    lift_to_tangent,
     point_from_stiefel,
     proj_m,
-    proj_p_block,
     random_horizontal,
-    sectional_curvature_g0,
     tangent,
+)
+from reference import (
+    bracket,
+    emb_alpha,
+    geodesic,
+    inner_g0,
+    j_apply,
+    lift_to_tangent,
+    proj_p_block,
+    qmul,
+    scalar_right,
+    sectional_curvature_g0,
     tangent_strict,
     wirtinger_angle,
 )

@@ -228,8 +228,8 @@ def test_shape_norm_net_matches_one_svd_per_point(chart, u):
     ff = second_fundamental_form(chart, u)
     n = ff.pf.n
     nu = _orthonormalize_real_span(
-        [ff.II[a][b] for a in range(n) for b in range(a, n)], tol=1e-10)
-    A = np.array([[[inner_re(ff.II[a][b].H, c.H) for b in range(n)] for a in range(n)]
+        np.array([ff.II[a][b].H for a in range(n) for b in range(a, n)]), tol=1e-10)
+    A = np.array([[[inner_re(ff.II[a][b].H, c) for b in range(n)] for a in range(n)]
                   for c in nu])
     net, _ = _sphere_net(n, 9)
     loop = max(np.linalg.svd(np.einsum("cab,b->ca", A, x), compute_uv=False)[0]

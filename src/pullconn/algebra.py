@@ -188,7 +188,8 @@ def pair_re(X: np.ndarray, Y: np.ndarray, tail: int) -> np.ndarray:
     """
     X, Y = np.asarray(X), np.asarray(Y)
     xs, ys = X.shape[:X.ndim - tail], Y.shape[:Y.ndim - tail]
-    out = X.reshape(int(np.prod(xs)), -1) @ np.conj(Y.reshape(int(np.prod(ys)), -1)).T
+    size = int(np.prod(X.shape[X.ndim - tail:]))   # explicit, so empty stacks reshape
+    out = X.reshape(int(np.prod(xs)), size) @ np.conj(Y.reshape(int(np.prod(ys)), size)).T
     return np.real(out).reshape(xs + ys)
 
 

@@ -57,6 +57,8 @@ class FatnessResult:
     gap: float  # certification slack of the probe minimization
     grid_low: float = 0.0  # smallest value on the probe net
     x: Optional[np.ndarray] = None  # minimizing unit tangent, frame coordinates
+    rounds: int = 0          # most refinement rounds any start took; 0 when exact
+    converged: bool = True   # every start stopped by its rule before the round cap
 
     @property
     def fat(self) -> Optional[bool]:
@@ -73,7 +75,11 @@ class FatnessResult:
         theta = float(np.arccos(np.clip(self.margin, 0.0, 1.0)))
         theta_grid = float(np.arccos(np.clip(self.grid_low, 0.0, 1.0)))
         upper = float(np.arccos(np.clip(self.margin - self.gap, 0.0, 1.0)))
-        return CertifiedMax(theta, (self.x, None), theta_grid, upper - theta)
+        return CertifiedMax(theta, (self.x, None), theta_grid, upper - theta,
+                            self.rounds, self.converged)
+
+
+FATNESS_REFINE_ROUNDS = 40  # most refinement rounds per start of the S² search
 
 
 def fatness_margin(pf: PointFrame) -> FatnessResult:
@@ -83,12 +89,14 @@ def fatness_margin(pf: PointFrame) -> FatnessResult:
     L(a) = Σ_t a_t L_t, minimized over the probe family; for rank one over C
     and H it is also cos θ of the maximal Wirtinger angle.  Over R and C the
     family is finite and the minimum exact.  Over H the probes a form the
-    sphere S²: σ_min is evaluated on a net of spacing δ, and the best four
-    net points are refined.  Each round takes the better of an alternating
+    sphere S²: σ_min, an even function of a, is evaluated on a net of
+    spacing δ up to sign, and the best four net points are refined in
+    lockstep as one stack.  Each round takes the better of an alternating
     step (fix a: x is the right singular vector; fix x: a is the λ_min
     eigenvector of the Gram of the L_t x) and a Gauss-Newton step on the
     residual L(a)x, which converges fast where the minimum is zero and
-    alternation crawls.  `gap = margin − lower` certifies lower ≤ true
+    alternation crawls; a start is frozen once a round lowers its value by
+    at most 1e-15.  `gap = margin − lower` certifies lower ≤ true
     minimum, with lower the larger of
 
     * grid_low − ℓδ, as σ_min(L(a)) is ℓ = ‖[L_1 | L_2 | L_3]‖₂-Lipschitz;
@@ -115,27 +123,43 @@ def fatness_margin(pf: PointFrame) -> FatnessResult:
     vals = np.linalg.svd(np.einsum("mt,tba->mba", net, Ls), compute_uv=False)[:, -1]
     grid_low = float(vals.min())
 
-    def sig_min(a):
-        s, Vt = np.linalg.svd(np.tensordot(a, Ls, axes=1))[1:]
-        return float(s[-1]), Vt[-1], a
+    def sig_min(P):
+        """σ_min(L(a)) and its right singular vector for every row a of P."""
+        s, Vt = np.linalg.svd(np.einsum("st,tba->sba", P, Ls))[1:]
+        return s[:, -1], Vt[:, -1]
 
-    best = (np.inf, None, None)
-    for j in np.argsort(vals, kind="stable")[:4]:
-        cur = sig_min(net[j])
-        for _ in range(40):
-            _, x, a = cur
-            Lx = Ls @ x
-            La = np.tensordot(a, Ls, axes=1)
-            # Gauss-Newton on the residual L(a)x, tangent to both spheres
-            J = np.concatenate([Lx.T - np.outer(Lx.T @ a, a), La - np.outer(La @ x, x)], axis=1)
-            step = a + np.linalg.lstsq(J, -La @ x, rcond=None)[0][:3]
-            nxt = min(sig_min(np.linalg.eigh(Lx @ Lx.T)[1][:, 0]),
-                      sig_min(step / np.linalg.norm(step)), key=lambda c: c[0])
-            if cur[0] - nxt[0] <= 1e-15:
-                break
-            cur = nxt
-        best = min(best, cur, key=lambda c: c[0])
-    margin, bx, barg = best
+    a = net[np.argsort(vals, kind="stable")[:4]]
+    cur, x = sig_min(a)
+    rounds = np.zeros(len(a), dtype=int)
+    live = np.arange(len(a))
+    for _ in range(FATNESS_REFINE_ROUNDS):
+        al, xl = a[live], x[live]
+        Lx = np.einsum("tba,sa->stb", Ls, xl)          # L_t x
+        La = np.einsum("st,tba->sba", al, Ls)          # L(a)
+        r = np.einsum("sba,sa->sb", La, xl)            # the residual L(a)x = Σ_t a_t L_t x
+        # Gauss-Newton on the residual, tangent to both spheres: the
+        # minimum-norm solution of J (da, dx) = −r
+        J = np.concatenate([Lx.swapaxes(1, 2) - r[:, :, None] * al[:, None, :],
+                            La - r[:, :, None] * xl[:, None, :]], axis=2)
+        step = al + np.einsum("sij,sj->si", np.linalg.pinv(J), -r)[:, :3]
+        step /= np.linalg.norm(step, axis=1, keepdims=True)
+        eig = np.linalg.eigh(np.einsum("stb,sub->stu", Lx, Lx))[1][:, :, 0]
+        cand = np.concatenate([eig, step])
+        cv, cx = sig_min(cand)
+        m = len(live)
+        gn = cv[m:] < cv[:m]   # the better of the two steps; ties go to the eigen-step
+        nv = np.where(gn, cv[m:], cv[:m])
+        rounds[live] += 1
+        go = cur[live] - nv > 1e-15
+        nxt = live[go]
+        cur[nxt] = nv[go]
+        a[nxt] = np.where(gn[:, None], cand[m:], cand[:m])[go]
+        x[nxt] = np.where(gn[:, None], cx[m:], cx[:m])[go]
+        live = nxt
+        if not len(live):
+            break
+    j = int(np.argmin(cur))
+    margin, bx, barg = float(cur[j]), x[j], a[j]
 
     G = np.einsum("sba,tbc->stac", Ls, Ls)  # G[s, t] = L_sᵀ L_t
     S = 0.5 * (G + G.transpose(1, 0, 2, 3))
@@ -148,7 +172,8 @@ def fatness_margin(pf: PointFrame) -> FatnessResult:
     q = np.zeros(4)
     q[1:] = barg
     return FatnessResult(margin, AlphaElement.imaginary_unit(Field.QUATERNION, q), False,
-                         max(margin - lower, 0.0), grid_low, bx)
+                         max(margin - lower, 0.0), grid_low, bx, int(rounds.max()),
+                         not len(live))
 
 
 # ----------------------------------------------------------------------------

@@ -10,13 +10,13 @@ finite differences.
 The shape norm is a maximization over the tangent sphere; it returns a
 refined value together with a grid certificate: for each grid direction the
 inner optimization is solved exactly, so the global maximum is bounded by
-refined value + lipschitz · net spacing.  The sphere nets are capped at
-NET_BUDGET points.
+refined value + lipschitz · net spacing.  The sphere nets cover directions
+up to sign, are built once and are capped at NET_BUDGET points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -196,8 +196,11 @@ class PointFrame:
 
     @cached_property
     def jay(self) -> GrassTangent:
-        """J_t E_a for every probe t and frame index a, H of shape (p, n, N, k[, 4])."""
-        return GrassTangent(self.pt, np.stack([al.jay(self.E).H for al in self.probes]))
+        """J_t E_a for every probe t and frame index a, H of shape (p, n, N, k[, 4]);
+        p = 0 at a point without probes."""
+        H = [al.jay(self.E).H for al in self.probes]
+        return GrassTangent(self.pt, np.stack(H) if H else np.zeros((0,) + self.E.H.shape,
+                                                                   self.E.H.dtype))
 
     @cached_property
     def L(self) -> np.ndarray:
@@ -319,28 +322,51 @@ def second_fundamental_form(
 NET_BUDGET = 10_000  # most points in one sphere net
 
 
-def _sphere_net(dim: int, resolution: int):
-    """Deterministic covering net of S^{dim-1} from a symmetric lattice.
+def _surface_count(dim: int, resolution: int) -> int:
+    """Lattice points on the surface of the cube, one per antipodal pair."""
+    return (resolution**dim - (resolution - 2)**dim) // 2
 
-    Returns the net as an (m, dim) array and a radius delta: every unit
-    vector lies within distance delta of a net point.  The resolution is
-    lowered until the lattice has at most NET_BUDGET points; past that,
-    the net is the axes ±e_i, which every unit vector is within √2 of.
+
+@lru_cache(maxsize=None)
+def _sphere_net(dim: int, resolution: int):
+    """Deterministic covering net of S^{dim-1} up to sign, built once per
+    (dim, resolution) and returned read-only.
+
+    Both searched functions are even, f(x) = f(−x), so the net need only
+    cover each direction up to sign.  It is the normalized lattice points
+    of {−1, −1 + 2/(r−1), …, 1}^dim on the cube surface ‖v‖∞ = 1 whose
+    first nonzero coordinate is positive, (r^dim − (r−2)^dim)/2 of them,
+    with radius delta = √(dim−1)/(r−1): every unit vector v lies within
+    delta of a net point or its negative.
+
+    Proof.  p = v/‖v‖∞ lies on a face of the cube, |p_i| = 1 for some i.
+    Rounding its other dim−1 coordinates to the lattice moves p by at most
+    √(dim−1)/(r−1), to a surface lattice point q, which is ± a net point.
+    Outside the unit ball, radial projection x ↦ x/‖x‖ is the metric
+    projection onto that convex set, so it is 1-Lipschitz; ‖p‖, ‖q‖ ≥ 1,
+    hence ‖v − q/‖q‖‖ ≤ ‖p − q‖.
+
+    The resolution is lowered until the net has at most NET_BUDGET points;
+    past that, the net is the axes e_i, which every unit vector is within
+    √2 of up to sign.
     """
     if dim == 1:
-        return np.ones((1, 1)), 0.0
-    while resolution > 2 and resolution**dim > NET_BUDGET:
-        resolution -= 1
-    if resolution**dim > NET_BUDGET:
-        return np.concatenate([np.eye(dim), -np.eye(dim)]), float(np.sqrt(2.0))
-    grid = np.linspace(-1.0, 1.0, resolution)
-    flat = np.stack(np.meshgrid(*([grid] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    norms = np.linalg.norm(flat, axis=1)
-    keep = norms >= 0.3
-    # rounding a point of the cube surface to the lattice moves it by at
-    # most half a cell diagonal; its direction moves by at most a full one
-    delta = 2.0 / (resolution - 1) * np.sqrt(dim)
-    return flat[keep] / norms[keep, None], delta
+        net, delta = np.ones((1, 1)), 0.0
+    else:
+        while resolution > 2 and _surface_count(dim, resolution) > NET_BUDGET:
+            resolution -= 1
+        if _surface_count(dim, resolution) > NET_BUDGET:
+            net, delta = np.eye(dim), float(np.sqrt(2.0))
+        else:
+            side = resolution - 1   # the lattice scaled to integers 2j − side
+            grid = np.arange(-side, side + 1, 2)
+            flat = np.stack(np.meshgrid(*([grid] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+            first = flat[np.arange(len(flat)), np.argmax(flat != 0, axis=1)]
+            flat = flat[(np.abs(flat).max(axis=1) == side) & (first > 0)]
+            net = flat / np.linalg.norm(flat, axis=1, keepdims=True)
+            delta = float(np.sqrt(dim - 1) / side)
+    net.flags.writeable = False
+    return net, delta
 
 
 @dataclass(frozen=True)
@@ -349,6 +375,8 @@ class CertifiedMax:
     argmax: tuple
     grid_best: float
     grid_gap: float
+    rounds: int = 0          # most refinement rounds any start took
+    converged: bool = True   # every start stopped by its rule before the round cap
 
     @property
     def upper_bound(self) -> float:
@@ -364,6 +392,11 @@ def shape_norm(ff: SecondFF) -> CertifiedMax:
 
     For each X the maximization over η and the output direction is an exact
     singular value problem, so a net over the X-sphere certifies the result.
+    The best net point and the n axes are refined together, as one stack,
+    by alternating maximization (fix X: η is the top left singular vector
+    of A·X; fix η: X is the top singular vector of Σ_c η_c A_c), which
+    never lowers the value; a start stops once a round raises its value by
+    at most 1e-15 relative.
     """
     n = ff.pf.n
     nu = _orthonormalize_real_span(ff.II.H[np.triu_indices(n)], tol=1e-10)
@@ -372,35 +405,33 @@ def shape_norm(ff: SecondFF) -> CertifiedMax:
     A = GrassTangent(ff.pf.pt, nu).pair(ff.II)   # A[c, a, b] = <II_ab, ν_c>
     lipschitz = float(np.sqrt(np.sum(A**2)))
 
-    def eta_max(x: np.ndarray):
-        M = np.einsum("cab,b->ca", A, x)
-        U, s, Vt = np.linalg.svd(M)
-        return float(s[0]), U[:, 0], Vt[0]
-
-    def refine(x0: np.ndarray):
-        x = x0 / np.linalg.norm(x0)
-        val = 0.0
-        for _ in range(SHAPE_REFINE_ROUNDS):
-            val, eta, _ = eta_max(x)
-            B = np.einsum("cab,c->ab", A, eta)
-            xn = np.linalg.svd(B)[2][0]
-            if np.dot(xn, x) < 0:
-                xn = -xn
-            if np.linalg.norm(xn - x) < 1e-14:
-                x = xn
-                break
-            x = xn
-        return val, x
+    def eta_max(X: np.ndarray):
+        """σ_max(A·x) and its left singular vector η for every row x of X."""
+        U, s, _ = np.linalg.svd(np.einsum("cab,sb->sca", A, X))
+        return s[:, 0], U[:, :, 0]
 
     net, delta = _sphere_net(n, SHAPE_NET_RESOLUTION)
-    sigma = np.linalg.svd(np.einsum("cab,mb->mca", A, net), compute_uv=False)[:, 0]
+    # σ_max(A·x)² = λ_max(Σ_bd x_b x_d Q_bd), Q_bd = Σ_c A_c[:, b] A_c[:, d]ᵀ:
+    # one matmul and one batched n×n eigvalsh for the whole net
+    Q = np.einsum("cab,ced->bdae", A, A).reshape(n * n, n * n)
+    gram = ((net[:, :, None] * net[:, None, :]).reshape(-1, n * n) @ Q).reshape(-1, n, n)
+    sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
     i = int(np.argmax(sigma))
-    grid_best, grid_arg = float(sigma[i]), net[i]
-    starts = [grid_arg] + [np.eye(n)[a] for a in range(n)]
-    best, bx = 0.0, starts[0]
-    for s0 in starts:
-        v, x = refine(s0)
-        if v > best:
-            best, bx = v, x
-    best = max(best, grid_best)
-    return CertifiedMax(best, (bx, None), grid_best, lipschitz * delta)
+    grid_best = float(sigma[i])
+    X = np.concatenate([net[i:i + 1], np.eye(n)])
+    val, eta = eta_max(X)
+    rounds = np.zeros(len(X), dtype=int)
+    live = np.arange(len(X))
+    for _ in range(SHAPE_REFINE_ROUNDS):
+        Xn = np.linalg.svd(np.einsum("cab,sc->sab", A, eta[live]))[2][:, 0]
+        vn, en = eta_max(Xn)
+        rounds[live] += 1
+        old = val[live]
+        up = vn > old
+        val[live[up]], X[live[up]], eta[live[up]] = vn[up], Xn[up], en[up]
+        live = live[vn - old > 1e-15 * np.maximum(1.0, old)]   # the rest stopped rising
+        if not len(live):
+            break
+    j = int(np.argmax(val))
+    return CertifiedMax(max(float(val[j]), grid_best), (X[j], None), grid_best,
+                        lipschitz * delta, int(rounds.max()), not len(live))

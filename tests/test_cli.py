@@ -2,6 +2,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +139,26 @@ def test_analyze_null_fields_carry_reasons(tmp_path):
         check(p)
 
 
+def test_analyze_records_carry_refinement_telemetry(tmp_path):
+    """Certified quantities report the most rounds any start took and
+    whether every start stopped by its rule; exact ones report 0 rounds."""
+    code, report = run_json(tmp_path, [
+        "analyze", "--example", "perturbed", "--field", "h", "--param", "base=hline",
+        "--random", "2", "--workers", "1"])
+    assert code in (0, 1)
+    for p in report["points"]:
+        assert p["fatness"]["rounds"] >= 1 and p["fatness"]["converged"] is True
+        assert p["theta"]["rounds"] == p["fatness"]["rounds"]
+        assert p["theta"]["converged"] is True
+        assert p["shape"]["rounds"] >= 1 and p["shape"]["converged"] is True
+    code, report = run_json(tmp_path, [
+        "analyze", "--example", "veronese", "--grid", "2x2", "--workers", "1"], "v.json")
+    assert code == 0
+    for p in report["points"]:
+        assert p["fatness"]["rounds"] == 0 and p["fatness"]["converged"] is True
+        assert p["shape"]["rounds"] >= 1 and p["shape"]["converged"] is True
+
+
 def test_analyze_exit_codes_config(tmp_path):
     # unknown example
     assert main(["analyze", "--example", "nosuch"]) == 2
@@ -252,6 +276,26 @@ def test_csv_flattening(capsys):
             "inequality.min_margin", "theta.value"} <= set(rows[0])
     assert rows[0]["normalization.value"] == ""  # skipped without --normalize
     assert float(rows[0]["fatness.margin"]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_halton_matches_scipy_bit_for_bit(d):
+    qmc = pytest.importorskip("scipy.stats").qmc
+    for seed in range(60):
+        for n in (1, 5, 12):
+            want = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+            assert np.array_equal(cli._halton(d, n, seed), want), (seed, n)
+
+
+def test_sampling_leaves_scipy_stats_unimported():
+    """Random sampling costs no scipy.stats import (about 40 MB of RSS)."""
+    code = ("import sys, pullconn.cli as c; "
+            "ch = c.make_chart('hline', None, {}); "
+            "assert len(c.sample_points(ch, None, 4, 0, None)) == 4; "
+            "assert 'scipy.stats' not in sys.modules")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # ----------------------------------------------------------------------------

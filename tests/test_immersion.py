@@ -28,6 +28,7 @@ from pullconn.constants import FD_STEP
 from pullconn.homogeneous import GrassTangent, point_from_stiefel, random_horizontal
 from pullconn.immersion import (
     NET_BUDGET,
+    SHAPE_REFINE_ROUNDS,
     ChartDomainError,
     ImmersionChart,
     NotImmersionError,
@@ -240,17 +241,25 @@ def test_shape_norm_net_matches_one_svd_per_point(chart, u):
 
 @pytest.mark.parametrize("dim,resolution", [(2, 9), (3, 9), (4, 9), (3, 17)])
 def test_sphere_net_keeps_the_lattices_within_budget(dim, resolution):
+    """The net is the cube-surface lattice, one point of each antipodal pair."""
     net, delta = _sphere_net(dim, resolution)
     grid = np.linspace(-1.0, 1.0, resolution)
-    lattice = [v for v in itertools.product(grid, repeat=dim) if np.linalg.norm(v) >= 0.3]
-    assert net.shape == (len(lattice), dim)
+    lattice = [v for v in itertools.product(grid, repeat=dim)
+               if max(abs(c) for c in v) == 1.0
+               and next(c for c in v if abs(c) > 1e-12) > 0]
+    count = {(2, 9): 16, (3, 9): 193, (4, 9): 2080, (3, 17): 769}[dim, resolution]
+    assert count == (resolution**dim - (resolution - 2)**dim) // 2
+    assert net.shape == (len(lattice), dim) == (count, dim)
     assert np.allclose(net, [np.array(v) / np.linalg.norm(v) for v in lattice], atol=1e-15)
-    assert delta == 2.0 / (resolution - 1) * np.sqrt(dim)
+    assert delta == np.sqrt(dim - 1) / (resolution - 1)
+    # built once and shared read-only
+    assert _sphere_net(dim, resolution)[0] is net
+    assert not net.flags.writeable
 
 
 @pytest.mark.parametrize("dim,resolution,delta", [
-    (8, 9, np.sqrt(8.0)),   # lowered to resolution 3
-    (16, 9, np.sqrt(2.0)),  # even 2**16 points exceed the budget: the axes
+    (8, 9, np.sqrt(7.0) / 2.0),   # lowered to resolution 3: (3**8 - 1) / 2 points
+    (16, 9, np.sqrt(2.0)),        # even (2**16) / 2 points exceed the budget: the axes
 ])
 def test_sphere_net_budget_widens_delta(dim, resolution, delta):
     net, got = _sphere_net(dim, resolution)
@@ -260,12 +269,87 @@ def test_sphere_net_budget_widens_delta(dim, resolution, delta):
 
 @pytest.mark.parametrize("dim,resolution", [(3, 17), (4, 9), (5, 9), (8, 9), (16, 9)])
 def test_sphere_net_covers_within_delta(dim, resolution):
+    """Coverage up to sign: both searched functions are even, so the net
+    covers the projective space, the distance to ±(nearest net point)."""
     net, delta = _sphere_net(dim, resolution)
     assert np.allclose(np.linalg.norm(net, axis=1), 1.0)
     x = np.random.default_rng(dim).standard_normal((500, dim))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    nearest = np.sqrt(np.maximum(2.0 - 2.0 * np.max(x @ net.T, axis=1), 0.0))
+    nearest = np.sqrt(np.maximum(2.0 - 2.0 * np.max(np.abs(x @ net.T), axis=1), 0.0))
     assert nearest.max() <= delta
+
+
+def test_s2_net_delta_is_nearly_attained():
+    """δ = √2/16 on the fatness net is not loose: a dense sample of S²
+    comes within 4% of it."""
+    net, delta = _sphere_net(3, 17)
+    assert delta == pytest.approx(0.0884, abs=1e-4)
+    x = np.random.default_rng(0).standard_normal((20_000, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    nearest = np.sqrt(np.maximum(2.0 - 2.0 * np.max(np.abs(x @ net.T), axis=1), 0.0))
+    assert 0.96 * delta < nearest.max() <= delta
+
+
+SHAPE_ORACLE_POINTS = [
+    (veronese(3), [0.1, 0.4]),
+    (clifford_torus(), [0.5, 1.0]),
+    (build_chart("perturbed", base="hline", amplitude=0.05), [0.2, -0.1, 0.3, 0.05]),
+]
+
+
+@pytest.mark.parametrize("chart,u", SHAPE_ORACLE_POINTS,
+                         ids=["veronese-3", "clifford", "perturbed-hline"])
+def test_shape_norm_against_dense_sample(chart, u):
+    """max over 20,000 random unit x of σ_max(A·x), A[c, a, b] = <II_ab, ν_c>
+    in an independent normal basis, stays below the value and the bound."""
+    ff = second_fundamental_form(chart, u)
+    res = shape_norm(ff)
+    n = ff.pf.n
+    nu = _orthonormalize_real_span(
+        np.array([ff.II[a][b].H for a in range(n) for b in range(a, n)]), tol=1e-10)
+    A = np.array([[[inner_re(ff.II[a][b].H, c) for b in range(n)] for a in range(n)]
+                  for c in nu])
+    x = np.random.default_rng(5).standard_normal((20_000, n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    sample = np.linalg.svd(np.einsum("cab,sb->sca", A, x), compute_uv=False)[:, 0].max()
+    assert sample > 0.5
+    assert sample <= res.value + 1e-12
+    assert sample <= res.upper_bound
+    assert res.converged
+
+
+@pytest.mark.parametrize("chart,u", [
+    (veronese(2), [0.3, -0.2]), (veronese(3), [0.1, 0.4]), (veronese(4), [0.2, 0.1]),
+    (clifford_torus(), [0.5, 1.0]), (veronese(2), [0.0, 0.0]),
+], ids=["veronese-2", "veronese-3", "veronese-4", "clifford", "veronese-2-origin"])
+def test_shape_refinement_stops_on_circles_of_maxima(chart, u):
+    """On veronese and clifford the maximum is attained on a whole circle,
+    where the refinement's iterates need not settle; it stops on the value."""
+    res = shape_norm(second_fundamental_form(chart, u))
+    assert res.converged
+    assert 1 <= res.rounds <= 10
+
+
+def test_shape_refinement_converges_on_sampled_points():
+    for example, params in [("veronese", {"d": 2}), ("veronese", {"d": 3}), ("clifford", {})]:
+        chart = cli.make_chart(example, None, params)
+        for u in cli.sample_points(chart, None, 8, 7, None):
+            res = shape_norm(second_fundamental_form(chart, u))
+            assert res.converged and res.rounds < SHAPE_REFINE_ROUNDS
+
+
+def test_point_without_probes_has_empty_j_stacks():
+    """Rank one over R has no vertical probes: the J-frame, L and DR are
+    empty stacks, not an error."""
+    chart = cli.make_chart("linear", Field.REAL, {})
+    u = cli.sample_points(chart, None, 1, 0, None)[0]
+    pf = point_frame(chart, u)
+    n = pf.n
+    assert pf.probes == []
+    assert pf.jay.H.shape == (0,) + pf.E.H.shape
+    assert pf.L.shape == (0, n, n)
+    assert second_fundamental_form(chart, u, pf=pf).DR.shape == (0, n, n, n)
+    assert fatness_margin(pf).degenerate
 
 
 def test_wirtinger_statistics_on_catalog():

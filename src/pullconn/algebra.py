@@ -7,14 +7,15 @@ convention throughout the package is that scalar coefficients act on column
 vectors from the *right*, so that column spans stay well defined over the
 noncommutative scalars.
 
-Array rank decides the representation: rank 2 arrays are real/complex
-matrices, rank 3 arrays (trailing axis 4) are quaternion matrices; rank 0
-vs rank 1 likewise for scalars.  Stacks of matrices, with leading batch
-axes, go through the *_stack helpers, which take the field explicitly.
+Every matrix operation takes the field as an argument and never reads it
+from an array's shape: a stack of real 4×4 matrices has the (m, n, 4)
+shape of one quaternion matrix.  The operations act on stacks of matrices
+with leading batch axes; a single matrix is a stack with none.
 """
 from __future__ import annotations
 
 from enum import Enum
+from math import prod
 
 import numpy as np
 import scipy.linalg as sla
@@ -97,20 +98,9 @@ def qconj(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_quat(A: np.ndarray) -> bool:
-    A = np.asarray(A)
-    return A.ndim in (1, 3) and A.shape[-1] == 4
-
-
 # ----------------------------------------------------------------------------
 # field-generic matrix operations
 # ----------------------------------------------------------------------------
-
-def field_of(A: np.ndarray) -> Field:
-    A = np.asarray(A)
-    if is_quat(A):
-        return Field.QUATERNION
-    return Field.COMPLEX if np.iscomplexobj(A) else Field.REAL
 
 def eye(field: Field, n: int) -> np.ndarray:
     if field is Field.QUATERNION:
@@ -126,39 +116,9 @@ def zeros(field: Field, m: int, n: int) -> np.ndarray:
     return np.zeros((m, n), dtype=complex if field is Field.COMPLEX else float)
 
 
-def from_real(A: np.ndarray, field: Field) -> np.ndarray:
-    """Embed a real array as a matrix over `field`."""
-    A = np.asarray(A, dtype=float)
-    if field is Field.QUATERNION:
-        out = np.zeros(A.shape + (4,))
-        out[..., 0] = A
-        return out
-    return A.astype(complex) if field is Field.COMPLEX else A
-
-
-def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    qa, qb = is_quat(A), is_quat(B)
-    if qa or qb:
-        if not qa:
-            A = from_real(A, Field.QUATERNION)
-        if not qb:
-            B = from_real(B, Field.QUATERNION)
-        return np.einsum("stu,mkt,knu->mns", QL, np.asarray(A), np.asarray(B))
-    return np.asarray(A) @ np.asarray(B)
-
-
-def ct(A: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    if is_quat(A):
-        return qconj(A).transpose(1, 0, 2)
-    return np.asarray(A).conj().T
-
-
 def matmul_stack(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
     """Matrix product over the trailing matrix axes of stacked matrices.
 
-    The field is passed, not read from the shape: a stack of real 4×4
-    matrices has the (m, n, 4) shape that is_quat takes for quaternions.
     Over H the product is two contractions: one real matmul gives every
     component product T[m, t, n, u] = Σ_k A[m, k, t] B[k, n, u], and QL
     combines the (t, u) pairs.
@@ -188,58 +148,63 @@ def pair_re(X: np.ndarray, Y: np.ndarray, tail: int) -> np.ndarray:
     """
     X, Y = np.asarray(X), np.asarray(Y)
     xs, ys = X.shape[:X.ndim - tail], Y.shape[:Y.ndim - tail]
-    size = int(np.prod(X.shape[X.ndim - tail:]))   # explicit, so empty stacks reshape
-    out = X.reshape(int(np.prod(xs)), size) @ np.conj(Y.reshape(int(np.prod(ys)), size)).T
+    size = prod(X.shape[X.ndim - tail:])   # explicit, so empty stacks reshape
+    out = X.reshape(prod(xs), size) @ np.conj(Y.reshape(prod(ys), size)).T
     return np.real(out).reshape(xs + ys)
 
 
 def frob_stack(A: np.ndarray) -> np.ndarray:
     """Frobenius norm of every array in a stack, over all axes but the
     first, shaped to broadcast against A."""
-    return np.sqrt(np.sum(np.real(np.conj(A) * A), axis=tuple(range(1, A.ndim)), keepdims=True))
+    return np.sqrt(np.add.reduce((A.conj() * A).real, axis=tuple(range(1, A.ndim)), keepdims=True))
 
 
 def inner_re(A: np.ndarray, B: np.ndarray) -> float:
-    """Unhalved real inner product Re tr(B* A) = sum of Re(conj(b) a)."""
-    if is_quat(A):
-        return float(np.sum(np.asarray(A) * np.asarray(B)))
-    return float(np.real(np.vdot(np.asarray(B), np.asarray(A))))
+    """Unhalved real inner product Re tr(B* A) = sum of Re(conj(b) a); over
+    H the component dot product of the real arrays.  Summed as frob_stack
+    sums."""
+    return float(np.add.reduce((np.conj(B) * A).real, axis=None))
 
 
 def frob(A: np.ndarray) -> float:
     return float(np.sqrt(max(inner_re(A, A), 0.0)))
 
 
-def _strip(v: np.ndarray, cols) -> np.ndarray:
+def _strip(v: np.ndarray, cols, field: Field) -> np.ndarray:
     """v less its components along the orthonormal columns `cols`: two
     sweeps of modified Gram-Schmidt, coefficients from the right."""
     for _ in range(2):
         for q in cols:
-            v = v - matmul(q, matmul(ct(q), v))
+            v = v - matmul_stack(q, matmul_stack(ct_stack(q, field), v, field), field)
     return v
 
 
-def orthonormalize(A: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Column orthonormalization by modified Gram-Schmidt over the scalar field.
+def orthonormalize(A: np.ndarray, field: Field, tol: float = 1e-12) -> np.ndarray:
+    """Column orthonormalization by modified Gram-Schmidt over the scalar
+    field, for one matrix or a stack (..., N, k[, 4]).
 
     Coefficients multiply from the right; a second sweep keeps things stable
     near machine precision.  Raises DegenerateColumnsError if some column is
-    (numerically) in the span of the previous ones.
+    (numerically) in the span of the previous ones in any matrix.
     """
     A = np.asarray(A)
-    ncols = A.shape[1]
-    scale = max(frob(A) / max(np.sqrt(ncols), 1.0), 1.0)
+    tail = 3 if field is Field.QUATERNION else 2
+    S = A.reshape((-1,) + A.shape[A.ndim - tail:])
+    ncols = S.shape[2]
+    scale = np.maximum(frob_stack(S) / max(np.sqrt(ncols), 1.0), 1.0)
     out = []
     for jcol in range(ncols):
-        v = _strip(np.array(A[:, jcol:jcol + 1]), out)
-        n = frob(v)
-        if n < tol * scale:
-            raise DegenerateColumnsError(jcol, n)
+        v = _strip(np.array(S[:, :, jcol:jcol + 1]), out, field)
+        n = frob_stack(v)
+        low = n < tol * scale
+        if low.any():
+            raise DegenerateColumnsError(jcol, float(n[low].min()))
         out.append(v / n)
-    return np.concatenate(out, axis=1)
+    return (out[0] if ncols == 1 else np.concatenate(out, axis=2)).reshape(A.shape)
 
 
-def complete_basis(V: np.ndarray, order: str = "standard", tol: float = 1e-8) -> np.ndarray:
+def complete_basis(V: np.ndarray, field: Field, order: str = "standard",
+                   tol: float = 1e-8) -> np.ndarray:
     """Extend orthonormal columns V to a full unitary [V | W].
 
     Candidate completion vectors are the standard basis vectors taken in index
@@ -249,9 +214,9 @@ def complete_basis(V: np.ndarray, order: str = "standard", tol: float = 1e-8) ->
     N, k = V.shape[0], V.shape[1]
     idx = range(N) if order == "standard" else range(N - 1, -1, -1)
     cols = [V[:, j:j + 1] for j in range(k)]
-    I = eye(field_of(V), N)
+    I = eye(field, N)
     for j in idx:
-        v = _strip(np.array(I[:, j:j + 1]), cols)
+        v = _strip(np.array(I[:, j:j + 1]), cols, field)
         n = frob(v)
         if n > tol:
             cols.append(v / n)
@@ -266,9 +231,9 @@ def complete_basis(V: np.ndarray, order: str = "standard", tol: float = 1e-8) ->
 # exponential and random matrices
 # ----------------------------------------------------------------------------
 
-def expm_alg(A: np.ndarray) -> np.ndarray:
+def expm_alg(A: np.ndarray, field: Field) -> np.ndarray:
     """Matrix exponential; quaternion case by scaling-and-squaring Taylor."""
-    if not is_quat(A):
+    if field is not Field.QUATERNION:
         return sla.expm(np.asarray(A))
     n = A.shape[0]
     nrm = frob(A)
@@ -276,13 +241,13 @@ def expm_alg(A: np.ndarray) -> np.ndarray:
     if nrm > 0.25:
         s = int(np.ceil(np.log2(nrm / 0.25)))
     T = A / (2.0 ** s)
-    out = eye(Field.QUATERNION, n)
-    term = eye(Field.QUATERNION, n)
+    out = eye(field, n)
+    term = eye(field, n)
     for mdeg in range(1, 19):
-        term = matmul(term, T) / mdeg
+        term = matmul_stack(term, T, field) / mdeg
         out = out + term
     for _ in range(s):
-        out = matmul(out, out)
+        out = matmul_stack(out, out, field)
     return out
 
 

@@ -12,19 +12,8 @@ from math import comb
 import numpy as np
 
 from .algebra import Field, ct_stack, frob_stack, matmul_stack
-from .homogeneous import geodesic_stiefel_k1, horizontal_stack
+from .homogeneous import geodesic_stiefel_k1, horizontal_stack, stiefel_points
 from .immersion import ImmersionChart
-
-
-def _k1_stack(field: Field, W: np.ndarray):
-    """Rank-one points from stacked ambient columns W (B, N, 1[, 4]).
-
-    As point_from_stiefel: V = W/|W| unless |W|² is 1 within 1e-8, then
-    P = V V*.
-    """
-    n = frob_stack(W)
-    V = np.where(np.abs(n**2 - 1.0) > 1e-8, W / n, W)
-    return V, matmul_stack(V, ct_stack(V, field), field)
 
 
 def _k1_chart(name: str, field: Field, N: int, box: tuple, cols, dcols,
@@ -37,11 +26,11 @@ def _k1_chart(name: str, field: Field, N: int, box: tuple, cols, dcols,
     the horizontal part of ∂_i W / |W|.
     """
     def ev(U: np.ndarray):
-        return _k1_stack(field, cols(U))
+        return stiefel_points(cols(U), field)
 
     def diff(U: np.ndarray):
         W = cols(U)
-        V, P = _k1_stack(field, W)
+        V, P = stiefel_points(W, field)
         H = horizontal_stack(V[:, None], dcols(U) / frob_stack(W)[:, None], field)
         return V, P, H
 
@@ -185,18 +174,7 @@ def grassmann_sub(k: int = 2, m: int = 4, N: int = 5) -> ImmersionChart:
         A = np.zeros((B, N, k))
         A[:, :k] = np.eye(k)
         A[:, k:m] = U.reshape(B, m - k, k)
-        # as point_from_stiefel: orthonormal columns are kept, the others go
-        # through the two-sweep modified Gram-Schmidt of algebra.orthonormalize
-        off = frob_stack(np.swapaxes(A, 1, 2) @ A - np.eye(k)) > 1e-8 * np.sqrt(k)
-        cols = []
-        for j in range(k):
-            v = A[:, :, j]
-            for _ in range(2):
-                for q in cols:
-                    v = v - q * np.sum(q * v, axis=1, keepdims=True)
-            cols.append(v / frob_stack(v))
-        V = np.where(off, np.stack(cols, axis=2), A)
-        return V, V @ np.swapaxes(V, 1, 2)
+        return stiefel_points(A, Field.REAL)
 
     box = tuple((-1.0, 1.0) for _ in range(n))
     return ImmersionChart(
@@ -238,8 +216,7 @@ def perturbed(base: ImmersionChart = None, amplitude: float = 0.05,
         for i in range(modes):
             c = cvecs[i] - matmul_stack(V0, matmul_stack(V0h, cvecs[i], field), field)
             H = H + np.sin(U @ omegas[i] + phases[i]).reshape(bcast) * c
-        V1 = geodesic_stiefel_k1(V0, amplitude * H, 1.0)
-        return _k1_stack(field, V1)
+        return stiefel_points(geodesic_stiefel_k1(V0, amplitude * H, 1.0), field)
 
     return ImmersionChart(
         name="perturbed", field=field, N=base.N, k=1, dim=n,
@@ -264,25 +241,31 @@ class CatalogEntry:
     def build(self, field: Field = None, **params) -> ImmersionChart:
         p = dict(self.defaults)
         p.update({k: v for k, v in params.items() if v is not None})
+
+        def whole(key: str) -> int:
+            """An integer parameter; a fractional value is an error, not truncated."""
+            if float(p[key]) != int(p[key]):
+                raise ValueError(f"parameter '{key}' must be an integer, got {p[key]!r}")
+            return int(p[key])
+
         if self.name == "linear":
             f = Field.parse(field) if field is not None else Field.COMPLEX
-            return linear_embedding(f, m=int(p["m"]), N=int(p["N"]))
+            return linear_embedding(f, m=whole("m"), N=whole("N"))
         if self.name == "veronese":
-            return veronese(int(p["d"]))
+            return veronese(whole("d"))
         if self.name == "totally-real":
-            return totally_real(int(p["n"]))
+            return totally_real(whole("n"))
         if self.name == "clifford":
             return clifford_torus()
         if self.name == "hline":
-            return quaternionic_line(int(p["N"]))
+            return quaternionic_line(whole("N"))
         if self.name == "grassmann-sub":
-            return grassmann_sub(int(p["k"]), int(p["m"]), int(p["N"]))
+            return grassmann_sub(whole("k"), whole("m"), whole("N"))
         if self.name == "perturbed":
             base = CATALOG[p.get("base", "veronese")].build(
                 field, **{k[5:]: v for k, v in p.items() if k.startswith("base_")}
             )
-            return perturbed(base, amplitude=float(p["amplitude"]),
-                             seed=int(p["seed"]))
+            return perturbed(base, amplitude=float(p["amplitude"]), seed=whole("seed"))
         raise KeyError(self.name)
 
 

@@ -487,7 +487,19 @@ def _config_echo(args, chart=None, seed=None):
 
 
 def _workers(args) -> int:
-    return args.workers if args.workers else (os.cpu_count() or 1)
+    return args.workers if args.workers is not None else (os.cpu_count() or 1)
+
+
+def _check_flags(args) -> None:
+    """Reject numeric flags that a command would bend or crash on."""
+    workers, seed = getattr(args, "workers", None), getattr(args, "seed", None)
+    h = getattr(args, "fd_step", None)
+    if workers is not None and workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+    if h is not None and not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"--fd-step must be finite and positive, got {h}")
 
 
 def cmd_analyze(args) -> tuple:
@@ -632,7 +644,6 @@ def cmd_sweep(args) -> tuple:
             points = sample_points(chart, None, 6, seed, args.fd_step)
         records, failures = analyze_sample(
             chart, points, args.normalize, args.fd_step, _workers(args))
-        agg = aggregate_records(records, failures)
         kb = records[0]["kb_probe"]["value"] if records else None
         if base_kb is None and kb is not None:
             base_kb = kb
@@ -644,17 +655,10 @@ def cmd_sweep(args) -> tuple:
             ratio, why = float(kb / base_kb), None
         rows.append({
             key: val,
-            "points": len(records),
-            "failed_points": len(failures),
+            **aggregate_records(records, failures),
             "kb_probe": {"value": kb,
                          "reason": None if kb is not None else "base dimension below two"},
             "kb_ratio": {"value": ratio, "reason": why},
-            "min_fatness_margin": _agg_min(records, ("fatness", "margin")),
-            "max_parallel_residual": _agg_max(records, ("parallel", "residual")),
-            "max_radial_residual": _agg_max(records, ("radial", "residual")),
-            "max_theta": _agg_max(records, ("theta", "value")),
-            "max_shape": _agg_max(records, ("shape", "value")),
-            "min_inequality_margin": _agg_min(records, ("inequality", "min_margin")),
         })
     report = {
         "config": _config_echo(args, seed=seed),
@@ -805,17 +809,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     start = time.perf_counter()
     try:
+        _check_flags(args)
         body, code = COMMANDS[args.command](args)
+        report = {"schema": SCHEMA, "command": args.command, **body}
+        report["timing"] = {"seconds": time.perf_counter() - start}
+        emit(report, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    report = {"schema": SCHEMA, "command": args.command}
-    report.update(body)
-    report["timing"] = {"seconds": time.perf_counter() - start}
-    emit(report, args)
     return code
 
 

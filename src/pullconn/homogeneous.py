@@ -22,14 +22,11 @@ import numpy as np
 from .algebra import (
     Field,
     complete_basis,
-    ct,
     ct_stack,
     eye,
-    field_of,
     frob,
     frob_stack,
     inner_re,
-    matmul,
     matmul_stack,
     orthonormalize,
     pair_re,
@@ -50,14 +47,20 @@ class GrassPoint:
     P: np.ndarray
 
 
-def point_from_stiefel(V: np.ndarray) -> GrassPoint:
-    field = field_of(V)
-    N, k = V.shape[0], V.shape[1]
-    G = matmul(ct(V), V)
-    if frob(G - eye(field, k)) > 1e-8 * np.sqrt(k):
-        V = orthonormalize(V)
-    P = matmul(V, ct(V))
-    return GrassPoint(field, N, k, V, P)
+def stiefel_points(V: np.ndarray, field: Field):
+    """(V, P) for stacked Stiefel representatives V (B, N, k[, 4]): rows
+    with V*V = I within 1e-8·√k are kept, the others orthonormalized, and
+    P = V V*."""
+    k = V.shape[2]
+    off = frob_stack(matmul_stack(ct_stack(V, field), V, field) - eye(field, k)) > 1e-8 * np.sqrt(k)
+    if off.any():
+        V = np.where(off, orthonormalize(V, field), V)
+    return V, matmul_stack(V, ct_stack(V, field), field)
+
+
+def point_from_stiefel(V: np.ndarray, field: Field) -> GrassPoint:
+    V, P = stiefel_points(np.asarray(V)[None], field)
+    return GrassPoint(field, V.shape[1], V.shape[2], V[0], P[0])
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,8 @@ class GrassTangent:
 
     @property
     def delta(self) -> np.ndarray:
-        V = self.base.V
-        return matmul(self.H, ct(V)) + matmul(V, ct(self.H))
+        V, f = self.base.V, self.base.field
+        return matmul_stack(self.H, ct_stack(V, f), f) + matmul_stack(V, ct_stack(self.H, f), f)
 
     def norm(self) -> float:
         return frob(self.H)
@@ -106,8 +109,7 @@ class GrassTangent:
 
 def tangent(pt: GrassPoint, A: np.ndarray) -> GrassTangent:
     """Horizontal projection of an ambient N×k array to a tangent at pt."""
-    H = A - matmul(pt.V, matmul(ct(pt.V), A))
-    return GrassTangent(pt, H)
+    return GrassTangent(pt, horizontal_stack(pt.V, A, pt.field))
 
 
 def horizontal_stack(V: np.ndarray, A: np.ndarray, field: Field) -> np.ndarray:
@@ -134,7 +136,7 @@ class FrameLift:
 
 
 def frame_lift(pt: GrassPoint, order: str = "standard") -> FrameLift:
-    return FrameLift(pt, complete_basis(pt.V, order=order))
+    return FrameLift(pt, complete_basis(pt.V, pt.field, order=order))
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ class LieLift:
         N, k = self.frame.pt.N, self.frame.pt.k
         out = zeros(f, N, N)
         out[k:, :k] = self.B
-        out[:k, k:] = -ct(self.B)
+        out[:k, k:] = -ct_stack(self.B, f)
         return out
 
     def norm_g0(self) -> float:
@@ -160,7 +162,8 @@ class LieLift:
 def lie_lift(frame: FrameLift, t: GrassTangent) -> LieLift:
     if t.base.P is not frame.pt.P and frob(t.base.P - frame.pt.P) > 1e-9:
         raise ValueError("tangent is not based at the frame's point")
-    return LieLift(frame, matmul(ct(frame.W), t.H))
+    f = frame.pt.field
+    return LieLift(frame, matmul_stack(ct_stack(frame.W, f), t.H, f))
 
 
 def proj_m(A: np.ndarray, k: int) -> np.ndarray:
@@ -237,8 +240,8 @@ class AlphaElement:
         """Section pair (w, v) whose curvature pairing matches the frame value."""
         if self.field is Field.REAL:
             x, y = self.pair
-            return matmul(V, x.reshape(-1, 1)), matmul(V, y.reshape(-1, 1))
-        return matmul(V, self.mat), V
+            return V @ x.reshape(-1, 1), V @ y.reshape(-1, 1)
+        return matmul_stack(V, self.mat, self.field), V
 
 
 def alpha_basis(field: Field, k: int):

@@ -13,13 +13,11 @@ import numpy as np
 from pullconn.algebra import (
     QL,
     Field,
-    ct,
+    ct_stack,
     expm_alg,
-    field_of,
     frob,
     inner_re,
-    is_quat,
-    matmul,
+    matmul_stack,
     quat,
     zeros,
 )
@@ -56,29 +54,27 @@ def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def scalar_right(A: np.ndarray, q) -> np.ndarray:
-    """Right scalar action A -> A q (quaternion q may be a (4,) array)."""
-    if is_quat(A):
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 0:
-            return np.asarray(A) * float(q)
-        return np.einsum("stu,mnt,u->mns", QL, np.asarray(A), q)
+    """Right scalar action A -> A q of a number q, or of a quaternion q
+    given as a (4,) array on a quaternion matrix A."""
+    if np.ndim(q) == 1:
+        return np.einsum("stu,mnt,u->mns", QL, np.asarray(A), np.asarray(q, dtype=float))
     return np.asarray(A) * q
 
 
-def re_trace(A: np.ndarray) -> float:
-    if is_quat(A):
-        n = min(A.shape[0], A.shape[1])
+def re_trace(A: np.ndarray, field: Field) -> float:
+    n = min(A.shape[0], A.shape[1])
+    if field is Field.QUATERNION:
         return float(np.sum(A[np.arange(n), np.arange(n), 0]))
     return float(np.real(np.trace(A)))
 
 
-def inner_g0(A: np.ndarray, B: np.ndarray) -> float:
+def inner_g0(A: np.ndarray, B: np.ndarray, field: Field) -> float:
     """Bi-invariant pairing (1/2) Re tr(A B*)."""
-    return 0.5 * re_trace(matmul(A, ct(B)))
+    return 0.5 * re_trace(matmul_stack(A, ct_stack(B, field), field), field)
 
 
-def norm_g0(A: np.ndarray) -> float:
-    return float(np.sqrt(max(inner_g0(A, A), 0.0)))
+def norm_g0(A: np.ndarray, field: Field) -> float:
+    return float(np.sqrt(max(inner_g0(A, A, field), 0.0)))
 
 
 def sym_eig_small(S: np.ndarray, check: bool = True, tol: float = 1e-8):
@@ -99,25 +95,26 @@ def sym_eig_small(S: np.ndarray, check: bool = True, tol: float = 1e-8):
 # ----------------------------------------------------------------------------
 
 def tangent_strict(pt, H: np.ndarray) -> GrassTangent:
-    if frob(matmul(ct(pt.V), H)) > TOL_ALG * max(1.0, frob(H)):
+    if frob(matmul_stack(ct_stack(pt.V, pt.field), H, pt.field)) > TOL_ALG * max(1.0, frob(H)):
         raise ValueError("H is not horizontal at the given point")
     return GrassTangent(pt, H)
 
 
 def lift_to_tangent(lift) -> GrassTangent:
-    return GrassTangent(lift.frame.pt, matmul(lift.frame.W, lift.B))
+    pt = lift.frame.pt
+    return GrassTangent(pt, matmul_stack(lift.frame.W, lift.B, pt.field))
 
 
-def emb_alpha(alpha_k: np.ndarray, N: int) -> np.ndarray:
+def emb_alpha(alpha_k: np.ndarray, N: int, field: Field) -> np.ndarray:
     """Embed a k×k anti-Hermitian block as diag(alpha, 0) in the N×N algebra."""
-    out = zeros(field_of(alpha_k), N, N)
+    out = zeros(field, N, N)
     k = alpha_k.shape[0]
     out[:k, :k] = alpha_k
     return out
 
 
-def bracket(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return matmul(A, B) - matmul(B, A)
+def bracket(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
+    return matmul_stack(A, B, field) - matmul_stack(B, A, field)
 
 
 def proj_p_block(A: np.ndarray, k: int) -> np.ndarray:
@@ -128,17 +125,17 @@ def proj_p_block(A: np.ndarray, k: int) -> np.ndarray:
 def geodesic(pt, t: GrassTangent, s: float, order: str = "standard"):
     """Point of the geodesic through pt with initial velocity t at time s."""
     frame = frame_lift(pt, order=order)
-    g = matmul(frame.g, expm_alg(lie_lift(frame, t).mat * s))
-    return point_from_stiefel(g[:, : pt.k])
+    g = matmul_stack(frame.g, expm_alg(lie_lift(frame, t).mat * s, pt.field), pt.field)
+    return point_from_stiefel(g[:, : pt.k], pt.field)
 
 
 def sectional_curvature_g0(x: GrassTangent, y: GrassTangent) -> float:
     """Unnormalized ambient sectional curvature k(X,Y) = |[X~,Y~]|₀²."""
     if x.base.P is not y.base.P and frob(x.base.P - y.base.P) > 1e-9:
         raise ValueError("tangents have different base points")
-    Hx, Hy = x.H, y.H
-    C1 = matmul(ct(Hy), Hx) - matmul(ct(Hx), Hy)
-    C2 = matmul(Hy, ct(Hx)) - matmul(Hx, ct(Hy))
+    Hx, Hy, f = x.H, y.H, x.base.field
+    C1 = matmul_stack(ct_stack(Hy, f), Hx, f) - matmul_stack(ct_stack(Hx, f), Hy, f)
+    C2 = matmul_stack(Hy, ct_stack(Hx, f), f) - matmul_stack(Hx, ct_stack(Hy, f), f)
     return 0.5 * (frob(C1) ** 2 + frob(C2) ** 2)
 
 
@@ -206,14 +203,14 @@ def covariant_derivative(chart, u, i: int, section, h: float = FD_STEP, richards
     d = diff(h)
     if richardson:
         d = (4.0 * diff(h / 2.0) - d) / 3.0
-    return matmul(P, d)
+    return matmul_stack(P, d, chart.field)
 
 
 def curvature_raw(chart, u, i: int, j: int, w, h: float = FD_STEP):
     """P [d_i P, d_j P] w — unbridged, exactly what holonomy measures."""
     pt, dP = _ambient_derivatives(chart, u, h=h)
-    comm = matmul(dP[i], dP[j]) - matmul(dP[j], dP[i])
-    return matmul(pt.P, matmul(comm, w))
+    f = chart.field
+    return matmul_stack(pt.P, matmul_stack(bracket(dP[i], dP[j], f), w, f), f)
 
 
 def curvature_oracle(chart, u, i: int, j: int, w, method: str = "projector", h: float = FD_STEP2):
@@ -224,19 +221,20 @@ def curvature_oracle(chart, u, i: int, j: int, w, method: str = "projector", h: 
         raise ValueError(f"unknown method '{method}'")
     u = np.asarray(u, dtype=float)
     P0 = chart(u).P
+    f = chart.field
 
     def grad_section(l, up, step):
         e = np.zeros_like(up)
         e[l] = step
         dP = (chart(up + e).P - chart(up - e).P) / (2.0 * step)
-        return matmul(chart(up).P, matmul(dP, w))
+        return matmul_stack(chart(up).P, matmul_stack(dP, w, f), f)
 
     def nested(step):
         def second(i_, j_):
             e = np.zeros_like(u)
             e[i_] = step
             inner = (grad_section(j_, u + e, step) - grad_section(j_, u - e, step)) / (2.0 * step)
-            return matmul(P0, inner)
+            return matmul_stack(P0, inner, f)
 
         return second(i, j) - second(j, i)
 
@@ -276,7 +274,9 @@ def curvature_pairing(xl, zl, alpha) -> float:
     """Half the g0 pairing of [X~, Z~] against the embedded probe."""
     if xl.frame is not zl.frame and frob(xl.frame.g - zl.frame.g) > 1e-12:
         raise ValueError("lifts live in different frames")
-    return 0.5 * inner_g0(bracket(xl.mat, zl.mat), emb_alpha(alpha.mat, xl.frame.pt.N))
+    pt = xl.frame.pt
+    return 0.5 * inner_g0(bracket(xl.mat, zl.mat, pt.field), emb_alpha(alpha.mat, pt.N, pt.field),
+                          pt.field)
 
 
 def dr_component_bracket(pf, ff, x, y, z, alpha, order: str = "standard") -> float:
@@ -288,8 +288,9 @@ def dr_component_bracket(pf, ff, x, y, z, alpha, order: str = "standard") -> flo
     yl = lie_lift(fr, pf.from_coords(y)).mat
     iizy = lie_lift(fr, ii_apply(ff, z, y)).mat
     iizx = lie_lift(fr, ii_apply(ff, z, x)).mat
-    emb = emb_alpha(alpha.mat, pf.pt.N)
-    return inner_g0(bracket(xl, iizy), emb) - inner_g0(bracket(yl, iizx), emb)
+    f = pf.pt.field
+    emb = emb_alpha(alpha.mat, pf.pt.N, f)
+    return inner_g0(bracket(xl, iizy, f), emb, f) - inner_g0(bracket(yl, iizx, f), emb, f)
 
 
 # ----------------------------------------------------------------------------

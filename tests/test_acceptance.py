@@ -6,7 +6,7 @@ the captured output of a failing run) and then asserts.
 """
 import numpy as np
 
-from pullconn.algebra import Field, ct, frob, matmul, orthonormalize, quat, random_matrix, zeros
+from pullconn.algebra import Field, frob, matmul_stack, orthonormalize, quat, random_matrix, zeros
 from pullconn.catalog import build_chart
 from pullconn.cli import _norm_vs_oracle
 from pullconn.connection import (
@@ -223,7 +223,8 @@ def test_criterion_08_pinching():
     rng = np.random.default_rng(40)
     lo, hi = np.inf, -np.inf
     for _ in range(300):
-        pt = point_from_stiefel(orthonormalize(random_matrix(rng, Field.COMPLEX, 3, 1)))
+        pt = point_from_stiefel(orthonormalize(random_matrix(rng, Field.COMPLEX, 3, 1), Field.COMPLEX),
+                                Field.COMPLEX)
         x = random_horizontal(rng, pt)
         x = x.scaled(1.0 / x.norm())
         y = random_horizontal(rng, pt)
@@ -233,7 +234,7 @@ def test_criterion_08_pinching():
         y = y.scaled(1.0 / y.norm())
         s = sectional_curvature_g0(x, y) / lam
         lo, hi = min(lo, s), max(hi, s)
-    pt = point_from_stiefel(np.eye(3, dtype=complex)[:, :1])
+    pt = point_from_stiefel(np.eye(3, dtype=complex)[:, :1], Field.COMPLEX)
     ex = GrassTangent(pt, np.eye(3, dtype=complex)[:, 1:2])
     holo = sectional_curvature_g0(ex, GrassTangent(pt, 1j * ex.H)) / lam
     real_pair = sectional_curvature_g0(
@@ -287,7 +288,7 @@ def test_criterion_10_vertical_action_bracket_identity():
     for field, N, k in ((Field.REAL, 4, 2), (Field.COMPLEX, 3, 1),
                         (Field.QUATERNION, 3, 1)):
         for _ in range(100):
-            pt = point_from_stiefel(orthonormalize(random_matrix(rng, field, N, k)))
+            pt = point_from_stiefel(orthonormalize(random_matrix(rng, field, N, k), field), field)
             t = random_horizontal(rng, pt)
             q = zeros(field, k, k)
             if field is Field.REAL:
@@ -299,11 +300,11 @@ def test_criterion_10_vertical_action_bracket_identity():
                 q[0, 0] = quat(0.0, *rng.normal(size=3))
             fr = frame_lift(pt)
             lift = lie_lift(fr, t)
-            lhs = proj_p_block(bracket(emb_alpha(q, N), lift.mat), k)
+            lhs = proj_p_block(bracket(emb_alpha(q, N, field), lift.mat, field), k)
             rhs = lie_lift(fr, ad_alpha(q, t)).B
             scale = max(frob(lift.B) * frob(q), 1e-12)
             worst = max(worst, frob(lhs - rhs) / scale,
-                        frob(lhs + matmul(lift.B, q)) / scale)
+                        frob(lhs + matmul_stack(lift.B, q, field)) / scale)
     ok = worst < 1e-12
     detail = f"max normalized deviation {worst:.2e} over 300 random inputs"
     _line(10, ok, f"vertical action bracket identity — {detail}")

@@ -206,6 +206,69 @@ def test_analyze_boundary_margin_exit2():
                  "--grid", "2x2"]) == 2
 
 
+def _only_error_line(capsys, text):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and text in err[0], err
+
+
+def test_workers_below_one_exit2(capsys):
+    """--workers 0 used to mean every CPU and --workers -3 one process."""
+    for value in ("0", "-3"):
+        assert main(["analyze", "--example", "veronese", "--grid", "1x1",
+                     "--workers", value]) == 2
+        _only_error_line(capsys, "--workers must be at least 1")
+    assert main(["sweep", "--example", "veronese", "--param", "d=1:2",
+                 "--workers", "0"]) == 2
+    _only_error_line(capsys, "--workers must be at least 1")
+
+
+def test_negative_seed_exit2(capsys):
+    """--seed -1 used to exit 3 with numpy's ValueError."""
+    assert main(["analyze", "--example", "grassmann-sub", "--random", "2",
+                 "--seed", "-1"]) == 2
+    _only_error_line(capsys, "--seed must be non-negative")
+
+
+@pytest.mark.parametrize("value", ["0", "-0.001", "nan", "inf"])
+def test_fd_step_not_finite_positive_exit2(value, capsys):
+    """Refused on analytic (veronese) and finite-difference (perturbed)
+    charts alike; a zero step used to crash the latter with LinAlgError."""
+    for example in ("veronese", "perturbed"):
+        assert main(["analyze", "--example", example, "--grid", "1x1",
+                     "--workers", "1", "--fd-step", value]) == 2
+        _only_error_line(capsys, "--fd-step must be finite and positive")
+    assert main(["verify", "--fd-step", value]) == 2
+    _only_error_line(capsys, "--fd-step must be finite and positive")
+
+
+def test_fractional_integer_parameter_exit2(capsys):
+    """d=2.7 used to build veronese with d = 2; d=3.0 is the integer 3."""
+    assert main(["analyze", "--example", "veronese", "--param", "d=2.7"]) == 2
+    _only_error_line(capsys, "parameter 'd' must be an integer, got 2.7")
+    assert main(["analyze", "--example", "perturbed", "--param", "base=linear",
+                 "--param", "base_m=2.5", "--field", "r"]) == 2
+    _only_error_line(capsys, "parameter 'm' must be an integer, got 2.5")
+    assert main(["sweep", "--example", "veronese", "--param", "d=1:2:0.5"]) == 2
+    _only_error_line(capsys, "parameter 'd' must be an integer, got 1.5")
+    assert cli.make_chart("veronese", None, {"d": 3.0}).params == {"d": 3}
+
+
+def test_render_error_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    """A report that cannot be rendered (a NaN under allow_nan=False) is an
+    internal error: exit 3, one error line, no report written."""
+    record = cli.point_record
+
+    def nan_record(pa):
+        return {**record(pa), "gram_min_eig": float("nan")}
+
+    monkeypatch.setattr(cli, "point_record", nan_record)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--example", "veronese", "--grid", "1x1",
+                 "--workers", "1", "--out", str(out)]) == 3
+    _only_error_line(capsys, "ValueError: Out of range float values are not JSON compliant")
+    assert not out.exists()
+
+
 def test_analyze_expectation_failure_exit1(tmp_path):
     """amplitude=0 contradicts the perturbed entry's declared purpose."""
     code, report = run_json(tmp_path, [
@@ -354,6 +417,22 @@ def test_sweep_amplitude_margins_decrease(tmp_path):
     margins = [row["min_fatness_margin"] for row in report["rows"]]
     assert abs(margins[0] - 1.0) < 1e-9
     assert margins[0] > margins[1] > margins[2]
+
+
+def test_sweep_row_is_the_analyze_aggregate(tmp_path):
+    """Each sweep row carries aggregate_records of its value's points."""
+    code, sweep = run_json(tmp_path, [
+        "sweep", "--example", "veronese", "--param", "d=2:3", "--grid", "2x2",
+        "--workers", "1"], "sweep.json")
+    assert code == 0
+    code, analyze = run_json(tmp_path, [
+        "analyze", "--example", "veronese", "--param", "d=3", "--grid", "2x2",
+        "--workers", "1"], "analyze.json")
+    assert code == 0
+    row, agg = sweep["rows"][1], analyze["aggregate"]
+    assert row["d"] == 3
+    assert {k: row[k] for k in agg} == agg
+    assert set(row) == set(agg) | {"d", "kb_probe", "kb_ratio"}
 
 
 def test_sweep_empty_range_exit2():

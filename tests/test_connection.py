@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from pullconn.algebra import Field, frob, inner_re, matmul
+from pullconn.algebra import Field, inner_re
 from pullconn.catalog import (
     clifford_torus,
     grassmann_sub,
@@ -83,7 +83,7 @@ def test_rank_two_real_bracket_fixture():
     # plane span(e1, e2) in R^4, horizontal directions W B with W = [e3 e4]
     V = np.zeros((4, 2))
     V[0, 0] = V[1, 1] = 1.0
-    pt = point_from_stiefel(V)
+    pt = point_from_stiefel(V, Field.REAL)
     fr = frame_lift(pt)
     alpha = AlphaElement.decomposable(np.eye(2)[0], np.eye(2)[1])
 

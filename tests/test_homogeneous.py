@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from pullconn.algebra import (
     Field,
     complete_basis,
-    ct,
+    ct_stack,
     eye,
     frob,
     inner_re,
-    matmul,
+    matmul_stack,
     orthonormalize,
     qconj,
     quat,
@@ -49,7 +49,7 @@ FIELDS = [Field.REAL, Field.COMPLEX, Field.QUATERNION]
 
 
 def rand_point(rng, field, N, k):
-    return point_from_stiefel(orthonormalize(random_matrix(rng, field, N, k)))
+    return point_from_stiefel(orthonormalize(random_matrix(rng, field, N, k), field), field)
 
 
 def rand_unit_tangent(rng, pt):
@@ -60,11 +60,11 @@ def rand_unit_tangent(rng, pt):
 def test_point_from_stiefel_basics():
     for field in FIELDS:
         V = eye(field, 4)[:, :2]
-        pt = point_from_stiefel(V)
-        assert np.allclose(np.asarray(pt.P), np.asarray(emb_alpha(eye(field, 2), 4)), atol=1e-12)
+        pt = point_from_stiefel(V, field)
+        assert np.allclose(np.asarray(pt.P), np.asarray(emb_alpha(eye(field, 2), 4, field)), atol=1e-12)
     # [1 : 1]/sqrt(2) in CP^1 gives the all-one-half projector
     v = np.array([[1.0 + 0j], [1.0]]) / np.sqrt(2)
-    pt = point_from_stiefel(v)
+    pt = point_from_stiefel(v, Field.COMPLEX)
     assert np.allclose(pt.P, 0.5 * np.ones((2, 2)), atol=1e-12)
 
 
@@ -72,8 +72,8 @@ def test_gauge_invariance_of_projector():
     rng = np.random.default_rng(0)
     for field in FIELDS:
         pt = rand_point(rng, field, 5, 2)
-        u = orthonormalize(random_matrix(rng, field, 2, 2))
-        pt2 = point_from_stiefel(matmul(pt.V, u))
+        u = orthonormalize(random_matrix(rng, field, 2, 2), field)
+        pt2 = point_from_stiefel(matmul_stack(pt.V, u, field), field)
         assert frob(pt.P - pt2.P) < 1e-10
 
 
@@ -87,8 +87,8 @@ def test_model_isometry(seed):
         t = random_horizontal(rng, pt)
         lift = lie_lift(frame_lift(pt), t)
         n_h = inner_re(t.H, t.H)
-        n_delta = inner_g0(t.delta, t.delta)
-        n_lift = inner_g0(lift.mat, lift.mat)
+        n_delta = inner_g0(t.delta, t.delta, field)
+        n_lift = inner_g0(lift.mat, lift.mat, field)
         assert abs(n_h - n_delta) < 1e-10 * max(1.0, n_h)
         assert abs(n_h - n_lift) < 1e-10 * max(1.0, n_h)
         assert abs(lift.norm_g0() ** 2 - n_h) < 1e-10 * max(1.0, n_h)
@@ -99,12 +99,13 @@ def test_frame_lift_contract():
     for field in FIELDS:
         pt = rand_point(rng, field, 5, 2)
         fr = frame_lift(pt)
-        assert np.allclose(np.asarray(matmul(ct(fr.g), fr.g)), np.asarray(eye(field, 5)), atol=1e-10)
+        assert np.allclose(np.asarray(matmul_stack(ct_stack(fr.g, field), fr.g, field)),
+                           np.asarray(eye(field, 5)), atol=1e-10)
         assert np.allclose(np.asarray(fr.g[:, :2]), np.asarray(pt.V), atol=1e-14)
         fr2 = frame_lift(pt)
         assert np.allclose(np.asarray(fr.g), np.asarray(fr2.g))
     # identity point lifts to the identity frame
-    ptI = point_from_stiefel(np.eye(4)[:, :2])
+    ptI = point_from_stiefel(np.eye(4)[:, :2], Field.REAL)
     assert np.allclose(frame_lift(ptI).g, np.eye(4), atol=1e-14)
 
 
@@ -120,8 +121,8 @@ def test_lie_lift_round_trip_and_unit_entry():
         M = lift.mat
         assert frob(proj_m(M, 2)) < 1e-14
         assert frob(M[2:, 2:]) < 1e-14
-        assert frob(M + ct(M)) < 1e-12
-    ptI = point_from_stiefel(np.eye(4)[:, :2])
+        assert frob(M + ct_stack(M, field)) < 1e-12
+    ptI = point_from_stiefel(np.eye(4)[:, :2], Field.REAL)
     H = np.zeros((4, 2))
     H[2, 0] = 1.0
     lift = lie_lift(frame_lift(ptI), GrassTangent(ptI, H))
@@ -131,7 +132,7 @@ def test_lie_lift_round_trip_and_unit_entry():
 
 
 def test_tangent_strict_rejects_nonhorizontal():
-    pt = point_from_stiefel(np.eye(3)[:, :1])
+    pt = point_from_stiefel(np.eye(3)[:, :1], Field.REAL)
     with pytest.raises(ValueError):
         tangent_strict(pt, np.array([[1.0], [0.0], [0.0]]))
 
@@ -144,11 +145,11 @@ def test_symmetric_pair_block_structure():
         fr = frame_lift(pt)
         x = lie_lift(fr, random_horizontal(rng, pt)).mat
         y = lie_lift(fr, random_horizontal(rng, pt)).mat
-        br = bracket(x, y)
+        br = bracket(x, y, field)
         assert frob(proj_p_block(br, 2)) < 1e-12
         a = random_matrix(rng, field, 2, 2)
-        a = (a - ct(a)) / 2.0
-        br2 = bracket(emb_alpha(a, 5), x)
+        a = (a - ct_stack(a, field)) / 2.0
+        br2 = bracket(emb_alpha(a, 5, field), x, field)
         assert frob(proj_m(br2, 2)) < 1e-12
         assert frob(br2[2:, 2:]) < 1e-12
 
@@ -162,13 +163,14 @@ def test_bracket_adjointness(seed):
         mats = []
         for _ in range(3):
             A = random_matrix(rng, field, 4, 4)
-            mats.append((A - ct(A)) / 2.0)
+            mats.append((A - ct_stack(A, field)) / 2.0)
         X, Y, al = mats
-        lhs = inner_g0(bracket(X, Y), al)
-        rhs = inner_g0(Y, bracket(al, X))
+        lhs = inner_g0(bracket(X, Y, field), al, field)
+        rhs = inner_g0(Y, bracket(al, X, field), field)
         assert abs(lhs - rhs) < 1e-10
         # ad-skewness, the same identity rearranged
-        assert abs(inner_g0(bracket(al, X), Y) + inner_g0(X, bracket(al, Y))) < 1e-10
+        assert abs(inner_g0(bracket(al, X, field), Y, field)
+                   + inner_g0(X, bracket(al, Y, field), field)) < 1e-10
 
 
 def test_ad_alpha_is_right_multiplication():
@@ -179,14 +181,14 @@ def test_ad_alpha_is_right_multiplication():
         fr = frame_lift(pt)
         t = random_horizontal(rng, pt)
         a = random_matrix(rng, field, 2, 2)
-        a = (a - ct(a)) / 2.0
-        br = bracket(emb_alpha(a, 5), lie_lift(fr, t).mat)
+        a = (a - ct_stack(a, field)) / 2.0
+        br = bracket(emb_alpha(a, 5, field), lie_lift(fr, t).mat, field)
         B_br = proj_p_block(br, 2)
         expect = lie_lift(fr, ad_alpha(a, t)).B
         assert frob(B_br - expect) < 1e-12
         # horizontal coordinates of the bracket via W recovery
-        H_br = matmul(fr.W, B_br)
-        assert frob(H_br - (-matmul(t.H, a))) < 1e-12
+        H_br = matmul_stack(fr.W, B_br, field)
+        assert frob(H_br - (-matmul_stack(t.H, a, field))) < 1e-12
 
 
 def test_geodesic_basics():
@@ -198,7 +200,7 @@ def test_geodesic_basics():
         assert frob(p0.P - pt.P) < 1e-12
         for s in (0.3, 2.0, 10.0):
             ps = geodesic(pt, t, s)
-            assert frob(matmul(ps.P, ps.P) - ps.P) < 1e-10
+            assert frob(matmul_stack(ps.P, ps.P, field) - ps.P) < 1e-10
         # completion choice does not move the geodesic point
         pa = geodesic(pt, t, 0.7, order="standard")
         pb = geodesic(pt, t, 0.7, order="reversed")
@@ -212,8 +214,8 @@ def test_geodesic_unit_speed_arc_length():
     s = 1e-3
     ps = geodesic(pt, t, s)
     # projector-model distance ≈ |Δ|₀·s for small s
-    d = np.sqrt(inner_g0(ps.P - pt.P, ps.P - pt.P))
-    assert abs(d - s * np.sqrt(inner_g0(t.delta, t.delta))) < 5e-9
+    d = np.sqrt(inner_g0(ps.P - pt.P, ps.P - pt.P, Field.COMPLEX))
+    assert abs(d - s * np.sqrt(inner_g0(t.delta, t.delta, Field.COMPLEX))) < 5e-9
 
 
 def test_geodesic_k1_closed_form_matches_expm():
@@ -223,7 +225,7 @@ def test_geodesic_k1_closed_form_matches_expm():
         t = random_horizontal(rng, pt)
         for s in (0.2, 1.1):
             Va = geodesic_stiefel_k1(pt.V[None], t.H[None], s)[0]
-            pa = point_from_stiefel(Va)
+            pa = point_from_stiefel(Va, field)
             pb = geodesic(pt, t, s)
             assert frob(pa.P - pb.P) < 1e-10
     assert np.allclose(geodesic_stiefel_k1(pt.V[None], zeros(field, 4, 1)[None], 0.5)[0], pt.V)
@@ -231,7 +233,7 @@ def test_geodesic_k1_closed_form_matches_expm():
 
 def test_cp1_geodesic_period_pi():
     """Unit-speed great circles of CP^1 close up at s = π (frozen fixture)."""
-    pt = point_from_stiefel(np.array([[1.0 + 0j], [0.0]]))
+    pt = point_from_stiefel(np.array([[1.0 + 0j], [0.0]]), Field.COMPLEX)
     t = rand_unit_tangent(np.random.default_rng(8), pt)
     gaps = [frob(geodesic(pt, t, s).P - pt.P) for s in (np.pi / 2, np.pi)]
     assert gaps[0] > 0.5
@@ -248,7 +250,7 @@ def test_sectional_curvature_basics():
     x = rand_unit_tangent(rng, pt)
     assert abs(sectional_curvature_g0(x, x.scaled(2.0))) < 1e-12
     # G2(R4): orthogonal 2-plane directions span a flat
-    ptI = point_from_stiefel(np.eye(4)[:, :2])
+    ptI = point_from_stiefel(np.eye(4)[:, :2], Field.REAL)
     H1 = np.zeros((4, 2))
     H1[2, 0] = 1.0
     H2 = np.zeros((4, 2))
@@ -263,8 +265,8 @@ def test_sectional_curvature_matches_lift_bracket():
         fr = frame_lift(pt)
         x, y = random_horizontal(rng, pt), random_horizontal(rng, pt)
         direct = sectional_curvature_g0(x, y)
-        br = bracket(lie_lift(fr, x).mat, lie_lift(fr, y).mat)
-        assert abs(direct - inner_g0(br, br)) < 1e-9 * max(1.0, direct)
+        br = bracket(lie_lift(fr, x).mat, lie_lift(fr, y).mat, field)
+        assert abs(direct - inner_g0(br, br, field)) < 1e-9 * max(1.0, direct)
 
 
 def test_cp2_pinching_and_normalization():
@@ -327,7 +329,7 @@ def test_curvature_normalization_spelling_and_scale():
 def _tangent_real_basis(pt):
     """Real orthonormal basis of the horizontal space at pt."""
     f = pt.field
-    W = complete_basis(pt.V)[:, pt.k:]
+    W = complete_basis(pt.V, f)[:, pt.k:]
     units = {Field.REAL: (1.0,), Field.COMPLEX: (1.0, 1j),
              Field.QUATERNION: (quat(1, 0, 0, 0), quat(0, 1, 0, 0),
                                 quat(0, 0, 1, 0), quat(0, 0, 0, 1))}[f]
@@ -346,12 +348,13 @@ def _max_sec_from(pt, x, rounds=12):
     """Alternating maximization of |[X~,Y~]|₀² over unit pairs from x."""
     basis = _tangent_real_basis(pt)
     d = len(basis)
+    f = pt.field
 
     def quad_matrix(z):
         br = []
         for e in basis:
-            C1 = matmul(ct(e.H), z.H) - matmul(ct(z.H), e.H)
-            C2 = matmul(e.H, ct(z.H)) - matmul(z.H, ct(e.H))
+            C1 = matmul_stack(ct_stack(e.H, f), z.H, f) - matmul_stack(ct_stack(z.H, f), e.H, f)
+            C2 = matmul_stack(e.H, ct_stack(z.H, f), f) - matmul_stack(z.H, ct_stack(e.H, f), f)
             br.append((C1, C2))
         M = np.zeros((d, d))
         for a in range(d):
@@ -412,7 +415,7 @@ def test_j_apply_contract():
     assert frob(jjt.H + t.H) < 1e-12
     assert abs(jt.norm() - t.norm()) < 1e-12
     with pytest.raises(ValueError):
-        j_apply(point_from_stiefel(np.eye(3)[:, :1]), 1j, t)
+        j_apply(point_from_stiefel(np.eye(3)[:, :1], Field.REAL), 1j, t)
     with pytest.raises(ValueError):
         j_apply(pt, 0.5 + 0.5j, t)
     pth = rand_point(rng, Field.QUATERNION, 3, 1)
@@ -487,8 +490,8 @@ def test_wirtinger_gauge_invariance():
         else:
             u = zeros(field, 1, 1)
             u[0, 0] = quat(np.cos(0.7), 0.0, np.sin(0.7), 0.0)
-        pt2 = point_from_stiefel(matmul(pt.V, u))
-        x2 = GrassTangent(pt2, matmul(x.H, u))
-        y2 = GrassTangent(pt2, matmul(y.H, u))
+        pt2 = point_from_stiefel(matmul_stack(pt.V, u, field), field)
+        x2 = GrassTangent(pt2, matmul_stack(x.H, u, field))
+        y2 = GrassTangent(pt2, matmul_stack(y.H, u, field))
         th2 = wirtinger_angle([x2, y2], x2)
         assert abs(th1 - th2) < 1e-8

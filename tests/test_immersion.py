@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pullconn import cli
 from pullconn.algebra import (
-    Field, ct, eye, field_of, frob, inner_re, matmul, orthonormalize, random_matrix,
+    Field, ct_stack, eye, frob, inner_re, matmul_stack, orthonormalize, random_matrix,
 )
 from pullconn.catalog import (
     CATALOG,
@@ -71,12 +71,12 @@ def test_analytic_differential_matches_finite_differences(chart, u):
 @pytest.mark.parametrize("chart,u", closed_form_charts(),
                          ids=lambda c: c.name + "-" + c.field.value if isinstance(c, ImmersionChart) else None)
 def test_differentials_are_horizontal_and_points_are_projectors(chart, u):
-    pt = chart(u)
+    pt, f = chart(u), chart.field
     P = pt.P
-    assert frob(matmul(P, P) - P) < 1e-12
-    assert frob(P - ct(P)) < 1e-12
+    assert frob(matmul_stack(P, P, f) - P) < 1e-12
+    assert frob(P - ct_stack(P, f)) < 1e-12
     for t in differential(chart, u):
-        assert frob(matmul(ct(pt.V), t.H)) < 1e-9
+        assert frob(matmul_stack(ct_stack(pt.V, f), t.H, f)) < 1e-9
 
 
 def test_clifford_gram_is_constant_fixture():
@@ -141,7 +141,7 @@ def test_point_frame_gauge_keeps_gram_and_projector():
     pf1 = point_frame(veronese(2), [0.3, -0.2], gauge=g)
     assert np.max(np.abs(pf0.gram - pf1.gram)) < 1e-12
     assert frob(pf0.pt.P - pf1.pt.P) < 1e-12
-    assert frob(pf1.pt.V - matmul(pf0.pt.V, g)) < 1e-12
+    assert frob(pf1.pt.V - pf0.pt.V @ g) < 1e-12
 
 
 def test_degenerate_chart_raises_not_immersion():
@@ -397,7 +397,7 @@ def test_registry_builds_all_entries():
         assert chart.dim >= 1
         u = np.zeros(chart.dim) + 0.11
         pt = chart(u)
-        assert frob(matmul(pt.P, pt.P) - pt.P) < 1e-10
+        assert frob(matmul_stack(pt.P, pt.P, chart.field) - pt.P) < 1e-10
     with pytest.raises(KeyError):
         build_chart("no-such-example")
 
@@ -420,7 +420,7 @@ def test_grassmann_sub_is_totally_geodesic_with_rank_two():
 
 def _exp_pair_chart(field=Field.REAL, N=4, k=2):
     rng = np.random.default_rng(9)
-    pt = point_from_stiefel(orthonormalize(random_matrix(rng, field, N, k)))
+    pt = point_from_stiefel(orthonormalize(random_matrix(rng, field, N, k), field), field)
     X = random_horizontal(rng, pt)
     X = GrassTangent(pt, X.H / X.norm())
     Y = random_horizontal(rng, pt)
@@ -432,7 +432,8 @@ def batch_charts():
     """Every `list` example over each of its fields (perturbed over R and H
     on the linear and hline bases), and an exponential chart.  The linear
     charts over R and C have N = 4, so their projector stacks (B, 4, 4) have
-    the shape that algebra.is_quat reads as one quaternion matrix."""
+    the shape of one quaternion matrix; the checks pass the chart's field to
+    the algebra, which never reads it from a shape."""
     cases = [(name, field, {}) for name, entry in CATALOG.items() if name != "perturbed"
              for field in entry.fields]
     cases += [("perturbed", Field.REAL, {"base": "linear"}),
@@ -457,10 +458,11 @@ def test_batched_evaluation_matches_single_points(chart):
         pt = chart(u)
         assert np.max(np.abs(P[b] - pt.P)) < 1e-14
         assert np.max(np.abs(V[b] - pt.V)) < 1e-14
-        # one row read by the single-point algebra: same field, P = V V*, V* V = I
-        assert field_of(pt.V) is chart.field and field_of(pt.P) is chart.field
-        assert frob(matmul(pt.V, ct(pt.V)) - P[b]) < 1e-14
-        assert frob(matmul(ct(pt.V), pt.V) - eye(chart.field, chart.k)) < 1e-12
+        # one row through the algebra of the chart's field: P = V V*, V* V = I
+        f = chart.field
+        assert pt.field is f
+        assert frob(matmul_stack(pt.V, ct_stack(pt.V, f), f) - P[b]) < 1e-14
+        assert frob(matmul_stack(ct_stack(pt.V, f), pt.V, f) - eye(f, chart.k)) < 1e-12
 
 
 def analytic_stacks():

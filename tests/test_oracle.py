@@ -7,7 +7,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pullconn.algebra import Field, frob, inner_re, matmul, orthonormalize, random_matrix
+from pullconn.algebra import Field, frob, inner_re, matmul_stack, orthonormalize, random_matrix
 from pullconn.catalog import (
     build_chart,
     clifford_torus,
@@ -20,7 +20,6 @@ from pullconn.connection import alpha_basis
 from pullconn.immersion import differential, point_frame, second_fundamental_form
 from pullconn.oracle import (
     _skew_exp,
-    _stiefel_rows,
     base_transport,
     curvature_pairing_fd,
     dr_oracle,
@@ -28,6 +27,7 @@ from pullconn.oracle import (
     fit_m_generator,
     gram_at,
     holonomy_generator,
+    holonomy_map,
     left_mult_matrix,
     lemma_omega_check,
     m_basis,
@@ -36,7 +36,7 @@ from pullconn.oracle import (
 )
 from reference import covariant_derivative, curvature_oracle, curvature_raw, sectional_base_fd
 from pullconn.homogeneous import (
-    GrassTangent, frame_lift, lie_lift, point_from_stiefel, random_horizontal,
+    GrassTangent, frame_lift, lie_lift, point_from_stiefel, random_horizontal, stiefel_points,
 )
 
 
@@ -64,8 +64,8 @@ def test_curvature_antisymmetry_and_anti_self_adjointness():
         pt = chart(u)
         c1 = random_matrix(rng, pt.field, pt.k, 1)
         c2 = random_matrix(rng, pt.field, pt.k, 1)
-        w = matmul(pt.V, c1)
-        v = matmul(pt.V, c2)
+        w = matmul_stack(pt.V, c1, pt.field)
+        v = matmul_stack(pt.V, c2, pt.field)
         i, j = 0, 1
         rij = curvature_oracle(chart, u, i, j, w)
         rji = curvature_oracle(chart, u, j, i, w)
@@ -83,10 +83,10 @@ def test_covariant_derivative_metric_compatibility():
     c2 = random_matrix(rng, Field.COMPLEX, 3, 1)
 
     def s1(up):
-        return matmul(chart(up).P, c1)
+        return chart(up).P @ c1
 
     def s2(up):
-        return matmul(chart(up).P, c2)
+        return chart(up).P @ c2
 
     for i in range(2):
         def slope(h):
@@ -107,7 +107,7 @@ def test_parallel_transport_stays_in_fiber_and_preserves_norm():
         w1, pt1 = parallel_transport(chart, u, u1, pt.V, steps=60)
         drift = abs(inner_re(w1, w1) - inner_re(pt.V, pt.V))
         assert drift < 1e-9
-        assert frob(w1 - matmul(pt1.P, w1)) < 1e-9
+        assert frob(w1 - matmul_stack(pt1.P, w1, pt1.field)) < 1e-9
         back, _ = parallel_transport(chart, u1, u, w1, steps=60)
         assert frob(back - pt.V) < 1e-8
 
@@ -123,30 +123,48 @@ def test_parallel_transport_is_fourth_order():
     assert e5 / e10 >= 8.0
 
 
-def _raw_matrix(chart, u, i, j):
-    """Real fibre matrix of the raw operator P [d_i P, d_j P]."""
-    pt = chart(u)
-    field, k = pt.field, pt.k
+def _fibre_matrix(field, k, image, base):
+    """Real matrix M[b·d + s, a·d + t] = <image_a q_t, base_b q_s> over the
+    real units q of the field, one pairing at a time."""
     units = scalar_units(field)
     d = len(units)
 
-    def fib(base, a, q):
-        col = base[:, a:a + 1]
+    def fib(cols, a, q):
+        col = cols[:, a:a + 1]
         if field is Field.QUATERNION:
             qm = np.zeros((1, 1, 4))
             qm[0, 0] = q
-            return matmul(col, qm)
+            return matmul_stack(col, qm, field)
         return col * q
 
-    Rv = curvature_raw(chart, u, i, j, pt.V)
     M = np.zeros((k * d, k * d))
     for a in range(k):
         for t, q in enumerate(units):
-            img = fib(Rv, a, q)
+            img = fib(image, a, q)
             for b in range(k):
                 for s, qs in enumerate(units):
-                    M[b * d + s, a * d + t] = inner_re(img, fib(pt.V, b, qs))
+                    M[b * d + s, a * d + t] = inner_re(img, fib(base, b, qs))
     return M
+
+
+def _raw_matrix(chart, u, i, j):
+    """Real fibre matrix of the raw operator P [d_i P, d_j P]."""
+    pt = chart(u)
+    return _fibre_matrix(pt.field, pt.k, curvature_raw(chart, u, i, j, pt.V), pt.V)
+
+
+@pytest.mark.parametrize("chart,u", [
+    (grassmann_sub(2, 4, 5), np.array([0.3, -0.2, 0.1, 0.4])),
+    (veronese(2), np.array([0.3, -0.2])),
+    (quaternionic_line(3), np.array([0.2, -0.1, 0.3, 0.05])),
+], ids=["gsub", "veronese", "hline"])
+def test_holonomy_generator_is_the_log_of_the_paired_return_matrix(chart, u):
+    """holonomy_generator reads the return matrix off V0* T; pairing the
+    transported frame with the start frame one unit at a time is the
+    reference."""
+    pt0, T = holonomy_map(chart, u, 0, 1, 0.02)
+    want = np.real(sla.logm(_fibre_matrix(pt0.field, pt0.k, T, pt0.V)))
+    assert np.max(np.abs(holonomy_generator(chart, u, 0, 1, 0.02) - want)) < 1e-13
 
 
 @pytest.mark.parametrize("chart,u", [
@@ -204,7 +222,7 @@ def test_m_basis_fit_roundtrip():
 
 def _unit_pair(rng, field, N, k):
     """A random point and an orthonormal pair of horizontal tangents there."""
-    pt = point_from_stiefel(orthonormalize(random_matrix(rng, field, N, k)))
+    pt = point_from_stiefel(orthonormalize(random_matrix(rng, field, N, k), field), field)
     X = random_horizontal(rng, pt)
     X = GrassTangent(pt, X.H / X.norm())
     Y = random_horizontal(rng, pt)
@@ -242,14 +260,15 @@ def test_eigh_exponential_matches_expm(field, N, k):
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
 def test_stiefel_rows_follow_point_from_stiefel(field):
-    """Orthonormal rows are kept as they are; a row off by more than 1e-8
-    is orthonormalized, as point_from_stiefel does for one point."""
+    """stiefel_points keeps orthonormal rows of a stack as they are and
+    orthonormalizes a row off by more than 1e-8, as point_from_stiefel
+    does for one point."""
     rng = np.random.default_rng(4)
-    V = np.array([orthonormalize(random_matrix(rng, field, 4, 2)) for _ in range(3)])
+    V = np.array([orthonormalize(random_matrix(rng, field, 4, 2), field) for _ in range(3)])
     V[1] = V[1] * (1.0 + 1e-6)
-    Vs, Ps = _stiefel_rows(V, field)
+    Vs, Ps = stiefel_points(V, field)
     for b in range(3):
-        pt = point_from_stiefel(V[b])
+        pt = point_from_stiefel(V[b], field)
         assert np.max(np.abs(Vs[b] - pt.V)) < 1e-15
         assert np.max(np.abs(Ps[b] - pt.P)) < 1e-14
     assert np.array_equal(Vs[0], V[0]) and not np.array_equal(Vs[1], V[1])
@@ -279,7 +298,7 @@ def test_pairing_antisymmetric_in_base_arguments(seed):
     y = rng.standard_normal(2)
     pt = chart(u)
     w = pt.V
-    v = matmul(pt.V, 1j * np.ones((1, 1)))
+    v = pt.V * 1j
     a = curvature_pairing_fd(chart, u, x, y, w, v)
     b = curvature_pairing_fd(chart, u, y, x, w, v)
     assert abs(a + b) < 1e-8 * max(1.0, abs(a))
@@ -289,13 +308,13 @@ def test_dr_oracle_vanishes_for_parallel_pullbacks():
     chart = totally_real(2)
     u = np.array([0.2, -0.3])
     w = chart(u).V
-    v = matmul(w, 1j * np.ones((1, 1)))
+    v = w * 1j
     assert abs(dr_oracle(chart, u, [1, 0], [0, 1], [1, 0], w, v)) < 1e-8
     for d in (2, 3):
         ch = veronese(d)
         u = np.array([0.3, -0.2])
         w = ch(u).V
-        v = matmul(w, 1j * np.ones((1, 1)))
+        v = w * 1j
         assert abs(dr_oracle(ch, u, [1, 0], [0, 1], [1, 0], w, v)) < 1e-6
 
 

@@ -254,7 +254,7 @@ def _cm_record(cm, reason=None):
         return {"value": None, "grid_best": None, "gap": None, "rounds": None,
                 "converged": None, "reason": reason}
     return {"value": float(cm.value), "grid_best": float(cm.grid_best),
-            "gap": float(cm.grid_gap), "rounds": int(cm.rounds),
+            "gap": float(cm.gap), "rounds": int(cm.rounds),
             "converged": bool(cm.converged), "reason": None}
 
 

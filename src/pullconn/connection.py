@@ -6,9 +6,10 @@ Conventions.  A vertical probe alpha is a normalized anti-Hermitian k-by-k
 scalar block: over R a decomposable x y^T - y x^T built from an orthonormal
 pair, over C and H (rank one) a unit imaginary scalar.  The action on
 tangents is J_alpha : H -> -H alpha; pairings against curvature use
-half the g0 inner product of frame brackets.  All alpha-extremizations
-below are exact: linear functionals maximize to coefficient norms, and
-quadratic forms minimize to extreme eigenvalues.
+half the g0 inner product of frame brackets.  The alpha-extremizations
+below are exact (linear functionals maximize to coefficient norms, and
+quadratic forms minimize to extreme eigenvalues), except fatness with more
+than one probe: a certified sphere search, `immersion._pencil_extreme`.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .immersion import (
     ImmersionChart,
     PointFrame,
     SecondFF,
-    _sphere_net,
+    _pencil_extreme,
     point_frame,
     second_fundamental_form,
     shape_norm,
@@ -50,130 +51,44 @@ def curvature_norm(x: GrassTangent, alpha: AlphaElement, tangents: GrassTangent)
 
 
 @dataclass(frozen=True)
-class FatnessResult:
-    margin: float
-    alpha: Optional[AlphaElement]
-    degenerate: bool
-    gap: float  # certification slack of the probe minimization
-    grid_low: float = 0.0  # smallest value on the probe net
-    x: Optional[np.ndarray] = None  # minimizing unit tangent, frame coordinates
-    rounds: int = 0          # most refinement rounds any start took; 0 when exact
-    converged: bool = True   # every start stopped by its rule before the round cap
+class FatnessResult(CertifiedMax):
+    """The probe minimization: value is the margin and argmax = (probe
+    coefficients in the basis of `alpha_basis`, unit tangent in frame
+    coordinates); degenerate, with value 0, where there are no probes."""
+
+    degenerate: bool = False
+
+    @property
+    def margin(self) -> float:
+        return self.value
 
     @property
     def fat(self) -> Optional[bool]:
-        if self.degenerate:
-            return None
-        return bool(self.margin > STRICT_EPS)
+        return None if self.degenerate else bool(self.margin > STRICT_EPS)
 
     @property
     def theta(self) -> CertifiedMax:
-        """Rank one over C and H: the maximal Wirtinger angle, cos θ = margin.
-
-        The certificate margin − gap ≤ min bounds θ by arccos(margin − gap).
-        """
-        theta = float(np.arccos(np.clip(self.margin, 0.0, 1.0)))
-        theta_grid = float(np.arccos(np.clip(self.grid_low, 0.0, 1.0)))
-        upper = float(np.arccos(np.clip(self.margin - self.gap, 0.0, 1.0)))
-        return CertifiedMax(theta, (self.x, None), theta_grid, upper - theta,
+        """Rank one over C and H: the maximal Wirtinger angle, cos θ = margin,
+        with argmax = (unit tangent, probe).  The certificate margin − gap ≤
+        min bounds θ by arccos(margin − gap)."""
+        theta, grid, upper = (float(np.arccos(np.clip(c, 0.0, 1.0)))
+                              for c in (self.margin, self.grid_best, self.margin - self.gap))
+        return CertifiedMax(theta, self.argmax[::-1], grid, upper - theta,
                             self.rounds, self.converged)
 
 
-FATNESS_REFINE_ROUNDS = 40  # most refinement rounds per start of the S² search
+FATNESS_NET_RESOLUTION = 17  # lattice points per axis of the probe sphere net
 
 
 def fatness_margin(pf: PointFrame) -> FatnessResult:
-    """min over unit tangents and probes of twice the curvature norm.
-
-    Equals the smallest singular value of the tangential J_alpha action
-    L(a) = Σ_t a_t L_t, minimized over the probe family; for rank one over C
-    and H it is also cos θ of the maximal Wirtinger angle.  Over R and C the
-    family is finite and the minimum exact.  Over H the probes a form the
-    sphere S²: σ_min, an even function of a, is evaluated on a net of
-    spacing δ up to sign, and the best four net points are refined in
-    lockstep as one stack.  Each round takes the better of an alternating
-    step (fix a: x is the right singular vector; fix x: a is the λ_min
-    eigenvector of the Gram of the L_t x) and a Gauss-Newton step on the
-    residual L(a)x, which converges fast where the minimum is zero and
-    alternation crawls; a start is frozen once a round lowers its value by
-    at most 1e-15.  `gap = margin − lower` certifies lower ≤ true
-    minimum, with lower the larger of
-
-    * grid_low − ℓδ, as σ_min(L(a)) is ℓ = ‖[L_1 | L_2 | L_3]‖₂-Lipschitz;
-    * √(grid_low² − Λδ), as σ_min² = m + λ_min(Σ_st a_s a_t R_st) changes
-      by at most Λ = √2 (Σ_st ‖R_st‖₂²)^½ times ‖a − b‖, where
-      R_st = S_st − m δ_st I, S_st = ½(L_sᵀL_t + L_tᵀL_s) and m is the
-      mean eigenvalue of the S_tt.  Λ = 0 when the L_t act as the
-      quaternion units, so there the bound is grid_low itself;
-
-    less an allowance for rounding in the computed singular values.
-    """
-    basis = pf.probes
-    if not basis:
-        return FatnessResult(0.0, None, True, 0.0)
-    Ls = pf.L
-    if pf.pt.field is not Field.QUATERNION:
-        _, s, Vt = np.linalg.svd(Ls)
-        i = int(np.argmin(s[:, -1]))
-        return FatnessResult(float(s[i, -1]), basis[i], False, 0.0,
-                             grid_low=float(s[i, -1]), x=Vt[i, -1])
-
-    n = pf.n
-    net, delta = _sphere_net(3, 17)
-    vals = np.linalg.svd(np.einsum("mt,tba->mba", net, Ls), compute_uv=False)[:, -1]
-    grid_low = float(vals.min())
-
-    def sig_min(P):
-        """σ_min(L(a)) and its right singular vector for every row a of P."""
-        s, Vt = np.linalg.svd(np.einsum("st,tba->sba", P, Ls))[1:]
-        return s[:, -1], Vt[:, -1]
-
-    a = net[np.argsort(vals, kind="stable")[:4]]
-    cur, x = sig_min(a)
-    rounds = np.zeros(len(a), dtype=int)
-    live = np.arange(len(a))
-    for _ in range(FATNESS_REFINE_ROUNDS):
-        al, xl = a[live], x[live]
-        Lx = np.einsum("tba,sa->stb", Ls, xl)          # L_t x
-        La = np.einsum("st,tba->sba", al, Ls)          # L(a)
-        r = np.einsum("sba,sa->sb", La, xl)            # the residual L(a)x = Σ_t a_t L_t x
-        # Gauss-Newton on the residual, tangent to both spheres: the
-        # minimum-norm solution of J (da, dx) = −r
-        J = np.concatenate([Lx.swapaxes(1, 2) - r[:, :, None] * al[:, None, :],
-                            La - r[:, :, None] * xl[:, None, :]], axis=2)
-        step = al + np.einsum("sij,sj->si", np.linalg.pinv(J), -r)[:, :3]
-        step /= np.linalg.norm(step, axis=1, keepdims=True)
-        eig = np.linalg.eigh(np.einsum("stb,sub->stu", Lx, Lx))[1][:, :, 0]
-        cand = np.concatenate([eig, step])
-        cv, cx = sig_min(cand)
-        m = len(live)
-        gn = cv[m:] < cv[:m]   # the better of the two steps; ties go to the eigen-step
-        nv = np.where(gn, cv[m:], cv[:m])
-        rounds[live] += 1
-        go = cur[live] - nv > 1e-15
-        nxt = live[go]
-        cur[nxt] = nv[go]
-        a[nxt] = np.where(gn[:, None], cand[m:], cand[:m])[go]
-        x[nxt] = np.where(gn[:, None], cx[m:], cx[:m])[go]
-        live = nxt
-        if not len(live):
-            break
-    j = int(np.argmin(cur))
-    margin, bx, barg = float(cur[j]), x[j], a[j]
-
-    G = np.einsum("sba,tbc->stac", Ls, Ls)  # G[s, t] = L_sᵀ L_t
-    S = 0.5 * (G + G.transpose(1, 0, 2, 3))
-    m = np.sum(Ls**2) / (3 * n)  # Σ_t tr S_tt / 3n
-    R = S - m * np.eye(3)[:, :, None, None] * np.eye(n)
-    lip = np.linalg.norm(Ls.transpose(1, 0, 2).reshape(n, 3 * n), 2)
-    quad = np.sqrt(2.0 * np.sum(np.linalg.norm(R, 2, axis=(2, 3)) ** 2))
-    lower = max(grid_low - lip * delta, np.sqrt(max(grid_low**2 - quad * delta, 0.0)))
-    lower -= 10 * n * np.finfo(float).eps * lip  # rounding in the computed σ_min
-    q = np.zeros(4)
-    q[1:] = barg
-    return FatnessResult(margin, AlphaElement.imaginary_unit(Field.QUATERNION, q), False,
-                         max(margin - lower, 0.0), grid_low, bx, int(rounds.max()),
-                         not len(live))
+    """min over unit tangents and probes of twice the curvature norm: the
+    least σ_min of the tangential J-action L(a) = Σ_t a_t L_t over unit
+    probe coefficients a, by `_pencil_extreme`; for rank one over C and H
+    it is also cos θ of the maximal Wirtinger angle."""
+    if not pf.probes:
+        return FatnessResult(0.0, (None, None), 0.0, 0.0, degenerate=True)
+    return FatnessResult(**vars(_pencil_extreme(pf.L, largest=False,
+                                                resolution=FATNESS_NET_RESOLUTION)))
 
 
 # ----------------------------------------------------------------------------

@@ -7,11 +7,12 @@ one call of the chart's analytic formula when it has one, otherwise from
 central finite differences of the projector map with one Richardson level,
 every stencil point in one chart call.  Second derivatives always use
 finite differences.
-The shape norm is a maximization over the tangent sphere; it returns a
-refined value together with a grid certificate: for each grid direction the
-inner optimization is solved exactly, so the global maximum is bounded by
-refined value + lipschitz · net spacing.  The sphere nets cover directions
-up to sign, are built once and are capped at NET_BUDGET points.
+The shape norm here and the fatness margin of `connection` are the maximum
+of σ_max and the minimum of σ_min of a linear matrix pencil
+T(a) = Σ_t a_t T_t over unit a.  One routine, `_pencil_extreme`, solves
+both: a covering net of the sphere up to sign (built once, at most
+NET_BUDGET points), lockstep refinement of the best net points, and a
+bound on the true extreme from the net's radius.
 """
 from __future__ import annotations
 
@@ -316,7 +317,7 @@ def second_fundamental_form(
 
 
 # ----------------------------------------------------------------------------
-# certified sphere maximizations
+# the certified sphere extremizer
 # ----------------------------------------------------------------------------
 
 NET_BUDGET = 10_000  # most points in one sphere net
@@ -329,10 +330,10 @@ def _surface_count(dim: int, resolution: int) -> int:
 
 @lru_cache(maxsize=None)
 def _sphere_net(dim: int, resolution: int):
-    """Deterministic covering net of S^{dim-1} up to sign, built once per
-    (dim, resolution) and returned read-only.
+    """Deterministic covering net of S^{dim-1} up to sign, dim ≥ 2, built
+    once per (dim, resolution) and returned read-only.
 
-    Both searched functions are even, f(x) = f(−x), so the net need only
+    The searched functions are even, f(x) = f(−x), so the net need only
     cover each direction up to sign.  It is the normalized lattice points
     of {−1, −1 + 2/(r−1), …, 1}^dim on the cube surface ‖v‖∞ = 1 whose
     first nonzero coordinate is positive, (r^dim − (r−2)^dim)/2 of them,
@@ -350,88 +351,144 @@ def _sphere_net(dim: int, resolution: int):
     past that, the net is the axes e_i, which every unit vector is within
     √2 of up to sign.
     """
-    if dim == 1:
-        net, delta = np.ones((1, 1)), 0.0
+    while resolution > 2 and _surface_count(dim, resolution) > NET_BUDGET:
+        resolution -= 1
+    if _surface_count(dim, resolution) > NET_BUDGET:
+        net, delta = np.eye(dim), float(np.sqrt(2.0))
     else:
-        while resolution > 2 and _surface_count(dim, resolution) > NET_BUDGET:
-            resolution -= 1
-        if _surface_count(dim, resolution) > NET_BUDGET:
-            net, delta = np.eye(dim), float(np.sqrt(2.0))
-        else:
-            side = resolution - 1   # the lattice scaled to integers 2j − side
-            grid = np.arange(-side, side + 1, 2)
-            flat = np.stack(np.meshgrid(*([grid] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-            first = flat[np.arange(len(flat)), np.argmax(flat != 0, axis=1)]
-            flat = flat[(np.abs(flat).max(axis=1) == side) & (first > 0)]
-            net = flat / np.linalg.norm(flat, axis=1, keepdims=True)
-            delta = float(np.sqrt(dim - 1) / side)
+        side = resolution - 1   # the lattice scaled to integers 2j − side
+        grid = np.arange(-side, side + 1, 2)
+        flat = np.stack(np.meshgrid(*([grid] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+        first = flat[np.arange(len(flat)), np.argmax(flat != 0, axis=1)]
+        flat = flat[(np.abs(flat).max(axis=1) == side) & (first > 0)]
+        net = flat / np.linalg.norm(flat, axis=1, keepdims=True)
+        delta = float(np.sqrt(dim - 1) / side)
     net.flags.writeable = False
     return net, delta
 
 
 @dataclass(frozen=True)
 class CertifiedMax:
+    """A certified maximum or minimum over a sphere: the refined value, the
+    best net value grid_best, and gap = |bound − value| for the certified
+    bound, so value + gap bounds a maximum and value − gap a minimum."""
+
     value: float
-    argmax: tuple
+    argmax: tuple            # (sphere point, singular vector) at the extreme
     grid_best: float
-    grid_gap: float
-    rounds: int = 0          # most refinement rounds any start took
+    gap: float
+    rounds: int = 0          # most refinement rounds any start took; 0 when exact
     converged: bool = True   # every start stopped by its rule before the round cap
 
     @property
     def upper_bound(self) -> float:
-        return max(self.value, self.grid_best) + self.grid_gap
+        return self.value + self.gap
+
+
+REFINE_ROUNDS = 60  # most refinement rounds per start
+
+
+def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedMax:
+    """max over unit a of σ_max(T(a)), or min of σ_min(T(a)), for the pencil
+    T(a) = Σ_t a_t T_t of T (p, m, n); argmax = (a, x) with x the extreme
+    right singular vector of T(a).  p = 1 is one exact SVD.
+
+    σ(T(a)) is even in a; it is evaluated on _sphere_net(p, resolution), of
+    radius δ up to sign (σ_max as √λ_max of the Gram T(a)ᵀT(a), σ_min by
+    SVD, which resolves it near 0).  The best four net points are refined in
+    lockstep.  A maximum fixes the left singular vector u of T(a) and takes
+    (a, x) as the top singular pair of the rows uᵀT_t.  A minimum takes the
+    better of an alternating step (a is the λ_min eigenvector of the Gram of
+    the T_t x) and a Gauss-Newton step on T(a)x, which converges near a zero
+    minimum, where alternation crawls.  A start stops once a round improves
+    its value v by at most 1e-15·max(1, v), or after REFINE_ROUNDS.
+
+    The certified bound is the better of grid ± ℓδ, as σ(T(a)) is
+    ℓ = ‖[T_1 | … | T_p]‖₂-Lipschitz, and √(grid² ± Λδ), as
+    σ² = c + λ(Σ_st a_s a_t R_st) moves by at most Λ‖a − b‖ with
+    Λ = √2 (Σ_st ‖R_st‖₂²)^½, R_st = S_st − c δ_st I, S_st = ½(T_sᵀT_t + T_tᵀT_s)
+    and c the mean eigenvalue of the S_tt (Λ = 0 for the quaternion units);
+    less a rounding allowance.
+    """
+    p, m, n = T.shape
+    j = 0 if largest else -1
+    if p == 1:
+        _, s, Vt = np.linalg.svd(T)
+        return CertifiedMax(float(s[0, j]), (np.ones(1), Vt[0, j]), float(s[0, j]), 0.0)
+    sign = 1.0 if largest else -1.0
+    G = np.einsum("sci,tcj->stij", T, T)   # G[s, t] = T_sᵀ T_t
+
+    def sig(A):
+        """σ(T(a)) and its left and right singular vectors for every row a of A."""
+        U, s, Vt = np.linalg.svd(np.einsum("st,tij->sij", A, T))
+        return s[:, j], U[:, :, j], Vt[:, j]
+
+    net, delta = _sphere_net(p, resolution)
+    if largest:
+        gram = ((net[:, :, None] * net[:, None, :]).reshape(-1, p * p)
+                @ G.reshape(p * p, n * n)).reshape(-1, n, n)
+        vals = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    else:
+        vals = np.linalg.svd(np.einsum("st,tij->sij", net, T), compute_uv=False)[:, -1]
+    order = np.argsort(-sign * vals, kind="stable")[:4]
+    grid = float(vals[order[0]])
+
+    a = net[order]
+    cur, u, x = sig(a)
+    live = np.arange(len(a))
+    for rounds in range(1, REFINE_ROUNDS + 1):   # the longest-lived start's count
+        if largest:
+            na = np.linalg.svd(np.einsum("si,tij->stj", u[live], T))[0][:, :, 0]
+            nv, nu, nx = sig(na)
+        else:
+            al, xl = a[live], x[live]
+            Tx = np.einsum("tij,sj->sti", T, xl)         # T_t x
+            Ta = np.einsum("st,tij->sij", al, T)         # T(a)
+            r = np.einsum("sij,sj->si", Ta, xl)          # the residual T(a)x = Σ_t a_t T_t x
+            # Gauss-Newton on the residual, tangent to both spheres: the
+            # minimum-norm solution of J (da, dx) = −r
+            J = np.concatenate([Tx.swapaxes(1, 2) - r[:, :, None] * al[:, None, :],
+                                Ta - r[:, :, None] * xl[:, None, :]], axis=2)
+            step = al + np.einsum("sij,sj->si", np.linalg.pinv(J), -r)[:, :p]
+            step /= np.linalg.norm(step, axis=1, keepdims=True)
+            eig = np.linalg.eigh(np.einsum("sti,sui->stu", Tx, Tx))[1][:, :, 0]
+            cand = np.concatenate([eig, step])
+            cv, cu, cx = sig(cand)
+            k = len(live)
+            pick = np.arange(k) + k * (cv[k:] < cv[:k])   # ties go to the eigen-step
+            na, nv, nu, nx = cand[pick], cv[pick], cu[pick], cx[pick]
+        old = cur[live]
+        go = sign * (nv - old) > 1e-15 * np.maximum(1.0, old)
+        live = live[go]
+        cur[live], a[live], u[live], x[live] = nv[go], na[go], nu[go], nx[go]
+        if not len(live):
+            break
+    b = int(np.argmax(sign * cur))
+    value = max(float(cur[b]), grid) if largest else min(float(cur[b]), grid)
+
+    R2 = G + G.transpose(1, 0, 2, 3)                       # 2 S_st, then 2 R_st
+    R2[np.diag_indices(p)] -= 2.0 * np.sum(T**2) / (p * n) * np.eye(n)
+    w = np.linalg.eigvalsh(R2)                             # ‖R_st‖₂ from the extreme eigenvalues
+    quad = np.sqrt(0.5 * np.sum(np.maximum(-w[..., 0], w[..., -1]) ** 2))
+    lip = np.sqrt(max(np.linalg.eigvalsh(G.transpose(0, 2, 1, 3).reshape(p * n, p * n))[-1], 0.0))
+    lin = grid + sign * lip * delta
+    root = np.sqrt(max(grid**2 + sign * quad * delta, 0.0))
+    bound = (min(lin, root) if largest else max(lin, root)) \
+        + sign * 10 * max(m, n) * np.finfo(float).eps * lip   # rounding in the computed σ
+    return CertifiedMax(value, (a[b], x[b]), grid, abs(float(bound) - value),
+                        rounds, not len(live))
 
 
 SHAPE_NET_RESOLUTION = 9  # lattice points per axis of the shape norm's sphere net
-SHAPE_REFINE_ROUNDS = 60  # most alternating refinement rounds per start
 
 
 def shape_norm(ff: SecondFF) -> CertifiedMax:
-    """|S(p)| = max over unit tangent X and unit normal η of |S_η X|.
-
-    For each X the maximization over η and the output direction is an exact
-    singular value problem, so a net over the X-sphere certifies the result.
-    The best net point and the n axes are refined together, as one stack,
-    by alternating maximization (fix X: η is the top left singular vector
-    of A·X; fix η: X is the top singular vector of Σ_c η_c A_c), which
-    never lowers the value; a start stops once a round raises its value by
-    at most 1e-15 relative.
-    """
+    """|S(p)| = max over unit tangent X and unit normal η of |S_η X|: the
+    largest σ_max(A·x) over unit x, A[c, a, b] = <II_ab, ν_c> for an
+    orthonormal basis ν of the span of II; argmax[0] is the unit tangent."""
     n = ff.pf.n
     nu = _orthonormalize_real_span(ff.II.H[np.triu_indices(n)], tol=1e-10)
     if not len(nu):
         return CertifiedMax(0.0, (np.zeros(n), None), 0.0, 0.0)
     A = GrassTangent(ff.pf.pt, nu).pair(ff.II)   # A[c, a, b] = <II_ab, ν_c>
-    lipschitz = float(np.sqrt(np.sum(A**2)))
-
-    def eta_max(X: np.ndarray):
-        """σ_max(A·x) and its left singular vector η for every row x of X."""
-        U, s, _ = np.linalg.svd(np.einsum("cab,sb->sca", A, X))
-        return s[:, 0], U[:, :, 0]
-
-    net, delta = _sphere_net(n, SHAPE_NET_RESOLUTION)
-    # σ_max(A·x)² = λ_max(Σ_bd x_b x_d Q_bd), Q_bd = Σ_c A_c[:, b] A_c[:, d]ᵀ:
-    # one matmul and one batched n×n eigvalsh for the whole net
-    Q = np.einsum("cab,ced->bdae", A, A).reshape(n * n, n * n)
-    gram = ((net[:, :, None] * net[:, None, :]).reshape(-1, n * n) @ Q).reshape(-1, n, n)
-    sigma = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-    i = int(np.argmax(sigma))
-    grid_best = float(sigma[i])
-    X = np.concatenate([net[i:i + 1], np.eye(n)])
-    val, eta = eta_max(X)
-    rounds = np.zeros(len(X), dtype=int)
-    live = np.arange(len(X))
-    for _ in range(SHAPE_REFINE_ROUNDS):
-        Xn = np.linalg.svd(np.einsum("cab,sc->sab", A, eta[live]))[2][:, 0]
-        vn, en = eta_max(Xn)
-        rounds[live] += 1
-        old = val[live]
-        up = vn > old
-        val[live[up]], X[live[up]], eta[live[up]] = vn[up], Xn[up], en[up]
-        live = live[vn - old > 1e-15 * np.maximum(1.0, old)]   # the rest stopped rising
-        if not len(live):
-            break
-    j = int(np.argmax(val))
-    return CertifiedMax(max(float(val[j]), grid_best), (X[j], None), grid_best,
-                        lipschitz * delta, int(rounds.max()), not len(live))
+    return _pencil_extreme(A.transpose(2, 0, 1), largest=True, resolution=SHAPE_NET_RESOLUTION)

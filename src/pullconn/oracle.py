@@ -16,6 +16,7 @@ flips the sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -155,6 +156,23 @@ def curvature_pairing_fd(chart: ImmersionChart, u, x_coords, y_coords, w, v,
 # parallel transport and holonomy
 # ----------------------------------------------------------------------------
 
+def _rk4(A: np.ndarray, s: np.ndarray, mul: Callable, project: Optional[np.ndarray] = None):
+    """Classical RK4 for s' = A(t) s on [0, 1], A given at 2·steps + 1 equal
+    nodes, mul(M, s) the product; s ↦ mul(project[node], s) after each step."""
+    steps = (len(A) - 1) // 2
+    hstep = 1.0 / steps
+    for n in range(steps):
+        A1, A2, A4 = A[2 * n], A[2 * n + 1], A[2 * n + 2]
+        k1 = mul(A1, s)
+        k2 = mul(A2, s + (hstep / 2.0) * k1)
+        k3 = mul(A2, s + (hstep / 2.0) * k2)
+        k4 = mul(A4, s + hstep * k3)
+        s = s + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if project is not None:
+            s = mul(project[2 * n + 2], s)
+    return s
+
+
 def parallel_transport(chart: ImmersionChart, u0, u1, w0,
                        steps: int = TRANSPORT_STEPS):
     """Transport a fibre vector along the straight coordinate segment.
@@ -171,18 +189,8 @@ def parallel_transport(chart: ImmersionChart, u0, u1, w0,
     Hd = np.einsum("i,bi...->b...", du, H)   # horizontal form of P' = Σ du_i ∂_i P
     Pd = matmul_stack(Hd, ct_stack(V, f), f) + matmul_stack(V, ct_stack(Hd, f), f)
     A = matmul_stack(Pd, P, f) - matmul_stack(P, Pd, f)
-
-    s = np.array(w0, copy=True)
-    hstep = 1.0 / steps
-    for n in range(steps):
-        A1, A2, A4 = A[2 * n], A[2 * n + 1], A[2 * n + 2]
-        k1 = matmul_stack(A1, s, f)
-        k2 = matmul_stack(A2, s + (hstep / 2.0) * k1, f)
-        k3 = matmul_stack(A2, s + (hstep / 2.0) * k2, f)
-        k4 = matmul_stack(A4, s + hstep * k3, f)
-        s = s + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = matmul_stack(P[2 * n + 2], s, f)
-    return s, GrassPoint(f, chart.N, chart.k, V[-1], P[-1])
+    return (_rk4(A, np.asarray(w0), lambda M, v: matmul_stack(M, v, f), P),
+            GrassPoint(f, chart.N, chart.k, V[-1], P[-1]))
 
 
 def holonomy_map(chart: ImmersionChart, u, i: int, j: int, eps: float,
@@ -368,19 +376,9 @@ def base_transport(chart: ImmersionChart, u0, u1, x0, steps: int = 40) -> np.nda
     u0 = np.asarray(u0, dtype=float)
     u1 = np.asarray(u1, dtype=float)
     du = u1 - u0
-    x = np.array(x0, dtype=float)
     gamma = christoffel(chart, u0 + np.outer(np.linspace(0.0, 1.0, 2 * steps + 1), du))
     A = -np.einsum("blij,i->blj", gamma, du)
-
-    hstep = 1.0 / steps
-    for n in range(steps):
-        A1, A2, A4 = A[2 * n], A[2 * n + 1], A[2 * n + 2]
-        k1 = A1 @ x
-        k2 = A2 @ (x + (hstep / 2.0) * k1)
-        k3 = A2 @ (x + (hstep / 2.0) * k2)
-        k4 = A4 @ (x + hstep * k3)
-        x = x + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+    return _rk4(A, np.array(x0, dtype=float), np.matmul)
 
 
 DR_DELTA = 0.02             # curve parameter step of dr_oracle's central differences

@@ -162,11 +162,14 @@ def j_apply(pt, q, t: GrassTangent) -> GrassTangent:
 
 
 def wirtinger_angle(basis, x: GrassTangent) -> float:
-    """Angle θ(X) between the 𝔍-orbit of X and the span of `basis`.
+    """Angle θ(X) between the 𝔍-orbit of X and the span of the orthonormal
+    `basis`.
 
-    Complex: arccos(|Π_T(JX)|/|X|).  Quaternion: maximize the angle over
-    unit aI+bJ+cK — the minimum eigenvalue of the 3×3 Gram form of the
-    projected images.
+    Complex: the angle of JX against the span.  Quaternion: the largest
+    such angle over unit aI+bJ+cK, attained at the λ_min eigenvector a of
+    the 3×3 Gram form of the projected images.  θ = atan2(|normal part of
+    J_a X|, |tangential part of J_a X|), which resolves θ near 0, where
+    arccos of the tangential part alone cannot.
     """
     pt = x.base
     nx = x.norm()
@@ -175,15 +178,16 @@ def wirtinger_angle(basis, x: GrassTangent) -> float:
     coords = np.array([e.inner(x) for e in basis])
     if abs(np.dot(coords, coords) - nx**2) > 1e-6 * nx**2:
         raise ValueError("x does not lie in the span of the basis")
-    proj = [np.array([e.inner(j_apply(pt, q, x)) for e in basis])
-            for q in imaginary_units(pt.field)]
+    E = np.array([e.H for e in basis])
+    jx = np.array([j_apply(pt, q, x).H for q in imaginary_units(pt.field)])
+    proj = np.array([[inner_re(e, j) for e in E] for j in jx])
     if pt.field is Field.COMPLEX:
-        cosv = np.linalg.norm(proj[0]) / nx
-        return float(np.arccos(np.clip(cosv, 0.0, 1.0)))
-    G = np.array([[float(np.dot(a, b)) for b in proj] for a in proj]) / nx**2
-    w, _ = sym_eig_small(G, check=False)
-    lam = float(np.clip(w[0], 0.0, 1.0))
-    return float(np.arccos(np.sqrt(lam)))
+        a = np.ones(1)
+    else:
+        a = sym_eig_small(proj @ proj.T, check=False)[1][:, 0]
+    tangential = a @ proj
+    normal = np.tensordot(a, jx, axes=1) - np.tensordot(tangential, E, axes=1)
+    return float(np.arctan2(frob(normal), np.linalg.norm(tangential)))
 
 
 # ----------------------------------------------------------------------------

@@ -82,6 +82,20 @@ def test_hline_margin_one_with_tight_certificate(seed):
         assert res.gap <= 1e-12
 
 
+@pytest.mark.parametrize("chart,u", _points("grassmann-sub", {"k": 3}, 3, 0))
+def test_real_rank_three_margin_against_probe_sphere_sample(chart, u):
+    """Real rank three has the probes so(3): the margin is searched over
+    their sphere S², and stays below σ_min on a sample of it."""
+    pf = point_frame(chart, u)
+    res = fatness_margin(pf)
+    Ls = np.stack([jay_matrix(pf, a) for a in alpha_basis(pf.pt.field, pf.pt.k)])
+    assert Ls.shape == (3, pf.n, pf.n)
+    sample = np.linalg.svd(np.einsum("mt,tba->mba", SPHERE, Ls), compute_uv=False)[:, -1].min()
+    assert res.margin <= sample + 1e-12
+    assert res.margin - res.gap <= sample
+    assert res.rounds >= 1
+
+
 def _complex_and_quaternionic_charts():
     for name, entry in sorted(CATALOG.items()):
         for field in entry.fields:

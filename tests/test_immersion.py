@@ -28,11 +28,12 @@ from pullconn.constants import FD_STEP
 from pullconn.homogeneous import GrassTangent, point_from_stiefel, random_horizontal
 from pullconn.immersion import (
     NET_BUDGET,
-    SHAPE_REFINE_ROUNDS,
+    REFINE_ROUNDS,
     ChartDomainError,
     ImmersionChart,
     NotImmersionError,
     _orthonormalize_real_span,
+    _pencil_extreme,
     _sphere_net,
     differential,
     differential_stack,
@@ -331,11 +332,43 @@ def test_shape_refinement_stops_on_circles_of_maxima(chart, u):
 
 
 def test_shape_refinement_converges_on_sampled_points():
-    for example, params in [("veronese", {"d": 2}), ("veronese", {"d": 3}), ("clifford", {})]:
+    """Sampled veronese and clifford points converge, and their certificate
+    closes: the pencils have σ_max constant on the sphere, so Λ = 0."""
+    for example, params in [("veronese", {"d": 2}), ("veronese", {"d": 3}),
+                            ("veronese", {"d": 4}), ("clifford", {})]:
         chart = cli.make_chart(example, None, params)
         for u in cli.sample_points(chart, None, 8, 7, None):
             res = shape_norm(second_fundamental_form(chart, u))
-            assert res.converged and res.rounds < SHAPE_REFINE_ROUNDS
+            assert res.converged and res.rounds < REFINE_ROUNDS
+            assert res.gap <= 1e-9
+
+
+@pytest.mark.parametrize("largest", [True, False], ids=["max", "min"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_pencil_extreme_brackets_a_dense_sample(p, largest):
+    """On a random pencil T(a) = Σ_t a_t T_t the value is σ(T(a)) at the
+    reported (a, x), no point of a 20,000-point sample of the sphere beats
+    it, and none passes the certified bound value ± gap; p = 1 is exact."""
+    rng = np.random.default_rng(10 * p + largest)
+    T = rng.standard_normal((p, 4, 3))
+    res = _pencil_extreme(T, largest, 9)
+    a, x = res.argmax
+    Ta = np.tensordot(a, T, axes=1)
+    assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(Ta @ x) == pytest.approx(res.value, rel=1e-12)
+    probes = rng.standard_normal((20_000, p))
+    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+    s = np.linalg.svd(np.einsum("st,tij->sij", probes, T), compute_uv=False)
+    if largest:
+        assert s[:, 0].max() <= res.value + 1e-12
+        assert s[:, 0].max() <= res.value + res.gap
+    else:
+        assert res.value <= s[:, -1].min() + 1e-12
+        assert res.value - res.gap <= s[:, -1].min()
+    if p == 1:
+        assert res.gap == 0.0 and res.rounds == 0
+    else:
+        assert res.gap > 0.0 and res.rounds >= 1
 
 
 def test_point_without_probes_has_empty_j_stacks():

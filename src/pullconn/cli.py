@@ -532,41 +532,46 @@ def _rel_err(a: float, b: float, floor: float = 0.05) -> float:
 
 def _norm_vs_oracle(chart, u, h) -> float:
     """Worst relative error of the closed-form curvature norm against the
-    finite-difference oracle, over frame directions and vertical probes."""
+    finite-difference oracle, over frame directions and vertical probes;
+    one oracle call per probe pairs every two frame directions."""
     pf = point_frame(chart, u)
     worst = 0.0
     for alpha in pf.probes:
         w, v = alpha.fiber_pair(pf.pt.V)
+        comps = oracle.curvature_pairing_fd(chart, u, pf.coeff[:, None], pf.coeff[None], w, v,
+                                            h=h, use_analytic=False)
         for a in range(pf.n):
             closed = curvature_norm(pf.E[a], alpha, pf.E)
-            comps = [oracle.curvature_pairing_fd(
-                chart, u, pf.coeff[a], pf.coeff[c], w, v,
-                h=h, use_analytic=False) for c in range(pf.n)]
-            worst = max(worst, _rel_err(closed, float(np.linalg.norm(comps))))
+            worst = max(worst, _rel_err(closed, float(np.linalg.norm(comps[a]))))
     return worst
 
 
-def _dr_vs_oracle(chart, u, triples, fd_step) -> float:
+def _dr_vs_oracle(chart, u, triples, h) -> float:
     """Worst |closed-form derivative component - 2 x transported oracle|."""
-    kwargs = {} if fd_step is None else {"h": fd_step}
-    pf = point_frame(chart, u, **kwargs)
+    pf = point_frame(chart, u, h=h)
     ff = second_fundamental_form(chart, u, pf=pf)
     w, v = pf.probes[0].fiber_pair(pf.pt.V)
     worst = 0.0
     for triple in triples:
-        orc = oracle.dr_oracle(chart, u, *pf.coeff[list(triple)], w, v)
+        orc = oracle.dr_oracle(chart, u, *pf.coeff[list(triple)], w, v, h=h)
         worst = max(worst, abs(ff.DR[(0,) + triple] - 2.0 * orc))
     return worst
 
 
 def cmd_verify(args) -> tuple:
-    """Fixed battery: every closed-form quantity against a brute-force twin."""
+    """Fixed battery: every closed-form quantity against a brute-force twin.
+    timing.checks holds each row's seconds since the previous row."""
     h = args.fd_step if args.fd_step is not None else FD_STEP
     checks = []
+    seconds = {}
+    last = time.perf_counter()
 
-    def add(name, detail, value, tol):
+    def add(name, detail, value, tol, passed=None):
+        nonlocal last
         checks.append({"name": name, "detail": detail, "value": float(value),
-                       "tolerance": tol, "pass": bool(value < tol)})
+                       "tolerance": tol, "pass": bool(value < tol if passed is None else passed)})
+        now = time.perf_counter()
+        seconds[name], last = now - last, now
 
     chart = build_chart("clifford")
     err = max(_norm_vs_oracle(chart, np.array([0.3, -0.4]), h),
@@ -590,10 +595,8 @@ def cmd_verify(args) -> tuple:
 
     chart = build_chart("perturbed", amplitude=0.05, seed=7)
     err = max(
-        _dr_vs_oracle(chart, np.array([0.25, -0.3]), [(0, 1, 0), (0, 1, 1)],
-                      args.fd_step),
-        _dr_vs_oracle(chart, np.array([-0.45, 0.2]), [(0, 1, 0), (1, 0, 1)],
-                      args.fd_step),
+        _dr_vs_oracle(chart, np.array([0.25, -0.3]), [(0, 1, 0), (0, 1, 1)], h),
+        _dr_vs_oracle(chart, np.array([-0.45, 0.2]), [(0, 1, 0), (1, 0, 1)], h),
     )
     add("derivative-vs-transported-oracle/perturbed",
         "covariant derivative component against transported differences",
@@ -604,12 +607,11 @@ def cmd_verify(args) -> tuple:
     e1 = _norm_vs_oracle(chart, u0, 0.02)
     e2 = _norm_vs_oracle(chart, u0, 0.01)
     ratio = e1 / max(e2, 1e-15)
-    checks.append({"name": "fd-order/veronese",
-                   "detail": "halving the step shrinks the oracle error by 4x",
-                   "value": float(ratio), "tolerance": 4.0,
-                   "pass": bool(ratio >= 4.0)})
+    add("fd-order/veronese", "halving the step shrinks the oracle error by 4x",
+        ratio, 4.0, passed=ratio >= 4.0)
 
-    report = {"config": _config_echo(args, seed=None), "checks": checks}
+    report = {"config": _config_echo(args, seed=None), "checks": checks,
+              "timing": {"checks": seconds}}
     code = 0 if all(c["pass"] for c in checks) else 1
     return report, code
 
@@ -812,7 +814,7 @@ def main(argv=None) -> int:
         _check_flags(args)
         body, code = COMMANDS[args.command](args)
         report = {"schema": SCHEMA, "command": args.command, **body}
-        report["timing"] = {"seconds": time.perf_counter() - start}
+        report["timing"] = {"seconds": time.perf_counter() - start, **report.get("timing", {})}
         emit(report, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

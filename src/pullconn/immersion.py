@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import Field, frob_stack, inner_re, matmul_stack
+from .algebra import Field, frob_stack, matmul_stack
 from .constants import FD_STEP, FD_STEP2, IMMERSION_EPS
 from .homogeneous import GrassPoint, GrassTangent, alpha_basis
 
@@ -158,19 +158,18 @@ def _fd_stack(chart: ImmersionChart, U: np.ndarray, h: float):
 
 
 def _orthonormalize_real_span(H: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Modified Gram–Schmidt with *real* coefficients on a stack of
-    tangents H (m, ...), which span a real vector space even over C/H;
-    vectors whose residual norm falls below tol are dropped."""
-    out = []
-    for v in H:
-        v = np.array(v, copy=True)
-        for _ in range(2):
-            for q in out:
-                v = v - q * inner_re(v, q)
-        n = float(np.sqrt(max(inner_re(v, v), 0.0)))
-        if n >= tol:
-            out.append(v / n)
-    return np.array(out)
+    """Orthonormal basis, for the real inner product, of the *real* span of
+    a stack of tangents H (m, ...), which is a real vector space even over
+    C/H: the right singular vectors of the stacked real coordinates whose
+    singular values reach tol, from one SVD."""
+    R = H.reshape(len(H), -1)
+    if np.iscomplexobj(R):
+        R = np.concatenate([R.real, R.imag], axis=1)
+    _, s, Vt = np.linalg.svd(R, full_matrices=False)
+    B = Vt[s >= tol]
+    if np.iscomplexobj(H):
+        B = B[:, :B.shape[1] // 2] + 1j * B[:, B.shape[1] // 2:]
+    return B.reshape((len(B),) + H.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -250,30 +249,36 @@ def point_frame(chart: ImmersionChart, u, h: float = FD_STEP, gauge=None) -> Poi
 # second fundamental form
 # ----------------------------------------------------------------------------
 
-def _second_partials_P(chart: ImmersionChart, u: np.ndarray, h: float) -> np.ndarray:
-    """∂_i∂_j P at the steps h and h/2 from one chart call, shape
-    (2, n, n, N, N[, 4]).
+def _projector_stencil(chart: ImmersionChart, U: np.ndarray, h: float):
+    """Central first differences ∂_i P and second differences ∂_i∂_j P of
+    the projector at the steps h and h/2, at every row of U (B, n), from one
+    chart call on 1 + 4n² stencil rows per row: d (2, B, n, N, N[, 4]) and
+    dd (2, B, n, n, N, N[, 4]).
 
     Diagonal entries use the three-point stencil u ± step e_i, mixed ones
     the four corners u ± step e_i ± step e_j (i < j).
     """
-    n = chart.dim
+    B, n = U.shape
     steps = np.array([h, h / 2.0])
     eye = np.eye(n)
     i, j = np.triu_indices(n, 1)
     diag = np.stack([eye, -eye], axis=1)
     mixed = np.stack([eye[i] + eye[j], eye[i] - eye[j], eye[j] - eye[i], -eye[i] - eye[j]], axis=1)
     offsets = np.concatenate([diag.reshape(-1, n), mixed.reshape(-1, n)])
-    U = u + steps[:, None, None] * offsets
-    _, P = chart.eval_point(np.concatenate([u[None], U.reshape(-1, n)]))
-    P0, P = P[0], P[1:].reshape((2, len(offsets)) + P.shape[1:])
-    sq = (steps**2).reshape((2, 1) + (1,) * P0.ndim)
-    pd = P[:, :2 * n].reshape((2, n, 2) + P0.shape)
-    pm = P[:, 2 * n:].reshape((2, len(i), 4) + P0.shape)
-    out = np.empty((2, n, n) + P0.shape, dtype=P.dtype)
-    out[:, np.arange(n), np.arange(n)] = (pd[:, :, 0] - 2.0 * P0 + pd[:, :, 1]) / sq
-    out[:, i, j] = out[:, j, i] = (pm[:, :, 0] - pm[:, :, 1] - pm[:, :, 2] + pm[:, :, 3]) / (4.0 * sq)
-    return out
+    rows = U[:, None, None] + steps[:, None, None] * offsets
+    _, P = chart.eval_point(np.concatenate([U[:, None], rows.reshape(B, -1, n)], axis=1).reshape(-1, n))
+    P = P.reshape((B, 1 + 2 * len(offsets)) + P.shape[1:])
+    P0 = P[:, 0]
+    P = np.moveaxis(P[:, 1:].reshape((B, 2, len(offsets)) + P0.shape[1:]), 1, 0)
+    sq = (steps**2).reshape((2,) + (1,) * (P0.ndim + 1))
+    pd = P[:, :, :2 * n].reshape((2, B, n, 2) + P0.shape[1:])
+    pm = P[:, :, 2 * n:].reshape((2, B, len(i), 4) + P0.shape[1:])
+    d = (pd[:, :, :, 0] - pd[:, :, :, 1]) / (2.0 * steps.reshape(sq.shape))
+    dd = np.empty((2, B, n, n) + P0.shape[1:], dtype=P.dtype)
+    dd[:, :, np.arange(n), np.arange(n)] = (pd[:, :, :, 0] - 2.0 * P0[:, None] + pd[:, :, :, 1]) / sq
+    dd[:, :, i, j] = dd[:, :, j, i] = (pm[:, :, :, 0] - pm[:, :, :, 1] - pm[:, :, :, 2]
+                                       + pm[:, :, :, 3]) / (4.0 * sq)
+    return d, dd
 
 
 @dataclass(frozen=True)
@@ -305,7 +310,8 @@ def second_fundamental_form(
     if pf is None:
         pf = point_frame(chart, u)
     pt = pf.pt
-    ddP = GrassTangent(pt, _horizontal(pt.P, pt.V, _second_partials_P(chart, u, h), pt.field))
+    ddP = GrassTangent(pt, _horizontal(pt.P, pt.V, _projector_stencil(chart, u[None], h)[1][:, 0],
+                                       pt.field))
     normal = pf.project_normal(ddP).H
     raw = (4.0 * normal[1] - normal[0]) / 3.0
     II = GrassTangent(pt, np.einsum("ai,bj,ij...->ab...", pf.coeff, pf.coeff, raw))

@@ -5,6 +5,13 @@ Everything here is deliberately independent of the closed-form frame
 expressions — projector stencils, RK4 integration and matrix logarithms
 only — so agreement with the frame layer is evidence, not tautology.
 
+Every oracle makes one chart call per batch.  Christoffel symbols come
+from one projector stencil per node, never from analytic differentials.
+A transport evaluates the RK4 nodes of all its segments at once:
+`dr_oracle` stacks its four curve parameters, a holonomy loop its four
+legs and every loop size.  Holonomy generators are the Gregory series
+logarithm of the whole stack of return matrices.
+
 Orientation note.  The fibre curvature operator that holonomy actually
 measures is the raw projector bracket ``P [d_i P, d_j P]``;
 ``curvature_pairing_fd`` rescales it by ``bridge(field)`` so that pairings
@@ -19,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .algebra import (
     QL,
@@ -46,10 +52,8 @@ from .homogeneous import (
 )
 from .immersion import (
     ImmersionChart,
-    central_stencil,
-    differential,
+    _projector_stencil,
     differential_stack,
-    richardson_difference,
 )
 
 # ----------------------------------------------------------------------------
@@ -98,17 +102,18 @@ def m_basis(field: Field, k: int):
 
 def left_mult_matrix(field: Field, k: int, beta) -> np.ndarray:
     """Real matrix of c -> beta c on fibre coefficients, basis e_a * unit_t:
-    row b·d + s, column a·d + t holds component s of beta_ba unit_t."""
+    row b·d + s, column a·d + t holds component s of beta_ba unit_t.  beta
+    may be a stack (..., k, k[, 4])."""
     beta = np.asarray(beta)
     if field is Field.QUATERNION:
-        blocks = np.einsum("sxt,bax->bsat", QL, beta)      # beta_ba e_t = Σ_s QL[s, x, t] beta_ba[x] e_s
+        blocks = np.einsum("sxt,...bax->...bsat", QL, beta)  # beta_ba e_t = Σ_s QL[s, x, t] beta_ba[x] e_s
     elif field is Field.COMPLEX:
         blocks = np.stack([np.stack([beta.real, -beta.imag], -1),
-                           np.stack([beta.imag, beta.real], -1)], 1)   # [b, s, a, t]
+                           np.stack([beta.imag, beta.real], -1)], -3)   # [..., b, s, a, t]
     else:
-        blocks = beta[:, None, :, None]
-    d = blocks.shape[1]
-    return blocks.reshape(k * d, k * d).astype(float)
+        blocks = beta[..., :, None, :, None]
+    d = blocks.shape[-1]
+    return blocks.reshape(blocks.shape[:-4] + (k * d, k * d)).astype(float)
 
 
 def fit_m_generator(field: Field, k: int, G: np.ndarray):
@@ -117,39 +122,42 @@ def fit_m_generator(field: Field, k: int, G: np.ndarray):
     Returns (beta, residual): the anti-Hermitian scalar matrix whose
     left-multiplication matrix best matches G, and the Frobenius residual.
     """
-    basis = m_basis(field, k)
-    if not basis:
+    basis = np.array(m_basis(field, k))
+    if not len(basis):
         return None, float(np.linalg.norm(G))
-    cols = np.stack([left_mult_matrix(field, k, b).ravel() for b in basis], axis=1)
+    cols = left_mult_matrix(field, k, basis).reshape(len(basis), -1).T
     x, *_ = np.linalg.lstsq(cols, G.ravel(), rcond=None)
-    beta = basis[0] * 0.0
-    for xe, b in zip(x, basis):
-        beta = beta + float(xe) * b
-    residual = float(np.linalg.norm(G.ravel() - cols @ x))
-    return beta, residual
+    return np.tensordot(x, basis, axes=1), float(np.linalg.norm(G.ravel() - cols @ x))
 
 
 # ----------------------------------------------------------------------------
 # curvature stencils
 # ----------------------------------------------------------------------------
 
-def _ambient_derivatives(chart: ImmersionChart, u, h: float = FD_STEP,
-                         use_analytic: bool = True):
-    """d_i P as ambient matrices, via the differential machinery."""
-    D = differential(chart, u, h=h, use_analytic=use_analytic)
-    return D[0].base, [t.delta for t in D]
-
-
 def curvature_pairing_fd(chart: ImmersionChart, u, x_coords, y_coords, w, v,
-                         h: float = FD_STEP, use_analytic: bool = True) -> float:
+                         h: float = FD_STEP, use_analytic: bool = True):
     """Real pairing Re <R(X, Y) w, v> of the bridged fibre curvature, X and
-    Y given by coordinate components, from finite differences alone."""
-    pt, dP = _ambient_derivatives(chart, u, h=h, use_analytic=use_analytic)
-    DX = sum(float(c) * d for c, d in zip(x_coords, dP))
-    DY = sum(float(c) * d for c, d in zip(y_coords, dP))
+    Y given by coordinate components, from finite differences alone.
+
+    u (..., n), the coordinate vectors (..., n) and the fibre vectors
+    (..., N, m[, 4]) may carry leading stack axes, which broadcast; the
+    differentials at every row of u come from one differential_stack call.
+    """
+    U = np.asarray(u, dtype=float)
     f = chart.field
+    tail = 3 if f is Field.QUATERNION else 2
+    V, P, H = differential_stack(chart, U.reshape(-1, chart.dim), h, use_analytic)
+    V = V[:, None]
+    dP = matmul_stack(H, ct_stack(V, f), f) + matmul_stack(V, ct_stack(H, f), f)
+    dP = np.moveaxis(dP.reshape(U.shape[:-1] + dP.shape[1:]), -tail - 1, 0)   # dP[i] = ∂_i P
+    P = P.reshape(U.shape[:-1] + P.shape[1:])
+    x, y = (np.moveaxis(np.asarray(c, dtype=float), -1, 0)[(...,) + (None,) * tail]
+            for c in (x_coords, y_coords))
+    DX = sum(c * d for c, d in zip(x, dP))
+    DY = sum(c * d for c, d in zip(y, dP))
     comm = matmul_stack(DX, DY, f) - matmul_stack(DY, DX, f)
-    return inner_re(bridge(f) * matmul_stack(pt.P, matmul_stack(comm, w, f), f), v)
+    Rw = bridge(f) * matmul_stack(P, matmul_stack(comm, w, f), f)
+    return np.add.reduce((np.conj(v) * Rw).real, axis=tuple(range(-tail, 0)))
 
 
 # ----------------------------------------------------------------------------
@@ -173,57 +181,104 @@ def _rk4(A: np.ndarray, s: np.ndarray, mul: Callable, project: Optional[np.ndarr
     return s
 
 
+def _segment_nodes(u0, u1, steps: int):
+    """du = u1 − u0 and the 2·steps + 1 equal RK4 nodes of every straight
+    segment u0 → u1 (stacks (..., n)), node axis first."""
+    u0 = np.asarray(u0, dtype=float)
+    du = np.asarray(u1, dtype=float) - u0
+    return du, u0 + np.linspace(0.0, 1.0, 2 * steps + 1).reshape((-1,) + (1,) * du.ndim) * du
+
+
+def _transport_generator(chart: ImmersionChart, u0, u1, steps: int, h: float):
+    """V, P and the generator A = [P', P] of the fibre transport s' = A s at
+    the _segment_nodes of u0 → u1; one differential_stack call."""
+    du, nodes = _segment_nodes(u0, u1, steps)
+    V, P, H = differential_stack(chart, nodes.reshape(-1, chart.dim), h)
+    lead = nodes.shape[:-1]
+    V, P = V.reshape(lead + V.shape[1:]), P.reshape(lead + P.shape[1:])
+    Hd = np.einsum("...i,...ix->...x", du, H.reshape(lead + (chart.dim, -1))).reshape(V.shape)
+    f = chart.field
+    Pd = matmul_stack(Hd, ct_stack(V, f), f) + matmul_stack(V, ct_stack(Hd, f), f)   # P' = Σ du_i ∂_i P
+    return V, P, matmul_stack(Pd, P, f) - matmul_stack(P, Pd, f)
+
+
 def parallel_transport(chart: ImmersionChart, u0, u1, w0,
-                       steps: int = TRANSPORT_STEPS):
+                       steps: int = TRANSPORT_STEPS, h: float = FD_STEP):
     """Transport a fibre vector along the straight coordinate segment.
 
     Integrates s' = [P', P] s with classical RK4 and re-projects into the
-    fibre after every step.  The 2·steps + 1 RK4 nodes are
+    fibre after every step.  u1 may be a stack (S, n) of end points, with
+    w0 broadcasting against it; the RK4 nodes of every segment are
     evaluated up front in one batch.  Returns (w1, endpoint).
     """
-    u0 = np.asarray(u0, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
-    du = u1 - u0
-    V, P, H = differential_stack(chart, u0 + np.outer(np.linspace(0.0, 1.0, 2 * steps + 1), du))
+    V, P, A = _transport_generator(chart, u0, u1, steps, h)
     f = chart.field
-    Hd = np.einsum("i,bi...->b...", du, H)   # horizontal form of P' = Σ du_i ∂_i P
-    Pd = matmul_stack(Hd, ct_stack(V, f), f) + matmul_stack(V, ct_stack(Hd, f), f)
-    A = matmul_stack(Pd, P, f) - matmul_stack(P, Pd, f)
     return (_rk4(A, np.asarray(w0), lambda M, v: matmul_stack(M, v, f), P),
             GrassPoint(f, chart.N, chart.k, V[-1], P[-1]))
 
 
-def holonomy_map(chart: ImmersionChart, u, i: int, j: int, eps: float,
+LOG_TERMS = 60   # most odd terms of the series logarithm
+
+
+def _series_log(M: np.ndarray) -> np.ndarray:
+    """Real logarithm of a stack of real matrices near the identity, by
+    Gregory's series log M = 2 artanh(Z) = 2 Σ_j Z^{2j+1}/(2j+1) with
+    Z = (M − I)(M + I)⁻¹ (Higham, "Functions of Matrices", SIAM 2008,
+    §11.3), summed until every term is below its sum's rounding.  Raises
+    ValueError if M + I is singular, some ‖Z‖_F ≥ 1 or LOG_TERMS fall short."""
+    eye = np.eye(M.shape[-1])
+    Z = np.linalg.solve(M + eye, M - eye)   # M ± I commute
+    if not np.all(np.linalg.norm(Z, axis=(-2, -1)) < 1.0):
+        raise ValueError("return matrix too far from the identity for the series logarithm")
+    Z2 = Z @ Z
+    term = total = Z
+    for j in range(1, LOG_TERMS):
+        term = term @ Z2
+        step = term / (2 * j + 1)
+        total = total + step
+        if np.all(np.abs(step).max(axis=(-2, -1))
+                  <= np.finfo(float).eps * np.abs(total).max(axis=(-2, -1))):
+            return 2.0 * total
+    raise ValueError(f"series logarithm not converged in {LOG_TERMS} terms")
+
+
+def holonomy_map(chart: ImmersionChart, u, i: int, j: int, eps,
                  steps_per_leg: int = 10, order: str = "ij",
                  centered: bool = False):
     """Transport the fibre frame around a coordinate square of side eps.
 
     Returns (start point, transported frame).  order "ij" walks the i leg
-    first; "ji" walks the same square the other way around.
+    first; "ji" walks the same square the other way around.  eps may be an
+    array: one loop per entry, each with its own start point when
+    centered, and the start point and frame are stacked likewise.  The RK4
+    nodes of every leg of every loop come from one chart call.
     """
     u = np.asarray(u, dtype=float)
-    ei = np.zeros_like(u)
-    ei[i] = eps
-    ej = np.zeros_like(u)
-    ej[j] = eps
+    E = np.atleast_1d(np.asarray(eps, dtype=float))[:, None]
+    ei, ej = E * np.eye(len(u))[i], E * np.eye(len(u))[j]
     first, second = (ei, ej) if order == "ij" else (ej, ei)
-    c0 = u - 0.5 * (ei + ej) if centered else u
-    corners = [c0, c0 + first, c0 + first + second, c0 + second, c0]
-    pt0 = chart(corners[0])
-    s = np.array(pt0.V, copy=True)
-    for a, b in zip(corners[:-1], corners[1:]):
-        s, _ = parallel_transport(chart, a, b, s, steps=steps_per_leg)
-    return pt0, s
+    c0 = u - 0.5 * (ei + ej) if centered else np.broadcast_to(u, ei.shape)
+    corners = np.stack([c0, c0 + first, c0 + first + second, c0 + second, c0])
+    V, P, A = _transport_generator(chart, corners[:-1], corners[1:], steps_per_leg, FD_STEP)
+    f = chart.field
+    s = V0 = V[0, 0]
+    for leg in range(4):
+        s = _rk4(A[:, leg], s, lambda M, v: matmul_stack(M, v, f), P[:, leg])
+    P0 = P[0, 0]
+    if np.ndim(eps) == 0:
+        V0, P0, s = V0[0], P0[0], s[0]
+    return GrassPoint(f, chart.N, chart.k, V0, P0), s
 
 
-def holonomy_generator(chart: ImmersionChart, u, i: int, j: int, eps: float,
+def holonomy_generator(chart: ImmersionChart, u, i: int, j: int, eps,
                        steps_per_leg: int = 10, order: str = "ij",
                        centered: bool = False) -> np.ndarray:
     """log of the real fibre return matrix of the square loop: the real
-    matrix of c ↦ (V0* T) c on fibre coefficients."""
+    matrix of c ↦ (V0* T) c on fibre coefficients; stacked over an array
+    eps, as holonomy_map."""
     pt0, T = holonomy_map(chart, u, i, j, eps, steps_per_leg, order, centered)
     f = pt0.field
-    return np.real(sla.logm(left_mult_matrix(f, pt0.k, matmul_stack(ct_stack(pt0.V, f), T, f))))
+    return _series_log(left_mult_matrix(f, pt0.k, matmul_stack(ct_stack(pt0.V, f), T, f)))
 
 
 # ----------------------------------------------------------------------------
@@ -323,12 +378,10 @@ def lemma_omega_check(field, N: int, k: int, trials: int = 20,
         Xl, Yl = lie_lift(fr, X).mat, lie_lift(fr, Y).mat
         beta_ref = proj_m(matmul_stack(Xl, Yl, field) - matmul_stack(Yl, Xl, field), k)
 
-        def gen(e):
-            return holonomy_generator(chart, np.zeros(2), 0, 1, e,
-                                      steps_per_leg=steps_per_leg,
-                                      order="ji", centered=True) / e**2
-
-        G = (4.0 * gen(eps / 2.0) - gen(eps)) / 3.0
+        e = np.array([eps, eps / 2.0])
+        G = holonomy_generator(chart, np.zeros(2), 0, 1, e, steps_per_leg=steps_per_leg,
+                               order="ji", centered=True) / e[:, None, None]**2
+        G = (4.0 * G[1] - G[0]) / 3.0
         beta_fit, res = fit_m_generator(field, k, -G / 2.0)
         omegas.append(beta_fit)
         refs.append(beta_ref)
@@ -345,39 +398,39 @@ def lemma_omega_check(field, N: int, k: int, trials: int = 20,
 # transported derivative of the curvature pairing
 # ----------------------------------------------------------------------------
 
-def gram_at(chart: ImmersionChart, u) -> np.ndarray:
-    """Gram matrices G_ab = Re tr(D_b* D_a) of the coordinate differentials
-    at u of shape (..., n), one differential_stack call for all points."""
-    U = np.asarray(u, dtype=float)
-    n = chart.dim
-    _, _, H = differential_stack(chart, U.reshape(-1, n))
-    H = H.reshape(H.shape[0], n, -1)
-    return np.real(np.einsum("bax,bcx->bac", H, np.conj(H))).reshape(U.shape[:-1] + (n, n))
-
-
 def christoffel(chart: ImmersionChart, u, h: float = FD_STEP) -> np.ndarray:
     """Gamma[..., l, i, j] of the pulled-back metric at u of shape (..., n),
-    by Richardson differences of the Gram matrix; one gram_at call."""
+    from one chart call on one projector stencil per node.
+
+    The stencil (immersion._projector_stencil) is the centre, u ± s e_i
+    and the corners u ± s e_i ± s e_j (i < j) for s = h and h/2: 1 + 4n²
+    rows.  With ∂_aP and ∂_k∂_aP Richardson differences over h and h/2,
+    g_ab = ½ Re tr(∂_aP ∂_bP) and
+    ∂_k g_ab = ½ Re tr(∂_k∂_aP ∂_bP + ∂_aP ∂_k∂_bP).
+    """
     U = np.asarray(u, dtype=float)
     n = chart.dim
-    stencil = central_stencil(U.reshape(-1, n), h)
-    G = gram_at(chart, stencil)
-    d = richardson_difference(G, h)          # d[b, i, j, m] = ∂_i g_jm
-    ginv = np.linalg.inv(G[:, 0])
-    T = d + np.swapaxes(d, 1, 2) - np.moveaxis(d, 1, -1)
-    gamma = 0.5 * np.einsum("blm,bijm->blij", ginv, T)
+    X = U.reshape(-1, n)
+    chart.check_rows(X, 2 * h)
+    d, dd = ((4.0 * Z[1] - Z[0]) / 3.0 for Z in _projector_stencil(chart, X, h))
+    d = d.reshape(len(X), n, -1)                          # d[b, a] = ∂_a P, flat
+    dd = dd.reshape(len(X), n, n, -1)                     # dd[b, k, a] = ∂_k∂_a P, flat
+    g = 0.5 * np.real(np.einsum("bax,bcx->bac", d, np.conj(d)))
+    T = np.real(np.einsum("bkax,bcx->bkac", dd, np.conj(d)))
+    dg = 0.5 * (T + np.swapaxes(T, 2, 3))                 # dg[b, i, j, m] = ∂_i g_jm
+    T = dg + np.swapaxes(dg, 1, 2) - np.moveaxis(dg, 1, -1)
+    gamma = 0.5 * np.einsum("blm,bijm->blij", np.linalg.inv(g), T)
     return gamma.reshape(U.shape[:-1] + (n, n, n))
 
 
-def base_transport(chart: ImmersionChart, u0, u1, x0, steps: int = 40) -> np.ndarray:
-    """Levi-Civita transport of coordinate components along a straight
-    segment; the Christoffel symbols at all 2·steps + 1 RK4 nodes come from
-    one batched call."""
-    u0 = np.asarray(u0, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
-    du = u1 - u0
-    gamma = christoffel(chart, u0 + np.outer(np.linspace(0.0, 1.0, 2 * steps + 1), du))
-    A = -np.einsum("blij,i->blj", gamma, du)
+def base_transport(chart: ImmersionChart, u0, u1, x0, steps: int = 40,
+                   h: float = FD_STEP) -> np.ndarray:
+    """Levi-Civita transport of coordinate components x0 (n,) or columns
+    (n, m) along a straight segment; u1 may be a stack (S, n) of end points
+    when x0 has columns.  The Christoffel symbols at every RK4 node come
+    from one batched call."""
+    du, nodes = _segment_nodes(u0, u1, steps)
+    A = -np.einsum("...lij,...i->...lj", christoffel(chart, nodes, h), du)
     return _rk4(A, np.array(x0, dtype=float), np.matmul)
 
 
@@ -386,32 +439,27 @@ DR_TRANSPORT_STEPS = 24     # RK4 steps of the fibre transport per evaluation
 DR_BASE_STEPS = 12          # RK4 steps of the Levi-Civita transport per evaluation
 
 
-def dr_oracle(chart: ImmersionChart, u, x_coords, y_coords, z_coords, w0, v0) -> float:
+def dr_oracle(chart: ImmersionChart, u, x_coords, y_coords, z_coords, w0, v0,
+              h: float = FD_STEP) -> float:
     """Transported derivative of t -> Re <R(X_t, Y_t) w_t, v_t> at t = 0.
 
     Base arguments ride Levi-Civita transport of the pulled-back metric,
     fibre arguments ride the connection, and the derivative direction is
     the coordinate line through u with velocity z_coords.  Central
-    differences with one Richardson level.  Both base vectors share one
-    transport integration, as do both fibre sections.
+    differences with one Richardson level, t ∈ {±δ, ±δ/2}; the four curve
+    parameters are one stack, so the Christoffel symbols, the fibre
+    transport and the end-point pairing take one chart call each.  h is
+    the finite-difference step of all three.
     """
     u = np.asarray(u, dtype=float)
-    z = np.asarray(z_coords, dtype=float)
+    ut = u + np.outer(DR_DELTA * np.array([1.0, -1.0, 0.5, -0.5]), z_coords)
     xy0 = np.stack([np.asarray(x_coords, dtype=float),
                     np.asarray(y_coords, dtype=float)], axis=1)
     k = w0.shape[1]
-    wv0 = np.concatenate([w0, v0], axis=1)
-
-    def f(t: float) -> float:
-        ut = u + t * z
-        xy = base_transport(chart, u, ut, xy0, steps=DR_BASE_STEPS)
-        wv, _ = parallel_transport(chart, u, ut, wv0, steps=DR_TRANSPORT_STEPS)
-        return curvature_pairing_fd(chart, ut, xy[:, 0], xy[:, 1],
-                                    wv[:, :k], wv[:, k:])
-
-    def slope(dl: float) -> float:
-        return (f(dl) - f(-dl)) / (2.0 * dl)
-
-    g1 = slope(DR_DELTA)
-    g2 = slope(DR_DELTA / 2.0)
-    return (4.0 * g2 - g1) / 3.0
+    xy = base_transport(chart, u, ut, xy0, steps=DR_BASE_STEPS, h=h)
+    wv, _ = parallel_transport(chart, u, ut, np.concatenate([w0, v0], axis=1),
+                               steps=DR_TRANSPORT_STEPS, h=h)
+    f = curvature_pairing_fd(chart, ut, xy[..., 0], xy[..., 1], wv[:, :, :k], wv[:, :, k:], h=h)
+    g1 = (f[0] - f[1]) / (2.0 * DR_DELTA)
+    g2 = (f[2] - f[3]) / DR_DELTA
+    return float((4.0 * g2 - g1) / 3.0)

@@ -30,11 +30,20 @@ from pullconn.homogeneous import (
 )
 from pullconn.immersion import (
     _horizontal,
-    _second_partials_P,
+    _projector_stencil,
     central_stencil,
+    differential,
+    differential_stack,
     richardson_difference,
 )
-from pullconn.oracle import _ambient_derivatives, christoffel, gram_at
+from pullconn.oracle import (
+    DR_BASE_STEPS,
+    DR_DELTA,
+    DR_TRANSPORT_STEPS,
+    base_transport,
+    curvature_pairing_fd,
+    parallel_transport,
+)
 
 TOL_ALG = 1e-10  # exact linear algebra identities
 
@@ -212,7 +221,8 @@ def covariant_derivative(chart, u, i: int, section, h: float = FD_STEP, richards
 
 def curvature_raw(chart, u, i: int, j: int, w, h: float = FD_STEP):
     """P [d_i P, d_j P] w — unbridged, exactly what holonomy measures."""
-    pt, dP = _ambient_derivatives(chart, u, h=h)
+    D = differential(chart, u, h=h)
+    pt, dP = D[0].base, [t.delta for t in D]
     f = chart.field
     return matmul_stack(pt.P, matmul_stack(bracket(dP[i], dP[j], f), w, f), f)
 
@@ -248,9 +258,13 @@ def curvature_oracle(chart, u, i: int, j: int, w, method: str = "projector", h: 
 
 
 def sectional_base_fd(chart, u, x_coords, y_coords, h: float = FD_STEP2) -> float:
-    """Sectional curvature of the pulled-back metric from its Christoffels."""
+    """Sectional curvature of the pulled-back metric from its Christoffels.
+
+    Takes them from christoffel_nested: a difference of the single-stencil
+    christoffel of oracle would amplify its rounding, about 1e-9, to about
+    1e-6 at this step."""
     u = np.asarray(u, dtype=float)
-    gam_all = christoffel(chart, central_stencil(u[None], h)[0])
+    gam_all = christoffel_nested(chart, central_stencil(u[None], h)[0])
     dG = richardson_difference(gam_all[None], h)[0]   # dG[i] = ∂_i Gamma
     gam = gam_all[0]
     G = gram_at(chart, u)
@@ -268,6 +282,72 @@ def sectional_base_fd(chart, u, x_coords, y_coords, h: float = FD_STEP2) -> floa
     num = np.einsum("pkij,p,k,i,j->", Rlow, x, y, x, y)
     den = (x @ G @ x) * (y @ G @ y) - (x @ G @ y) ** 2
     return float(num / den)
+
+
+# ----------------------------------------------------------------------------
+# oracle twins: the nested Christoffel stencil and the per-entry loops that
+# the stacked oracles replaced
+# ----------------------------------------------------------------------------
+
+def gram_at(chart, u) -> np.ndarray:
+    """Gram matrices G_ab = Re tr(D_b* D_a) of the coordinate differentials
+    at u of shape (..., n), one differential_stack call for all points."""
+    U = np.asarray(u, dtype=float)
+    n = chart.dim
+    _, _, H = differential_stack(chart, U.reshape(-1, n))
+    H = H.reshape(H.shape[0], n, -1)
+    return np.real(np.einsum("bax,bcx->bac", H, np.conj(H))).reshape(U.shape[:-1] + (n, n))
+
+
+def christoffel_nested(chart, u, h: float = FD_STEP) -> np.ndarray:
+    """Gamma[..., l, i, j] at u of shape (..., n) by Richardson differences of
+    gram_at, itself a Richardson stencil on charts without analytic
+    differentials."""
+    U = np.asarray(u, dtype=float)
+    n = chart.dim
+    G = gram_at(chart, central_stencil(U.reshape(-1, n), h))
+    d = richardson_difference(G, h)          # d[b, i, j, m] = ∂_i g_jm
+    T = d + np.swapaxes(d, 1, 2) - np.moveaxis(d, 1, -1)
+    gamma = 0.5 * np.einsum("blm,bijm->blij", np.linalg.inv(G[:, 0]), T)
+    return gamma.reshape(U.shape[:-1] + (n, n, n))
+
+
+def holonomy_map_loop(chart, u, i: int, j: int, eps: float, steps_per_leg: int = 10,
+                      order: str = "ij", centered: bool = False):
+    """One square loop of one size, one parallel_transport call per leg."""
+    u = np.asarray(u, dtype=float)
+    ei = np.zeros_like(u)
+    ei[i] = eps
+    ej = np.zeros_like(u)
+    ej[j] = eps
+    first, second = (ei, ej) if order == "ij" else (ej, ei)
+    c0 = u - 0.5 * (ei + ej) if centered else u
+    corners = [c0, c0 + first, c0 + first + second, c0 + second, c0]
+    pt0 = chart(corners[0])
+    s = np.array(pt0.V, copy=True)
+    for a, b in zip(corners[:-1], corners[1:]):
+        s, _ = parallel_transport(chart, a, b, s, steps=steps_per_leg)
+    return pt0, s
+
+
+def dr_oracle_loop(chart, u, x_coords, y_coords, z_coords, w0, v0) -> float:
+    """dr_oracle with one transport pair and one pairing per curve parameter."""
+    u = np.asarray(u, dtype=float)
+    z = np.asarray(z_coords, dtype=float)
+    xy0 = np.stack([np.asarray(x_coords, dtype=float), np.asarray(y_coords, dtype=float)], axis=1)
+    k = w0.shape[1]
+    wv0 = np.concatenate([w0, v0], axis=1)
+
+    def f(t: float) -> float:
+        ut = u + t * z
+        xy = base_transport(chart, u, ut, xy0, steps=DR_BASE_STEPS)
+        wv, _ = parallel_transport(chart, u, ut, wv0, steps=DR_TRANSPORT_STEPS)
+        return curvature_pairing_fd(chart, ut, xy[:, 0], xy[:, 1], wv[:, :k], wv[:, k:])
+
+    def slope(dl: float) -> float:
+        return (f(dl) - f(-dl)) / (2.0 * dl)
+
+    return (4.0 * slope(DR_DELTA / 2.0) - slope(DR_DELTA)) / 3.0
 
 
 # ----------------------------------------------------------------------------
@@ -320,7 +400,7 @@ def second_fundamental_form_loop(chart, u, pf, h: float = FD_STEP2) -> np.ndarra
     horizontal part of each ∂_i∂_j P, minus its frame components, one
     Richardson level, then Σ_ij coeff[a, i] coeff[b, j] II(∂_i, ∂_j)."""
     pt, n, C = pf.pt, pf.n, pf.coeff
-    partials = _second_partials_P(chart, np.asarray(u, dtype=float), h)
+    partials = _projector_stencil(chart, np.asarray(u, dtype=float)[None], h)[1][:, 0]
 
     def normal(M):
         H = _horizontal(pt.P, pt.V, M, pt.field)

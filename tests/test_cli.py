@@ -1,5 +1,6 @@
 """End-to-end command line runs: exit codes, report schema, determinism."""
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -383,6 +384,62 @@ def test_verify_coarse_step_fails(tmp_path):
     assert code == 1
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
     assert "curvature-norm-vs-oracle/veronese" in failed
+
+
+def test_verify_fd_step_reaches_the_transported_oracle(tmp_path):
+    """--fd-step is the step of dr_oracle's Christoffel symbols, transports
+    and pairing too, so the derivative row moves with it."""
+    rows = []
+    for argv, name in ((["verify"], "a.json"), (["verify", "--fd-step", "2e-3"], "b.json")):
+        code, report = run_json(tmp_path, argv, name)
+        assert code == 0
+        rows.append({c["name"]: c["value"] for c in report["checks"]})
+    key = "derivative-vs-transported-oracle/perturbed"
+    assert rows[0][key] != rows[1][key]
+
+
+def test_verify_times_every_check(tmp_path):
+    _, report = run_json(tmp_path, ["verify"])
+    seconds = report["timing"]["checks"]
+    assert list(seconds) == [c["name"] for c in report["checks"]]
+    assert all(s >= 0.0 for s in seconds.values())
+    assert sum(seconds.values()) <= report["timing"]["seconds"]
+
+
+# chart work of one `verify` pass: 38 calls and 15,792 rows (182 calls and
+# 41,574 rows when the Christoffel stencil was nested and each holonomy leg,
+# curve parameter and frame pair took its own call)
+VERIFY_CHART_CALLS = 38
+VERIFY_CHART_ROWS = 15_792
+
+
+def test_verify_chart_work_stays_within_its_budget(monkeypatch, capsys):
+    """Counts the eval_point and analytic_diff calls, and their rows, of the
+    charts `verify` builds; a re-nested stencil or an unstacked loop fails
+    here without any timing."""
+    from pullconn import oracle
+
+    work = [0, 0]
+
+    def counted(fn):
+        def wrapped(U):
+            work[0] += 1
+            work[1] += len(U)
+            return fn(U)
+        return None if fn is None else wrapped
+
+    def traced(factory):
+        def build(*args, **kwargs):
+            chart = factory(*args, **kwargs)
+            return dataclasses.replace(chart, eval_point=counted(chart.eval_point),
+                                       analytic_diff=counted(chart.analytic_diff))
+        return build
+
+    monkeypatch.setattr(cli, "build_chart", traced(cli.build_chart))
+    monkeypatch.setattr(oracle, "exp_chart", traced(oracle.exp_chart))
+    assert main(["verify"]) == 0
+    capsys.readouterr()
+    assert work[0] <= VERIFY_CHART_CALLS and work[1] <= VERIFY_CHART_ROWS, work
 
 
 def test_flags_a_command_does_not_take_exit2(capsys):

@@ -42,6 +42,7 @@ from pullconn.immersion import (
     shape_norm,
 )
 from pullconn.oracle import exp_chart
+from reference import orthonormalize_real_span
 
 
 def closed_form_charts():
@@ -229,8 +230,8 @@ def test_shape_norm_net_matches_one_svd_per_point(chart, u):
     """The batched net evaluation against the per-point loop it replaced."""
     ff = second_fundamental_form(chart, u)
     n = ff.pf.n
-    nu = _orthonormalize_real_span(
-        np.array([ff.II[a][b].H for a in range(n) for b in range(a, n)]), tol=1e-10)
+    nu = [q.H for q in orthonormalize_real_span(
+        [ff.II[a][b] for a in range(n) for b in range(a, n)], tol=1e-10)]
     A = np.array([[[inner_re(ff.II[a][b].H, c) for b in range(n)] for a in range(n)]
                   for c in nu])
     net, _ = _sphere_net(n, 9)
@@ -238,6 +239,27 @@ def test_shape_norm_net_matches_one_svd_per_point(chart, u):
                for x in net)
     assert loop > 0.1
     assert shape_norm(ff).grid_best == pytest.approx(loop, rel=1e-12)
+
+
+@pytest.mark.parametrize("chart,u", [
+    (veronese(3), [0.1, 0.4]),
+    (linear_embedding(Field.REAL, 3, 5), [0.1, -0.4]),
+    (build_chart("perturbed", base="hline", amplitude=0.3), [0.2, -0.1, 0.3, 0.05]),
+], ids=["veronese-3", "linear-r", "perturbed-hline"])
+def test_real_span_basis_holds_every_entry(chart, u):
+    """The one-SVD basis of the span of II is orthonormal for the real
+    pairing and holds every entry, a repeated and a zero one included,
+    within its 1e-10 threshold."""
+    ff = second_fundamental_form(chart, u)
+    n = ff.pf.n
+    entries = ff.II.H[np.triu_indices(n)]
+    entries = np.concatenate([entries, entries[:1], 0 * entries[:1]])
+    nu = _orthonormalize_real_span(entries, tol=1e-10)
+    assert nu.shape[1:] == entries.shape[1:] and len(nu) <= n * (n + 1) // 2
+    basis = GrassTangent(ff.pf.pt, nu)
+    assert np.abs(basis.pair(basis) - np.eye(len(nu))).max(initial=0.0) < 1e-12
+    for e in entries:
+        assert frob(e - np.tensordot(basis.pair(GrassTangent(ff.pf.pt, e)), nu, axes=1)) < 1e-10
 
 
 @pytest.mark.parametrize("dim,resolution", [(2, 9), (3, 9), (4, 9), (3, 17)])
@@ -306,8 +328,8 @@ def test_shape_norm_against_dense_sample(chart, u):
     ff = second_fundamental_form(chart, u)
     res = shape_norm(ff)
     n = ff.pf.n
-    nu = _orthonormalize_real_span(
-        np.array([ff.II[a][b].H for a in range(n) for b in range(a, n)]), tol=1e-10)
+    nu = [q.H for q in orthonormalize_real_span(
+        [ff.II[a][b] for a in range(n) for b in range(a, n)], tol=1e-10)]
     A = np.array([[[inner_re(ff.II[a][b].H, c) for b in range(n)] for a in range(n)]
                   for c in nu])
     x = np.random.default_rng(5).standard_normal((20_000, n))

@@ -17,15 +17,22 @@ from pullconn.catalog import (
     veronese,
 )
 from pullconn.connection import alpha_basis
-from pullconn.immersion import differential, point_frame, second_fundamental_form
+from pullconn.immersion import (
+    central_stencil,
+    differential,
+    point_frame,
+    richardson_difference,
+    second_fundamental_form,
+)
 from pullconn.oracle import (
+    _series_log,
     _skew_exp,
     base_transport,
+    christoffel,
     curvature_pairing_fd,
     dr_oracle,
     exp_chart,
     fit_m_generator,
-    gram_at,
     holonomy_generator,
     holonomy_map,
     left_mult_matrix,
@@ -34,7 +41,16 @@ from pullconn.oracle import (
     parallel_transport,
     scalar_units,
 )
-from reference import covariant_derivative, curvature_oracle, curvature_raw, sectional_base_fd
+from reference import (
+    christoffel_nested,
+    covariant_derivative,
+    curvature_oracle,
+    curvature_raw,
+    dr_oracle_loop,
+    gram_at,
+    holonomy_map_loop,
+    sectional_base_fd,
+)
 from pullconn.homogeneous import (
     GrassTangent, frame_lift, lie_lift, point_from_stiefel, random_horizontal, stiefel_points,
 )
@@ -341,3 +357,95 @@ def test_sectional_base_fd_reference_values():
     assert abs(sectional_base_fd(clifford_torus(), [0.5, 1.0], [1, 0], [0, 1])) < 1e-6
     assert abs(sectional_base_fd(quaternionic_line(2), [0.2, -0.1, 0.3, 0.05],
                                  [1, 0, 0, 0], [0, 1, 0, 0]) - 4.0) < 1e-4
+
+
+def _nodes(chart, count, seed):
+    """Random coordinate rows inside the chart's box, 0.1 clear of its edges."""
+    lo, hi = np.array(chart.box, dtype=float).T
+    return lo + 0.1 + (hi - lo - 0.2) * np.random.default_rng(seed).random((count, chart.dim))
+
+
+STENCIL_CHARTS = [
+    build_chart("perturbed"),
+    veronese(3),
+    quaternionic_line(3),
+    build_chart("perturbed", base="hline", amplitude=0.3),
+    grassmann_sub(2, 4, 5),
+]
+
+
+@pytest.mark.parametrize("chart", STENCIL_CHARTS,
+                         ids=["perturbed", "veronese", "hline", "perturbed-hline", "gsub"])
+def test_christoffel_matches_the_nested_stencil(chart):
+    """One projector stencil per node against Richardson differences of the
+    Gram matrix of (analytic or Richardson) differentials."""
+    U = _nodes(chart, 12, 3)
+    assert np.max(np.abs(christoffel(chart, U) - christoffel_nested(chart, U))) < 1e-8
+
+
+@pytest.mark.parametrize("chart", STENCIL_CHARTS[:3], ids=["perturbed", "veronese", "hline"])
+def test_christoffel_is_metric_compatible(chart):
+    """∂_k g_ij = Γ^l_ki g_lj + Γ^l_kj g_il, with ∂g the Richardson
+    difference of gram_at."""
+    h = 1e-3
+    U = _nodes(chart, 4, 5)
+    G = gram_at(chart, central_stencil(U, h))
+    dg = richardson_difference(G, h)
+    gam = christoffel(chart, U)
+    g = G[:, 0]
+    want = np.einsum("blki,blj->bkij", gam, g) + np.einsum("blkj,bil->bkij", gam, g)
+    assert np.max(np.abs(dg - want)) < 1e-8
+
+
+def _near_identity(field, k, count, seed):
+    """Stack of left-multiplication matrices of I + 0.05·(random beta)."""
+    rng = np.random.default_rng(seed)
+    one = left_mult_matrix(field, k, np.eye(k) if field is not Field.QUATERNION
+                           else np.einsum("ab,q->abq", np.eye(k), np.eye(4)[0]))
+    return np.array([one + 0.05 * left_mult_matrix(field, k, random_matrix(rng, field, k, k))
+                     for _ in range(count)])
+
+
+@pytest.mark.parametrize("field,k", [(Field.REAL, 3), (Field.COMPLEX, 2), (Field.QUATERNION, 1)],
+                         ids=["r", "c", "h"])
+def test_series_log_matches_logm(field, k):
+    M = _near_identity(field, k, 6, 8)
+    want = np.array([np.real(sla.logm(m)) for m in M])
+    assert np.max(np.abs(_series_log(M) - want)) < 1e-13
+
+
+def test_series_log_raises_at_minus_identity():
+    """M + I singular, Z of norm above 1, and Z = 0.9, whose series needs
+    about 340 terms."""
+    with pytest.raises(ValueError):
+        _series_log(-np.eye(2))
+    with pytest.raises(ValueError):
+        _series_log(np.array([[19.0]]))
+    with pytest.raises(ValueError):
+        _series_log(np.array([np.eye(2), -np.eye(2) + 1e-3 * np.array([[0.0, 1.0], [-1.0, 0.0]])]))
+
+
+@pytest.mark.parametrize("chart,u", [
+    (veronese(2), np.array([0.3, -0.2])),
+    (build_chart("perturbed", amplitude=0.05, seed=7), np.array([0.25, -0.3])),
+    (quaternionic_line(3), np.array([0.2, -0.1, 0.3, 0.05])),
+], ids=["veronese", "perturbed", "hline"])
+@pytest.mark.parametrize("order,centered", [("ij", False), ("ji", True)])
+def test_stacked_holonomy_matches_one_loop_at_a_time(chart, u, order, centered):
+    eps = np.array([0.02, 0.01, 0.005])
+    pt0, T = holonomy_map(chart, u, 0, 1, eps, order=order, centered=centered)
+    for e, V0, Te in zip(eps, pt0.V, T):
+        ref0, ref = holonomy_map_loop(chart, u, 0, 1, e, order=order, centered=centered)
+        assert np.max(np.abs(V0 - ref0.V)) < 1e-12
+        assert np.max(np.abs(Te - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("chart,u", [
+    (build_chart("perturbed", amplitude=0.05, seed=7), np.array([0.25, -0.3])),
+    (build_chart("perturbed", field="h", base="hline"), np.array([0.25, -0.3, 0.1, 0.2])),
+], ids=["perturbed", "perturbed-hline"])
+def test_stacked_dr_oracle_matches_one_parameter_at_a_time(chart, u):
+    pf = point_frame(chart, u)
+    w, v = alpha_basis(chart.field, chart.k)[0].fiber_pair(pf.pt.V)
+    x, y, z = pf.coeff[[0, 1, 0]]
+    assert abs(dr_oracle(chart, u, x, y, z, w, v) - dr_oracle_loop(chart, u, x, y, z, w, v)) < 1e-12

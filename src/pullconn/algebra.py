@@ -1,11 +1,14 @@
 """Dense matrix algebra over the real, complex and quaternion scalar fields.
 
+This is the only module that knows how a scalar sits in a numpy array.
 Matrices over R and C are ordinary numpy arrays (float64 / complex128).
 Quaternion matrices are float64 arrays of shape (m, n, 4) holding the
-(1, i, j, k) components; a quaternion scalar is a shape-(4,) array.  The
-convention throughout the package is that scalar coefficients act on column
-vectors from the *right*, so that column spans stay well defined over the
-noncommutative scalars.
+(1, i, j, k) components; a quaternion scalar is a shape-(4,) array.  Other
+modules read the layout through `Field.matrix_ndim`, the real basis
+`units`, the real-coordinate map `to_real`/`from_real` and the right
+scalar action `scalar_right`.  The convention throughout the package is
+that scalar coefficients act on column vectors from the *right*, so that
+column spans stay well defined over the noncommutative scalars.
 
 Every matrix operation takes the field as an argument and never reads it
 from an array's shape: a stack of real 4×4 matrices has the (m, n, 4)
@@ -31,6 +34,11 @@ class Field(Enum):
     @property
     def real_dim(self) -> int:
         return {Field.REAL: 1, Field.COMPLEX: 2, Field.QUATERNION: 4}[self]
+
+    @property
+    def matrix_ndim(self) -> int:
+        """Array axes of one matrix: 2, or 3 over H (the component axis)."""
+        return 3 if self is Field.QUATERNION else 2
 
     @classmethod
     def parse(cls, s) -> "Field":
@@ -99,21 +107,57 @@ def qconj(a: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
+# real coordinates of scalars
+# ----------------------------------------------------------------------------
+
+def units(field: Field) -> np.ndarray:
+    """The real basis (1, i[, j, k]) of the field, one first, as scalars."""
+    if field is Field.QUATERNION:
+        return np.eye(4)
+    return np.array([1.0, 1.0j][:field.real_dim])
+
+
+def to_real(A: np.ndarray, field: Field) -> np.ndarray:
+    """Real components of every entry of A along a trailing axis of length
+    field.real_dim, in the order of `units`."""
+    A = np.asarray(A)
+    if field is Field.QUATERNION:
+        return A.astype(float, copy=False)
+    if field is Field.COMPLEX:
+        return np.stack([A.real, A.imag], axis=-1)
+    return A[..., None]
+
+
+def from_real(R: np.ndarray, field: Field) -> np.ndarray:
+    """Inverse of to_real: the scalars whose components lie along the
+    trailing axis of R."""
+    R = np.asarray(R)
+    if field is Field.QUATERNION:
+        return R
+    if field is Field.COMPLEX:
+        return R[..., 0] + 1j * R[..., 1]
+    return R[..., 0]
+
+
+def scalar_right(A: np.ndarray, q, field: Field) -> np.ndarray:
+    """Every entry of A times the scalar q, from the right."""
+    if field is Field.QUATERNION:
+        return np.einsum("stu,...t,u->...s", QL, A, q)
+    return np.asarray(A) * q
+
+
+# ----------------------------------------------------------------------------
 # field-generic matrix operations
 # ----------------------------------------------------------------------------
 
 def eye(field: Field, n: int) -> np.ndarray:
-    if field is Field.QUATERNION:
-        out = np.zeros((n, n, 4))
-        out[np.arange(n), np.arange(n), 0] = 1.0
-        return out
-    return np.eye(n, dtype=complex if field is Field.COMPLEX else float)
+    R = np.zeros((n, n, field.real_dim))
+    R[np.arange(n), np.arange(n), 0] = 1.0
+    return from_real(R, field)
 
 
 def zeros(field: Field, m: int, n: int) -> np.ndarray:
-    if field is Field.QUATERNION:
-        return np.zeros((m, n, 4))
-    return np.zeros((m, n), dtype=complex if field is Field.COMPLEX else float)
+    return from_real(np.zeros((m, n, field.real_dim)), field)
 
 
 def matmul_stack(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
@@ -188,8 +232,7 @@ def orthonormalize(A: np.ndarray, field: Field, tol: float = 1e-12) -> np.ndarra
     (numerically) in the span of the previous ones in any matrix.
     """
     A = np.asarray(A)
-    tail = 3 if field is Field.QUATERNION else 2
-    S = A.reshape((-1,) + A.shape[A.ndim - tail:])
+    S = A.reshape((-1,) + A.shape[A.ndim - field.matrix_ndim:])
     ncols = S.shape[2]
     scale = np.maximum(frob_stack(S) / max(np.sqrt(ncols), 1.0), 1.0)
     out = []
@@ -249,6 +292,27 @@ def expm_alg(A: np.ndarray, field: Field) -> np.ndarray:
     for _ in range(s):
         out = matmul_stack(out, out, field)
     return out
+
+
+def skew_exp(A: np.ndarray, field: Field):
+    """u ↦ the stack e^{u_b A} over the entries of a column u, for one
+    skew-Hermitian A.
+
+    Over R and C from one eigendecomposition iA = Q diag(w) Q*, so that
+    e^{uA} = Q diag(e^{−iuw}) Q* (Moler & Van Loan, "Nineteen dubious ways
+    to compute the exponential of a matrix, twenty-five years later", SIAM
+    Rev. 45, 2003, method 14); the real part over R.  Over H one expm_alg
+    call per entry.
+    """
+    if field is Field.QUATERNION:
+        return lambda u: np.array([expm_alg(A * float(t), field) for t in u])
+    w, Q = np.linalg.eigh(1j * A)
+    Qh = Q.conj().T
+
+    def expo(u):
+        E = (Q * np.exp(-1j * np.multiply.outer(u, w))[:, None, :]) @ Qh
+        return E.real if field is Field.REAL else E
+    return expo
 
 
 def random_matrix(rng: np.random.Generator, field: Field, m: int, n: int, scale: float = 1.0) -> np.ndarray:

@@ -6,12 +6,12 @@ differentials.  Registry names are the ones the command line accepts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
+from dataclasses import dataclass, replace
+from math import comb, isfinite
 
 import numpy as np
 
-from .algebra import Field, ct_stack, frob_stack, matmul_stack
+from .algebra import Field, ct_stack, frob_stack, from_real, matmul_stack, random_matrix
 from .homogeneous import geodesic_stiefel_k1, horizontal_stack, stiefel_points
 from .immersion import ImmersionChart
 
@@ -55,21 +55,12 @@ def linear_embedding(field: Field, m: int = 3, N: int = 4) -> ImmersionChart:
     n = field.real_dim * (m - 1)
 
     def cols(U: np.ndarray) -> np.ndarray:
-        """Columns (B, N, 1[, 4]) with entries 1, u-blocks, 0, ..."""
+        """Columns with entries 1, u-blocks, 0, ..., from real coordinates."""
         B = U.shape[0]
-        if field is Field.QUATERNION:
-            W = np.zeros((B, N, 1, 4))
-            W[:, 0, 0, 0] = 1.0
-            W[:, 1:m, 0] = U.reshape(B, m - 1, 4)
-        elif field is Field.COMPLEX:
-            W = np.zeros((B, N, 1), dtype=complex)
-            W[:, 0] = 1.0
-            W[:, 1:m, 0] = U[:, 0::2] + 1j * U[:, 1::2]
-        else:
-            W = np.zeros((B, N, 1))
-            W[:, 0] = 1.0
-            W[:, 1:m, 0] = U
-        return W
+        R = np.zeros((B, N, 1, field.real_dim))
+        R[:, 0, 0, 0] = 1.0
+        R[:, 1:m, 0] = U.reshape(B, m - 1, field.real_dim)
+        return from_real(R, field)
 
     box = tuple((-1.5, 1.5) for _ in range(n))
     return _k1_chart("linear", field, N, box, cols, _affine_dcols(cols, n),
@@ -146,18 +137,10 @@ def clifford_torus() -> ImmersionChart:
 # ----------------------------------------------------------------------------
 
 def quaternionic_line(N: int = 3) -> ImmersionChart:
+    """The linear chart of HP^1, under its own name."""
     if N < 2:
         raise ValueError("need N >= 2")
-
-    def cols(U: np.ndarray) -> np.ndarray:
-        W = np.zeros((U.shape[0], N, 1, 4))
-        W[:, 0, 0, 0] = 1.0
-        W[:, 1, 0] = U
-        return W
-
-    box = tuple((-1.5, 1.5) for _ in range(4))
-    return _k1_chart("hline", Field.QUATERNION, N, box, cols, _affine_dcols(cols, 4),
-                     {"N": N})
+    return replace(linear_embedding(Field.QUATERNION, 2, N), name="hline", params={"N": N})
 
 
 # ----------------------------------------------------------------------------
@@ -199,12 +182,7 @@ def perturbed(base: ImmersionChart = None, amplitude: float = 0.05,
     field = base.field
     omegas = rng.integers(1, 3, size=(modes, n)) * rng.choice([-1.0, 1.0], size=(modes, n))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=modes)
-    if field is Field.QUATERNION:
-        cvecs = rng.standard_normal((modes, base.N, 1, 4))
-    elif field is Field.COMPLEX:
-        cvecs = rng.standard_normal((modes, base.N, 1)) + 1j * rng.standard_normal((modes, base.N, 1))
-    else:
-        cvecs = rng.standard_normal((modes, base.N, 1))
+    cvecs = np.expand_dims(random_matrix(rng, field, modes, base.N), 2)   # (modes, N, 1[, 4])
     for i in range(modes):
         cvecs[i] = cvecs[i] / np.sqrt(np.sum(np.abs(cvecs[i]) ** 2))
 
@@ -241,6 +219,9 @@ class CatalogEntry:
     def build(self, field: Field = None, **params) -> ImmersionChart:
         p = dict(self.defaults)
         p.update({k: v for k, v in params.items() if v is not None})
+        for key, v in p.items():
+            if isinstance(v, float) and not isfinite(v):
+                raise ValueError(f"parameter '{key}' must be finite, got {v!r}")
 
         def whole(key: str) -> int:
             """An integer parameter; a fractional value is an error, not truncated."""

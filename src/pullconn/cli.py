@@ -11,9 +11,9 @@ sweep    one chart parameter over a range, one summary row per value
 
 Exit status: 0 on success, 1 when a declared expectation or verification
 check fails, 2 for configuration errors (bad flags, empty sweep ranges,
-sampling that would leave a chart's safe interior), 3 for an internal
-error: any other exception, reported as one ``error:`` line on stderr
-naming its type and message.
+sampling that would leave a chart's safe interior, an ``--out`` file that
+cannot be opened), 3 for an internal error: any other exception, reported
+as one ``error:`` line on stderr naming its type and message.
 
 Reports are a single JSON document (schema ``pullconn-report/1``) or a flat
 CSV.  Every numeric field is always present; a quantity that does not apply
@@ -68,7 +68,8 @@ def _coerce(text: str):
 
 
 def parse_params(pairs):
-    """``key=value`` strings to a dict with int/float coercion."""
+    """``key=value`` strings to a dict with int/float coercion; a key given
+    twice is an error."""
     out = {}
     for raw in pairs or []:
         if "=" not in raw:
@@ -77,6 +78,8 @@ def parse_params(pairs):
         key = key.strip()
         if not key:
             raise ConfigError(f"--param expects key=value, got '{raw}'")
+        if key in out:
+            raise ConfigError(f"--param '{key}' is given more than once")
         out[key] = _coerce(val.strip())
     return out
 
@@ -366,19 +369,27 @@ def aggregate_records(records, failures) -> dict:
 # ----------------------------------------------------------------------------
 
 def expectation_checks(entry, records, failures) -> list:
-    """Turn a catalog entry's headline properties into pass/fail checks."""
+    """Turn a catalog entry's headline properties into pass/fail checks.  A
+    residual check that no record defines passes neither way: its pass is
+    null, with the records' reason."""
     checks = [{
         "name": "immersion",
         "detail": "full-rank differential at every sampled point",
         "value": len(failures),
         "tolerance": 0,
         "pass": not failures,
+        "reason": None,
     }]
     exp = entry.expected
 
-    def add(name, detail, value, tol, ok):
+    def add(name, detail, value, tol, ok, reason=None):
         checks.append({"name": name, "detail": detail, "value": value,
-                       "tolerance": tol, "pass": bool(ok)})
+                       "tolerance": tol, "pass": None if reason else bool(ok),
+                       "reason": reason})
+
+    defined = [r for r in records if r["parallel"]["reason"] is None]
+    undefined = None if defined else (records[0]["parallel"]["reason"] if records
+                                      else "no point was analyzed")
 
     if exp.get("totally_geodesic"):
         worst = _agg_max(records, ("shape", "value"))
@@ -389,10 +400,10 @@ def expectation_checks(entry, records, failures) -> list:
         add("holomorphic", "Wirtinger angle zero at every point",
             worst, 1e-6, worst is not None and worst < 1e-6)
     if exp.get("parallel"):
-        ok = all(r["parallel"]["holds"] for r in records) if records else False
-        worst = _agg_max(records, ("parallel", "residual"))
+        ok = all(r["parallel"]["holds"] for r in defined)
+        worst = _agg_max(defined, ("parallel", "residual"))
         add("parallel", "curvature derivative residual below threshold",
-            worst, STRICT_EPS, ok)
+            worst, STRICT_EPS, ok, undefined)
     if exp.get("wirtinger") == "pi/2":
         vals = _collect(records, ("theta", "value"))
         worst = max((abs(v - np.pi / 2) for v in vals), default=None)
@@ -404,9 +415,9 @@ def expectation_checks(entry, records, failures) -> list:
         add("flat", "base sectional curvature zero",
             worst, 1e-6, worst is not None and worst < 1e-6)
     if exp.get("breaks_parallel"):
-        best = _agg_max(records, ("parallel", "residual"))
+        best = _agg_max(defined, ("parallel", "residual"))
         add("breaks-parallel", "the perturbation leaves a visibly nonparallel curvature",
-            best, 1e-3, best is not None and best > 1e-3)
+            best, 1e-3, best is not None and best > 1e-3, undefined)
     return checks
 
 
@@ -522,7 +533,7 @@ def cmd_analyze(args) -> tuple:
         "aggregate": agg,
         "checks": checks,
     }
-    code = 0 if all(c["pass"] for c in checks) else 1
+    code = 1 if any(c["pass"] is False for c in checks) else 0
     return report, code
 
 
@@ -743,7 +754,11 @@ def render_report(report: dict, fmt: str) -> str:
 def emit(report: dict, args) -> None:
     text = render_report(report, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

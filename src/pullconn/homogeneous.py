@@ -26,12 +26,14 @@ from .algebra import (
     eye,
     frob,
     frob_stack,
+    from_real,
     inner_re,
     matmul_stack,
     orthonormalize,
     pair_re,
-    quat,
     random_matrix,
+    to_real,
+    units,
     zeros,
 )
 
@@ -73,7 +75,7 @@ class GrassTangent:
     H: np.ndarray
 
     def __len__(self) -> int:
-        if self.H.ndim == self._tail:
+        if self.H.ndim == self.base.field.matrix_ndim:
             raise TypeError("a single tangent is not a stack")
         return len(self.H)
 
@@ -83,14 +85,10 @@ class GrassTangent:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    @property
-    def _tail(self) -> int:
-        return 3 if self.base.field is Field.QUATERNION else 2
-
     def pair(self, other: "GrassTangent") -> np.ndarray:
         """Real pairings of every tangent of this stack with every one of
         `other`: shape (this stack..., other stack...)."""
-        return pair_re(self.H, other.H, self._tail)
+        return pair_re(self.H, other.H, self.base.field.matrix_ndim)
 
     @property
     def delta(self) -> np.ndarray:
@@ -219,19 +217,12 @@ class AlphaElement:
     @staticmethod
     def imaginary_unit(field, q) -> "AlphaElement":
         f = Field.parse(field)
-        if f is Field.COMPLEX:
-            q = complex(q)
-            if abs(q.real) > 1e-12 or abs(abs(q) - 1.0) > 1e-10:
-                raise ValueError("probe must be a unit imaginary scalar")
-            return AlphaElement(f, 1, np.array([[q]]))
-        if f is Field.QUATERNION:
-            q = np.asarray(q, dtype=float)
-            if abs(q[0]) > 1e-12 or abs(np.dot(q, q) - 1.0) > 1e-10:
-                raise ValueError("probe must be a unit imaginary quaternion")
-            m = np.zeros((1, 1, 4))
-            m[0, 0] = q
-            return AlphaElement(f, 1, m)
-        raise DegenerateStructureError("rank-one real bundles have no probes")
+        if f is Field.REAL:
+            raise DegenerateStructureError("rank-one real bundles have no probes")
+        r = to_real(q, f)
+        if r.shape != (f.real_dim,) or abs(r[0]) > 1e-12 or abs(r @ r - 1.0) > 1e-10:
+            raise ValueError("probe must be a unit imaginary scalar")
+        return AlphaElement(f, 1, from_real(r.reshape(1, 1, -1), f))
 
     def jay(self, t: GrassTangent) -> GrassTangent:
         return ad_alpha(self.mat, t)
@@ -246,12 +237,8 @@ class AlphaElement:
 
 def alpha_basis(field: Field, k: int):
     """Probes spanning the extremization domain (exactly, per field)."""
-    if field is Field.COMPLEX and k == 1:
-        return [AlphaElement.imaginary_unit(field, 1j)]
-    if field is Field.QUATERNION and k == 1:
-        return [AlphaElement.imaginary_unit(field, quat(0, 1, 0, 0)),
-                AlphaElement.imaginary_unit(field, quat(0, 0, 1, 0)),
-                AlphaElement.imaginary_unit(field, quat(0, 0, 0, 1))]
+    if field is not Field.REAL and k == 1:
+        return [AlphaElement.imaginary_unit(field, q) for q in units(field)[1:]]
     if field is Field.REAL:
         if k < 2:
             return []

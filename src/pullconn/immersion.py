@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import Field, frob_stack, matmul_stack
+from .algebra import Field, frob_stack, from_real, matmul_stack, to_real
 from .constants import FD_STEP, FD_STEP2, IMMERSION_EPS
 from .homogeneous import GrassPoint, GrassTangent, alpha_basis
 
@@ -157,19 +157,15 @@ def _fd_stack(chart: ImmersionChart, U: np.ndarray, h: float):
     return V, P, _horizontal(P[:, None], V[:, None], dP, chart.field)
 
 
-def _orthonormalize_real_span(H: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _orthonormalize_real_span(H: np.ndarray, field: Field, tol: float = 1e-12) -> np.ndarray:
     """Orthonormal basis, for the real inner product, of the *real* span of
     a stack of tangents H (m, ...), which is a real vector space even over
     C/H: the right singular vectors of the stacked real coordinates whose
     singular values reach tol, from one SVD."""
-    R = H.reshape(len(H), -1)
-    if np.iscomplexobj(R):
-        R = np.concatenate([R.real, R.imag], axis=1)
-    _, s, Vt = np.linalg.svd(R, full_matrices=False)
+    R = to_real(H, field)
+    _, s, Vt = np.linalg.svd(R.reshape(len(R), -1), full_matrices=False)
     B = Vt[s >= tol]
-    if np.iscomplexobj(H):
-        B = B[:, :B.shape[1] // 2] + 1j * B[:, B.shape[1] // 2:]
-    return B.reshape((len(B),) + H.shape[1:])
+    return from_real(B.reshape((len(B),) + R.shape[1:]), field)
 
 
 @dataclass(frozen=True)
@@ -493,7 +489,7 @@ def shape_norm(ff: SecondFF) -> CertifiedMax:
     largest σ_max(A·x) over unit x, A[c, a, b] = <II_ab, ν_c> for an
     orthonormal basis ν of the span of II; argmax[0] is the unit tangent."""
     n = ff.pf.n
-    nu = _orthonormalize_real_span(ff.II.H[np.triu_indices(n)], tol=1e-10)
+    nu = _orthonormalize_real_span(ff.II.H[np.triu_indices(n)], ff.pf.pt.field, tol=1e-10)
     if not len(nu):
         return CertifiedMax(0.0, (np.zeros(n), None), 0.0, 0.0)
     A = GrassTangent(ff.pf.pt, nu).pair(ff.II)   # A[c, a, b] = <II_ab, ν_c>

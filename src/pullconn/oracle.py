@@ -28,15 +28,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (
-    QL,
     Field,
     ct_stack,
-    expm_alg,
     frob,
+    from_real,
     inner_re,
     matmul_stack,
     random_matrix,
-    zeros,
+    scalar_right,
+    skew_exp,
+    to_real,
+    units,
 )
 from .constants import FD_STEP, TRANSPORT_STEPS, bridge
 from .homogeneous import (
@@ -57,63 +59,17 @@ from .immersion import (
 )
 
 # ----------------------------------------------------------------------------
-# scalar bookkeeping for fibre coefficients
+# fibre matrices of the vertical algebra
 # ----------------------------------------------------------------------------
-
-_QUNITS = np.eye(4)
-
-
-def scalar_units(field: Field):
-    """Real basis of the scalar field, in the package's representation."""
-    if field is Field.QUATERNION:
-        return [np.array(_QUNITS[t]) for t in range(4)]
-    if field is Field.COMPLEX:
-        return [1.0 + 0.0j, 1.0j]
-    return [1.0]
-
-
-def m_basis(field: Field, k: int):
-    """Basis of anti-Hermitian k-by-k scalar matrices (the vertical algebra)."""
-    out = []
-    units = scalar_units(field)[1:]  # imaginary units only
-    if field is not Field.REAL:
-        for q in units:
-            for a in range(k):
-                M = zeros(field, k, k)
-                M[a, a] = q
-                out.append(M)
-    for a in range(k):
-        for b in range(a + 1, k):
-            M = zeros(field, k, k)
-            if field is Field.QUATERNION:
-                M[a, b] = _QUNITS[0]
-                M[b, a] = -_QUNITS[0]
-            else:
-                M[a, b] = 1.0
-                M[b, a] = -1.0
-            out.append(M)
-            for q in units:
-                M = zeros(field, k, k)
-                M[a, b] = q
-                M[b, a] = q
-                out.append(M)
-    return out
-
 
 def left_mult_matrix(field: Field, k: int, beta) -> np.ndarray:
     """Real matrix of c -> beta c on fibre coefficients, basis e_a * unit_t:
     row b·d + s, column a·d + t holds component s of beta_ba unit_t.  beta
     may be a stack (..., k, k[, 4])."""
-    beta = np.asarray(beta)
-    if field is Field.QUATERNION:
-        blocks = np.einsum("sxt,...bax->...bsat", QL, beta)  # beta_ba e_t = Σ_s QL[s, x, t] beta_ba[x] e_s
-    elif field is Field.COMPLEX:
-        blocks = np.stack([np.stack([beta.real, -beta.imag], -1),
-                           np.stack([beta.imag, beta.real], -1)], -3)   # [..., b, s, a, t]
-    else:
-        blocks = beta[..., :, None, :, None]
-    d = blocks.shape[-1]
-    return blocks.reshape(blocks.shape[:-4] + (k * d, k * d)).astype(float)
+    blocks = np.stack([to_real(scalar_right(beta, q, field), field) for q in units(field)],
+                      axis=-1).swapaxes(-3, -2)                      # [..., b, s, a, t]
+    d = field.real_dim
+    return blocks.reshape(blocks.shape[:-4] + (k * d, k * d)).astype(float, copy=False)
 
 
 def fit_m_generator(field: Field, k: int, G: np.ndarray):
@@ -121,13 +77,17 @@ def fit_m_generator(field: Field, k: int, G: np.ndarray):
 
     Returns (beta, residual): the anti-Hermitian scalar matrix whose
     left-multiplication matrix best matches G, and the Frobenius residual.
+    beta ↦ left_mult_matrix(beta) is √d times an isometry whose adjoint
+    takes G to Σ_t G_t conj(unit_t), G_t the k×k images of unit_t; so the
+    fit is the anti-Hermitian part of (1/d) Σ_t G_t conj(unit_t).
     """
-    basis = np.array(m_basis(field, k))
-    if not len(basis):
-        return None, float(np.linalg.norm(G))
-    cols = left_mult_matrix(field, k, basis).reshape(len(basis), -1).T
-    x, *_ = np.linalg.lstsq(cols, G.ravel(), rcond=None)
-    return np.tensordot(x, basis, axes=1), float(np.linalg.norm(G.ravel() - cols @ x))
+    d = field.real_dim
+    blocks = np.asarray(G, dtype=float).reshape(k, d, k, d).transpose(3, 0, 2, 1)   # [t, b, a, s]
+    imag = sum(scalar_right(from_real(Gt, field), q, field)
+               for Gt, q in zip(blocks[1:], units(field)[1:]))
+    M = (from_real(blocks[0], field) - imag) / d
+    beta = 0.5 * (M - ct_stack(M, field))
+    return beta, float(np.linalg.norm(G - left_mult_matrix(field, k, beta)))
 
 
 # ----------------------------------------------------------------------------
@@ -145,7 +105,7 @@ def curvature_pairing_fd(chart: ImmersionChart, u, x_coords, y_coords, w, v,
     """
     U = np.asarray(u, dtype=float)
     f = chart.field
-    tail = 3 if f is Field.QUATERNION else 2
+    tail = f.matrix_ndim
     V, P, H = differential_stack(chart, U.reshape(-1, chart.dim), h, use_analytic)
     V = V[:, None]
     dP = matmul_stack(H, ct_stack(V, f), f) + matmul_stack(V, ct_stack(H, f), f)
@@ -285,27 +245,6 @@ def holonomy_generator(chart: ImmersionChart, u, i: int, j: int, eps,
 # two-parameter exponential charts and the loop-generator fit
 # ----------------------------------------------------------------------------
 
-def _skew_exp(A: np.ndarray, field: Field):
-    """u ↦ the stack e^{u_b A} over the entries of a column u, for one
-    skew-Hermitian A.
-
-    Over R and C from one eigendecomposition iA = Q diag(w) Q*, so that
-    e^{uA} = Q diag(e^{−iuw}) Q* (Moler & Van Loan, "Nineteen dubious ways
-    to compute the exponential of a matrix, twenty-five years later", SIAM
-    Rev. 45, 2003, method 14); the real part over R.  Over H one expm_alg
-    call per entry.
-    """
-    if field is Field.QUATERNION:
-        return lambda u: np.array([expm_alg(A * float(t), field) for t in u])
-    w, Q = np.linalg.eigh(1j * A)
-    Qh = Q.conj().T
-
-    def expo(u):
-        E = (Q * np.exp(-1j * np.multiply.outer(u, w))[:, None, :]) @ Qh
-        return E.real if field is Field.REAL else E
-    return expo
-
-
 def exp_chart(pt: GrassPoint, X: GrassTangent, Y: GrassTangent,
               half_width: float = 1.0) -> ImmersionChart:
     """Internal chart u -> span of (g e^{u1 X~} e^{u2 Y~})[:, :k]; both
@@ -316,7 +255,7 @@ def exp_chart(pt: GrassPoint, X: GrassTangent, Y: GrassTangent,
     g = fr.g
     k = pt.k
     f = pt.field
-    expX, expY = _skew_exp(Xl, f), _skew_exp(Yl, f)
+    expX, expY = skew_exp(Xl, f), skew_exp(Yl, f)
 
     def pieces(U):
         """g e^{u1 X~}, e^{u2 Y~} and the point (V, P) at every row of U."""

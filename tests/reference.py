@@ -42,6 +42,7 @@ from pullconn.oracle import (
     DR_TRANSPORT_STEPS,
     base_transport,
     curvature_pairing_fd,
+    left_mult_matrix,
     parallel_transport,
 )
 
@@ -84,6 +85,39 @@ def inner_g0(A: np.ndarray, B: np.ndarray, field: Field) -> float:
 
 def norm_g0(A: np.ndarray, field: Field) -> float:
     return float(np.sqrt(max(inner_g0(A, A, field), 0.0)))
+
+
+def m_basis(field: Field, k: int):
+    """Basis of anti-Hermitian k-by-k scalar matrices (the vertical algebra)."""
+    one = quat(1.0) if field is Field.QUATERNION else 1.0
+    imag = _IMAG_UNITS.get(field, ())
+    out = []
+    for q in imag:
+        for a in range(k):
+            M = zeros(field, k, k)
+            M[a, a] = q
+            out.append(M)
+    for a in range(k):
+        for b in range(a + 1, k):
+            M = zeros(field, k, k)
+            M[a, b], M[b, a] = one, -one
+            out.append(M)
+            for q in imag:
+                M = zeros(field, k, k)
+                M[a, b] = M[b, a] = q
+                out.append(M)
+    return out
+
+
+def fit_m_generator_lstsq(field: Field, k: int, G: np.ndarray):
+    """oracle.fit_m_generator by least squares over the coefficients of
+    m_basis: (beta, residual), beta None where the algebra is zero."""
+    basis = np.array(m_basis(field, k))
+    if not len(basis):
+        return None, float(np.linalg.norm(G))
+    cols = left_mult_matrix(field, k, basis).reshape(len(basis), -1).T
+    x, *_ = np.linalg.lstsq(cols, G.ravel(), rcond=None)
+    return np.tensordot(x, basis, axes=1), float(np.linalg.norm(G.ravel() - cols @ x))
 
 
 def sym_eig_small(S: np.ndarray, check: bool = True, tol: float = 1e-8):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+from pullconn import algebra
 from pullconn.algebra import (
     DegenerateColumnsError,
     Field,
@@ -110,6 +111,42 @@ def test_scalar_right_is_right_multiplication():
     Ql = scalar_right(eye(H, 3), QJ)
     assert not np.allclose(scalar_right(A, QJ), matmul_stack(Ql, A, H))
     assert np.allclose(scalar_right(A, 2.5), A * 2.5)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_real_coordinates_round_trip_exactly(field):
+    """to_real puts the components along a trailing axis of length
+    real_dim, as coefficients of `units`; from_real inverts it bit for bit."""
+    A = random_matrix(np.random.default_rng(2), field, 3, 2)
+    R = algebra.to_real(A, field)
+    assert R.shape == (3, 2, field.real_dim) and R.dtype == float
+    assert np.array_equal(algebra.from_real(R, field), A)
+    assert np.array_equal(algebra.to_real(algebra.from_real(R, field), field), R)
+    assert np.allclose(np.tensordot(R, algebra.units(field), axes=1), A, rtol=0.0, atol=1e-15)
+    assert field.matrix_ndim == A.ndim
+
+
+# e_t e_u = sign · e_index over the units (1, i, j, k)
+QUAT_TABLE = [[(1, 0), (1, 1), (1, 2), (1, 3)],
+              [(1, 1), (-1, 0), (1, 3), (-1, 2)],
+              [(1, 2), (-1, 3), (-1, 0), (1, 1)],
+              [(1, 3), (1, 2), (-1, 1), (-1, 0)]]
+
+
+def test_algebra_scalar_right_reproduces_the_quaternion_table():
+    H = Field.QUATERNION
+    e = algebra.units(H)
+    for t in range(4):
+        for u in range(4):
+            sign, idx = QUAT_TABLE[t][u]
+            A = np.broadcast_to(e[t], (2, 1, 4))
+            assert np.array_equal(algebra.scalar_right(A, e[u], H),
+                                  np.broadcast_to(sign * e[idx], (2, 1, 4)))
+    rng = np.random.default_rng(8)
+    A, q = random_matrix(rng, H, 3, 2), rand_q(rng)
+    assert np.allclose(algebra.scalar_right(A, q, H), qmul(A, q), rtol=0.0, atol=1e-14)
+    C = random_matrix(rng, Field.COMPLEX, 3, 2)
+    assert np.array_equal(algebra.scalar_right(C, 1j, Field.COMPLEX), C * 1j)
 
 
 @pytest.mark.parametrize("shape_a,shape_b", [

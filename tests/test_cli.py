@@ -32,6 +32,8 @@ def test_param_parsing():
         "d": 3, "amplitude": 0.05, "base": "veronese"}
     with pytest.raises(ConfigError):
         parse_params(["oops"])
+    with pytest.raises(ConfigError, match="'d' is given more than once"):
+        parse_params(["d=1:2", "d=3"])
 
 
 def test_grid_parsing():
@@ -278,6 +280,35 @@ def test_analyze_expectation_failure_exit1(tmp_path):
     assert code == 1
     failed = [c for c in report["checks"] if not c["pass"]]
     assert [c["name"] for c in failed] == ["breaks-parallel"]
+
+
+ADVERTISED = [(e["name"], f) for e in cli.cmd_list(None)[0]["examples"] for f in e["fields"]]
+# (argv after `analyze`, exit code, text of the one error line)
+EDGE_CASES = [
+    (["--example", "perturbed", "--param", "amplitude=nan"], 2, "'amplitude' must be finite"),
+    (["--example", "perturbed", "--param", "amplitude=inf"], 2, "'amplitude' must be finite"),
+    (["--example", "veronese", "--param", "d=2", "--param", "d=3"], 2, "'d' is given more than once"),
+    (["--example", "perturbed", "--field", "r", "--param", "base=linear"], 0, None),
+    (["--example", "clifford", "--out", "missing/dir/x.json"], 2, "cannot write --out"),
+]
+
+
+@pytest.mark.parametrize("argv,want,text", [
+    (["--example", name, "--field", f], None, None) for name, f in ADVERTISED] + EDGE_CASES,
+    ids=[f"{name}-{f}" for name, f in ADVERTISED] + ["nan", "inf", "repeated", "r-linear", "out"])
+def test_every_advertised_combination_exits_cleanly(argv, want, text, tmp_path, monkeypatch, capsys):
+    """Every example × field that `list` advertises, with default
+    parameters, finishes (0) or is refused with one error line (2); a
+    declared check never fails there (1), nothing crashes (3)."""
+    monkeypatch.chdir(tmp_path)   # a later --out in argv wins
+    code = main(["analyze", "--random", "1", "--workers", "1", "--out", "report.json", *argv])
+    assert code in (0, 2) and want in (None, code)
+    if code == 2:
+        _only_error_line(capsys, text or "error: ")
+    else:
+        for c in json.loads((tmp_path / "report.json").read_text())["checks"]:
+            # a check no point defines (r-linear's breaks-parallel) is null with a reason
+            assert c["pass"] is not False and (c["pass"] is None) == isinstance(c["reason"], str)
 
 
 def test_analyze_internal_error_exit3(tmp_path, monkeypatch, capsys):

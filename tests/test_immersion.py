@@ -254,7 +254,7 @@ def test_real_span_basis_holds_every_entry(chart, u):
     n = ff.pf.n
     entries = ff.II.H[np.triu_indices(n)]
     entries = np.concatenate([entries, entries[:1], 0 * entries[:1]])
-    nu = _orthonormalize_real_span(entries, tol=1e-10)
+    nu = _orthonormalize_real_span(entries, ff.pf.pt.field, tol=1e-10)
     assert nu.shape[1:] == entries.shape[1:] and len(nu) <= n * (n + 1) // 2
     basis = GrassTangent(ff.pf.pt, nu)
     assert np.abs(basis.pair(basis) - np.eye(len(nu))).max(initial=0.0) < 1e-12
@@ -455,6 +455,16 @@ def test_registry_builds_all_entries():
         assert frob(matmul_stack(pt.P, pt.P, chart.field) - pt.P) < 1e-10
     with pytest.raises(KeyError):
         build_chart("no-such-example")
+
+
+def test_hline_is_the_quaternionic_linear_chart():
+    hline = build_chart("hline")
+    lin = build_chart("linear", field="h", m=2, N=3)
+    assert (hline.name, hline.params, hline.box) == ("hline", {"N": 3}, lin.box)
+    U = np.random.default_rng(1).uniform(-1.0, 1.0, (6, 4))
+    for a, b in zip(hline.eval_point(U) + hline.analytic_diff(U),
+                    lin.eval_point(U) + lin.analytic_diff(U)):
+        assert np.array_equal(a, b)
 
 
 def test_registry_linear_respects_field_choice():

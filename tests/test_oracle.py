@@ -7,7 +7,9 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pullconn.algebra import Field, frob, inner_re, matmul_stack, orthonormalize, random_matrix
+from pullconn.algebra import (
+    Field, frob, inner_re, matmul_stack, orthonormalize, random_matrix, skew_exp, units,
+)
 from pullconn.catalog import (
     build_chart,
     clifford_torus,
@@ -26,7 +28,6 @@ from pullconn.immersion import (
 )
 from pullconn.oracle import (
     _series_log,
-    _skew_exp,
     base_transport,
     christoffel,
     curvature_pairing_fd,
@@ -37,9 +38,7 @@ from pullconn.oracle import (
     holonomy_map,
     left_mult_matrix,
     lemma_omega_check,
-    m_basis,
     parallel_transport,
-    scalar_units,
 )
 from reference import (
     christoffel_nested,
@@ -47,8 +46,10 @@ from reference import (
     curvature_oracle,
     curvature_raw,
     dr_oracle_loop,
+    fit_m_generator_lstsq,
     gram_at,
     holonomy_map_loop,
+    m_basis,
     sectional_base_fd,
 )
 from pullconn.homogeneous import (
@@ -142,23 +143,18 @@ def test_parallel_transport_is_fourth_order():
 def _fibre_matrix(field, k, image, base):
     """Real matrix M[b·d + s, a·d + t] = <image_a q_t, base_b q_s> over the
     real units q of the field, one pairing at a time."""
-    units = scalar_units(field)
-    d = len(units)
+    d = field.real_dim
 
     def fib(cols, a, q):
-        col = cols[:, a:a + 1]
-        if field is Field.QUATERNION:
-            qm = np.zeros((1, 1, 4))
-            qm[0, 0] = q
-            return matmul_stack(col, qm, field)
-        return col * q
+        """Column a times q, as a product with the 1×1 matrix [q]."""
+        return matmul_stack(cols[:, a:a + 1], np.reshape(q, (1, 1) + np.shape(q)), field)
 
     M = np.zeros((k * d, k * d))
     for a in range(k):
-        for t, q in enumerate(units):
+        for t, q in enumerate(units(field)):
             img = fib(image, a, q)
             for b in range(k):
-                for s, qs in enumerate(units):
+                for s, qs in enumerate(units(field)):
                     M[b * d + s, a * d + t] = inner_re(img, fib(base, b, qs))
     return M
 
@@ -236,6 +232,31 @@ def test_m_basis_fit_roundtrip():
     assert res > 0.5
 
 
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
+@pytest.mark.parametrize("k", [1, 2])
+def test_left_mult_matrix_is_multiplicative(field, k):
+    rng = np.random.default_rng(4)
+    a, b = random_matrix(rng, field, k, k), random_matrix(rng, field, k, k)
+    L = left_mult_matrix(field, k, matmul_stack(a, b, field))
+    assert np.max(np.abs(L - left_mult_matrix(field, k, a) @ left_mult_matrix(field, k, b))) < 1e-13
+
+
+@pytest.mark.parametrize("field,k", [(Field.REAL, 2), (Field.COMPLEX, 1), (Field.COMPLEX, 2),
+                                     (Field.QUATERNION, 1), (Field.QUATERNION, 2)])
+def test_closed_form_fit_matches_least_squares(field, k):
+    """The closed-form fit against its lstsq twin, on random real matrices
+    and on the left multiplication of a matrix outside the algebra."""
+    rng = np.random.default_rng(6)
+    d = field.real_dim
+    Gs = [rng.standard_normal((k * d, k * d)) for _ in range(3)]
+    Gs.append(left_mult_matrix(field, k, random_matrix(rng, field, k, k)))
+    for G in Gs:
+        beta, res = fit_m_generator(field, k, G)
+        want, want_res = fit_m_generator_lstsq(field, k, G)
+        assert np.max(np.abs(beta - want)) < 1e-13
+        assert abs(res - want_res) < 1e-13
+
+
 def _unit_pair(rng, field, N, k):
     """A random point and an orthonormal pair of horizontal tangents there."""
     pt = point_from_stiefel(orthonormalize(random_matrix(rng, field, N, k), field), field)
@@ -268,7 +289,7 @@ def test_eigh_exponential_matches_expm(field, N, k):
     pt, X, _ = _unit_pair(rng, field, N, k)
     Xl = lie_lift(frame_lift(pt), X).mat
     u = np.concatenate([np.linspace(-0.04, 0.04, 9), [-1.0, 0.5, 1.0]])
-    E = _skew_exp(Xl, field)(u)
+    E = skew_exp(Xl, field)(u)
     assert E.dtype == (complex if field is Field.COMPLEX else float)
     for t, Et in zip(u, E):
         assert np.max(np.abs(Et - sla.expm(t * Xl))) < 1e-13

@@ -74,7 +74,7 @@ def linear_embedding(field: Field, m: int = 3, N: int = 4) -> ImmersionChart:
 def veronese(d: int = 2) -> ImmersionChart:
     if d < 1:
         raise ValueError("degree must be >= 1")
-    coef = np.array([np.sqrt(comb(d, j)) for j in range(d + 1)])
+    coef = np.sqrt([float(comb(d, j)) for j in range(d + 1)])   # float: C(d, j) passes 2⁶⁴ at d = 68
     powers = np.arange(d + 1)
 
     def cols(U: np.ndarray) -> np.ndarray:
@@ -171,6 +171,15 @@ def grassmann_sub(k: int = 2, m: int = 4, N: int = 5) -> ImmersionChart:
 # perturbed: geodesic-graph perturbation of a rank-one base chart
 # ----------------------------------------------------------------------------
 
+PERTURBED_BASES = {Field.REAL: "linear", Field.COMPLEX: "veronese", Field.QUATERNION: "hline"}
+
+
+def perturbed_base(field: Field = None) -> str:
+    """The base chart `perturbed` wraps when none is given: linear over R,
+    veronese over C or with no field, hline over H."""
+    return PERTURBED_BASES[Field.COMPLEX if field is None else Field.parse(field)]
+
+
 def perturbed(base: ImmersionChart = None, amplitude: float = 0.05,
               seed: int = 7, modes: int = 3) -> ImmersionChart:
     if base is None:
@@ -243,7 +252,7 @@ class CatalogEntry:
         if self.name == "grassmann-sub":
             return grassmann_sub(whole("k"), whole("m"), whole("N"))
         if self.name == "perturbed":
-            base = CATALOG[p.get("base", "veronese")].build(
+            base = CATALOG[perturbed_base(field) if p["base"] is None else p["base"]].build(
                 field, **{k[5:]: v for k, v in p.items() if k.startswith("base_")}
             )
             return perturbed(base, amplitude=float(p["amplitude"]), seed=whole("seed"))
@@ -288,9 +297,11 @@ CATALOG = {
         {"totally_geodesic": True},
     ),
     "perturbed": CatalogEntry(
-        "perturbed", "seeded geodesic-graph perturbation of a base chart",
+        "perturbed", "seeded geodesic-graph perturbation of a base chart, by default "
+        + ", ".join(f"{b} over {f.value}" for f, b in PERTURBED_BASES.items())
+        + f" and {perturbed_base()} with no field",
         (Field.REAL, Field.COMPLEX, Field.QUATERNION),
-        {"base": "veronese", "amplitude": 0.05, "seed": 7, "base_d": 2},
+        {"base": None, "amplitude": 0.05, "seed": 7},
         {"deterministic": True, "breaks_parallel": True},
     ),
 }

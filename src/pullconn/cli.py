@@ -11,9 +11,10 @@ sweep    one chart parameter over a range, one summary row per value
 
 Exit status: 0 on success, 1 when a declared expectation or verification
 check fails, 2 for configuration errors (bad flags, empty sweep ranges,
-sampling that would leave a chart's safe interior, an ``--out`` file that
-cannot be opened), 3 for an internal error: any other exception, reported
-as one ``error:`` line on stderr naming its type and message.
+charts over the stencil's memory bound, sampling that would leave a chart's
+safe interior, an ``--out`` file that cannot be opened, refused before any
+work), 3 for an internal error: any other exception, reported as one
+``error:`` line on stderr naming its type and message.
 
 Reports are a single JSON document (schema ``pullconn-report/1``) or a flat
 CSV.  Every numeric field is always present; a quantity that does not apply
@@ -37,14 +38,16 @@ import numpy as np
 
 from . import oracle
 from .algebra import Field
-from .catalog import CATALOG, build_chart
+from .catalog import CATALOG, build_chart, perturbed_base
 from .connection import analyze_point, curvature_norm
 from .constants import FD_STEP, FD_STEP2, STRICT_EPS
 from .immersion import (
+    STENCIL_BYTES,
     ChartDomainError,
     NotImmersionError,
     point_frame,
     second_fundamental_form,
+    stencil_bytes,
 )
 
 SCHEMA = "pullconn-report/1"
@@ -130,11 +133,11 @@ def _parse_field(text):
 # chart construction and sampling
 # ----------------------------------------------------------------------------
 
-def _validate_params(name: str, params: dict):
+def _validate_params(name: str, field, params: dict):
     entry = CATALOG[name]
     for key in params:
         if name == "perturbed" and key.startswith("base_"):
-            base = params.get("base", entry.defaults["base"])
+            base = params.get("base", perturbed_base(field))
             known = CATALOG[base].defaults if base in CATALOG else {}
             if key[5:] in known:
                 continue
@@ -159,7 +162,7 @@ def make_chart(name: str, field, params: dict):
             f"example '{name}' is not defined over {field.value!r}; "
             f"fields: {[f.value for f in entry.fields]}"
         )
-    _validate_params(name, params)
+    _validate_params(name, field, params)
     try:
         chart = build_chart(name, field=field, **params)
     except Exception as exc:
@@ -169,6 +172,9 @@ def make_chart(name: str, field, params: dict):
             f"example '{name}' with {params or 'default parameters'} builds a "
             f"chart over {chart.field.value!r}, not {field.value!r}"
         )
+    if stencil_bytes(chart) > STENCIL_BYTES:
+        raise ConfigError(f"example '{name}' needs {stencil_bytes(chart) >> 20} MiB of projectors "
+                          f"per point, over the {STENCIL_BYTES >> 20} MiB bound")
     return chart
 
 
@@ -751,14 +757,22 @@ def render_report(report: dict, fmt: str) -> str:
     return buf.getvalue()
 
 
+def check_out(path: str) -> None:
+    """Refuse an --out that cannot be opened for writing, before any work is
+    done and without truncating an existing file."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {path}: {exc.strerror or exc}") from None
+    if not existed:
+        os.remove(path)
+
+
 def emit(report: dict, args) -> None:
     text = render_report(report, args.format)
     if args.out:
-        try:
-            fh = open(args.out, "w")
-        except OSError as exc:
-            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
-        with fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -827,6 +841,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         _check_flags(args)
+        if args.out:
+            check_out(args.out)
         body, code = COMMANDS[args.command](args)
         report = {"schema": SCHEMA, "command": args.command, **body}
         report["timing"] = {"seconds": time.perf_counter() - start, **report.get("timing", {})}

@@ -4,10 +4,11 @@ curvature normalization.
 
 A point is held both as a Stiefel representative V (N x k, V*V = I) and as
 the projector P = V V*.  Tangent vectors are horizontal Stiefel coordinates
-H (V*H = 0) with projector-model form Delta = H V* + V H*.  Relative to a
-frame g = [V | W] in the isometry group, a tangent lifts to the block
-matrix X~ = [[0, -B*], [B, 0]] with B = W*H; the structure algebra m sits
-in the top-left k x k block as diag(alpha, 0).
+H (V*H = 0) with projector-model form Delta = H V* + V H*
+(`projector_derivative`).  Relative to a frame g = [V | W] in the isometry
+group, a tangent lifts to the block matrix X~ = [[0, -B*], [B, 0]] with
+B = W*H; the structure algebra m sits in the top-left k x k block as
+diag(alpha, 0).
 
 All tangent-space inner products are the real pairing Re tr(H2* H1), which
 agrees with the g0 norm of the lift and with the projector-model norm.
@@ -90,11 +91,6 @@ class GrassTangent:
         `other`: shape (this stack..., other stack...)."""
         return pair_re(self.H, other.H, self.base.field.matrix_ndim)
 
-    @property
-    def delta(self) -> np.ndarray:
-        V, f = self.base.V, self.base.field
-        return matmul_stack(self.H, ct_stack(V, f), f) + matmul_stack(V, ct_stack(self.H, f), f)
-
     def norm(self) -> float:
         return frob(self.H)
 
@@ -114,6 +110,13 @@ def horizontal_stack(V: np.ndarray, A: np.ndarray, field: Field) -> np.ndarray:
     """Horizontal parts A − V(V*A) of stacked ambient N×k arrays A at
     stacked Stiefel representatives V; broadcasts over leading axes."""
     return A - matmul_stack(V, matmul_stack(ct_stack(V, field), A, field), field)
+
+
+def projector_derivative(V: np.ndarray, H: np.ndarray, field: Field) -> np.ndarray:
+    """Projector-model form HV* + VH* of stacked horizontal coordinates H
+    at stacked Stiefel representatives V: the derivative of P = VV* along
+    H; broadcasts over leading axes."""
+    return matmul_stack(H, ct_stack(V, field), field) + matmul_stack(V, ct_stack(H, field), field)
 
 
 def random_horizontal(rng: np.random.Generator, pt: GrassPoint, scale: float = 1.0) -> GrassTangent:

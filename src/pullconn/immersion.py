@@ -4,9 +4,10 @@ frames, second fundamental form and shape norm.
 Charts map an open box in R^n to Grassmannian points and evaluate a whole
 stack of coordinate rows in one call.  Differentials of a stack come from
 one call of the chart's analytic formula when it has one, otherwise from
-central finite differences of the projector map with one Richardson level,
-every stencil point in one chart call.  Second derivatives always use
-finite differences.
+central finite differences of the projector map with one Richardson level.
+Second derivatives always use finite differences.  `_projector_stencil`
+builds every finite-difference row, and `horizontal_stack(V, M·V)` maps a
+projector derivative M to a tangent: (PM(I−P) + (I−P)MP)V = (I−P)MV.
 The shape norm here and the fatness margin of `connection` are the maximum
 of σ_max and the minimum of σ_min of a linear matrix pencil
 T(a) = Σ_t a_t T_t over unit a.  One routine, `_pencil_extreme`, solves
@@ -24,7 +25,7 @@ import numpy as np
 
 from .algebra import Field, frob_stack, from_real, matmul_stack, to_real
 from .constants import FD_STEP, FD_STEP2, IMMERSION_EPS
-from .homogeneous import GrassPoint, GrassTangent, alpha_basis
+from .homogeneous import GrassPoint, GrassTangent, alpha_basis, horizontal_stack
 
 
 class ChartDomainError(ValueError):
@@ -69,58 +70,20 @@ class ImmersionChart:
         V, P = self.eval_point(np.asarray(u, dtype=float)[None])
         return GrassPoint(self.field, self.N, self.k, V[0], P[0])
 
-    def check_interior(self, u, margin: float) -> None:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise ChartDomainError(f"expected {self.dim} coordinates, got shape {u.shape}")
-        if not np.all(np.isfinite(u)):
-            raise ChartDomainError("non-finite chart coordinates")
-        for ui, (lo, hi) in zip(u, self.box):
-            if ui < lo + margin or ui > hi - margin:
-                raise ChartDomainError(
-                    f"coordinate {ui:.4f} within {margin:.2e} of the box [{lo}, {hi}]"
-                )
-
     def check_rows(self, U: np.ndarray, margin: float) -> None:
-        """check_interior on every row of U (B, dim) by one vectorized test
-        against the box; the first failing row raises check_interior's error."""
+        """Raise ChartDomainError unless every row of U (B, dim) is finite
+        and at least margin inside the box; the first failing row is named."""
         if U.ndim != 2 or U.shape[1] != self.dim:
             raise ChartDomainError(f"expected {self.dim} coordinates, got shape {U.shape[1:]}")
         lo, hi = np.array(self.box, dtype=float).T
-        inside = np.all((U >= lo + margin) & (U <= hi - margin), axis=1)   # False on NaN
-        if not inside.all():
-            self.check_interior(U[np.argmin(inside)], margin)
-
-
-def central_stencil(U: np.ndarray, h: float) -> np.ndarray:
-    """Richardson central-difference stencil around each row of U (B, n).
-
-    Returns (B, 1 + 4n, n): the centre, then u + h e_i, u − h e_i,
-    u + (h/2) e_i and u − (h/2) e_i for i = 0..n−1.
-    """
-    E = np.eye(U.shape[-1])
-    centre = U[:, None, :]
-    return np.concatenate(
-        [centre] + [centre + s * E for s in (h, -h, h / 2.0, -h / 2.0)], axis=1)
-
-
-def richardson_difference(F: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of values F (B, 1 + 4n, ...) on a central_stencil,
-    combined over the steps h and h/2: returns (B, n, ...) with [:, i] = ∂_i F."""
-    n = (F.shape[1] - 1) // 4
-    fp, fm, gp, gm = (F[:, 1 + q * n:1 + (q + 1) * n] for q in range(4))
-    d1 = (fp - fm) / (2.0 * h)
-    d2 = (gp - gm) / (2.0 * (h / 2.0))
-    return (4.0 * d2 - d1) / 3.0
-
-
-def _horizontal(P: np.ndarray, V: np.ndarray, M: np.ndarray, field: Field) -> np.ndarray:
-    """Ambient matrix-space direction → horizontal coordinates H = ΔV with
-    Δ = PM(I−P) + (I−P)MP; broadcasts over stacked P, V and M."""
-    PM = matmul_stack(P, M, field)
-    MP = matmul_stack(M, P, field)
-    delta = PM + MP - 2.0 * matmul_stack(P, MP, field)
-    return matmul_stack(delta, V, field)
+        outside = ~((U >= lo + margin) & (U <= hi - margin))   # True on NaN
+        if not outside.any():
+            return
+        b, i = np.argwhere(outside)[0]
+        if not np.isfinite(U[b]).all():
+            raise ChartDomainError("non-finite chart coordinates")
+        lo, hi = self.box[i]
+        raise ChartDomainError(f"coordinate {U[b, i]:.4f} within {margin:.2e} of the box [{lo}, {hi}]")
 
 
 def differential(chart: ImmersionChart, u, h: float = FD_STEP, use_analytic: bool = True):
@@ -133,8 +96,8 @@ def differential(chart: ImmersionChart, u, h: float = FD_STEP, use_analytic: boo
 
 def differential_stack(chart: ImmersionChart, U, h: float = FD_STEP, use_analytic: bool = True):
     """Stacked (V, P, H) at every row of U (B, n), H[b, i] = ∂φ/∂u_i: one
-    analytic_diff call when the chart has one, otherwise one chart call for
-    the stencils of all rows."""
+    analytic_diff call when the chart has one, otherwise the tangent of the
+    Richardson difference ∂_i P from one stencil call for all rows."""
     U = np.asarray(U, dtype=float)
     chart.check_rows(U, 2 * h)
     if use_analytic and chart.analytic_diff is not None:
@@ -142,19 +105,57 @@ def differential_stack(chart: ImmersionChart, U, h: float = FD_STEP, use_analyti
         if not np.isfinite(H).all():
             raise ChartDomainError("non-finite analytic differential")
         return V, P, H
-    return _fd_stack(chart, U, h)
+    V, P, d, _ = _projector_stencil(chart, U, h, mixed=False)
+    dP = (4.0 * d[1] - d[0]) / 3.0   # the Richardson difference ∂_i P
+    return V, P, horizontal_stack(V[:, None], matmul_stack(dP, V[:, None], chart.field), chart.field)
 
 
-def _fd_stack(chart: ImmersionChart, U: np.ndarray, h: float):
-    """(V, P, H) at the rows of U, H[b, i] the horizontal form of the
-    Richardson difference ∂_i P; one chart call for all stencils."""
+STENCIL_BYTES = 256 * 2**20   # most bytes of one point's 1 + 4n² projector stencil rows
+
+
+def stencil_bytes(chart: ImmersionChart) -> int:
+    """Bytes of the projectors _projector_stencil evaluates, with mixed
+    differences, around one point of the chart."""
+    return (1 + 4 * chart.dim**2) * chart.N**2 * chart.field.real_dim * 8
+
+
+def _projector_stencil(chart: ImmersionChart, U: np.ndarray, h: float, mixed: bool = True):
+    """Central differences of the projector map at the steps h and h/2 around
+    every row of U (B, n), from one chart call: (V, P, d, dd) with V and P at
+    the centres, the first differences d (2, B, n, N, N[, 4]) of ∂_i P and,
+    when mixed, the second differences dd (2, B, n, n, N, N[, 4]) of ∂_i∂_j P
+    (None otherwise); index 0 is step h, index 1 step h/2.
+
+    The rows are the centre, u + step e_i and u − step e_i, 1 + 4n per row;
+    mixed adds the corners u ± step e_i ± step e_j (i < j), 1 + 4n² in all.
+    Diagonal second differences use the three-point stencil.
+    """
     B, n = U.shape
-    V, P = chart.eval_point(central_stencil(U, h).reshape(-1, n))
-    V = V.reshape(B, 1 + 4 * n, *V.shape[1:])[:, 0]
-    P = P.reshape(B, 1 + 4 * n, *P.shape[1:])
-    dP = richardson_difference(P, h)
-    P = P[:, 0]
-    return V, P, _horizontal(P[:, None], V[:, None], dP, chart.field)
+    steps = np.array([h, h / 2.0])
+    eye = np.eye(n)
+    offsets = np.concatenate([eye, -eye])
+    if mixed:
+        i, j = np.triu_indices(n, 1)
+        corners = np.stack([eye[i] + eye[j], eye[i] - eye[j], eye[j] - eye[i], -eye[i] - eye[j]],
+                           axis=1)
+        offsets = np.concatenate([offsets, corners.reshape(-1, n)])
+    rows = U[:, None, None] + steps[:, None, None] * offsets
+    V, P = chart.eval_point(np.concatenate([U[:, None], rows.reshape(B, -1, n)], axis=1).reshape(-1, n))
+    V = V.reshape((B, -1) + V.shape[1:])[:, 0]
+    P = P.reshape((B, 1 + 2 * len(offsets)) + P.shape[1:])
+    P0 = P[:, 0]
+    P = np.moveaxis(P[:, 1:].reshape((B, 2, len(offsets)) + P0.shape[1:]), 1, 0)
+    sq = (steps**2).reshape((2,) + (1,) * (P0.ndim + 1))
+    pd = P[:, :, :2 * n].reshape((2, B, 2, n) + P0.shape[1:])
+    d = (pd[:, :, 0] - pd[:, :, 1]) / (2.0 * steps.reshape(sq.shape))
+    if not mixed:
+        return V, P0, d, None
+    pm = P[:, :, 2 * n:].reshape((2, B, len(i), 4) + P0.shape[1:])
+    dd = np.empty((2, B, n, n) + P0.shape[1:], dtype=P.dtype)
+    dd[:, :, np.arange(n), np.arange(n)] = (pd[:, :, 0] - 2.0 * P0[:, None] + pd[:, :, 1]) / sq
+    dd[:, :, i, j] = dd[:, :, j, i] = (pm[:, :, :, 0] - pm[:, :, :, 1] - pm[:, :, :, 2]
+                                       + pm[:, :, :, 3]) / (4.0 * sq)
+    return V, P0, d, dd
 
 
 def _orthonormalize_real_span(H: np.ndarray, field: Field, tol: float = 1e-12) -> np.ndarray:
@@ -245,38 +246,6 @@ def point_frame(chart: ImmersionChart, u, h: float = FD_STEP, gauge=None) -> Poi
 # second fundamental form
 # ----------------------------------------------------------------------------
 
-def _projector_stencil(chart: ImmersionChart, U: np.ndarray, h: float):
-    """Central first differences ∂_i P and second differences ∂_i∂_j P of
-    the projector at the steps h and h/2, at every row of U (B, n), from one
-    chart call on 1 + 4n² stencil rows per row: d (2, B, n, N, N[, 4]) and
-    dd (2, B, n, n, N, N[, 4]).
-
-    Diagonal entries use the three-point stencil u ± step e_i, mixed ones
-    the four corners u ± step e_i ± step e_j (i < j).
-    """
-    B, n = U.shape
-    steps = np.array([h, h / 2.0])
-    eye = np.eye(n)
-    i, j = np.triu_indices(n, 1)
-    diag = np.stack([eye, -eye], axis=1)
-    mixed = np.stack([eye[i] + eye[j], eye[i] - eye[j], eye[j] - eye[i], -eye[i] - eye[j]], axis=1)
-    offsets = np.concatenate([diag.reshape(-1, n), mixed.reshape(-1, n)])
-    rows = U[:, None, None] + steps[:, None, None] * offsets
-    _, P = chart.eval_point(np.concatenate([U[:, None], rows.reshape(B, -1, n)], axis=1).reshape(-1, n))
-    P = P.reshape((B, 1 + 2 * len(offsets)) + P.shape[1:])
-    P0 = P[:, 0]
-    P = np.moveaxis(P[:, 1:].reshape((B, 2, len(offsets)) + P0.shape[1:]), 1, 0)
-    sq = (steps**2).reshape((2,) + (1,) * (P0.ndim + 1))
-    pd = P[:, :, :2 * n].reshape((2, B, n, 2) + P0.shape[1:])
-    pm = P[:, :, 2 * n:].reshape((2, B, len(i), 4) + P0.shape[1:])
-    d = (pd[:, :, :, 0] - pd[:, :, :, 1]) / (2.0 * steps.reshape(sq.shape))
-    dd = np.empty((2, B, n, n) + P0.shape[1:], dtype=P.dtype)
-    dd[:, :, np.arange(n), np.arange(n)] = (pd[:, :, :, 0] - 2.0 * P0[:, None] + pd[:, :, :, 1]) / sq
-    dd[:, :, i, j] = dd[:, :, j, i] = (pm[:, :, :, 0] - pm[:, :, :, 1] - pm[:, :, :, 2]
-                                       + pm[:, :, :, 3]) / (4.0 * sq)
-    return d, dd
-
-
 @dataclass(frozen=True)
 class SecondFF:
     """Normal-valued second fundamental form in the orthonormal frame."""
@@ -302,12 +271,12 @@ def second_fundamental_form(
     Richardson level, re-expressed against the orthonormal frame:
     II(E_a, E_b) = Σ_ij coeff[a, i] coeff[b, j] II(∂_i, ∂_j)."""
     u = np.asarray(u, dtype=float)
-    chart.check_interior(u, 4 * h)
+    chart.check_rows(u[None], 4 * h)
     if pf is None:
         pf = point_frame(chart, u)
-    pt = pf.pt
-    ddP = GrassTangent(pt, _horizontal(pt.P, pt.V, _projector_stencil(chart, u[None], h)[1][:, 0],
-                                       pt.field))
+    pt, f = pf.pt, pf.pt.field
+    dd = _projector_stencil(chart, u[None], h)[3][:, 0]
+    ddP = GrassTangent(pt, horizontal_stack(pt.V, matmul_stack(dd, pt.V, f), f))
     normal = pf.project_normal(ddP).H
     raw = (4.0 * normal[1] - normal[0]) / 3.0
     II = GrassTangent(pt, np.einsum("ai,bj,ij...->ab...", pf.coeff, pf.coeff, raw))

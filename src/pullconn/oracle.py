@@ -49,6 +49,7 @@ from .homogeneous import (
     lie_lift,
     point_from_stiefel,
     proj_m,
+    projector_derivative,
     random_horizontal,
     stiefel_points,
 )
@@ -107,8 +108,7 @@ def curvature_pairing_fd(chart: ImmersionChart, u, x_coords, y_coords, w, v,
     f = chart.field
     tail = f.matrix_ndim
     V, P, H = differential_stack(chart, U.reshape(-1, chart.dim), h, use_analytic)
-    V = V[:, None]
-    dP = matmul_stack(H, ct_stack(V, f), f) + matmul_stack(V, ct_stack(H, f), f)
+    dP = projector_derivative(V[:, None], H, f)
     dP = np.moveaxis(dP.reshape(U.shape[:-1] + dP.shape[1:]), -tail - 1, 0)   # dP[i] = ∂_i P
     P = P.reshape(U.shape[:-1] + P.shape[1:])
     x, y = (np.moveaxis(np.asarray(c, dtype=float), -1, 0)[(...,) + (None,) * tail]
@@ -158,7 +158,7 @@ def _transport_generator(chart: ImmersionChart, u0, u1, steps: int, h: float):
     V, P = V.reshape(lead + V.shape[1:]), P.reshape(lead + P.shape[1:])
     Hd = np.einsum("...i,...ix->...x", du, H.reshape(lead + (chart.dim, -1))).reshape(V.shape)
     f = chart.field
-    Pd = matmul_stack(Hd, ct_stack(V, f), f) + matmul_stack(V, ct_stack(Hd, f), f)   # P' = Σ du_i ∂_i P
+    Pd = projector_derivative(V, Hd, f)   # P' = Σ du_i ∂_i P
     return V, P, matmul_stack(Pd, P, f) - matmul_stack(P, Pd, f)
 
 
@@ -351,7 +351,7 @@ def christoffel(chart: ImmersionChart, u, h: float = FD_STEP) -> np.ndarray:
     n = chart.dim
     X = U.reshape(-1, n)
     chart.check_rows(X, 2 * h)
-    d, dd = ((4.0 * Z[1] - Z[0]) / 3.0 for Z in _projector_stencil(chart, X, h))
+    d, dd = ((4.0 * Z[1] - Z[0]) / 3.0 for Z in _projector_stencil(chart, X, h)[2:])
     d = d.reshape(len(X), n, -1)                          # d[b, a] = ∂_a P, flat
     dd = dd.reshape(len(X), n, n, -1)                     # dd[b, k, a] = ∂_k∂_a P, flat
     g = 0.5 * np.real(np.einsum("bax,bcx->bac", d, np.conj(d)))

@@ -1,9 +1,11 @@
 """Golden point records: `cli.point_record` output on fixed inputs.
 
-    PYTHONPATH=src python tests/golden_records.py
+    PYTHONPATH=src python tests/golden_records.py [--report]
 
-rewrites tests/golden_records.json from the current code.  The inputs are
-the benchmark's `analyze-frame` inputs at sample seeds 1 and 3, its
+rewrites tests/golden_records.json from the current code; with --report it
+leaves the file alone and prints, for every record field, the largest
+relative and absolute move of the current code's records against it.  The
+inputs are the benchmark's `analyze-frame` inputs at sample seeds 1 and 3, its
 `analyze-quat` inputs (sample seed 0), and the default samples of
 `analyze --example linear --field h` and
 `analyze --example perturbed --field h --param base=linear`, all with
@@ -55,6 +57,7 @@ INPUTS = ([(f"frame/seed={s}/{spec[0]}", s, spec[1:]) for s in (1, 3) for spec i
 # telemetry that flips on 1-ulp changes of the input; reported, not compared
 UNCOMPARED = {"rounds", "converged"}
 RTOL = ATOL = 1e-12
+SMALL = 1e-6   # floats up to this size are held to ATOL, larger ones to RTOL
 
 
 def compute() -> dict:
@@ -92,7 +95,7 @@ def _angles_as_cosines(rec: dict) -> dict:
 
 def compare(want: dict, got: dict) -> list:
     """Every difference between two record sets that the tolerance rule
-    does not allow: floats with |v| > 1e-6 within RTOL relative, others
+    does not allow: floats with |v| > SMALL within RTOL relative, others
     within ATOL absolute, every other value (verdicts, reasons) equal."""
     bad = []
     if want.keys() != got.keys():
@@ -113,7 +116,7 @@ def compare(want: dict, got: dict) -> list:
                 gv = gl[path]
                 name = f"{label}[{i}]." + ".".join(map(str, path))
                 if isinstance(wv, float) and isinstance(gv, float):
-                    tol = RTOL * abs(wv) if abs(wv) > 1e-6 else ATOL
+                    tol = RTOL * abs(wv) if abs(wv) > SMALL else ATOL
                     if not abs(gv - wv) <= tol:
                         bad.append(f"{name}: {wv!r} -> {gv!r}")
                 elif wv != gv:
@@ -121,8 +124,49 @@ def compare(want: dict, got: dict) -> list:
     return bad
 
 
+def moves(want: dict, got: dict) -> dict:
+    """{field: [largest relative move, its record, largest absolute move,
+    its record]} over the float leaves of two record sets with equal labels
+    and record counts, θ taken as cosines as in compare.  A field is a path
+    inside a record, such as "theta.grid_best"; relative moves count only
+    values above SMALL, which compare judges relatively (None if none is)."""
+    out = {}
+    for label in want:
+        for i, (w, g) in enumerate(zip(want[label], got[label])):
+            gl = dict(_leaves(_angles_as_cosines(g)))
+            for path, wv in _leaves(_angles_as_cosines(w)):
+                gv = gl.get(path)
+                if not (isinstance(wv, float) and isinstance(gv, float)):
+                    continue
+                move = abs(gv - wv)
+                m = out.setdefault(".".join(map(str, path)), [None, None, -1.0, None])
+                if abs(wv) > SMALL and (m[0] is None or move / abs(wv) > m[0]):
+                    m[:2] = move / abs(wv), f"{label}[{i}]"
+                if move > m[2]:
+                    m[2:] = move, f"{label}[{i}]"
+    return out
+
+
+def report(want: dict, got: dict) -> str:
+    """One line per field, largest relative move first, then the fields
+    judged only absolutely; then every difference compare does not allow."""
+    rows = sorted(moves(want, got).items(),
+                  key=lambda kv: (kv[1][0] is None, -(kv[1][0] or kv[1][2]), kv[0]))
+    lines = [f"{key}: relative " + ("-" if rel is None else f"{rel:.2e} at {rw}")
+             + f", absolute {absolute:.2e} at {aw}"
+             for key, (rel, rw, absolute, aw) in rows]
+    bad = compare(want, got)
+    lines.append(f"{len(bad)} differences outside the tolerance rule")
+    return "\n".join(lines + bad)
+
+
 if __name__ == "__main__":
+    import sys
+
     records = compute()
+    if sys.argv[1:] == ["--report"]:
+        print(report(json.loads(PATH.read_text()), records))
+        sys.exit(0)
     # one record per line, so a regenerated file diffs point by point
     PATH.write_text("{\n" + ",\n".join(
         json.dumps(label) + ": [\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in recs)

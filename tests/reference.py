@@ -27,14 +27,12 @@ from pullconn.homogeneous import (
     frame_lift,
     lie_lift,
     point_from_stiefel,
+    projector_derivative,
 )
 from pullconn.immersion import (
-    _horizontal,
     _projector_stencil,
-    central_stencil,
     differential,
     differential_stack,
-    richardson_difference,
 )
 from pullconn.oracle import (
     DR_BASE_STEPS,
@@ -256,7 +254,8 @@ def covariant_derivative(chart, u, i: int, section, h: float = FD_STEP, richards
 def curvature_raw(chart, u, i: int, j: int, w, h: float = FD_STEP):
     """P [d_i P, d_j P] w — unbridged, exactly what holonomy measures."""
     D = differential(chart, u, h=h)
-    pt, dP = D[0].base, [t.delta for t in D]
+    pt = D[0].base
+    dP = [projector_derivative(pt.V, t.H, pt.field) for t in D]
     f = chart.field
     return matmul_stack(pt.P, matmul_stack(bracket(dP[i], dP[j], f), w, f), f)
 
@@ -316,6 +315,43 @@ def sectional_base_fd(chart, u, x_coords, y_coords, h: float = FD_STEP2) -> floa
     num = np.einsum("pkij,p,k,i,j->", Rlow, x, y, x, y)
     den = (x @ G @ x) * (y @ G @ y) - (x @ G @ y) ** 2
     return float(num / den)
+
+
+# ----------------------------------------------------------------------------
+# finite-difference twins: the Richardson first-difference stencil and the
+# projector-model tangent map, kept apart from immersion's single stencil
+# ----------------------------------------------------------------------------
+
+def central_stencil(U: np.ndarray, h: float) -> np.ndarray:
+    """Richardson central-difference stencil around each row of U (B, n).
+
+    Returns (B, 1 + 4n, n): the centre, then u + h e_i, u − h e_i,
+    u + (h/2) e_i and u − (h/2) e_i for i = 0..n−1.
+    """
+    E = np.eye(U.shape[-1])
+    centre = U[:, None, :]
+    return np.concatenate(
+        [centre] + [centre + s * E for s in (h, -h, h / 2.0, -h / 2.0)], axis=1)
+
+
+def richardson_difference(F: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of values F (B, 1 + 4n, ...) on a central_stencil,
+    combined over the steps h and h/2: returns (B, n, ...) with [:, i] = ∂_i F."""
+    n = (F.shape[1] - 1) // 4
+    fp, fm, gp, gm = (F[:, 1 + q * n:1 + (q + 1) * n] for q in range(4))
+    d1 = (fp - fm) / (2.0 * h)
+    d2 = (gp - gm) / (2.0 * (h / 2.0))
+    return (4.0 * d2 - d1) / 3.0
+
+
+def horizontal_from_projector(P: np.ndarray, V: np.ndarray, M: np.ndarray, field) -> np.ndarray:
+    """Ambient matrix-space direction → horizontal coordinates H = ΔV with
+    Δ = PM(I−P) + (I−P)MP, the tangent part of M in the projector model;
+    broadcasts over stacked P, V and M."""
+    PM = matmul_stack(P, M, field)
+    MP = matmul_stack(M, P, field)
+    delta = PM + MP - 2.0 * matmul_stack(P, MP, field)
+    return matmul_stack(delta, V, field)
 
 
 # ----------------------------------------------------------------------------
@@ -434,10 +470,10 @@ def second_fundamental_form_loop(chart, u, pf, h: float = FD_STEP2) -> np.ndarra
     horizontal part of each ∂_i∂_j P, minus its frame components, one
     Richardson level, then Σ_ij coeff[a, i] coeff[b, j] II(∂_i, ∂_j)."""
     pt, n, C = pf.pt, pf.n, pf.coeff
-    partials = _projector_stencil(chart, np.asarray(u, dtype=float)[None], h)[1][:, 0]
+    partials = _projector_stencil(chart, np.asarray(u, dtype=float)[None], h)[3][:, 0]
 
     def normal(M):
-        H = _horizontal(pt.P, pt.V, M, pt.field)
+        H = horizontal_from_projector(pt.P, pt.V, M, pt.field)
         coords = [inner_re(H, e.H) for e in pf.E]
         return H - sum(c * e.H for c, e in zip(coords, pf.E))
 

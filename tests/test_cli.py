@@ -179,8 +179,9 @@ def test_analyze_exit_codes_config(tmp_path):
 
 
 def test_analyze_field_the_base_does_not_carry_exit2(capsys):
-    # perturbed wraps the complex veronese base by default
-    assert main(["analyze", "--example", "perturbed", "--field", "h"]) == 2
+    # veronese is complex only
+    assert main(["analyze", "--example", "perturbed", "--field", "h",
+                 "--param", "base=veronese"]) == 2
     assert "over 'c', not 'h'" in capsys.readouterr().err
 
 
@@ -290,19 +291,22 @@ EDGE_CASES = [
     (["--example", "veronese", "--param", "d=2", "--param", "d=3"], 2, "'d' is given more than once"),
     (["--example", "perturbed", "--field", "r", "--param", "base=linear"], 0, None),
     (["--example", "clifford", "--out", "missing/dir/x.json"], 2, "cannot write --out"),
+    (["--example", "veronese", "--param", "d=68"], 0, None),
 ]
 
 
 @pytest.mark.parametrize("argv,want,text", [
-    (["--example", name, "--field", f], None, None) for name, f in ADVERTISED] + EDGE_CASES,
-    ids=[f"{name}-{f}" for name, f in ADVERTISED] + ["nan", "inf", "repeated", "r-linear", "out"])
+    (["--example", name, "--field", f], 0, None) for name, f in ADVERTISED] + EDGE_CASES,
+    ids=[f"{name}-{f}" for name, f in ADVERTISED]
+    + ["nan", "inf", "repeated", "r-linear", "out", "veronese-d68"])
 def test_every_advertised_combination_exits_cleanly(argv, want, text, tmp_path, monkeypatch, capsys):
     """Every example × field that `list` advertises, with default
-    parameters, finishes (0) or is refused with one error line (2); a
-    declared check never fails there (1), nothing crashes (3)."""
+    parameters, finishes (0); the edge cases finish or are refused with one
+    error line (2).  A declared check never fails there (1), nothing
+    crashes (3)."""
     monkeypatch.chdir(tmp_path)   # a later --out in argv wins
     code = main(["analyze", "--random", "1", "--workers", "1", "--out", "report.json", *argv])
-    assert code in (0, 2) and want in (None, code)
+    assert code == want
     if code == 2:
         _only_error_line(capsys, text or "error: ")
     else:
@@ -322,6 +326,48 @@ def test_analyze_internal_error_exit3(tmp_path, monkeypatch, capsys):
                  "--workers", "1", "--out", str(out)]) == 3
     assert capsys.readouterr().err.splitlines() == ["error: RuntimeError: frame layer broke"]
     assert not out.exists()
+
+
+def test_unwritable_out_is_refused_before_any_point(tmp_path, monkeypatch, capsys):
+    """An --out that cannot be opened exits 2 before analyze_point runs; an
+    existing --out keeps its contents when the run fails."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("frame layer broke")
+
+    monkeypatch.setattr(cli, "analyze_point", counted)
+    assert main(["analyze", "--example", "perturbed", "--field", "h", "--param", "base=linear",
+                 "--workers", "1", "--out", str(tmp_path / "missing" / "x.json")]) == 2
+    _only_error_line(capsys, "cannot write --out")
+    assert calls == []
+    out = tmp_path / "report.json"
+    out.write_text("earlier report")
+    assert main(["analyze", "--example", "veronese", "--grid", "1x1",
+                 "--workers", "1", "--out", str(out)]) == 3
+    assert len(calls) == 1 and out.read_text() == "earlier report"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--example", "linear", "--param", "N=3000", "--random", "1"],
+    ["--example", "totally-real", "--param", "n=60", "--random", "1"],
+], ids=["linear-N3000", "totally-real-n60"])
+def test_oversized_stencil_exits2_under_a_memory_limit(argv):
+    """Charts whose projector stencil would pass STENCIL_BYTES per point are
+    refused by make_chart; under a 1.5 GB address-space limit they once
+    exited 3 with MemoryError."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-m", "pullconn.cli", "analyze", *argv],
+                         capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120)
+    err = run.stderr.splitlines()
+    assert run.returncode == 2 and len(err) == 1 and "MiB bound" in err[0], run.stderr
 
 
 def test_failed_point_records_name_the_exception(tmp_path, monkeypatch):

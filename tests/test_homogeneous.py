@@ -27,6 +27,7 @@ from pullconn.homogeneous import (
     lie_lift,
     point_from_stiefel,
     proj_m,
+    projector_derivative,
     random_horizontal,
     tangent,
 )
@@ -87,7 +88,8 @@ def test_model_isometry(seed):
         t = random_horizontal(rng, pt)
         lift = lie_lift(frame_lift(pt), t)
         n_h = inner_re(t.H, t.H)
-        n_delta = inner_g0(t.delta, t.delta, field)
+        delta = projector_derivative(pt.V, t.H, field)
+        n_delta = inner_g0(delta, delta, field)
         n_lift = inner_g0(lift.mat, lift.mat, field)
         assert abs(n_h - n_delta) < 1e-10 * max(1.0, n_h)
         assert abs(n_h - n_lift) < 1e-10 * max(1.0, n_h)
@@ -207,6 +209,21 @@ def test_geodesic_basics():
         assert frob(pa.P - pb.P) < 1e-10
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_projector_derivative_matches_the_entrywise_sum(field):
+    """HV* + VH* against its entries Σ_c H_ac conj(V_bc) + V_ac conj(H_bc)."""
+    rng = np.random.default_rng(31)
+    pt = rand_point(rng, field, 4, 2)
+    V, H = pt.V, random_horizontal(rng, pt).H
+    if field is Field.QUATERNION:
+        mul, conj = qmul, lambda q: q * np.array([1.0, -1.0, -1.0, -1.0])
+    else:
+        mul, conj = np.multiply, np.conj
+    want = np.array([[sum(mul(H[a, c], conj(V[b, c])) + mul(V[a, c], conj(H[b, c]))
+                          for c in range(2)) for b in range(4)] for a in range(4)])
+    assert np.max(np.abs(projector_derivative(V, H, field) - want)) < 1e-14
+
+
 def test_geodesic_unit_speed_arc_length():
     rng = np.random.default_rng(6)
     pt = rand_point(rng, Field.COMPLEX, 3, 1)
@@ -215,7 +232,8 @@ def test_geodesic_unit_speed_arc_length():
     ps = geodesic(pt, t, s)
     # projector-model distance ≈ |Δ|₀·s for small s
     d = np.sqrt(inner_g0(ps.P - pt.P, ps.P - pt.P, Field.COMPLEX))
-    assert abs(d - s * np.sqrt(inner_g0(t.delta, t.delta, Field.COMPLEX))) < 5e-9
+    delta = projector_derivative(pt.V, t.H, Field.COMPLEX)
+    assert abs(d - s * np.sqrt(inner_g0(delta, delta, Field.COMPLEX))) < 5e-9
 
 
 def test_geodesic_k1_closed_form_matches_expm():

@@ -25,7 +25,7 @@ from pullconn.catalog import (
 )
 from pullconn.connection import fatness_margin
 from pullconn.constants import FD_STEP
-from pullconn.homogeneous import GrassTangent, point_from_stiefel, random_horizontal
+from pullconn.homogeneous import GrassTangent, horizontal_stack, point_from_stiefel, random_horizontal
 from pullconn.immersion import (
     NET_BUDGET,
     REFINE_ROUNDS,
@@ -34,6 +34,7 @@ from pullconn.immersion import (
     NotImmersionError,
     _orthonormalize_real_span,
     _pencil_extreme,
+    _projector_stencil,
     _sphere_net,
     differential,
     differential_stack,
@@ -42,7 +43,12 @@ from pullconn.immersion import (
     shape_norm,
 )
 from pullconn.oracle import exp_chart
-from reference import orthonormalize_real_span
+from reference import (
+    central_stencil,
+    horizontal_from_projector,
+    orthonormalize_real_span,
+    richardson_difference,
+)
 
 
 def closed_form_charts():
@@ -569,9 +575,58 @@ def test_stacked_domain_check_reports_the_failing_row(chart, bad):
     U[2, 1] = bad
     U[4, 0] = np.nan   # a later failing row is not the one reported
     with pytest.raises(ChartDomainError) as single:
-        chart.check_interior(U[2], 2 * FD_STEP)
+        chart.check_rows(U[2:3], 2 * FD_STEP)
     with pytest.raises(ChartDomainError) as stacked:
         differential_stack(chart, U)
     assert str(stacked.value) == str(single.value)
     with pytest.raises(ChartDomainError, match=f"expected {chart.dim} coordinates"):
         differential_stack(chart, np.zeros((5, chart.dim + 1)))
+
+
+def test_check_rows_messages():
+    """The shape, non-finite and near-the-edge refusals, word for word."""
+    chart = veronese(2)   # box (-1.2, 1.2)²
+    cases = [(np.zeros((1, 3)), "expected 2 coordinates, got shape (3,)"),
+             (np.array([[0.0, 0.0], [0.0, np.inf]]), "non-finite chart coordinates"),
+             (np.array([[0.0, 0.0], [1.19, 0.0]]),
+              "coordinate 1.1900 within 2.00e-02 of the box [-1.2, 1.2]")]
+    for U, text in cases:
+        with pytest.raises(ChartDomainError) as err:
+            chart.check_rows(U, 0.02)
+        assert str(err.value) == text
+
+
+@pytest.mark.parametrize("name,field,params", [
+    ("perturbed", Field.COMPLEX, {}),
+    ("perturbed", Field.REAL, {"base": "linear"}),
+    ("perturbed", Field.QUATERNION, {"base": "hline"}),
+    ("perturbed", Field.QUATERNION, {"base": "linear"}),
+    ("grassmann-sub", Field.REAL, {}),
+], ids=["perturbed-c", "perturbed-r-linear", "perturbed-h-hline", "perturbed-h-linear",
+        "grassmann-sub"])
+def test_stencil_first_differences_equal_the_richardson_twin(name, field, params):
+    """_projector_stencil without mixed rows evaluates 1 + 4n rows per point
+    and its Richardson ∂P is the twin's bit for bit."""
+    chart = cli.make_chart(name, field, params)
+    U = np.array(cli.sample_points(chart, None, 3, 0, None))
+    B, n = U.shape
+    V, P, d, dd = _projector_stencil(chart, U, FD_STEP, mixed=False)
+    Vt, Pt = chart.eval_point(central_stencil(U, FD_STEP).reshape(-1, n))
+    Pt = Pt.reshape((B, 1 + 4 * n) + P.shape[1:])
+    assert dd is None
+    assert np.array_equal(V, Vt.reshape((B, 1 + 4 * n) + V.shape[1:])[:, 0])
+    assert np.array_equal(P, Pt[:, 0])
+    assert np.array_equal((4.0 * d[1] - d[0]) / 3.0, richardson_difference(Pt, FD_STEP))
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
+def test_tangent_map_equals_the_projector_form(field):
+    """(PM(I−P) + (I−P)MP)V = (I−P)MV, as PV = V: horizontal_stack(V, MV)
+    against the projector-model form for random ambient directions M."""
+    rng = np.random.default_rng(17)
+    pt = point_from_stiefel(random_matrix(rng, field, 5, 2), field)
+    for _ in range(5):
+        M = random_matrix(rng, field, 5, 5)
+        got = horizontal_stack(pt.V, matmul_stack(M, pt.V, field), field)
+        want = horizontal_from_projector(pt.P, pt.V, M, field)
+        assert np.max(np.abs(got - want)) <= 1e-15 * frob(M)

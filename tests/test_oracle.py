@@ -20,10 +20,8 @@ from pullconn.catalog import (
 )
 from pullconn.connection import alpha_basis
 from pullconn.immersion import (
-    central_stencil,
     differential,
     point_frame,
-    richardson_difference,
     second_fundamental_form,
 )
 from pullconn.oracle import (
@@ -41,6 +39,7 @@ from pullconn.oracle import (
     parallel_transport,
 )
 from reference import (
+    central_stencil,
     christoffel_nested,
     covariant_derivative,
     curvature_oracle,
@@ -50,6 +49,7 @@ from reference import (
     gram_at,
     holonomy_map_loop,
     m_basis,
+    richardson_difference,
     sectional_base_fd,
 )
 from pullconn.homogeneous import (

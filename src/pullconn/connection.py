@@ -9,7 +9,8 @@ tangents is J_alpha : H -> -H alpha; pairings against curvature use
 half the g0 inner product of frame brackets.  The alpha-extremizations
 below are exact (linear functionals maximize to coefficient norms, and
 quadratic forms minimize to extreme eigenvalues), except fatness with more
-than one probe: a certified sphere search, `immersion._pencil_extreme`.
+than one probe (`_pencil_extreme`): exact on a Clifford J-action, as at
+quaternionic-holomorphic points, and a certified sphere search elsewhere.
 """
 from __future__ import annotations
 
@@ -144,26 +145,25 @@ def base_sectional(pf: PointFrame, ff: SecondFF, x, y):
     """Gauss-equation sectional curvature of the base for orthonormal
     frame-coordinate pairs x, y of shape (n,) or (P, n).
 
-    The ambient term |[X~, Y~]|₀² = ½(|C₁|² + |C₂|²) with C₁ = Y*X − X*Y
-    and C₂ = YX* − XY* is bilinear in (x, y): it contracts the bracket
-    tensors C₁[a, b] = E_b*E_a − E_a*E_b and C₂[a, b] = E_bE_a* − E_aE_b*.
+    The ambient term is |[X~, Y~]|₀² = ½(|C₁|² + |C₂|²) with C₁ = Y*X − X*Y
+    and C₂ = YX* − XY* for X = Σ_a x_a E_a and Y = Σ_b y_b E_b, formed once
+    per pair; II is contracted one frame index at a time.
     """
     X, Y = np.atleast_2d(x).astype(float), np.atleast_2d(y).astype(float)
     f = pf.pt.field
-    E = pf.E.H
-    Eh = ct_stack(E, f)
-    G1 = matmul_stack(Eh[:, None], E[None], f)     # E_a* E_b
-    G2 = matmul_stack(E[:, None], Eh[None], f)     # E_a E_b*
+    XY = np.concatenate([X, Y])
 
-    def bilinear(s, t, T):
-        return np.einsum("pa,pb,ab...->p...", s, t, T)
+    def along(T):
+        """Σ_a z_a T[a] for every row z of XY, split into the X and Y halves."""
+        Z = (XY @ T.reshape(len(T), -1)).reshape((len(XY),) + T.shape[1:])
+        return Z[:len(X)], Z[len(X):]
 
-    II = ff.II.H
-    C1 = bilinear(X, Y, G1.swapaxes(0, 1) - G1)
-    C2 = bilinear(X, Y, G2.swapaxes(0, 1) - G2)
-    Ixy = bilinear(X, Y, II)
-    kb = 0.5 * (_row_pair(C1, C1) + _row_pair(C2, C2)) \
-        + _row_pair(bilinear(X, X, II), bilinear(Y, Y, II)) - _row_pair(Ixy, Ixy)
+    Xt, Yt = along(pf.E.H)
+    YX, YXh = matmul_stack(ct_stack(Yt, f), Xt, f), matmul_stack(Yt, ct_stack(Xt, f), f)
+    C1, C2 = YX - ct_stack(YX, f), YXh - ct_stack(YXh, f)
+    XII, YII = along(ff.II.H)                       # Σ_a x_a II_ab, Σ_a y_a II_ab
+    Ixx, Ixy, Iyy = (np.einsum("pb,pb...->p...", s, T) for s, T in ((X, XII), (Y, XII), (Y, YII)))
+    kb = 0.5 * (_row_pair(C1, C1) + _row_pair(C2, C2)) + _row_pair(Ixx, Iyy) - _row_pair(Ixy, Ixy)
     return float(kb[0]) if np.ndim(x) == 1 else kb
 
 

@@ -11,9 +11,9 @@ projector derivative M to a tangent: (PM(I−P) + (I−P)MP)V = (I−P)MV.
 The shape norm here and the fatness margin of `connection` are the maximum
 of σ_max and the minimum of σ_min of a linear matrix pencil
 T(a) = Σ_t a_t T_t over unit a.  One routine, `_pencil_extreme`, solves
-both: a covering net of the sphere up to sign (built once, at most
-NET_BUDGET points), lockstep refinement of the best net points, and a
-bound on the true extreme from the net's radius.
+both: one SVD when the pencil's Gram blocks enclose σ(T(a)) to rounding (a
+Clifford pencil), else a covering net of the sphere up to sign (at most
+NET_BUDGET points), lockstep refinement and a bound from the net's radius.
 """
 from __future__ import annotations
 
@@ -278,8 +278,8 @@ def second_fundamental_form(
     dd = _projector_stencil(chart, u[None], h)[3][:, 0]
     ddP = GrassTangent(pt, horizontal_stack(pt.V, matmul_stack(dd, pt.V, f), f))
     normal = pf.project_normal(ddP).H
-    raw = (4.0 * normal[1] - normal[0]) / 3.0
-    II = GrassTangent(pt, np.einsum("ai,bj,ij...->ab...", pf.coeff, pf.coeff, raw))
+    raw = np.einsum("ai,ij...->aj...", pf.coeff, (4.0 * normal[1] - normal[0]) / 3.0)
+    II = GrassTangent(pt, np.einsum("bj,aj...->ab...", pf.coeff, raw))
     n = pf.n
     flat = (n * n,) + II.H.shape[2:]
     sym = frob_stack((II.H - II.H.swapaxes(0, 1)).reshape(flat)).max()
@@ -364,22 +364,30 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
     T(a) = Σ_t a_t T_t of T (p, m, n); argmax = (a, x) with x the extreme
     right singular vector of T(a).  p = 1 is one exact SVD.
 
-    σ(T(a)) is even in a; it is evaluated on _sphere_net(p, resolution), of
-    radius δ up to sign (σ_max as √λ_max of the Gram T(a)ᵀT(a), σ_min by
-    SVD, which resolves it near 0).  The best four net points are refined in
-    lockstep.  A maximum fixes the left singular vector u of T(a) and takes
-    (a, x) as the top singular pair of the rows uᵀT_t.  A minimum takes the
-    better of an alternating step (a is the λ_min eigenvector of the Gram of
-    the T_t x) and a Gauss-Newton step on T(a)x, which converges near a zero
-    minimum, where alternation crawls.  A start stops once a round improves
-    its value v by at most 1e-15·max(1, v), or after REFINE_ROUNDS.
+    It certifies first and searches second.  T(a)ᵀT(a) = c·I + Σ_st a_s a_t R_st
+    on the unit sphere, with S_st = ½(T_sᵀT_t + T_tᵀT_s), c the mean
+    eigenvalue of the S_tt and R_st = S_st − c δ_st I, so by Cauchy–Schwarz
+    on (a_s a_t) every σ(T(a)) lies in [√(c − ρ), √(c + ρ)],
+    ρ = (Σ_st ‖R_st‖₂²)^½.  When that interval is no wider than the rounding
+    allowance ε = 10·max(m, n)·eps·ℓ, ℓ = ‖[T_1 | … | T_p]‖₂ (a Clifford
+    pencil, T(a)ᵀT(a) = c|a|², as the quaternion units give), no sphere
+    point can do better: value = σ(T(e_1)) from one SVD, rounds = 0, and the
+    bound is the interval's end widened by ε.
 
-    The certified bound is the better of grid ± ℓδ, as σ(T(a)) is
-    ℓ = ‖[T_1 | … | T_p]‖₂-Lipschitz, and √(grid² ± Λδ), as
-    σ² = c + λ(Σ_st a_s a_t R_st) moves by at most Λ‖a − b‖ with
-    Λ = √2 (Σ_st ‖R_st‖₂²)^½, R_st = S_st − c δ_st I, S_st = ½(T_sᵀT_t + T_tᵀT_s)
-    and c the mean eigenvalue of the S_tt (Λ = 0 for the quaternion units);
-    less a rounding allowance.
+    Otherwise σ(T(a)), which is even in a, is evaluated on
+    _sphere_net(p, resolution), of radius δ up to sign (σ_max as √λ_max of
+    the Gram T(a)ᵀT(a), σ_min by SVD, which resolves it near 0).  The best
+    four net points are refined in lockstep.  A maximum fixes the left
+    singular vector u of T(a) and takes (a, x) as the top singular pair of
+    the rows uᵀT_t.  A minimum takes the better of an alternating step (a is
+    the λ_min eigenvector of the Gram of the T_t x) and a Gauss-Newton step
+    on T(a)x, which converges near a zero minimum, where alternation crawls.
+    A start stops once a round improves its value v by at most
+    1e-15·max(1, v), or after REFINE_ROUNDS.
+
+    The net's certified bound is the better of grid ± ℓδ, as σ(T(a)) is
+    ℓ-Lipschitz, and √(grid² ± Λδ), as σ² moves by at most Λ‖a − b‖ with
+    Λ = √2·ρ; less ε.
     """
     p, m, n = T.shape
     j = 0 if largest else -1
@@ -388,6 +396,18 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
         return CertifiedMax(float(s[0, j]), (np.ones(1), Vt[0, j]), float(s[0, j]), 0.0)
     sign = 1.0 if largest else -1.0
     G = np.einsum("sci,tcj->stij", T, T)   # G[s, t] = T_sᵀ T_t
+    c = np.sum(T**2) / (p * n)
+    R2 = G + G.transpose(1, 0, 2, 3)                       # 2 S_st, then 2 R_st
+    R2[np.diag_indices(p)] -= 2.0 * c * np.eye(n)
+    w = np.linalg.eigvalsh(R2)                             # ‖R_st‖₂ from the extreme eigenvalues
+    rho = 0.5 * np.sqrt(np.sum(np.maximum(-w[..., 0], w[..., -1]) ** 2))
+    lip = np.sqrt(max(np.linalg.eigvalsh(G.transpose(0, 2, 1, 3).reshape(p * n, p * n))[-1], 0.0))
+    eps = 10 * max(m, n) * np.finfo(float).eps * lip       # rounding in the computed σ
+    hi, lo = np.sqrt(c + rho), np.sqrt(max(c - rho, 0.0))
+    if hi - lo <= eps:   # every σ(T(a)) is σ(T(e_1)) up to rounding
+        _, s, Vt = np.linalg.svd(T[0])
+        v = float(s[j])
+        return CertifiedMax(v, (np.eye(p)[0], Vt[j]), v, abs(float(hi + eps if largest else lo - eps) - v))
 
     def sig(A):
         """σ(T(a)) and its left and right singular vectors for every row a of A."""
@@ -437,15 +457,9 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
     b = int(np.argmax(sign * cur))
     value = max(float(cur[b]), grid) if largest else min(float(cur[b]), grid)
 
-    R2 = G + G.transpose(1, 0, 2, 3)                       # 2 S_st, then 2 R_st
-    R2[np.diag_indices(p)] -= 2.0 * np.sum(T**2) / (p * n) * np.eye(n)
-    w = np.linalg.eigvalsh(R2)                             # ‖R_st‖₂ from the extreme eigenvalues
-    quad = np.sqrt(0.5 * np.sum(np.maximum(-w[..., 0], w[..., -1]) ** 2))
-    lip = np.sqrt(max(np.linalg.eigvalsh(G.transpose(0, 2, 1, 3).reshape(p * n, p * n))[-1], 0.0))
     lin = grid + sign * lip * delta
-    root = np.sqrt(max(grid**2 + sign * quad * delta, 0.0))
-    bound = (min(lin, root) if largest else max(lin, root)) \
-        + sign * 10 * max(m, n) * np.finfo(float).eps * lip   # rounding in the computed σ
+    root = np.sqrt(max(grid**2 + sign * np.sqrt(2.0) * rho * delta, 0.0))
+    bound = (min(lin, root) if largest else max(lin, root)) + sign * eps
     return CertifiedMax(value, (a[b], x[b]), grid, abs(float(bound) - value),
                         rounds, not len(live))
 

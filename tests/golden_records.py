@@ -1,19 +1,24 @@
-"""Golden point records: `cli.point_record` output on fixed inputs.
+"""Golden point records: `cli.point_record` output on fixed inputs, and
+the `verify` report.
 
     PYTHONPATH=src python tests/golden_records.py [--report]
 
-rewrites tests/golden_records.json from the current code; with --report it
-leaves the file alone and prints, for every record field, the largest
-relative and absolute move of the current code's records against it.  The
+rewrites tests/golden_records.json and tests/golden_verify.json from the
+current code; with --report it leaves the files alone and prints, for every
+record field, the largest relative and absolute move of the current code's
+records against the file, then every `verify` row's move.  The
 inputs are the benchmark's `analyze-frame` inputs at sample seeds 1 and 3, its
 `analyze-quat` inputs (sample seed 0), and the default samples of
 `analyze --example linear --field h` and
 `analyze --example perturbed --field h --param base=linear`, all with
-normalize=True.  tests/test_golden_records.py recomputes the records and
-holds them to the file with `compare`.
+normalize=True.  The `verify` report is stored without its `timing` block.
+tests/test_golden_records.py recomputes both and holds them to the files
+with `compare` and `compare_verify`.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -24,6 +29,7 @@ from pullconn.algebra import Field
 from pullconn.connection import analyze_point
 
 PATH = Path(__file__).with_name("golden_records.json")
+VERIFY_PATH = Path(__file__).with_name("golden_verify.json")
 
 # (label, example, field, params, points per sample)
 FRAME_CHARTS = [
@@ -58,6 +64,11 @@ INPUTS = ([(f"frame/seed={s}/{spec[0]}", s, spec[1:]) for s in (1, 3) for spec i
 UNCOMPARED = {"rounds", "converged"}
 RTOL = ATOL = 1e-12
 SMALL = 1e-6   # floats up to this size are held to ATOL, larger ones to RTOL
+# verify rows held to a looser relative tolerance than RTOL: fd-order/veronese
+# is the ratio e(0.02)/e(0.01) of two oracle errors of about 1e-7 and 1e-8,
+# each a difference of O(1) pairings, so a last-bit change in the
+# differentials moves it by about 1e-6 relative
+VERIFY_RTOL = {"fd-order/veronese": 1e-5}
 
 
 def compute() -> dict:
@@ -69,6 +80,16 @@ def compute() -> dict:
         out[label] = [cli.point_record(analyze_point(chart, u, normalize=True))
                       for u in points]
     return out
+
+
+def compute_verify() -> dict:
+    """The report of one in-process `verify` run, without `timing`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["verify"])
+    report = json.loads(out.getvalue())
+    del report["timing"]
+    return report
 
 
 def _leaves(obj, path=()):
@@ -124,6 +145,26 @@ def compare(want: dict, got: dict) -> list:
     return bad
 
 
+def compare_verify(want: dict, got: dict) -> list:
+    """Every difference between two `verify` reports that the tolerance rule
+    does not allow: each row's value as a record float, with the relative
+    tolerance of VERIFY_RTOL where it names the row, and every other entry
+    (names, tolerances, verdicts, config) equal."""
+    rows = [(w, g) for w, g in zip(want["checks"], got["checks"]) if w["name"] == g["name"]]
+    if len(rows) != len(want["checks"]) or len(rows) != len(got["checks"]):
+        return [f"rows differ: {[c['name'] for c in got['checks']]}"]
+    bad = [f"{key}: {want[key]!r} -> {got.get(key)!r}" for key in want.keys() | got.keys()
+           if key != "checks" and want.get(key) != got.get(key)]
+    for w, g in rows:
+        rtol = VERIFY_RTOL.get(w["name"], RTOL)
+        tol = rtol * abs(w["value"]) if abs(w["value"]) > SMALL else ATOL
+        if not abs(g["value"] - w["value"]) <= tol:
+            bad.append(f"{w['name']}.value: {w['value']!r} -> {g['value']!r}")
+        bad += [f"{w['name']}.{key}: {w[key]!r} -> {g.get(key)!r}"
+                for key in w.keys() | g.keys() if key != "value" and w.get(key) != g.get(key)]
+    return bad
+
+
 def moves(want: dict, got: dict) -> dict:
     """{field: [largest relative move, its record, largest absolute move,
     its record]} over the float leaves of two record sets with equal labels
@@ -160,15 +201,28 @@ def report(want: dict, got: dict) -> str:
     return "\n".join(lines + bad)
 
 
+def report_verify(want: dict, got: dict) -> str:
+    """Each `verify` row's value and relative move, then every difference
+    compare_verify does not allow."""
+    lines = [f"verify {w['name']}: {w['value']!r} -> {g['value']!r}, relative "
+             f"{abs(g['value'] - w['value']) / max(abs(w['value']), 1e-300):.2e}"
+             for w, g in zip(want["checks"], got["checks"])]
+    bad = compare_verify(want, got)
+    return "\n".join(lines + [f"{len(bad)} verify differences outside the tolerance rule"] + bad)
+
+
 if __name__ == "__main__":
     import sys
 
-    records = compute()
+    records, verify = compute(), compute_verify()
     if sys.argv[1:] == ["--report"]:
         print(report(json.loads(PATH.read_text()), records))
+        print(report_verify(json.loads(VERIFY_PATH.read_text()), verify))
         sys.exit(0)
     # one record per line, so a regenerated file diffs point by point
     PATH.write_text("{\n" + ",\n".join(
         json.dumps(label) + ": [\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in recs)
         + "\n]" for label, recs in records.items()) + "\n}\n")
-    print(f"wrote {sum(map(len, records.values()))} records to {PATH}")
+    VERIFY_PATH.write_text(json.dumps(verify, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {sum(map(len, records.values()))} records to {PATH} "
+          f"and {len(verify['checks'])} verify rows to {VERIFY_PATH}")

@@ -519,6 +519,30 @@ def test_verify_chart_work_stays_within_its_budget(monkeypatch, capsys):
     assert work[0] <= VERIFY_CHART_CALLS and work[1] <= VERIFY_CHART_ROWS, work
 
 
+@pytest.mark.parametrize("argv,nets", [
+    (["--example", "hline"], False),
+    (["--example", "linear", "--field", "h"], False),
+    (["--example", "perturbed", "--param", "base=hline"], True),
+], ids=["hline", "linear-h", "perturbed-hline"])
+def test_sphere_nets_only_where_the_pencil_is_not_clifford(monkeypatch, capsys, argv, nets):
+    """Quaternionic-holomorphic points certify their fatness pencil in closed
+    form and have no second fundamental form, so one analyze point builds
+    no sphere net; a perturbed point still searches one."""
+    from pullconn import immersion
+
+    built = []
+    net = immersion._sphere_net
+
+    def counted(*args):
+        built.append(args)
+        return net(*args)
+
+    monkeypatch.setattr(immersion, "_sphere_net", counted)
+    assert main(["analyze", *argv, "--random", "1", "--workers", "1"]) == 0
+    capsys.readouterr()
+    assert bool(built) is nets, built
+
+
 def test_flags_a_command_does_not_take_exit2(capsys):
     """A flag the subcommand would ignore is refused by the parser."""
     assert main(["verify", "--example", "veronese"]) == 2

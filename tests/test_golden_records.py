@@ -1,8 +1,12 @@
-"""Point records against the checked-in golden file (tests/golden_records.py
-says how it is made and what the tolerance rule is)."""
+"""Point records and the `verify` report against the checked-in golden files
+(tests/golden_records.py says how they are made and what the tolerance rule
+is)."""
+import copy
 import json
 
-from golden_records import PATH, compare, compute, report
+from golden_records import (
+    PATH, VERIFY_PATH, compare, compare_verify, compute, compute_verify, report,
+)
 
 
 def test_point_records_match_the_golden_file():
@@ -20,3 +24,27 @@ def test_report_names_the_largest_move_of_each_field():
     assert lines[-2:] == ["1 differences outside the tolerance rule",
                           f"{label}[0].shape.value: {want[label][0]['shape']['value']!r} -> "
                           f"{got[label][0]['shape']['value']!r}"]
+
+
+def test_verify_report_matches_the_golden_file():
+    """Every row within the records' rule (the rows other than fd-order are
+    oracle errors below 1e-6, held to 1e-12 absolute), except fd-order/veronese:
+    a ratio of two errors of about 1e-8, which a last-bit change in the
+    differentials moves by about 1e-6 relative, so it is held to 1e-5."""
+    assert compare_verify(json.loads(VERIFY_PATH.read_text()), compute_verify()) == []
+
+
+def test_verify_comparison_fires_on_each_tolerance():
+    want = json.loads(VERIFY_PATH.read_text())
+    rows = {c["name"]: i for i, c in enumerate(want["checks"])}
+    assert compare_verify(want, copy.deepcopy(want)) == []
+    for name, scale, fires in [("fd-order/veronese", 5e-6, False),
+                               ("fd-order/veronese", 2e-5, True),
+                               ("curvature-norm-vs-oracle/clifford", 0.0, True)]:
+        got = copy.deepcopy(want)
+        row = got["checks"][rows[name]]
+        row["value"] = row["value"] * (1.0 + scale) if scale else row["value"] + 2e-12
+        assert bool(compare_verify(want, got)) is fires, (name, scale)
+    got = copy.deepcopy(want)
+    got["checks"][0]["pass"] = not got["checks"][0]["pass"]
+    assert compare_verify(want, got) == [f"{want['checks'][0]['name']}.pass: True -> False"]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pullconn import cli
+from pullconn import cli, immersion
 from pullconn.algebra import (
     Field, ct_stack, eye, frob, inner_re, matmul_stack, orthonormalize, random_matrix,
 )
@@ -371,20 +371,14 @@ def test_shape_refinement_converges_on_sampled_points():
             assert res.gap <= 1e-9
 
 
-@pytest.mark.parametrize("largest", [True, False], ids=["max", "min"])
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_pencil_extreme_brackets_a_dense_sample(p, largest):
-    """On a random pencil T(a) = Σ_t a_t T_t the value is σ(T(a)) at the
-    reported (a, x), no point of a 20,000-point sample of the sphere beats
-    it, and none passes the certified bound value ± gap; p = 1 is exact."""
-    rng = np.random.default_rng(10 * p + largest)
-    T = rng.standard_normal((p, 4, 3))
-    res = _pencil_extreme(T, largest, 9)
+def _assert_brackets_dense_sample(T, res, largest, rng):
+    """σ(T(a)) at the reported (a, x) is the value, and no point of a
+    20,000-point sample of the sphere beats it or passes value ± gap."""
     a, x = res.argmax
     Ta = np.tensordot(a, T, axes=1)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(Ta @ x) == pytest.approx(res.value, rel=1e-12)
-    probes = rng.standard_normal((20_000, p))
+    probes = rng.standard_normal((20_000, len(T)))
     probes /= np.linalg.norm(probes, axis=1, keepdims=True)
     s = np.linalg.svd(np.einsum("st,tij->sij", probes, T), compute_uv=False)
     if largest:
@@ -393,10 +387,64 @@ def test_pencil_extreme_brackets_a_dense_sample(p, largest):
     else:
         assert res.value <= s[:, -1].min() + 1e-12
         assert res.value - res.gap <= s[:, -1].min()
+
+
+@pytest.mark.parametrize("largest", [True, False], ids=["max", "min"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_pencil_extreme_brackets_a_dense_sample(p, largest):
+    """A random pencil T(a) = Σ_t a_t T_t; p = 1 is exact."""
+    rng = np.random.default_rng(10 * p + largest)
+    T = rng.standard_normal((p, 4, 3))
+    res = _pencil_extreme(T, largest, 9)
+    _assert_brackets_dense_sample(T, res, largest, rng)
     if p == 1:
         assert res.gap == 0.0 and res.rounds == 0
     else:
         assert res.gap > 0.0 and res.rounds >= 1
+
+
+def _left_mult(q):
+    """Matrix of left multiplication by the quaternion q = w + xi + yj + zk on R⁴."""
+    w, x, y, z = q
+    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]], dtype=float)
+
+
+def _clifford_pencil(p, r, seed):
+    """r·Q T_t Qᵀ for a random orthogonal Q, with T(a)ᵀT(a) = |a|²·I:
+    1 and i on R² = C for p = 2, the units i, j, k on R⁴ = H for p = 3."""
+    units = (np.array([np.eye(2), [[0.0, -1.0], [1.0, 0.0]]]) if p == 2
+             else np.array([_left_mult(q) for q in np.eye(4)[1:]]))
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(units[0]),) * 2))[0]
+    return r * Q @ units @ Q.T
+
+
+@pytest.mark.parametrize("largest", [True, False], ids=["max", "min"])
+@pytest.mark.parametrize("p,r", [(2, 0.7), (3, 2.5)])
+def test_clifford_pencil_is_certified_without_a_net(monkeypatch, p, r, largest):
+    """σ(T(a)) = r on the whole sphere: one SVD, no net and no refinement."""
+    T = _clifford_pencil(p, r, seed=p)
+
+    def no_net(*args):
+        raise AssertionError("a sphere net was built for a Clifford pencil")
+
+    monkeypatch.setattr(immersion, "_sphere_net", no_net)
+    res = _pencil_extreme(T, largest, 9)
+    assert abs(res.value - r) <= 1e-14
+    assert res.gap <= 1e-13
+    assert res.rounds == 0 and res.converged
+    _assert_brackets_dense_sample(T, res, largest, np.random.default_rng(p))
+
+
+@pytest.mark.parametrize("largest", [True, False], ids=["max", "min"])
+@pytest.mark.parametrize("p,r", [(2, 0.7), (3, 2.5)])
+def test_nearly_clifford_pencil_takes_the_net(p, r, largest):
+    """One entry moved by 1e-8 widens the enclosure past rounding: the net
+    and the refinement run, and the result still brackets the sample."""
+    T = _clifford_pencil(p, r, seed=p)
+    T[0, 0, 0] += 1e-8
+    res = _pencil_extreme(T, largest, 9)
+    assert res.rounds >= 1
+    _assert_brackets_dense_sample(T, res, largest, np.random.default_rng(p))
 
 
 def test_point_without_probes_has_empty_j_stacks():

@@ -19,7 +19,9 @@ work), 3 for an internal error: any other exception, reported as one
 Reports are a single JSON document (schema ``pullconn-report/1``) or a flat
 CSV.  Every numeric field is always present; a quantity that does not apply
 is null with a sibling ``reason``.  Runs with identical configuration and
-seed produce identical reports except for the ``timing`` block.
+seed produce identical reports except for the ``timing`` block.  The point
+records, their aggregates and the catalog checks are declared in ``report``;
+this module samples, runs the commands and renders what they return.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from . import oracle
 from .algebra import Field
 from .catalog import CATALOG, build_chart, perturbed_base
 from .connection import analyze_point, curvature_norm
-from .constants import FD_STEP, FD_STEP2, STRICT_EPS
+from .constants import FD_STEP, FD_STEP2
 from .immersion import (
     STENCIL_BYTES,
     ChartDomainError,
@@ -49,8 +51,7 @@ from .immersion import (
     second_fundamental_form,
     stencil_bytes,
 )
-
-SCHEMA = "pullconn-report/1"
+from .report import NO_POINT, SCHEMA, aggregate_records, expectation_checks, point_record
 
 
 class ConfigError(ValueError):
@@ -252,179 +253,6 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
             scale /= base
             q = q // base
     return out.T
-
-
-# ----------------------------------------------------------------------------
-# per-point records (JSON-safe, null + reason for skipped quantities)
-# ----------------------------------------------------------------------------
-
-def _cm_record(cm, reason=None):
-    if cm is None:
-        return {"value": None, "grid_best": None, "gap": None, "rounds": None,
-                "converged": None, "reason": reason}
-    return {"value": float(cm.value), "grid_best": float(cm.grid_best),
-            "gap": float(cm.gap), "rounds": int(cm.rounds),
-            "converged": bool(cm.converged), "reason": None}
-
-
-def _residual_record(res) -> dict:
-    why = None
-    if res.degenerate:
-        why = "no vertical probes in rank one over R"
-    elif res.probes == 0:
-        why = "no frame pairs in a one-dimensional base"
-    return {"residual": float(res.value), "holds": res.holds,
-            "probes": res.probes, "reason": why}
-
-
-def point_record(pa) -> dict:
-    fat = pa.fatness
-    ineq = pa.inequality
-    rec = {
-        "u": [float(x) for x in pa.u],
-        "gram_min_eig": float(pa.gram_min_eig),
-        "shape": _cm_record(pa.shape),
-        "theta": _cm_record(pa.theta,
-                            reason=None if pa.theta is not None
-                            else "Wirtinger angle undefined over R"),
-        "fatness": {
-            "margin": float(fat.margin),
-            "fat": fat.fat,
-            "gap": float(fat.gap),
-            "rounds": int(fat.rounds),
-            "converged": bool(fat.converged),
-            "reason": "no vertical probes in rank one over R" if fat.degenerate else None,
-        },
-        "parallel": _residual_record(pa.parallel),
-        "radial": _residual_record(pa.radial),
-        "inequality": {
-            "min_margin": None if not np.isfinite(ineq.min_margin) else float(ineq.min_margin),
-            "strict": ineq.strict,
-            "probes": ineq.probes,
-            "reason": "base dimension below two" if not np.isfinite(ineq.min_margin)
-                      else ("no vertical probes in rank one over R" if ineq.degenerate else None),
-        },
-        "kb_probe": {"value": pa.kb_probe,
-                     "reason": None if pa.kb_probe is not None else "base dimension below two"},
-        "normalization": {"value": pa.normalization,
-                          "reason": None if pa.normalization is not None
-                          else "run with --normalize to scale curvature"},
-    }
-    if pa.corollary is not None:
-        lhs, rhs, ok = pa.corollary
-        rec["corollary"] = {"lhs": float(lhs), "rhs": float(rhs),
-                            "satisfied": bool(ok), "reason": None}
-    else:
-        why = ("Wirtinger angle undefined over R" if pa.theta is None
-               else "run with --normalize to evaluate the shape bound")
-        rec["corollary"] = {"lhs": None, "rhs": None, "satisfied": None, "reason": why}
-    return rec
-
-
-def _collect(records, path):
-    out = []
-    for rec in records:
-        v = rec
-        for key in path:
-            v = v[key]
-        if v is not None:
-            out.append(v)
-    return out
-
-
-def _agg_min(records, path):
-    vals = _collect(records, path)
-    return min(vals) if vals else None
-
-
-def _agg_max(records, path):
-    vals = _collect(records, path)
-    return max(vals) if vals else None
-
-
-def aggregate_records(records, failures) -> dict:
-    """Extremes over per-point records plus all-point verdicts."""
-    def verdict(path):
-        vals = _collect(records, path)
-        if len(vals) < len(records):
-            return None
-        return bool(all(vals))
-
-    return {
-        "points": len(records),
-        "failed_points": len(failures),
-        "min_gram_eig": _agg_min(records, ("gram_min_eig",)),
-        "max_shape": _agg_max(records, ("shape", "value")),
-        "min_shape": _agg_min(records, ("shape", "value")),
-        "max_theta": _agg_max(records, ("theta", "value")),
-        "min_fatness_margin": _agg_min(records, ("fatness", "margin")),
-        "max_parallel_residual": _agg_max(records, ("parallel", "residual")),
-        "max_radial_residual": _agg_max(records, ("radial", "residual")),
-        "min_inequality_margin": _agg_min(records, ("inequality", "min_margin")),
-        "min_kb": _agg_min(records, ("kb_probe", "value")),
-        "max_kb": _agg_max(records, ("kb_probe", "value")),
-        "all_fat": verdict(("fatness", "fat")),
-        "all_parallel": verdict(("parallel", "holds")),
-        "all_radial": verdict(("radial", "holds")),
-        "all_inequality_strict": verdict(("inequality", "strict")),
-    }
-
-
-# ----------------------------------------------------------------------------
-# declared expectations from the catalog
-# ----------------------------------------------------------------------------
-
-def expectation_checks(entry, records, failures) -> list:
-    """Turn a catalog entry's headline properties into pass/fail checks.  A
-    residual check that no record defines passes neither way: its pass is
-    null, with the records' reason."""
-    checks = [{
-        "name": "immersion",
-        "detail": "full-rank differential at every sampled point",
-        "value": len(failures),
-        "tolerance": 0,
-        "pass": not failures,
-        "reason": None,
-    }]
-    exp = entry.expected
-
-    def add(name, detail, value, tol, ok, reason=None):
-        checks.append({"name": name, "detail": detail, "value": value,
-                       "tolerance": tol, "pass": None if reason else bool(ok),
-                       "reason": reason})
-
-    defined = [r for r in records if r["parallel"]["reason"] is None]
-    undefined = None if defined else (records[0]["parallel"]["reason"] if records
-                                      else "no point was analyzed")
-
-    if exp.get("totally_geodesic"):
-        worst = _agg_max(records, ("shape", "value"))
-        add("totally-geodesic", "second fundamental form vanishes",
-            worst, 1e-6, worst is not None and worst < 1e-6)
-    if exp.get("holomorphic"):
-        worst = _agg_max(records, ("theta", "value"))
-        add("holomorphic", "Wirtinger angle zero at every point",
-            worst, 1e-6, worst is not None and worst < 1e-6)
-    if exp.get("parallel"):
-        ok = all(r["parallel"]["holds"] for r in defined)
-        worst = _agg_max(defined, ("parallel", "residual"))
-        add("parallel", "curvature derivative residual below threshold",
-            worst, STRICT_EPS, ok, undefined)
-    if exp.get("wirtinger") == "pi/2":
-        vals = _collect(records, ("theta", "value"))
-        worst = max((abs(v - np.pi / 2) for v in vals), default=None)
-        add("totally-real-angle", "Wirtinger angle pi/2 at every point",
-            worst, 1e-6, worst is not None and worst < 1e-6)
-    if exp.get("flat"):
-        vals = _collect(records, ("kb_probe", "value"))
-        worst = max((abs(v) for v in vals), default=None)
-        add("flat", "base sectional curvature zero",
-            worst, 1e-6, worst is not None and worst < 1e-6)
-    if exp.get("breaks_parallel"):
-        best = _agg_max(defined, ("parallel", "residual"))
-        add("breaks-parallel", "the perturbation leaves a visibly nonparallel curvature",
-            best, 1e-3, best is not None and best > 1e-3, undefined)
-    return checks
 
 
 # ----------------------------------------------------------------------------
@@ -663,20 +491,20 @@ def cmd_sweep(args) -> tuple:
             points = sample_points(chart, None, 6, seed, args.fd_step)
         records, failures = analyze_sample(
             chart, points, args.normalize, args.fd_step, _workers(args))
-        kb = records[0]["kb_probe"]["value"] if records else None
+        probe = records[0]["kb_probe"] if records else {"value": None, "reason": NO_POINT}
+        kb = probe["value"]
         if base_kb is None and kb is not None:
             base_kb = kb
         if kb is None:
-            ratio, why = None, "base dimension below two"
-        elif base_kb is None or abs(base_kb) < 1e-12:
+            ratio, why = None, probe["reason"]
+        elif abs(base_kb) < 1e-12:
             ratio, why = None, "reference curvature vanishes"
         else:
             ratio, why = float(kb / base_kb), None
         rows.append({
             key: val,
             **aggregate_records(records, failures),
-            "kb_probe": {"value": kb,
-                         "reason": None if kb is not None else "base dimension below two"},
+            "kb_probe": probe,
             "kb_ratio": {"value": ratio, "reason": why},
         })
     report = {
@@ -721,7 +549,7 @@ def _flatten(prefix: str, obj, row: dict):
 
 def _csv_rows(report: dict):
     if "points" in report and isinstance(report["points"], list):
-        items = report["points"]
+        items = report["points"] + report["failed_points"]
     elif "rows" in report:
         items = report["rows"]
     elif "checks" in report:
@@ -802,7 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="low-discrepancy sample of N interior points")
         p.add_argument("--seed", type=int, help="sampling seed (default 0)")
         p.add_argument("--normalize", action="store_true",
-                       help="scale curvature so holomorphic sectionals reach 1")
+                       help="also report the ambient curvature maximum λ and the "
+                            "shape bound, whose left side is shape²/λ; rescales nothing")
         p.add_argument("--workers", type=int,
                        help="worker processes for point analysis "
                             "(default: available parallelism)")

@@ -1,4 +1,4 @@
-"""Golden point records: `cli.point_record` output on fixed inputs, and
+"""Golden point records: `report.point_record` output on fixed inputs, and
 the `verify` report.
 
     PYTHONPATH=src python tests/golden_records.py [--report]
@@ -6,7 +6,9 @@ the `verify` report.
 rewrites tests/golden_records.json and tests/golden_verify.json from the
 current code; with --report it leaves the files alone and prints, for every
 record field, the largest relative and absolute move of the current code's
-records against the file, then every `verify` row's move.  The
+records against the file, and how many records changed a value that is not
+a float on both sides (such as `fatness.margin: 16 records float → null`),
+then every `verify` row's move.  The
 inputs are the benchmark's `analyze-frame` inputs at sample seeds 1 and 3, its
 `analyze-quat` inputs (sample seed 0), and the default samples of
 `analyze --example linear --field h` and
@@ -27,6 +29,7 @@ import numpy as np
 from pullconn import cli
 from pullconn.algebra import Field
 from pullconn.connection import analyze_point
+from pullconn.report import TELEMETRY, point_record
 
 PATH = Path(__file__).with_name("golden_records.json")
 VERIFY_PATH = Path(__file__).with_name("golden_verify.json")
@@ -61,7 +64,7 @@ INPUTS = ([(f"frame/seed={s}/{spec[0]}", s, spec[1:]) for s in (1, 3) for spec i
           + [(f"cli/{spec[0]}", 0, spec[1:]) for spec in CLI_CHARTS])
 
 # telemetry that flips on 1-ulp changes of the input; reported, not compared
-UNCOMPARED = {"rounds", "converged"}
+UNCOMPARED = {name for name, _, _ in TELEMETRY}
 RTOL = ATOL = 1e-12
 SMALL = 1e-6   # floats up to this size are held to ATOL, larger ones to RTOL
 # verify rows held to a looser relative tolerance than RTOL: fd-order/veronese
@@ -77,7 +80,7 @@ def compute() -> dict:
     for label, seed, (example, field, params, count) in INPUTS:
         chart = cli.make_chart(example, None if field is None else Field.parse(field), params)
         points = cli.sample_points(chart, None, count, seed, None)
-        out[label] = [cli.point_record(analyze_point(chart, u, normalize=True))
+        out[label] = [point_record(analyze_point(chart, u, normalize=True))
                       for u in points]
     return out
 
@@ -188,14 +191,43 @@ def moves(want: dict, got: dict) -> dict:
     return out
 
 
+def _kind(value) -> str:
+    """A number by its type, anything else by its JSON."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return type(value).__name__
+    return json.dumps(value)
+
+
+def kind_moves(want: dict, got: dict) -> dict:
+    """{(field, kind before, kind after): records} over the leaves of two
+    record sets that changed and are not floats on both sides, such as a
+    float that became null or a verdict that flipped."""
+    out = {}
+    for label in want:
+        for w, g in zip(want[label], got[label]):
+            gl = dict(_leaves(g))
+            for path, wv in _leaves(w):
+                gv = gl.get(path)
+                if (wv == gv and type(wv) is type(gv)) or (
+                        isinstance(wv, float) and isinstance(gv, float)):
+                    continue
+                key = (".".join(map(str, path)), _kind(wv),
+                       _kind(gv) if path in gl else "absent")
+                out[key] = out.get(key, 0) + 1
+    return out
+
+
 def report(want: dict, got: dict) -> str:
     """One line per field, largest relative move first, then the fields
-    judged only absolutely; then every difference compare does not allow."""
+    judged only absolutely; then one line per field and change of kind,
+    most records first; then every difference compare does not allow."""
     rows = sorted(moves(want, got).items(),
                   key=lambda kv: (kv[1][0] is None, -(kv[1][0] or kv[1][2]), kv[0]))
     lines = [f"{key}: relative " + ("-" if rel is None else f"{rel:.2e} at {rw}")
              + f", absolute {absolute:.2e} at {aw}"
              for key, (rel, rw, absolute, aw) in rows]
+    lines += [f"{key}: {count} records {before} → {after}" for (key, before, after), count
+              in sorted(kind_moves(want, got).items(), key=lambda kv: (-kv[1], kv[0]))]
     bad = compare(want, got)
     lines.append(f"{len(bad)} differences outside the tolerance rule")
     return "\n".join(lines + bad)

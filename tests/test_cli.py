@@ -370,16 +370,50 @@ def test_oversized_stencil_exits2_under_a_memory_limit(argv):
     assert run.returncode == 2 and len(err) == 1 and "MiB bound" in err[0], run.stderr
 
 
-def test_failed_point_records_name_the_exception(tmp_path, monkeypatch):
-    def singular(chart, u, **kwargs):
-        raise NotImmersionError(u, 0.0)
+def _singular(chart, u, **kwargs):
+    raise NotImmersionError(u, 0.0)
 
-    monkeypatch.setattr(cli, "analyze_point", singular)
+
+def test_failed_point_records_name_the_exception(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "analyze_point", _singular)
     code, report = run_json(tmp_path, ["analyze", "--example", "veronese",
                                        "--grid", "1x2", "--workers", "1"])
     assert code == 1
     assert [r["error"] for r in report["failed_points"]] == ["NotImmersionError"] * 2
     assert "not an immersion" in report["failed_points"][0]["reason"]
+
+
+def test_an_empty_sample_claims_no_verdict(tmp_path, monkeypatch):
+    """When every point fails, the all-point verdicts are null, not vacuously
+    true, and every declared check but immersion passes neither way."""
+    monkeypatch.setattr(cli, "analyze_point", _singular)
+    code, report = run_json(tmp_path, ["analyze", "--example", "veronese",
+                                       "--grid", "1x2", "--workers", "1"])
+    assert code == 1
+    agg = report["aggregate"]
+    assert [agg[k] for k in ("all_fat", "all_parallel", "all_radial",
+                             "all_inequality_strict")] == [None] * 4
+    assert [(c["name"], c["value"], c["pass"], c["reason"]) for c in report["checks"]] == [
+        ("immersion", 2, False, None),
+        ("holomorphic", None, None, "no point was analyzed"),
+        ("parallel", None, None, "no point was analyzed")]
+
+
+def test_csv_lists_failed_points_after_the_records(monkeypatch, capsys):
+    """A failed point is a CSV row too, with its u, error and reason."""
+    analyze, calls = cli.analyze_point, []
+
+    def middle_fails(chart, u, **kwargs):
+        calls.append(u)
+        return _singular(chart, u) if len(calls) == 2 else analyze(chart, u, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze_point", middle_fails)
+    assert main(["analyze", "--example", "veronese", "--grid", "1x3",
+                 "--workers", "1", "--format", "csv"]) == 1
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["error"] for r in rows] == ["", "", "NotImmersionError"]
+    assert [float(rows[2]["u0"]), float(rows[2]["u1"])] == list(calls[1])
+    assert "not an immersion" in rows[2]["reason"] and rows[2]["fatness.margin"] == ""
 
 
 def test_analyze_workers_match_serial(tmp_path):

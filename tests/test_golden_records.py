@@ -26,6 +26,18 @@ def test_report_names_the_largest_move_of_each_field():
                           f"{got[label][0]['shape']['value']!r}"]
 
 
+def test_report_counts_the_moves_of_values_that_are_not_floats():
+    want = json.loads(PATH.read_text())
+    got = copy.deepcopy(want)
+    label = next(lab for lab, recs in got.items() if recs[0]["fatness"]["fat"] and len(recs) > 1)
+    for rec in got[label][:2]:
+        rec["fatness"]["margin"] = None
+    got[label][0]["fatness"]["fat"] = False
+    lines = report(want, got).splitlines()
+    assert [line for line in lines if "→" in line] == [
+        "fatness.margin: 2 records float → null", "fatness.fat: 1 records true → false"]
+
+
 def test_verify_report_matches_the_golden_file():
     """Every row within the records' rule (the rows other than fd-order are
     oracle errors below 1e-6, held to 1e-12 absolute), except fd-order/veronese:

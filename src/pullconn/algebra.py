@@ -14,11 +14,14 @@ Every matrix operation takes the field as an argument and never reads it
 from an array's shape: a stack of real 4×4 matrices has the (m, n, 4)
 shape of one quaternion matrix.  The operations act on stacks of matrices
 with leading batch axes; a single matrix is a stack with none.
+`matmul_stack`, `ct_stack` and `sq_norm` also take second-order `Jet`s.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from math import prod
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -161,12 +164,15 @@ def zeros(field: Field, m: int, n: int) -> np.ndarray:
 
 
 def matmul_stack(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
-    """Matrix product over the trailing matrix axes of stacked matrices.
+    """Matrix product over the trailing matrix axes of stacked matrices, or
+    of jets by the product rule.
 
     Over H the product is two contractions: one real matmul gives every
     component product T[m, t, n, u] = Σ_k A[m, k, t] B[k, n, u], and QL
     combines the (t, u) pairs.
     """
+    if isinstance(A, Jet) or isinstance(B, Jet):
+        return _product(A, B, lambda X, Y: matmul_stack(X, Y, field))
     if field is Field.QUATERNION:
         A, B = np.asarray(A), np.asarray(B)
         m, k, n = A.shape[-3], A.shape[-2], B.shape[-2]
@@ -177,7 +183,9 @@ def matmul_stack(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
 
 
 def ct_stack(A: np.ndarray, field: Field) -> np.ndarray:
-    """Conjugate transpose of every matrix in a stack."""
+    """Conjugate transpose of every matrix in a stack, or of a jet."""
+    if isinstance(A, Jet):
+        return A.lin(lambda X: ct_stack(X, field))
     if field is Field.QUATERNION:
         return np.swapaxes(qconj(A), -3, -2)
     return np.swapaxes(np.conj(A), -1, -2)
@@ -201,6 +209,25 @@ def frob_stack(A: np.ndarray) -> np.ndarray:
     """Frobenius norm of every array in a stack, over all axes but the
     first, shaped to broadcast against A."""
     return np.sqrt(np.add.reduce((A.conj() * A).real, axis=tuple(range(1, A.ndim)), keepdims=True))
+
+
+def sq_norm(A, field: Field):
+    """Σ|a|² over each matrix of a stack, or of a jet: real, and shaped
+    (with unit matrix axes) to scale the stack."""
+    axes = tuple(range(-field.matrix_ndim, 0))
+
+    def re_dot(X, Y):
+        return np.add.reduce((np.conj(X) * Y).real, axis=axes, keepdims=True)
+    return _product(A, A, re_dot) if isinstance(A, Jet) else re_dot(A, A)
+
+
+def inv_small(A: np.ndarray, field: Field) -> np.ndarray:
+    """Inverse of every k×k matrix of a stack; over H 1×1 only, conj(q)/|q|²."""
+    if field is not Field.QUATERNION:
+        return np.linalg.inv(A)
+    if A.shape[-2] != 1:
+        raise NotImplementedError("quaternionic inverses above 1×1 are not needed here")
+    return qconj(A) / sq_norm(A, field)
 
 
 def inner_re(A: np.ndarray, B: np.ndarray) -> float:
@@ -268,6 +295,105 @@ def complete_basis(V: np.ndarray, field: Field, order: str = "standard",
     if len(cols) != N:
         raise DegenerateColumnsError(len(cols), 0.0)
     return np.concatenate(cols, axis=1)
+
+
+# ----------------------------------------------------------------------------
+# second-order jets
+# ----------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Jet:
+    """A stack v (B, …) with its derivatives along n real coordinates,
+    d (B, n, …) = ∂_i v and dd (B, n, n, …) = ∂_i∂_j v; None above the
+    order, 0, 1 or 2.  The operations follow the chain and product rules
+    (Griewank and Walther, "Evaluating Derivatives", SIAM 2008).  A plain
+    array is a constant: it broadcasts against the trailing axes without
+    enlarging them.  `*` and `/` are entrywise, so over H one factor is real."""
+
+    v: np.ndarray
+    d: Optional[np.ndarray] = None
+    dd: Optional[np.ndarray] = None
+
+    __array_ufunc__ = None   # an array on the left defers to the reflected operation
+
+    @staticmethod
+    def seed(U: np.ndarray, order: int) -> "Jet":
+        """The jet of the coordinate rows U (B, n) themselves."""
+        U = np.asarray(U, dtype=float)
+        B, n = U.shape
+        return Jet(U, np.broadcast_to(np.eye(n), (B, n, n)) if order >= 1 else None,
+                   np.zeros((B, n, n, n)) if order >= 2 else None)
+
+    @property
+    def order(self) -> int:
+        return 0 if self.d is None else 1 if self.dd is None else 2
+
+    def lin(self, f) -> "Jet":
+        """f applied to every slot, for f linear on the trailing axes."""
+        return Jet(f(self.v), *(None if x is None else f(x) for x in (self.d, self.dd)))
+
+    def __add__(self, other) -> "Jet":
+        if not isinstance(other, Jet):
+            return Jet(self.v + other, self.d, self.dd)
+        return Jet(self.v + other.v, *(None if x is None else x + y
+                                       for x, y in ((self.d, other.d), (self.dd, other.dd))))
+
+    def __mul__(self, other) -> "Jet":
+        return _product(self, other, np.multiply)
+
+    def __sub__(self, other) -> "Jet":
+        return self + other * -1.0
+
+    def __rsub__(self, other) -> "Jet":
+        return self * -1.0 + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, b) -> "Jet":
+        """Entrywise quotient, from a = q·b: q_i = (a_i − q b_i)/b and
+        q_ij = (a_ij − q_i b_j − q_j b_i − q b_ij)/b."""
+        if not isinstance(b, Jet):
+            return self.lin(lambda x: x / b)
+        q = self.v / b.v
+        if self.d is None:
+            return Jet(q)
+        bv = b.v[:, None]
+        d = (self.d - q[:, None] * b.d) / bv
+        if self.dd is None:
+            return Jet(q, d)
+        cross = d[:, :, None] * b.d[:, None] + d[:, None] * b.d[:, :, None]
+        return Jet(q, d, (self.dd - cross - q[:, None, None] * b.dd) / bv[:, None])
+
+
+def _product(a, b, op) -> Jet:
+    """op(a, b) for a bilinear op, either a constant, by the product rule
+    (ab)_ij = a_ij b + a_i b_j + a_j b_i + a b_ij."""
+    if not isinstance(b, Jet):
+        return a.lin(lambda x: op(x, b))
+    if not isinstance(a, Jet):
+        return b.lin(lambda x: op(a, x))
+    v = op(a.v, b.v)
+    if a.d is None:
+        return Jet(v)
+    av, bv = a.v[:, None], b.v[:, None]
+    d = op(a.d, bv) + op(av, b.d)
+    if a.dd is None:
+        return Jet(v, d)
+    cross = op(a.d[:, :, None], b.d[:, None]) + op(a.d[:, None], b.d[:, :, None])
+    return Jet(v, d, op(a.dd, bv[:, None]) + op(av[:, None], b.dd) + cross)
+
+
+def apply(x: Jet, f, f1, f2) -> Jet:
+    """f(x) for f entrywise with derivatives f1 and f2, real or complex
+    analytic: along real coordinates the chain rule holds for both."""
+    v = f(x.v)
+    if x.d is None:
+        return Jet(v)
+    g1 = f1(x.v)[:, None]
+    d = g1 * x.d
+    if x.dd is None:
+        return Jet(v, d)
+    return Jet(v, d, g1[:, None] * x.dd + f2(x.v)[:, None, None] * (x.d[:, :, None] * x.d[:, None]))
 
 
 # ----------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Built-in example immersions.
 
-Each builder returns an ImmersionChart with a vectorized closed-form
-evaluation of a stack of coordinate rows and, where cheap, closed-form
-differentials.  Registry names are the ones the command line accepts.
+Each builder returns an ImmersionChart whose `cols` is written once with
+the jet operations of `algebra`, so one call gives the columns of a stack
+of coordinate rows with their first and second derivatives.  Registry
+names are the ones the command line accepts.
 """
 from __future__ import annotations
 
@@ -11,37 +12,18 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .algebra import Field, ct_stack, frob_stack, from_real, matmul_stack, random_matrix
-from .homogeneous import geodesic_stiefel_k1, horizontal_stack, stiefel_points
+from .algebra import Field, apply, ct_stack, from_real, matmul_stack, random_matrix, sq_norm
+from .homogeneous import geodesic_stiefel_k1
 from .immersion import ImmersionChart
 
 
-def _k1_chart(name: str, field: Field, N: int, box: tuple, cols, dcols,
-              params: dict) -> ImmersionChart:
-    """Rank-one chart u ↦ [W(u)] with analytic differentials.
+def _affine(name: str, field: Field, box: tuple, W: np.ndarray, params: dict) -> ImmersionChart:
+    """The chart u ↦ span of W[0] + Σ_i u_i W[1 + i], for W (1 + dim, N, k[, 4])."""
+    def cols(J):
+        return J.lin(lambda x: np.tensordot(x, W[1:], axes=1)) + W[0]
 
-    cols(U) gives the ambient columns W (B, N, 1[, 4]) of coordinate rows
-    U, and dcols(U) their derivatives ∂_i W (B, dim, N, 1[, 4]), or a
-    stack that broadcasts to it.  The differential of V = W/|W| at row b is
-    the horizontal part of ∂_i W / |W|.
-    """
-    def ev(U: np.ndarray):
-        return stiefel_points(cols(U), field)
-
-    def diff(U: np.ndarray):
-        W = cols(U)
-        V, P = stiefel_points(W, field)
-        H = horizontal_stack(V[:, None], dcols(U) / frob_stack(W)[:, None], field)
-        return V, P, H
-
-    return ImmersionChart(name=name, field=field, N=N, k=1, dim=len(box), box=box,
-                          eval_point=ev, analytic_diff=diff, params=params)
-
-
-def _affine_dcols(cols, n: int):
-    """dcols of a chart whose columns are affine in u: ∂_i W = W(e_i) − W(0)."""
-    dW = cols(np.eye(n)) - cols(np.zeros((1, n)))
-    return lambda U: dW[None]
+    return ImmersionChart(name=name, field=field, N=W.shape[1], k=W.shape[2], dim=len(W) - 1,
+                          box=box, cols=cols, params=params)
 
 
 # ----------------------------------------------------------------------------
@@ -49,22 +31,17 @@ def _affine_dcols(cols, n: int):
 # ----------------------------------------------------------------------------
 
 def linear_embedding(field: Field, m: int = 3, N: int = 4) -> ImmersionChart:
+    """Columns with entries 1, the u-blocks, 0, …: coordinate i is real
+    component i mod d of entry 1 + i // d, d the field's real dimension."""
     field = Field.parse(field)
     if not 2 <= m <= N:
         raise ValueError("need 2 <= m <= N")
-    n = field.real_dim * (m - 1)
-
-    def cols(U: np.ndarray) -> np.ndarray:
-        """Columns with entries 1, u-blocks, 0, ..., from real coordinates."""
-        B = U.shape[0]
-        R = np.zeros((B, N, 1, field.real_dim))
-        R[:, 0, 0, 0] = 1.0
-        R[:, 1:m, 0] = U.reshape(B, m - 1, field.real_dim)
-        return from_real(R, field)
-
-    box = tuple((-1.5, 1.5) for _ in range(n))
-    return _k1_chart("linear", field, N, box, cols, _affine_dcols(cols, n),
-                     {"m": m, "N": N})
+    d = field.real_dim
+    n = d * (m - 1)
+    R = np.zeros((1 + n, N, 1, d))   # the _affine columns in real components
+    R[0, 0, 0, 0] = 1.0
+    R[1 + np.arange(n), 1 + np.arange(n) // d, 0, np.arange(n) % d] = 1.0
+    return _affine("linear", field, ((-1.5, 1.5),) * n, from_real(R, field), {"m": m, "N": N})
 
 
 # ----------------------------------------------------------------------------
@@ -74,24 +51,18 @@ def linear_embedding(field: Field, m: int = 3, N: int = 4) -> ImmersionChart:
 def veronese(d: int = 2) -> ImmersionChart:
     if d < 1:
         raise ValueError("degree must be >= 1")
-    coef = np.sqrt([float(comb(d, j)) for j in range(d + 1)])   # float: C(d, j) passes 2⁶⁴ at d = 68
-    powers = np.arange(d + 1)
+    c = np.sqrt([[float(comb(d, j))] for j in range(d + 1)])   # float: C(d, j) passes 2⁶⁴ at 68
+    p = np.arange(d + 1)[:, None]
 
-    def cols(U: np.ndarray) -> np.ndarray:
-        """Columns coef_j z^j, z = u_0 + i u_1."""
-        z = U[:, 0] + 1j * U[:, 1]
-        return (coef * z[:, None] ** powers)[:, :, None]
+    def cols(J):
+        """Columns c_j z^j, z = u_0 + i u_1."""
+        z = J.lin(lambda x: np.broadcast_to((x[..., 0] + 1j * x[..., 1])[..., None, None],
+                                            x.shape[:-1] + (d + 1, 1)))
+        return apply(z, lambda a: c * a**p, lambda a: c * p * a**np.maximum(p - 1, 0),
+                     lambda a: c * p * (p - 1) * a**np.maximum(p - 2, 0))
 
-    def dcols(U: np.ndarray) -> np.ndarray:
-        """∂_0 W = dW/dz and ∂_1 W = i dW/dz."""
-        z = U[:, 0] + 1j * U[:, 1]
-        D = np.zeros((U.shape[0], 2, d + 1, 1), dtype=complex)
-        D[:, 0, 1:, 0] = coef[1:] * powers[1:] * z[:, None] ** (powers[1:] - 1)
-        D[:, 1] = 1j * D[:, 0]
-        return D
-
-    return _k1_chart("veronese", Field.COMPLEX, d + 1, ((-1.2, 1.2), (-1.2, 1.2)),
-                     cols, dcols, {"d": d})
+    return ImmersionChart(name="veronese", field=Field.COMPLEX, N=d + 1, k=1, dim=2,
+                          box=((-1.2, 1.2), (-1.2, 1.2)), cols=cols, params={"d": d})
 
 
 # ----------------------------------------------------------------------------
@@ -101,16 +72,8 @@ def veronese(d: int = 2) -> ImmersionChart:
 def totally_real(n: int = 2) -> ImmersionChart:
     if n < 1:
         raise ValueError("need n >= 1")
-
-    def cols(U: np.ndarray) -> np.ndarray:
-        W = np.zeros((U.shape[0], n + 1, 1), dtype=complex)
-        W[:, 0] = 1.0
-        W[:, 1:, 0] = U
-        return W
-
-    box = tuple((-1.5, 1.5) for _ in range(n))
-    return _k1_chart("totally-real", Field.COMPLEX, n + 1, box, cols,
-                     _affine_dcols(cols, n), {"n": n})
+    return _affine("totally-real", Field.COMPLEX, ((-1.5, 1.5),) * n,
+                   np.eye(n + 1, dtype=complex)[:, :, None], {"n": n})
 
 
 # ----------------------------------------------------------------------------
@@ -118,18 +81,14 @@ def totally_real(n: int = 2) -> ImmersionChart:
 # ----------------------------------------------------------------------------
 
 def clifford_torus() -> ImmersionChart:
-    def cols(U: np.ndarray) -> np.ndarray:
-        W = np.ones((U.shape[0], 3, 1), dtype=complex)
-        W[:, :2, 0] = np.exp(1j * U)
-        return W
+    one = np.array([[0.0], [0.0], [1.0]], dtype=complex)
 
-    def dcols(U: np.ndarray) -> np.ndarray:
-        D = np.zeros((U.shape[0], 2, 3, 1), dtype=complex)
-        D[:, [0, 1], [0, 1], 0] = 1j * np.exp(1j * U)
-        return D
+    def cols(J):
+        e = apply(J.lin(lambda x: 1j * x[..., None]), np.exp, np.exp, np.exp)   # e^{iu}, (2, 1)
+        return e.lin(lambda x: np.concatenate([x, np.zeros_like(x[..., :1, :])], axis=-2)) + one
 
-    return _k1_chart("clifford", Field.COMPLEX, 3, ((-3.0, 3.0), (-3.0, 3.0)),
-                     cols, dcols, {})
+    return ImmersionChart(name="clifford", field=Field.COMPLEX, N=3, k=1, dim=2,
+                          box=((-3.0, 3.0), (-3.0, 3.0)), cols=cols, params={})
 
 
 # ----------------------------------------------------------------------------
@@ -148,23 +107,14 @@ def quaternionic_line(N: int = 3) -> ImmersionChart:
 # ----------------------------------------------------------------------------
 
 def grassmann_sub(k: int = 2, m: int = 4, N: int = 5) -> ImmersionChart:
+    """Columns [I_k; U; 0] with U the (m − k)×k block of coordinates, row-major."""
     if not (1 <= k < m <= N):
         raise ValueError("need 1 <= k < m <= N")
     n = k * (m - k)
-
-    def ev(U: np.ndarray):
-        B = U.shape[0]
-        A = np.zeros((B, N, k))
-        A[:, :k] = np.eye(k)
-        A[:, k:m] = U.reshape(B, m - k, k)
-        return stiefel_points(A, Field.REAL)
-
-    box = tuple((-1.0, 1.0) for _ in range(n))
-    return ImmersionChart(
-        name="grassmann-sub", field=Field.REAL, N=N, k=k, dim=n,
-        box=box, eval_point=ev, analytic_diff=None,
-        params={"k": k, "m": m, "N": N},
-    )
+    W = np.zeros((1 + n, N, k))
+    W[0, :k] = np.eye(k)
+    W[1 + np.arange(n), k + np.arange(n) // k, np.arange(n) % k] = 1.0
+    return _affine("grassmann-sub", Field.REAL, ((-1.0, 1.0),) * n, W, {"k": k, "m": m, "N": N})
 
 
 # ----------------------------------------------------------------------------
@@ -182,6 +132,9 @@ def perturbed_base(field: Field = None) -> str:
 
 def perturbed(base: ImmersionChart = None, amplitude: float = 0.05,
               seed: int = 7, modes: int = 3) -> ImmersionChart:
+    """The base point V0 = W0/|W0| moved along the geodesic of
+    amplitude·Σ_t (c_t − V0V0*c_t)·sin(ω_t·u + φ_t) for seeded ω_t, φ_t and
+    unit c_t."""
     if base is None:
         base = veronese(2)
     if base.k != 1:
@@ -191,23 +144,22 @@ def perturbed(base: ImmersionChart = None, amplitude: float = 0.05,
     field = base.field
     omegas = rng.integers(1, 3, size=(modes, n)) * rng.choice([-1.0, 1.0], size=(modes, n))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=modes)
-    cvecs = np.expand_dims(random_matrix(rng, field, modes, base.N), 2)   # (modes, N, 1[, 4])
-    for i in range(modes):
-        cvecs[i] = cvecs[i] / np.sqrt(np.sum(np.abs(cvecs[i]) ** 2))
+    c = np.expand_dims(random_matrix(rng, field, modes, base.N), 2)   # the c_t, (modes, N, 1[, 4])
+    C = np.swapaxes((c / np.sqrt(sq_norm(c, field)))[:, :, 0], 0, 1)  # unit c_t as columns
+    spread = (..., None, slice(None)) + (None,) * (field.matrix_ndim - 2)   # waves to C's shape
 
-    def ev(U: np.ndarray):
-        V0, _ = base.eval_point(U)
-        V0h = ct_stack(V0, field)
-        bcast = (-1,) + (1,) * (V0.ndim - 1)
-        H = np.zeros_like(V0)
-        for i in range(modes):
-            c = cvecs[i] - matmul_stack(V0, matmul_stack(V0h, cvecs[i], field), field)
-            H = H + np.sin(U @ omegas[i] + phases[i]).reshape(bcast) * c
-        return stiefel_points(geodesic_stiefel_k1(V0, amplitude * H, 1.0), field)
+    def cols(J):
+        W0 = base.cols(J)
+        V0 = W0 / apply(sq_norm(W0, field), np.sqrt, lambda s: 0.5 / s**0.5,
+                        lambda s: -0.25 / s**1.5)
+        waves = apply(J.lin(lambda x: x @ omegas.T) + phases, np.sin, np.cos, lambda t: -np.sin(t))
+        normal = C - matmul_stack(V0, matmul_stack(ct_stack(V0, field), C, field), field)
+        H = (normal * waves.lin(lambda x: x[spread])).lin(
+            lambda x: x.sum(axis=1 - field.matrix_ndim, keepdims=True))
+        return geodesic_stiefel_k1(V0, amplitude * H, field)
 
     return ImmersionChart(
-        name="perturbed", field=field, N=base.N, k=1, dim=n,
-        box=base.box, eval_point=ev, analytic_diff=None,
+        name="perturbed", field=field, N=base.N, k=1, dim=n, box=base.box, cols=cols,
         params={"base": base.name, "amplitude": amplitude, "seed": seed,
                 **{f"base_{k}": v for k, v in base.params.items()}},
     )

@@ -11,7 +11,7 @@ sweep    one chart parameter over a range, one summary row per value
 
 Exit status: 0 on success, 1 when a declared expectation or verification
 check fails, 2 for configuration errors (bad flags, empty sweep ranges,
-charts over the stencil's memory bound, sampling that would leave a chart's
+charts over the projector memory bound, sampling that would leave a chart's
 safe interior, an ``--out`` file that cannot be opened, refused before any
 work), 3 for an internal error: any other exception, reported as one
 ``error:`` line on stderr naming its type and message.
@@ -42,14 +42,13 @@ from . import oracle
 from .algebra import Field
 from .catalog import CATALOG, build_chart, perturbed_base
 from .connection import analyze_point, curvature_norm
-from .constants import FD_STEP, FD_STEP2
 from .immersion import (
-    STENCIL_BYTES,
+    PROJECTOR_BYTES,
     ChartDomainError,
     NotImmersionError,
     point_frame,
+    projector_bytes,
     second_fundamental_form,
-    stencil_bytes,
 )
 from .report import NO_POINT, SCHEMA, aggregate_records, expectation_checks, point_record
 
@@ -173,32 +172,32 @@ def make_chart(name: str, field, params: dict):
             f"example '{name}' with {params or 'default parameters'} builds a "
             f"chart over {chart.field.value!r}, not {field.value!r}"
         )
-    if stencil_bytes(chart) > STENCIL_BYTES:
-        raise ConfigError(f"example '{name}' needs {stencil_bytes(chart) >> 20} MiB of projectors "
-                          f"per point, over the {STENCIL_BYTES >> 20} MiB bound")
+    if projector_bytes(chart) > PROJECTOR_BYTES:
+        raise ConfigError(f"example '{name}' needs {projector_bytes(chart) >> 20} MiB of N×N "
+                          f"arrays per point, over the {PROJECTOR_BYTES >> 20} MiB bound")
     return chart
 
 
-def safety_margin(fd_step) -> float:
-    """Half-width the sampler keeps clear of the chart box edges."""
-    h = FD_STEP if fd_step is None else float(fd_step)
-    return 1.05 * max(2.0 * h, 4.0 * FD_STEP2)
+# the half-width the sampler keeps clear of the box edges: the reach of the
+# second-difference stencil that the analysis once took, kept so samples stay put
+SAMPLE_MARGIN = 1.05 * 4.0 * 10.0 ** -2.5
 
 
-def sample_points(chart, grid, random_n, seed, fd_step):
-    """Sample interior chart coordinates.
+def sample_points(chart, grid, random_n, seed, margin=None):
+    """Sample interior chart coordinates, margin (default SAMPLE_MARGIN)
+    clear of the box edges.
 
     Two-dimensional charts default to a uniform grid; higher dimensions use
-    a scrambled Halton sequence.  Raises ConfigError when the finite
-    difference stencils would not fit inside the box.
+    a scrambled Halton sequence.  Raises ConfigError when the margin leaves
+    no interior.
     """
-    margin = safety_margin(fd_step)
+    margin = SAMPLE_MARGIN if margin is None else margin
     lows = np.array([lo + margin for lo, _ in chart.box])
     highs = np.array([hi - margin for _, hi in chart.box])
     if np.any(lows >= highs):
         raise ConfigError(
             f"sampling margin {margin:.3g} leaves no interior of the chart box "
-            f"{list(chart.box)}; lower --fd-step or widen the chart"
+            f"{list(chart.box)}"
         )
     if grid is not None and random_n is not None:
         raise ConfigError("--grid and --random are mutually exclusive")
@@ -266,18 +265,16 @@ _WORKER = {}
 def _pool_point(task):
     idx, u = task
     try:
-        pa = analyze_point(_WORKER["chart"], np.asarray(u),
-                           normalize=_WORKER["normalize"],
-                           fd_step=_WORKER["fd_step"])
+        pa = analyze_point(_WORKER["chart"], np.asarray(u), normalize=_WORKER["normalize"])
         return idx, "ok", point_record(pa)
     except (NotImmersionError, ChartDomainError) as exc:
         return idx, "error", {"u": [float(x) for x in np.asarray(u)],
                               "error": type(exc).__name__, "reason": str(exc)}
 
 
-def analyze_sample(chart, points, normalize, fd_step, workers):
+def analyze_sample(chart, points, normalize, workers):
     """Run analyze_point over a sample, preserving point order."""
-    _WORKER.update(chart=chart, normalize=normalize, fd_step=fd_step)
+    _WORKER.update(chart=chart, normalize=normalize)
     results = [None] * len(points)
     if workers <= 1 or len(points) <= 1:
         for i, u in enumerate(points):
@@ -355,9 +352,8 @@ def cmd_analyze(args) -> tuple:
     chart = make_chart(args.example, field, params)
     grid = parse_grid(args.grid) if args.grid else None
     seed = args.seed if args.seed is not None else 0
-    points = sample_points(chart, grid, args.random, seed, args.fd_step)
-    records, failures = analyze_sample(
-        chart, points, args.normalize, args.fd_step, _workers(args))
+    points = sample_points(chart, grid, args.random, seed)
+    records, failures = analyze_sample(chart, points, args.normalize, _workers(args))
     agg = aggregate_records(records, failures)
     checks = expectation_checks(CATALOG[args.example], records, failures)
     report = {
@@ -375,30 +371,31 @@ def _rel_err(a: float, b: float, floor: float = 0.05) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def _norm_vs_oracle(chart, u, h) -> float:
+def _norm_vs_oracle(chart, u, h=None) -> float:
     """Worst relative error of the closed-form curvature norm against the
-    finite-difference oracle, over frame directions and vertical probes;
-    one oracle call per probe pairs every two frame directions."""
+    finite-difference oracle at step h, over frame directions and vertical
+    probes; one oracle call per probe pairs every two frame directions."""
     pf = point_frame(chart, u)
     worst = 0.0
     for alpha in pf.probes:
         w, v = alpha.fiber_pair(pf.pt.V)
         comps = oracle.curvature_pairing_fd(chart, u, pf.coeff[:, None], pf.coeff[None], w, v,
-                                            h=h, use_analytic=False)
+                                            **({} if h is None else {"h": h}))
         for a in range(pf.n):
             closed = curvature_norm(pf.E[a], alpha, pf.E)
             worst = max(worst, _rel_err(closed, float(np.linalg.norm(comps[a]))))
     return worst
 
 
-def _dr_vs_oracle(chart, u, triples, h) -> float:
+def _dr_vs_oracle(chart, u, triples, h=None) -> float:
     """Worst |closed-form derivative component - 2 x transported oracle|."""
-    pf = point_frame(chart, u, h=h)
+    pf = point_frame(chart, u)
     ff = second_fundamental_form(chart, u, pf=pf)
     w, v = pf.probes[0].fiber_pair(pf.pt.V)
     worst = 0.0
     for triple in triples:
-        orc = oracle.dr_oracle(chart, u, *pf.coeff[list(triple)], w, v, h=h)
+        orc = oracle.dr_oracle(chart, u, *pf.coeff[list(triple)], w, v,
+                               **({} if h is None else {"h": h}))
         worst = max(worst, abs(ff.DR[(0,) + triple] - 2.0 * orc))
     return worst
 
@@ -406,7 +403,7 @@ def _dr_vs_oracle(chart, u, triples, h) -> float:
 def cmd_verify(args) -> tuple:
     """Fixed battery: every closed-form quantity against a brute-force twin.
     timing.checks holds each row's seconds since the previous row."""
-    h = args.fd_step if args.fd_step is not None else FD_STEP
+    h = args.fd_step
     checks = []
     seconds = {}
     last = time.perf_counter()
@@ -481,16 +478,11 @@ def cmd_sweep(args) -> tuple:
         params = dict(fixed)
         params[key] = val
         chart = make_chart(args.example, field, params)
-        if grid is not None:
-            points = sample_points(chart, grid, None, seed, args.fd_step)
-        elif args.random is not None:
-            points = sample_points(chart, None, args.random, seed, args.fd_step)
-        elif chart.dim == 2:
-            points = sample_points(chart, (3, 3), None, seed, args.fd_step)
+        if grid is None and args.random is None:   # the default sample: 3x3 in 2-d, else 6
+            points = sample_points(chart, *(((3, 3), None) if chart.dim == 2 else (None, 6)), seed)
         else:
-            points = sample_points(chart, None, 6, seed, args.fd_step)
-        records, failures = analyze_sample(
-            chart, points, args.normalize, args.fd_step, _workers(args))
+            points = sample_points(chart, grid, args.random, seed)
+        records, failures = analyze_sample(chart, points, args.normalize, _workers(args))
         probe = records[0]["kb_probe"] if records else {"value": None, "reason": NO_POINT}
         kb = probe["value"]
         if base_kb is None and kb is not None:
@@ -506,6 +498,8 @@ def cmd_sweep(args) -> tuple:
             **aggregate_records(records, failures),
             "kb_probe": probe,
             "kb_ratio": {"value": ratio, "reason": why},
+            "failures": failures,
+            "checks": expectation_checks(CATALOG[args.example], records, failures),
         })
     report = {
         "config": _config_echo(args, seed=seed),
@@ -513,7 +507,8 @@ def cmd_sweep(args) -> tuple:
         "values": values,
         "rows": rows,
     }
-    return report, 0
+    code = 1 if any(c["pass"] is False for row in rows for c in row["checks"]) else 0
+    return report, code
 
 
 # ----------------------------------------------------------------------------
@@ -636,10 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for point analysis "
                             "(default: available parallelism)")
 
-    def add_fd_step(p):
-        p.add_argument("--fd-step", type=float, dest="fd_step",
-                       help="finite difference step for chart differentials")
-
     def add_output(p):
         p.add_argument("--out", help="write the report to FILE instead of stdout")
         p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -650,8 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     listing = sub.add_parser("list", help="catalog of example charts")
     for p in (analyze, sweep):
         add_sampling(p)
-    for p in (analyze, verify, sweep):
-        add_fd_step(p)
+    verify.add_argument("--fd-step", type=float, dest="fd_step",
+                        help="finite difference step of the brute-force oracles (default 1e-3)")
     for p in (analyze, verify, sweep, listing):
         add_output(p)
     return parser

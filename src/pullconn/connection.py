@@ -38,6 +38,7 @@ from .immersion import (
     second_fundamental_form,
     shape_norm,
 )
+from .report import point_record
 
 # ----------------------------------------------------------------------------
 # norms
@@ -141,16 +142,23 @@ def _row_pair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.real(np.sum(A * np.conj(B), axis=tuple(range(1, A.ndim))))
 
 
+def bracket_sq(Xt: np.ndarray, Yt: np.ndarray, field: Field) -> np.ndarray:
+    """|[X~, Y~]|₀² for stacks of horizontal tangents X, Y (P, N, k[, 4]),
+    from k×k blocks alone: with Z = Y*X,
+    |Z|² + Re tr(X*X·Y*Y) − 2 Re tr(Z²), which is ½(|C₁|² + |C₂|²) for
+    C₁ = Y*X − X*Y and C₂ = YX* − XY*, without forming the N×N C₂."""
+    Z = matmul_stack(ct_stack(Yt, field), Xt, field)
+    XX, YY = (matmul_stack(ct_stack(T, field), T, field) for T in (Xt, Yt))
+    return _row_pair(Z, Z) + _row_pair(XX, YY) - 2.0 * _row_pair(Z, ct_stack(Z, field))
+
+
 def base_sectional(pf: PointFrame, ff: SecondFF, x, y):
     """Gauss-equation sectional curvature of the base for orthonormal
-    frame-coordinate pairs x, y of shape (n,) or (P, n).
-
-    The ambient term is |[X~, Y~]|₀² = ½(|C₁|² + |C₂|²) with C₁ = Y*X − X*Y
-    and C₂ = YX* − XY* for X = Σ_a x_a E_a and Y = Σ_b y_b E_b, formed once
-    per pair; II is contracted one frame index at a time.
+    frame-coordinate pairs x, y of shape (n,) or (P, n): the ambient term
+    bracket_sq of X = Σ_a x_a E_a and Y = Σ_b y_b E_b, plus the II terms,
+    contracted one frame index at a time.
     """
     X, Y = np.atleast_2d(x).astype(float), np.atleast_2d(y).astype(float)
-    f = pf.pt.field
     XY = np.concatenate([X, Y])
 
     def along(T):
@@ -158,12 +166,9 @@ def base_sectional(pf: PointFrame, ff: SecondFF, x, y):
         Z = (XY @ T.reshape(len(T), -1)).reshape((len(XY),) + T.shape[1:])
         return Z[:len(X)], Z[len(X):]
 
-    Xt, Yt = along(pf.E.H)
-    YX, YXh = matmul_stack(ct_stack(Yt, f), Xt, f), matmul_stack(Yt, ct_stack(Xt, f), f)
-    C1, C2 = YX - ct_stack(YX, f), YXh - ct_stack(YXh, f)
     XII, YII = along(ff.II.H)                       # Σ_a x_a II_ab, Σ_a y_a II_ab
     Ixx, Ixy, Iyy = (np.einsum("pb,pb...->p...", s, T) for s, T in ((X, XII), (Y, XII), (Y, YII)))
-    kb = 0.5 * (_row_pair(C1, C1) + _row_pair(C2, C2)) + _row_pair(Ixx, Iyy) - _row_pair(Ixy, Ixy)
+    kb = bracket_sq(*along(pf.E.H), pf.pt.field) + _row_pair(Ixx, Iyy) - _row_pair(Ixy, Ixy)
     return float(kb[0]) if np.ndim(x) == 1 else kb
 
 
@@ -253,22 +258,23 @@ class PointAnalysis:
 
     @property
     def verdict(self) -> dict:
-        out = {
-            "fat": self.fatness.fat,
-            "parallel": self.parallel.holds,
-            "radial": self.radial.holds,
-            "inequality_strict": self.inequality.strict,
-        }
+        """The per-point verdicts as the point record gives them: None
+        wherever `report.QUANTITIES` sets the quantity's reason."""
+        rec = point_record(self)
+        out = {name: rec[key][field] for name, key, field in VERDICTS}
         if self.corollary is not None:
-            out["corollary_satisfied"] = self.corollary[2]
+            out["corollary_satisfied"] = rec["corollary"]["satisfied"]
         return out
 
 
-def analyze_point(chart: ImmersionChart, u, normalize: bool = False,
-                  fd_step: Optional[float] = None) -> PointAnalysis:
+# (verdict, record key, record field)
+VERDICTS = (("fat", "fatness", "fat"), ("parallel", "parallel", "holds"),
+            ("radial", "radial", "holds"), ("inequality_strict", "inequality", "strict"))
+
+
+def analyze_point(chart: ImmersionChart, u, normalize: bool = False) -> PointAnalysis:
     """Full frame-layer analysis of one chart point."""
-    kwargs = {} if fd_step is None else {"h": fd_step}
-    pf = point_frame(chart, u, **kwargs)
+    pf = point_frame(chart, u)
     ff = second_fundamental_form(chart, u, pf=pf)
     shp = shape_norm(ff)
     fat = fatness_margin(pf)

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from .algebra import Field
 
-# finite differencing
-FD_STEP = 1e-3          # first derivatives (central + one Richardson level)
-FD_STEP2 = 10.0 ** -2.5  # second derivatives / mixed stencils
+# finite differencing, in the oracles only
+FD_STEP = 1e-3          # central differences with one Richardson level
 
 # structural tolerances
 IMMERSION_EPS = 1e-8    # Gram matrix rank threshold for immersed charts

@@ -16,12 +16,16 @@ agrees with the g0 norm of the lift and with the projector-model norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .algebra import (
     Field,
+    Jet,
+    apply,
     complete_basis,
     ct_stack,
     eye,
@@ -33,6 +37,7 @@ from .algebra import (
     orthonormalize,
     pair_re,
     random_matrix,
+    sq_norm,
     to_real,
     units,
     zeros,
@@ -178,17 +183,43 @@ def ad_alpha(alpha_k: np.ndarray, t: GrassTangent) -> GrassTangent:
     return GrassTangent(t.base, -matmul_stack(t.H, alpha_k, t.base.field))
 
 
-def geodesic_stiefel_k1(V: np.ndarray, H: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """Closed-form k = 1 geodesic Stiefel representatives (frame-free) for
-    stacks of columns V, H of shape (B, N, 1[, 4]).
+def _even_in_r(coef, closed):
+    """(f, f', f'') in g = r² of an even function of r: the power series
+    Σ_k coef[k] g^k below g = 1, and closed(r) = (f, f', f'') above, where
+    the closed forms lose no more than a few bits to cancellation."""
+    series = [coef, P.polyder(coef), P.polyder(coef, 2)]
 
-    V(s) = V cos(s|H|) + (H/|H|) sin(s|H|); smooth through H = 0.
+    def part(m):
+        def f(g):
+            near = np.power.outer(g, np.arange(len(series[m]))) @ series[m]
+            if np.all(g < 1.0):
+                return near
+            return np.where(g < 1.0, near, closed(np.sqrt(np.maximum(g, 1.0)))[m])
+        return f
+    return tuple(part(m) for m in range(3))
+
+
+_K = np.arange(14)
+# cos √g and sin √g / √g, with their first and second derivatives in g
+_COS = _even_in_r((-1.0) ** _K / np.array([factorial(2 * k) for k in _K], dtype=float),
+                  lambda r: (np.cos(r), -np.sin(r) / (2 * r),
+                             (np.sin(r) - r * np.cos(r)) / (4 * r**3)))
+_SINC = _even_in_r((-1.0) ** _K / np.array([factorial(2 * k + 1) for k in _K], dtype=float),
+                   lambda r: (np.sin(r) / r, (r * np.cos(r) - np.sin(r)) / (2 * r**3),
+                              (3 * np.sin(r) - 3 * r * np.cos(r) - r**2 * np.sin(r)) / (4 * r**5)))
+
+
+def geodesic_stiefel_k1(V, H, field: Field, s: float = 1.0):
+    """Closed-form k = 1 geodesic Stiefel representatives (frame-free) for
+    stacks of columns V, H of shape (B, N, 1[, 4]), or for their jets.
+
+    V(s) = V cos(s|H|) + H s·sin(s|H|)/(s|H|), with cos √g and sin √g / √g
+    taken in g = s²|H|², so it is smooth through H = 0, to every order.
     """
-    c = frob_stack(H)
-    small = c < 1e-14
-    c = np.where(small, 1.0, c)
-    x = s * c
-    return np.where(small, V, V * np.cos(x) + H * (np.sin(x) / c))
+    if not isinstance(H, Jet):
+        return geodesic_stiefel_k1(Jet(V), Jet(H), field, s).v
+    g = sq_norm(H * s, field)
+    return V * apply(g, *_COS) + H * s * apply(g, *_SINC)
 
 
 # ----------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Parametrized immersions into Grassmannians: differentials, pull-back
+"""Parametrized immersions into Grassmannians: column jets, pull-back
 frames, second fundamental form and shape norm.
 
-Charts map an open box in R^n to Grassmannian points and evaluate a whole
-stack of coordinate rows in one call.  Differentials of a stack come from
-one call of the chart's analytic formula when it has one, otherwise from
-central finite differences of the projector map with one Richardson level.
-Second derivatives always use finite differences.  `_projector_stencil`
-builds every finite-difference row, and `horizontal_stack(V, M·V)` maps a
-projector derivative M to a tangent: (PM(I−P) + (I−P)MP)V = (I−P)MV.
+A chart maps an open box in R^n to Grassmannian points through its ambient
+columns W(u), whose span is the point.  It supplies only `cols`, written
+once with the jet operations of `algebra`, and `chart_jet` derives
+everything else from one cols call on a stack of coordinate rows: the
+points (V, P), the horizontal differentials D_i = (I−P)∂_iW·M with
+M = (V*W)⁻¹, and the covariant second derivatives
+(I−P)∂_i∂_jW·M − D_i c_j − D_j c_i, c_j = V*∂_jW·M, whose normal part is
+II(∂_i, ∂_j).  These are exact; finite differences live only in `oracle`.
 The shape norm here and the fatness margin of `connection` are the maximum
 of σ_max and the minimum of σ_min of a linear matrix pencil
 T(a) = Σ_t a_t T_t over unit a.  One routine, `_pencil_extreme`, solves
@@ -23,9 +24,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import Field, frob_stack, from_real, matmul_stack, to_real
-from .constants import FD_STEP, FD_STEP2, IMMERSION_EPS
-from .homogeneous import GrassPoint, GrassTangent, alpha_basis, horizontal_stack
+from .algebra import Field, Jet, ct_stack, from_real, inv_small, matmul_stack, to_real
+from .constants import IMMERSION_EPS
+from .homogeneous import GrassPoint, GrassTangent, alpha_basis, horizontal_stack, stiefel_points
 
 
 class ChartDomainError(ValueError):
@@ -48,12 +49,11 @@ class NotImmersionError(ValueError):
 class ImmersionChart:
     """A smooth map from an open box in R^n into G_k(K^N).
 
-    eval_point maps coordinate rows U of shape (B, dim) to the stacked
-    Stiefel representatives V (B, N, k) and projectors P (B, N, N), with a
-    trailing quaternion axis of length 4 over H.  analytic_diff, where the
-    chart has closed-form differentials, maps the same rows to (V, P, H):
-    the (V, P) of eval_point and the horizontal differentials
-    H (B, dim, N, k[, 4]), H[b, i] = ∂φ/∂u_i at row b.
+    cols maps the seed jet `Jet.seed(U, order)` of coordinate rows U
+    (B, dim) to the jet of columns W (B, N, k[, 4]) spanning the points.
+    eval_point maps the rows to the stacked (V, P) of `stiefel_points`, by
+    default from an order-0 cols call (`dataclasses.replace` with a new
+    cols keeps the old default unless given eval_point=None).
     """
 
     name: str
@@ -62,9 +62,14 @@ class ImmersionChart:
     k: int
     dim: int
     box: tuple
-    eval_point: Callable[[np.ndarray], tuple]
-    analytic_diff: Optional[Callable[[np.ndarray], tuple]] = None
+    cols: Callable[[Jet], Jet]
     params: dict = dc_field(default_factory=dict)
+    eval_point: Optional[Callable[[np.ndarray], tuple]] = None
+
+    def __post_init__(self):
+        if self.eval_point is None:
+            object.__setattr__(self, "eval_point", lambda U: stiefel_points(
+                self.cols(Jet(np.asarray(U, dtype=float))).v, self.field))
 
     def __call__(self, u) -> GrassPoint:
         V, P = self.eval_point(np.asarray(u, dtype=float)[None])
@@ -86,76 +91,42 @@ class ImmersionChart:
         raise ChartDomainError(f"coordinate {U[b, i]:.4f} within {margin:.2e} of the box [{lo}, {hi}]")
 
 
-def differential(chart: ImmersionChart, u, h: float = FD_STEP, use_analytic: bool = True):
-    """Coordinate differentials ∂φ/∂u_i as GrassTangents at φ(u): row 0 of
-    differential_stack."""
-    V, P, H = differential_stack(chart, np.asarray(u, dtype=float)[None], h, use_analytic)
-    pt = GrassPoint(chart.field, chart.N, chart.k, V[0], P[0])
-    return [GrassTangent(pt, Hi) for Hi in H[0]]
-
-
-def differential_stack(chart: ImmersionChart, U, h: float = FD_STEP, use_analytic: bool = True):
-    """Stacked (V, P, H) at every row of U (B, n), H[b, i] = ∂φ/∂u_i: one
-    analytic_diff call when the chart has one, otherwise the tangent of the
-    Richardson difference ∂_i P from one stencil call for all rows."""
-    U = np.asarray(U, dtype=float)
-    chart.check_rows(U, 2 * h)
-    if use_analytic and chart.analytic_diff is not None:
-        V, P, H = chart.analytic_diff(U)
-        if not np.isfinite(H).all():
-            raise ChartDomainError("non-finite analytic differential")
-        return V, P, H
-    V, P, d, _ = _projector_stencil(chart, U, h, mixed=False)
-    dP = (4.0 * d[1] - d[0]) / 3.0   # the Richardson difference ∂_i P
-    return V, P, horizontal_stack(V[:, None], matmul_stack(dP, V[:, None], chart.field), chart.field)
-
-
-STENCIL_BYTES = 256 * 2**20   # most bytes of one point's 1 + 4n² projector stencil rows
-
-
-def stencil_bytes(chart: ImmersionChart) -> int:
-    """Bytes of the projectors _projector_stencil evaluates, with mixed
-    differences, around one point of the chart."""
-    return (1 + 4 * chart.dim**2) * chart.N**2 * chart.field.real_dim * 8
-
-
-def _projector_stencil(chart: ImmersionChart, U: np.ndarray, h: float, mixed: bool = True):
-    """Central differences of the projector map at the steps h and h/2 around
-    every row of U (B, n), from one chart call: (V, P, d, dd) with V and P at
-    the centres, the first differences d (2, B, n, N, N[, 4]) of ∂_i P and,
-    when mixed, the second differences dd (2, B, n, n, N, N[, 4]) of ∂_i∂_j P
-    (None otherwise); index 0 is step h, index 1 step h/2.
-
-    The rows are the centre, u + step e_i and u − step e_i, 1 + 4n per row;
-    mixed adds the corners u ± step e_i ± step e_j (i < j), 1 + 4n² in all.
-    Diagonal second differences use the three-point stencil.
+def chart_jet(chart: ImmersionChart, U, order: int = 2):
+    """(V, P, D, DD) at every row of U (B, n) from one cols call of the given
+    order: V and P as eval_point gives them, the horizontal differentials
+    D (B, n, N, k[, 4]) = ∂φ/∂u_i and the covariant second derivatives
+    DD (B, n, n, N, k[, 4]), whose normal part is II(∂_i, ∂_j); None above
+    the order.  With the lift V = W·M, M = (V*W)⁻¹, ∇Z = (I−P)Z' − Z·V*V'
+    gives ∇_j D_i = (I−P)∂_i∂_jW·M − D_i c_j − D_j c_i, c_j = V*∂_jW·M: the
+    derivatives of M cancel, and no N×N array is formed beyond P.
     """
-    B, n = U.shape
-    steps = np.array([h, h / 2.0])
-    eye = np.eye(n)
-    offsets = np.concatenate([eye, -eye])
-    if mixed:
-        i, j = np.triu_indices(n, 1)
-        corners = np.stack([eye[i] + eye[j], eye[i] - eye[j], eye[j] - eye[i], -eye[i] - eye[j]],
-                           axis=1)
-        offsets = np.concatenate([offsets, corners.reshape(-1, n)])
-    rows = U[:, None, None] + steps[:, None, None] * offsets
-    V, P = chart.eval_point(np.concatenate([U[:, None], rows.reshape(B, -1, n)], axis=1).reshape(-1, n))
-    V = V.reshape((B, -1) + V.shape[1:])[:, 0]
-    P = P.reshape((B, 1 + 2 * len(offsets)) + P.shape[1:])
-    P0 = P[:, 0]
-    P = np.moveaxis(P[:, 1:].reshape((B, 2, len(offsets)) + P0.shape[1:]), 1, 0)
-    sq = (steps**2).reshape((2,) + (1,) * (P0.ndim + 1))
-    pd = P[:, :, :2 * n].reshape((2, B, 2, n) + P0.shape[1:])
-    d = (pd[:, :, 0] - pd[:, :, 1]) / (2.0 * steps.reshape(sq.shape))
-    if not mixed:
-        return V, P0, d, None
-    pm = P[:, :, 2 * n:].reshape((2, B, len(i), 4) + P0.shape[1:])
-    dd = np.empty((2, B, n, n) + P0.shape[1:], dtype=P.dtype)
-    dd[:, :, np.arange(n), np.arange(n)] = (pd[:, :, 0] - 2.0 * P0[:, None] + pd[:, :, 1]) / sq
-    dd[:, :, i, j] = dd[:, :, j, i] = (pm[:, :, :, 0] - pm[:, :, :, 1] - pm[:, :, :, 2]
-                                       + pm[:, :, :, 3]) / (4.0 * sq)
-    return V, P0, d, dd
+    U = np.asarray(U, dtype=float)
+    chart.check_rows(U, 0.0)
+    f = chart.field
+    W = chart.cols(Jet.seed(U, order))
+    V, P = stiefel_points(W.v, f)
+    if order == 0:
+        return V, P, None, None
+    Vs = V[:, None]
+    M = inv_small(matmul_stack(ct_stack(V, f), W.v, f), f)[:, None]
+    D = matmul_stack(horizontal_stack(Vs, W.d, f), M, f)
+    if not np.isfinite(D).all():
+        raise ChartDomainError("non-finite chart derivative")
+    if order == 1:
+        return V, P, D, None
+    c = matmul_stack(matmul_stack(ct_stack(Vs, f), W.d, f), M, f)
+    Dc = matmul_stack(D[:, :, None], c[:, None], f)                       # Dc[:, i, j] = D_i c_j
+    DD = matmul_stack(horizontal_stack(Vs[:, None], W.dd, f), M[:, None], f) - (Dc + Dc.swapaxes(1, 2))
+    return V, P, D, DD
+
+
+PROJECTOR_BYTES = 256 * 2**20   # most bytes of the N×N arrays of one point
+
+
+def projector_bytes(chart: ImmersionChart) -> int:
+    """Bytes of the N×N arrays of one point: P, and over H matmul_stack's
+    16·N² component products."""
+    return (chart.field.real_dim + 16 * (chart.field is Field.QUATERNION)) * chart.N**2 * 8
 
 
 def _orthonormalize_real_span(H: np.ndarray, field: Field, tol: float = 1e-12) -> np.ndarray:
@@ -182,6 +153,7 @@ class PointFrame:
     gram_min_eig: float
     E: GrassTangent       # orthonormal tangent frame (real inner product), stacked
     coeff: np.ndarray     # E_a = Σ_i coeff[a, i] D_i
+    DD: np.ndarray        # covariant second derivatives ∇_{∂_j}∂_i, (n, n, N, k[, 4])
 
     @property
     def n(self) -> int:
@@ -218,8 +190,9 @@ class PointFrame:
         return GrassTangent(self.pt, t.H - self.project_tangential(t).H)
 
 
-def point_frame(chart: ImmersionChart, u, h: float = FD_STEP, gauge=None) -> PointFrame:
-    """Differentials, Gram matrix and the Gram–Schmidt frame at φ(u).
+def point_frame(chart: ImmersionChart, u, gauge=None) -> PointFrame:
+    """Differentials, Gram matrix, the Gram–Schmidt frame and the covariant
+    second derivatives at φ(u), from one order-2 chart_jet call.
 
     With gram = LLᵀ the Cholesky factorization, coeff = L⁻¹ is lower
     triangular, so E = coeff·D is the Gram–Schmidt frame in index order.
@@ -227,11 +200,10 @@ def point_frame(chart: ImmersionChart, u, h: float = FD_STEP, gauge=None) -> Poi
     """
     u = np.asarray(u, dtype=float)
     f = chart.field
-    V, P, H = differential_stack(chart, u[None], h)
-    V, H = V[0], H[0]
+    V, P, H, DD = (X[0] for X in chart_jet(chart, u[None]))
     if gauge is not None:
-        V, H = matmul_stack(V, gauge, f), matmul_stack(H, gauge, f)
-    pt = GrassPoint(f, chart.N, chart.k, V, P[0])
+        V, H, DD = (matmul_stack(X, gauge, f) for X in (V, H, DD))
+    pt = GrassPoint(f, chart.N, chart.k, V, P)
     D = GrassTangent(pt, H)
     gram = D.pair(D)
     w = np.linalg.eigvalsh(gram)
@@ -239,7 +211,7 @@ def point_frame(chart: ImmersionChart, u, h: float = FD_STEP, gauge=None) -> Poi
         raise NotImmersionError(u, float(w[0]))
     coeff = np.linalg.inv(np.linalg.cholesky(gram))
     E = GrassTangent(pt, np.tensordot(coeff, H, axes=1))
-    return PointFrame(chart, u, pt, D, gram, float(w[0]), E, coeff)
+    return PointFrame(chart, u, pt, D, gram, float(w[0]), E, coeff, DD)
 
 
 # ----------------------------------------------------------------------------
@@ -252,8 +224,6 @@ class SecondFF:
 
     pf: PointFrame
     II: GrassTangent          # II[a][b] = II(E_a, E_b), H of shape (n, n, N, k[, 4])
-    symmetry_residual: float
-    normality_residual: float
 
     @cached_property
     def DR(self) -> np.ndarray:
@@ -264,27 +234,15 @@ class SecondFF:
         return M - M.swapaxes(1, 2)
 
 
-def second_fundamental_form(
-    chart: ImmersionChart, u, pf: Optional[PointFrame] = None, h: float = FD_STEP2,
-) -> SecondFF:
-    """Normal part of the second derivatives at steps h and h/2, one
-    Richardson level, re-expressed against the orthonormal frame:
-    II(E_a, E_b) = Σ_ij coeff[a, i] coeff[b, j] II(∂_i, ∂_j)."""
-    u = np.asarray(u, dtype=float)
-    chart.check_rows(u[None], 4 * h)
+def second_fundamental_form(chart: ImmersionChart, u, pf: Optional[PointFrame] = None) -> SecondFF:
+    """The normal part of pf's covariant second derivatives in the
+    orthonormal frame: II(E_a, E_b) = Σ_ij coeff[a, i] coeff[b, j] II(∂_i, ∂_j);
+    pf is point_frame(chart, u) when not given."""
     if pf is None:
         pf = point_frame(chart, u)
-    pt, f = pf.pt, pf.pt.field
-    dd = _projector_stencil(chart, u[None], h)[3][:, 0]
-    ddP = GrassTangent(pt, horizontal_stack(pt.V, matmul_stack(dd, pt.V, f), f))
-    normal = pf.project_normal(ddP).H
-    raw = np.einsum("ai,ij...->aj...", pf.coeff, (4.0 * normal[1] - normal[0]) / 3.0)
-    II = GrassTangent(pt, np.einsum("bj,aj...->ab...", pf.coeff, raw))
-    n = pf.n
-    flat = (n * n,) + II.H.shape[2:]
-    sym = frob_stack((II.H - II.H.swapaxes(0, 1)).reshape(flat)).max()
-    nrm = frob_stack(pf.project_tangential(II).H.reshape(flat)).max()
-    return SecondFF(pf, II, float(sym), float(nrm))
+    raw = np.tensordot(pf.coeff, pf.DD, axes=1)                           # [a, j]
+    DD = np.tensordot(pf.coeff, raw, axes=([1], [1])).swapaxes(0, 1)      # [a, b]
+    return SecondFF(pf, pf.project_normal(GrassTangent(pf.pt, DD)))
 
 
 # ----------------------------------------------------------------------------

@@ -2,15 +2,19 @@
 parallel transport, holonomy loops, transported derivatives.
 
 Everything here is deliberately independent of the closed-form frame
-expressions — projector stencils, RK4 integration and matrix logarithms
-only — so agreement with the frame layer is evidence, not tautology.
+expressions — projector stencils, the chart's first-order jet, RK4
+integration and matrix logarithms only — so agreement with the frame layer
+is evidence, not tautology.
 
-Every oracle makes one chart call per batch.  Christoffel symbols come
-from one projector stencil per node, never from analytic differentials.
-A transport evaluates the RK4 nodes of all its segments at once:
-`dr_oracle` stacks its four curve parameters, a holonomy loop its four
-legs and every loop size.  Holonomy generators are the Gregory series
-logarithm of the whole stack of return matrices.
+Every oracle makes one chart call per batch.  Finite differences live
+here and nowhere else: `_projector_stencil` builds every finite-difference
+row, the Christoffel symbols come from one stencil per node, and the
+curvature pairing from the first differences of `differential_fd`, never
+from the chart's jet.  Transports take the order-1 jet of the chart at the
+RK4 nodes of all their segments at once: `dr_oracle` stacks its four curve
+parameters, a holonomy loop its four legs and every loop size.  Holonomy
+generators are the Gregory series logarithm of the whole stack of return
+matrices.
 
 Orientation note.  The fibre curvature operator that holonomy actually
 measures is the raw projector bracket ``P [d_i P, d_j P]``;
@@ -29,6 +33,7 @@ import numpy as np
 
 from .algebra import (
     Field,
+    Jet,
     ct_stack,
     frob,
     from_real,
@@ -51,13 +56,8 @@ from .homogeneous import (
     proj_m,
     projector_derivative,
     random_horizontal,
-    stiefel_points,
 )
-from .immersion import (
-    ImmersionChart,
-    _projector_stencil,
-    differential_stack,
-)
+from .immersion import ImmersionChart, chart_jet
 
 # ----------------------------------------------------------------------------
 # fibre matrices of the vertical algebra
@@ -92,22 +92,73 @@ def fit_m_generator(field: Field, k: int, G: np.ndarray):
 
 
 # ----------------------------------------------------------------------------
-# curvature stencils
+# finite differences of the projector map
 # ----------------------------------------------------------------------------
 
+def _projector_stencil(chart: ImmersionChart, U: np.ndarray, h: float, mixed: bool = True):
+    """Central differences of the projector map at the steps h and h/2 around
+    every row of U (B, n), from one chart call: (V, P, d, dd) with V and P at
+    the centres, the first differences d (2, B, n, N, N[, 4]) of ∂_i P and,
+    when mixed, the second differences dd (2, B, n, n, N, N[, 4]) of ∂_i∂_j P
+    (None otherwise); index 0 is step h, index 1 step h/2.
+
+    The rows are the centre, u + step e_i and u − step e_i, 1 + 4n per row;
+    mixed adds the corners u ± step e_i ± step e_j (i < j), 1 + 4n² in all.
+    Diagonal second differences use the three-point stencil.
+    """
+    B, n = U.shape
+    steps = np.array([h, h / 2.0])
+    eye = np.eye(n)
+    offsets = np.concatenate([eye, -eye])
+    if mixed:
+        i, j = np.triu_indices(n, 1)
+        corners = np.stack([eye[i] + eye[j], eye[i] - eye[j], eye[j] - eye[i], -eye[i] - eye[j]],
+                           axis=1)
+        offsets = np.concatenate([offsets, corners.reshape(-1, n)])
+    rows = U[:, None, None] + steps[:, None, None] * offsets
+    V, P = chart.eval_point(np.concatenate([U[:, None], rows.reshape(B, -1, n)], axis=1).reshape(-1, n))
+    V = V.reshape((B, -1) + V.shape[1:])[:, 0]
+    P = P.reshape((B, 1 + 2 * len(offsets)) + P.shape[1:])
+    P0 = P[:, 0]
+    P = np.moveaxis(P[:, 1:].reshape((B, 2, len(offsets)) + P0.shape[1:]), 1, 0)
+    sq = (steps**2).reshape((2,) + (1,) * (P0.ndim + 1))
+    pd = P[:, :, :2 * n].reshape((2, B, 2, n) + P0.shape[1:])
+    d = (pd[:, :, 0] - pd[:, :, 1]) / (2.0 * steps.reshape(sq.shape))
+    if not mixed:
+        return V, P0, d, None
+    pm = P[:, :, 2 * n:].reshape((2, B, len(i), 4) + P0.shape[1:])
+    dd = np.empty((2, B, n, n) + P0.shape[1:], dtype=P.dtype)
+    dd[:, :, np.arange(n), np.arange(n)] = (pd[:, :, 0] - 2.0 * P0[:, None] + pd[:, :, 1]) / sq
+    dd[:, :, i, j] = dd[:, :, j, i] = (pm[:, :, :, 0] - pm[:, :, :, 1] - pm[:, :, :, 2]
+                                       + pm[:, :, :, 3]) / (4.0 * sq)
+    return V, P0, d, dd
+
+
+def differential_fd(chart: ImmersionChart, U, h: float = FD_STEP):
+    """Stacked (V, P, H) at every row of U (B, n), H[b, i] = ∂φ/∂u_i: the
+    tangent horizontal_stack(V, M·V) of the Richardson difference M = ∂_i P
+    from one stencil call, as (PM(I−P) + (I−P)MP)V = (I−P)MV when PV = V."""
+    U = np.asarray(U, dtype=float)
+    chart.check_rows(U, 2 * h)
+    f = chart.field
+    V, P, d, _ = _projector_stencil(chart, U, h, mixed=False)
+    dP = (4.0 * d[1] - d[0]) / 3.0
+    return V, P, horizontal_stack(V[:, None], matmul_stack(dP, V[:, None], f), f)
+
+
 def curvature_pairing_fd(chart: ImmersionChart, u, x_coords, y_coords, w, v,
-                         h: float = FD_STEP, use_analytic: bool = True):
+                         h: float = FD_STEP):
     """Real pairing Re <R(X, Y) w, v> of the bridged fibre curvature, X and
     Y given by coordinate components, from finite differences alone.
 
     u (..., n), the coordinate vectors (..., n) and the fibre vectors
     (..., N, m[, 4]) may carry leading stack axes, which broadcast; the
-    differentials at every row of u come from one differential_stack call.
+    differentials at every row of u come from one differential_fd call.
     """
     U = np.asarray(u, dtype=float)
     f = chart.field
     tail = f.matrix_ndim
-    V, P, H = differential_stack(chart, U.reshape(-1, chart.dim), h, use_analytic)
+    V, P, H = differential_fd(chart, U.reshape(-1, chart.dim), h)
     dP = projector_derivative(V[:, None], H, f)
     dP = np.moveaxis(dP.reshape(U.shape[:-1] + dP.shape[1:]), -tail - 1, 0)   # dP[i] = ∂_i P
     P = P.reshape(U.shape[:-1] + P.shape[1:])
@@ -149,11 +200,11 @@ def _segment_nodes(u0, u1, steps: int):
     return du, u0 + np.linspace(0.0, 1.0, 2 * steps + 1).reshape((-1,) + (1,) * du.ndim) * du
 
 
-def _transport_generator(chart: ImmersionChart, u0, u1, steps: int, h: float):
+def _transport_generator(chart: ImmersionChart, u0, u1, steps: int):
     """V, P and the generator A = [P', P] of the fibre transport s' = A s at
-    the _segment_nodes of u0 → u1; one differential_stack call."""
+    the _segment_nodes of u0 → u1; one order-1 chart_jet call."""
     du, nodes = _segment_nodes(u0, u1, steps)
-    V, P, H = differential_stack(chart, nodes.reshape(-1, chart.dim), h)
+    V, P, H, _ = chart_jet(chart, nodes.reshape(-1, chart.dim), 1)
     lead = nodes.shape[:-1]
     V, P = V.reshape(lead + V.shape[1:]), P.reshape(lead + P.shape[1:])
     Hd = np.einsum("...i,...ix->...x", du, H.reshape(lead + (chart.dim, -1))).reshape(V.shape)
@@ -162,8 +213,7 @@ def _transport_generator(chart: ImmersionChart, u0, u1, steps: int, h: float):
     return V, P, matmul_stack(Pd, P, f) - matmul_stack(P, Pd, f)
 
 
-def parallel_transport(chart: ImmersionChart, u0, u1, w0,
-                       steps: int = TRANSPORT_STEPS, h: float = FD_STEP):
+def parallel_transport(chart: ImmersionChart, u0, u1, w0, steps: int = TRANSPORT_STEPS):
     """Transport a fibre vector along the straight coordinate segment.
 
     Integrates s' = [P', P] s with classical RK4 and re-projects into the
@@ -171,7 +221,7 @@ def parallel_transport(chart: ImmersionChart, u0, u1, w0,
     w0 broadcasting against it; the RK4 nodes of every segment are
     evaluated up front in one batch.  Returns (w1, endpoint).
     """
-    V, P, A = _transport_generator(chart, u0, u1, steps, h)
+    V, P, A = _transport_generator(chart, u0, u1, steps)
     f = chart.field
     return (_rk4(A, np.asarray(w0), lambda M, v: matmul_stack(M, v, f), P),
             GrassPoint(f, chart.N, chart.k, V[-1], P[-1]))
@@ -219,7 +269,7 @@ def holonomy_map(chart: ImmersionChart, u, i: int, j: int, eps,
     first, second = (ei, ej) if order == "ij" else (ej, ei)
     c0 = u - 0.5 * (ei + ej) if centered else np.broadcast_to(u, ei.shape)
     corners = np.stack([c0, c0 + first, c0 + first + second, c0 + second, c0])
-    V, P, A = _transport_generator(chart, corners[:-1], corners[1:], steps_per_leg, FD_STEP)
+    V, P, A = _transport_generator(chart, corners[:-1], corners[1:], steps_per_leg)
     f = chart.field
     s = V0 = V[0, 0]
     for leg in range(4):
@@ -248,7 +298,9 @@ def holonomy_generator(chart: ImmersionChart, u, i: int, j: int, eps,
 def exp_chart(pt: GrassPoint, X: GrassTangent, Y: GrassTangent,
               half_width: float = 1.0) -> ImmersionChart:
     """Internal chart u -> span of (g e^{u1 X~} e^{u2 Y~})[:, :k]; both
-    exponentials are computed once per coordinate row."""
+    exponentials are computed once per coordinate row.  The column jet is
+    written out: each derivative along u1 brings down X~ after g e^{u1 X~},
+    each along u2 brings down Y~ after e^{u2 Y~}."""
     fr = frame_lift(pt)
     Xl = lie_lift(fr, X).mat
     Yl = lie_lift(fr, Y).mat
@@ -256,25 +308,24 @@ def exp_chart(pt: GrassPoint, X: GrassTangent, Y: GrassTangent,
     k = pt.k
     f = pt.field
     expX, expY = skew_exp(Xl, f), skew_exp(Yl, f)
+    YYk = matmul_stack(Yl, Yl[:, :k], f)
 
-    def pieces(U):
-        """g e^{u1 X~}, e^{u2 Y~} and the point (V, P) at every row of U."""
-        gE = matmul_stack(g, expX(U[:, 0]), f)
-        E1 = expY(U[:, 1])
-        return (gE, E1) + stiefel_points(matmul_stack(gE, E1[:, :, :k], f), f)
-
-    def ev(U):
-        return pieces(U)[2:]
-
-    def diff(U):
-        gE, E1, V, P = pieces(U)
-        dV = np.stack([matmul_stack(gE, matmul_stack(Xl, E1[:, :, :k], f), f),
-                       matmul_stack(gE, matmul_stack(E1, Yl[:, :k], f), f)], axis=1)
-        return V, P, horizontal_stack(V[:, None], dV, f)
+    def cols(J: Jet) -> Jet:
+        """Columns at the rows of the seed jet J, to its order."""
+        gE, E1 = matmul_stack(g, expX(J.v[:, 0]), f), expY(J.v[:, 1])
+        right = [E1[:, :, :k]]                    # the factors right of g e^{u1 X~}, per order
+        if J.order >= 1:
+            X1, Y1 = matmul_stack(Xl, right[0], f), matmul_stack(E1, Yl[:, :k], f)
+            right.append(np.stack([X1, Y1], axis=1))
+        if J.order >= 2:
+            XY = matmul_stack(Xl, Y1, f)
+            right.append(np.stack([np.stack([matmul_stack(Xl, X1, f), XY], axis=1),
+                                   np.stack([XY, matmul_stack(E1, YYk, f)], axis=1)], axis=1))
+        return Jet(*(matmul_stack(gE[(slice(None),) + (None,) * m], R, f)
+                     for m, R in enumerate(right)))
 
     box = ((-half_width, half_width), (-half_width, half_width))
-    return ImmersionChart(name="exp-pair", field=f, N=pt.N, k=k,
-                          dim=2, box=box, eval_point=ev, analytic_diff=diff)
+    return ImmersionChart(name="exp-pair", field=f, N=pt.N, k=k, dim=2, box=box, cols=cols)
 
 
 @dataclass(frozen=True)
@@ -341,7 +392,7 @@ def christoffel(chart: ImmersionChart, u, h: float = FD_STEP) -> np.ndarray:
     """Gamma[..., l, i, j] of the pulled-back metric at u of shape (..., n),
     from one chart call on one projector stencil per node.
 
-    The stencil (immersion._projector_stencil) is the centre, u ± s e_i
+    The stencil (_projector_stencil) is the centre, u ± s e_i
     and the corners u ± s e_i ± s e_j (i < j) for s = h and h/2: 1 + 4n²
     rows.  With ∂_aP and ∂_k∂_aP Richardson differences over h and h/2,
     g_ab = ½ Re tr(∂_aP ∂_bP) and
@@ -388,7 +439,8 @@ def dr_oracle(chart: ImmersionChart, u, x_coords, y_coords, z_coords, w0, v0,
     differences with one Richardson level, t ∈ {±δ, ±δ/2}; the four curve
     parameters are one stack, so the Christoffel symbols, the fibre
     transport and the end-point pairing take one chart call each.  h is
-    the finite-difference step of all three.
+    the finite-difference step of the Christoffel symbols and the pairing;
+    the transport takes the chart's jet.
     """
     u = np.asarray(u, dtype=float)
     ut = u + np.outer(DR_DELTA * np.array([1.0, -1.0, 0.5, -0.5]), z_coords)
@@ -397,7 +449,7 @@ def dr_oracle(chart: ImmersionChart, u, x_coords, y_coords, z_coords, w0, v0,
     k = w0.shape[1]
     xy = base_transport(chart, u, ut, xy0, steps=DR_BASE_STEPS, h=h)
     wv, _ = parallel_transport(chart, u, ut, np.concatenate([w0, v0], axis=1),
-                               steps=DR_TRANSPORT_STEPS, h=h)
+                               steps=DR_TRANSPORT_STEPS)
     f = curvature_pairing_fd(chart, ut, xy[..., 0], xy[..., 1], wv[:, :, :k], wv[:, :, k:], h=h)
     g1 = (f[0] - f[1]) / (2.0 * DR_DELTA)
     g2 = (f[2] - f[3]) / DR_DELTA

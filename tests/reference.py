@@ -21,7 +21,7 @@ from pullconn.algebra import (
     quat,
     zeros,
 )
-from pullconn.constants import FD_STEP, FD_STEP2, bridge
+from pullconn.constants import FD_STEP, bridge
 from pullconn.homogeneous import (
     GrassTangent,
     frame_lift,
@@ -29,15 +29,12 @@ from pullconn.homogeneous import (
     point_from_stiefel,
     projector_derivative,
 )
-from pullconn.immersion import (
-    _projector_stencil,
-    differential,
-    differential_stack,
-)
+from pullconn.immersion import chart_jet
 from pullconn.oracle import (
     DR_BASE_STEPS,
     DR_DELTA,
     DR_TRANSPORT_STEPS,
+    _projector_stencil,
     base_transport,
     curvature_pairing_fd,
     left_mult_matrix,
@@ -45,6 +42,7 @@ from pullconn.oracle import (
 )
 
 TOL_ALG = 1e-10  # exact linear algebra identities
+FD_STEP2 = 10.0 ** -2.5  # step of the second differences: the II twin and nested stencils
 
 _IMAG_UNITS = {
     Field.COMPLEX: (1j,),
@@ -251,13 +249,13 @@ def covariant_derivative(chart, u, i: int, section, h: float = FD_STEP, richards
     return matmul_stack(P, d, chart.field)
 
 
-def curvature_raw(chart, u, i: int, j: int, w, h: float = FD_STEP):
-    """P [d_i P, d_j P] w — unbridged, exactly what holonomy measures."""
-    D = differential(chart, u, h=h)
-    pt = D[0].base
-    dP = [projector_derivative(pt.V, t.H, pt.field) for t in D]
+def curvature_raw(chart, u, i: int, j: int, w):
+    """P [d_i P, d_j P] w — unbridged, exactly what holonomy measures; the
+    differentials from the chart's jet."""
+    V, P, H = (X[0] for X in chart_jet(chart, np.asarray(u, dtype=float)[None], 1)[:3])
     f = chart.field
-    return matmul_stack(pt.P, matmul_stack(bracket(dP[i], dP[j], f), w, f), f)
+    dP = [projector_derivative(V, Hi, f) for Hi in H]
+    return matmul_stack(P, matmul_stack(bracket(dP[i], dP[j], f), w, f), f)
 
 
 def curvature_oracle(chart, u, i: int, j: int, w, method: str = "projector", h: float = FD_STEP2):
@@ -361,18 +359,17 @@ def horizontal_from_projector(P: np.ndarray, V: np.ndarray, M: np.ndarray, field
 
 def gram_at(chart, u) -> np.ndarray:
     """Gram matrices G_ab = Re tr(D_b* D_a) of the coordinate differentials
-    at u of shape (..., n), one differential_stack call for all points."""
+    at u of shape (..., n), one order-1 chart_jet call for all points."""
     U = np.asarray(u, dtype=float)
     n = chart.dim
-    _, _, H = differential_stack(chart, U.reshape(-1, n))
+    _, _, H, _ = chart_jet(chart, U.reshape(-1, n), 1)
     H = H.reshape(H.shape[0], n, -1)
     return np.real(np.einsum("bax,bcx->bac", H, np.conj(H))).reshape(U.shape[:-1] + (n, n))
 
 
 def christoffel_nested(chart, u, h: float = FD_STEP) -> np.ndarray:
     """Gamma[..., l, i, j] at u of shape (..., n) by Richardson differences of
-    gram_at, itself a Richardson stencil on charts without analytic
-    differentials."""
+    gram_at, whose differentials are exact."""
     U = np.asarray(u, dtype=float)
     n = chart.dim
     G = gram_at(chart, central_stencil(U.reshape(-1, n), h))
@@ -465,22 +462,41 @@ def orthonormalize_real_span(vectors, tol: float = 1e-12):
     return out
 
 
-def second_fundamental_form_loop(chart, u, pf, h: float = FD_STEP2) -> np.ndarray:
-    """II(E_a, E_b) as an (n, n, N, k[, 4]) array, built entry by entry: the
-    horizontal part of each ∂_i∂_j P, minus its frame components, one
-    Richardson level, then Σ_ij coeff[a, i] coeff[b, j] II(∂_i, ∂_j)."""
-    pt, n, C = pf.pt, pf.n, pf.coeff
+def _normal_loop(pf, H: np.ndarray) -> np.ndarray:
+    """H less its frame components, one pairing at a time."""
+    coords = [inner_re(H, e.H) for e in pf.E]
+    return H - sum(c * e.H for c, e in zip(coords, pf.E))
+
+
+def _frame_contraction_loop(pf, raw) -> np.ndarray:
+    """Σ_ij coeff[a, i] coeff[b, j] raw[i][j], entry by entry."""
+    n, C = pf.n, pf.coeff
+    return np.array([[sum(C[a, i] * C[b, j] * raw[i][j] for i in range(n) for j in range(n))
+                      for b in range(n)] for a in range(n)])
+
+
+def second_fundamental_form_loop(pf) -> np.ndarray:
+    """II(E_a, E_b) as an (n, n, N, k[, 4]) array, built entry by entry
+    from pf's covariant second derivatives: the normal part of each
+    DD[i, j], then Σ_ij coeff[a, i] coeff[b, j] II(∂_i, ∂_j)."""
+    return _frame_contraction_loop(pf, [[_normal_loop(pf, pf.DD[i, j]) for j in range(pf.n)]
+                                        for i in range(pf.n)])
+
+
+def second_fundamental_form_fd(chart, u, pf, h: float = FD_STEP2) -> np.ndarray:
+    """The finite-difference twin of II, in the layout of
+    second_fundamental_form_loop: the normal part of the horizontal part of
+    each ∂_i∂_j P from the second differences of P at the steps h and h/2,
+    one Richardson level, contracted entry by entry."""
+    pt, n = pf.pt, pf.n
     partials = _projector_stencil(chart, np.asarray(u, dtype=float)[None], h)[3][:, 0]
 
     def normal(M):
-        H = horizontal_from_projector(pt.P, pt.V, M, pt.field)
-        coords = [inner_re(H, e.H) for e in pf.E]
-        return H - sum(c * e.H for c, e in zip(coords, pf.E))
+        return _normal_loop(pf, horizontal_from_projector(pt.P, pt.V, M, pt.field))
 
-    raw = [[(4.0 * normal(partials[1, i, j]) - normal(partials[0, i, j])) / 3.0
-            for j in range(n)] for i in range(n)]
-    return np.array([[sum(C[a, i] * C[b, j] * raw[i][j] for i in range(n) for j in range(n))
-                      for b in range(n)] for a in range(n)])
+    return _frame_contraction_loop(pf, [[(4.0 * normal(partials[1, i, j])
+                                          - normal(partials[0, i, j])) / 3.0
+                                         for j in range(n)] for i in range(n)])
 
 
 def jay_matrix(pf, alpha) -> np.ndarray:

@@ -159,7 +159,7 @@ def test_analyze_records_carry_refinement_telemetry(tmp_path):
     assert code == 0
     for p in report["points"]:
         assert p["fatness"]["rounds"] == 0 and p["fatness"]["converged"] is True
-        assert p["shape"]["rounds"] >= 1 and p["shape"]["converged"] is True
+        assert p["shape"]["rounds"] == 0 and p["shape"]["converged"] is True
 
 
 def test_analyze_exit_codes_config(tmp_path):
@@ -205,7 +205,12 @@ def test_analyze_quaternionic_runs_exit0(tmp_path, argv):
 
 
 def test_analyze_boundary_margin_exit2():
-    """A step so large the stencil cannot stay inside the box is refused."""
+    """A sampling margin that leaves no interior of the box is a ConfigError
+    (exit 2); analyze has no --fd-step that could widen the margin."""
+    chart = cli.make_chart("veronese", None, {})   # box (-1.2, 1.2)²
+    with pytest.raises(ConfigError, match="sampling margin 1.3 leaves no interior"):
+        cli.sample_points(chart, (2, 2), None, 0, 1.3)
+    assert len(cli.sample_points(chart, (2, 2), None, 0, 1.1)) == 4
     assert main(["analyze", "--example", "veronese", "--fd-step", "0.7",
                  "--grid", "2x2"]) == 2
 
@@ -235,14 +240,14 @@ def test_negative_seed_exit2(capsys):
 
 @pytest.mark.parametrize("value", ["0", "-0.001", "nan", "inf"])
 def test_fd_step_not_finite_positive_exit2(value, capsys):
-    """Refused on analytic (veronese) and finite-difference (perturbed)
-    charts alike; a zero step used to crash the latter with LinAlgError."""
-    for example in ("veronese", "perturbed"):
-        assert main(["analyze", "--example", example, "--grid", "1x1",
-                     "--workers", "1", "--fd-step", value]) == 2
-        _only_error_line(capsys, "--fd-step must be finite and positive")
+    """verify, the one command with finite differences, refuses the step;
+    analyze and sweep take no --fd-step at all (the chart's jet is exact)."""
     assert main(["verify", "--fd-step", value]) == 2
     _only_error_line(capsys, "--fd-step must be finite and positive")
+    for argv in (["analyze", "--example", "perturbed", "--grid", "1x1"],
+                 ["sweep", "--example", "veronese", "--param", "d=1:2"]):
+        assert main(argv + ["--workers", "1", "--fd-step", value]) == 2
+        assert "unrecognized arguments: --fd-step" in capsys.readouterr().err
 
 
 def test_fractional_integer_parameter_exit2(capsys):
@@ -349,14 +354,8 @@ def test_unwritable_out_is_refused_before_any_point(tmp_path, monkeypatch, capsy
     assert len(calls) == 1 and out.read_text() == "earlier report"
 
 
-@pytest.mark.parametrize("argv", [
-    ["--example", "linear", "--param", "N=3000", "--random", "1"],
-    ["--example", "totally-real", "--param", "n=60", "--random", "1"],
-], ids=["linear-N3000", "totally-real-n60"])
-def test_oversized_stencil_exits2_under_a_memory_limit(argv):
-    """Charts whose projector stencil would pass STENCIL_BYTES per point are
-    refused by make_chart; under a 1.5 GB address-space limit they once
-    exited 3 with MemoryError."""
+def _analyze_under_a_memory_limit(argv):
+    """`analyze` in a fresh process under a 1.5 GB address-space limit."""
     import resource
 
     def limit():
@@ -364,10 +363,32 @@ def test_oversized_stencil_exits2_under_a_memory_limit(argv):
 
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    run = subprocess.run([sys.executable, "-m", "pullconn.cli", "analyze", *argv],
-                         capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120)
+    return subprocess.run([sys.executable, "-m", "pullconn.cli", "analyze", *argv],
+                          capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--example", "linear", "--field", "h", "--param", "N=3000", "--random", "1"],
+    ["--example", "linear", "--param", "N=5000", "--random", "1"],
+], ids=["linear-N3000", "linear-c-N5000"])
+def test_oversized_stencil_exits2_under_a_memory_limit(argv):
+    """Charts whose N×N arrays would pass PROJECTOR_BYTES per point are
+    refused by make_chart: the projector, and over H matmul_stack's 16·N²
+    component products (1.4 GB at N = 3000, which once exited 3 with
+    MemoryError under this limit)."""
+    run = _analyze_under_a_memory_limit(argv)
     err = run.stderr.splitlines()
     assert run.returncode == 2 and len(err) == 1 and "MiB bound" in err[0], run.stderr
+
+
+def test_a_chart_within_the_projector_bound_runs_under_a_memory_limit():
+    """linear N = 3000 over C: its 144 MB projector is the only N×N array
+    of a point, so it runs where the finite-difference stencil was once
+    refused, and the base curvature takes k×k blocks, not (pair, N, N)."""
+    run = _analyze_under_a_memory_limit(["--example", "linear", "--param", "N=3000",
+                                         "--random", "1", "--workers", "1"])
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["aggregate"]["points"] == 1
 
 
 def _singular(chart, u, **kwargs):
@@ -498,8 +519,9 @@ def test_verify_coarse_step_fails(tmp_path):
 
 
 def test_verify_fd_step_reaches_the_transported_oracle(tmp_path):
-    """--fd-step is the step of dr_oracle's Christoffel symbols, transports
-    and pairing too, so the derivative row moves with it."""
+    """--fd-step is the step of dr_oracle's Christoffel symbols and pairing
+    too (its transports take the chart's jet), so the derivative row moves
+    with it."""
     rows = []
     for argv, name in ((["verify"], "a.json"), (["verify", "--fd-step", "2e-3"], "b.json")):
         code, report = run_json(tmp_path, argv, name)
@@ -517,17 +539,19 @@ def test_verify_times_every_check(tmp_path):
     assert sum(seconds.values()) <= report["timing"]["seconds"]
 
 
-# chart work of one `verify` pass: 38 calls and 15,792 rows (182 calls and
-# 41,574 rows when the Christoffel stencil was nested and each holonomy leg,
-# curve parameter and frame pair took its own call)
-VERIFY_CHART_CALLS = 38
-VERIFY_CHART_ROWS = 15_792
+# chart work of one `verify` pass: 36 calls and 9,470 rows (38 calls and
+# 15,792 rows when the transports took finite-difference stencils and the
+# second fundamental form its own call; 182 calls and 41,574 rows when the
+# Christoffel stencil was nested and each holonomy leg, curve parameter and
+# frame pair took its own call)
+VERIFY_CHART_CALLS = 36
+VERIFY_CHART_ROWS = 9_470
 
 
 def test_verify_chart_work_stays_within_its_budget(monkeypatch, capsys):
-    """Counts the eval_point and analytic_diff calls, and their rows, of the
-    charts `verify` builds; a re-nested stencil or an unstacked loop fails
-    here without any timing."""
+    """Counts the cols calls (a jet of any order) and the eval_point calls
+    (order 0), and their rows, of the charts `verify` builds; a re-nested
+    stencil or an unstacked loop fails here without any timing."""
     from pullconn import oracle
 
     work = [0, 0]
@@ -535,15 +559,15 @@ def test_verify_chart_work_stays_within_its_budget(monkeypatch, capsys):
     def counted(fn):
         def wrapped(U):
             work[0] += 1
-            work[1] += len(U)
+            work[1] += len(getattr(U, "v", U))
             return fn(U)
-        return None if fn is None else wrapped
+        return wrapped
 
     def traced(factory):
         def build(*args, **kwargs):
             chart = factory(*args, **kwargs)
-            return dataclasses.replace(chart, eval_point=counted(chart.eval_point),
-                                       analytic_diff=counted(chart.analytic_diff))
+            return dataclasses.replace(chart, cols=counted(chart.cols),
+                                       eval_point=counted(chart.eval_point))
         return build
 
     monkeypatch.setattr(cli, "build_chart", traced(cli.build_chart))
@@ -602,10 +626,14 @@ def test_sweep_veronese_curvature_ratios(tmp_path):
 
 
 def test_sweep_amplitude_margins_decrease(tmp_path):
+    """At amplitude 0 the chart is its parallel base, so the declared
+    breaks-parallel check fails on that row alone, and the sweep exits 1."""
     code, report = run_json(tmp_path, [
         "sweep", "--example", "perturbed", "--param", "amplitude=0:0.2:0.1",
         "--random", "3", "--seed", "2", "--workers", "1"])
-    assert code == 0
+    assert code == 1
+    assert [[c["name"] for c in row["checks"] if c["pass"] is False]
+            for row in report["rows"]] == [["breaks-parallel"], [], []]
     margins = [row["min_fatness_margin"] for row in report["rows"]]
     assert abs(margins[0] - 1.0) < 1e-9
     assert margins[0] > margins[1] > margins[2]
@@ -624,7 +652,32 @@ def test_sweep_row_is_the_analyze_aggregate(tmp_path):
     row, agg = sweep["rows"][1], analyze["aggregate"]
     assert row["d"] == 3
     assert {k: row[k] for k in agg} == agg
-    assert set(row) == set(agg) | {"d", "kb_probe", "kb_ratio"}
+    assert set(row) == set(agg) | {"d", "kb_probe", "kb_ratio", "failures", "checks"}
+    assert (row["failures"], row["checks"]) == (analyze["failed_points"], analyze["checks"])
+
+
+def test_sweep_names_its_failed_points_and_exits_1(tmp_path, monkeypatch):
+    """A point that is not an immersion shows in its row with its exception
+    type and message, and fails the row's immersion check, as in analyze."""
+    calls = []
+    real = cli.analyze_point
+
+    def every_fourth_fails(chart, u, **kwargs):
+        calls.append(1)
+        if len(calls) % 4 == 1:
+            raise NotImmersionError(u, 0.0)
+        return real(chart, u, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze_point", every_fourth_fails)
+    code, report = run_json(tmp_path, ["sweep", "--example", "veronese", "--param", "d=1:2",
+                                       "--grid", "2x2", "--workers", "1"])
+    assert code == 1
+    for row in report["rows"]:
+        assert (row["points"], row["failed_points"]) == (3, 1)
+        assert [f["error"] for f in row["failures"]] == ["NotImmersionError"]
+        assert "not an immersion" in row["failures"][0]["reason"]
+        assert row["checks"][0] == {"name": "immersion", "detail": row["checks"][0]["detail"],
+                                    "value": 1, "tolerance": 0, "pass": False, "reason": None}
 
 
 def test_sweep_empty_range_exit2():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from pullconn.algebra import Field, inner_re
+from pullconn.algebra import Field, inner_re, orthonormalize, random_matrix
 from pullconn.catalog import (
     clifford_torus,
     grassmann_sub,
@@ -18,6 +18,7 @@ from pullconn.connection import (
     alpha_basis,
     analyze_point,
     base_sectional,
+    bracket_sq,
     corollary_bound,
     curvature_norm,
     fatness_margin,
@@ -25,10 +26,14 @@ from pullconn.connection import (
     parallel_residual,
     radial_residual,
 )
-from pullconn.homogeneous import GrassTangent, frame_lift, lie_lift, point_from_stiefel
+from pullconn.homogeneous import (
+    GrassTangent, frame_lift, lie_lift, point_from_stiefel, random_horizontal,
+)
 from pullconn.immersion import point_frame, second_fundamental_form
 from pullconn.oracle import curvature_pairing_fd, dr_oracle
-from reference import curvature_pairing, dr_component_bracket, sectional_base_fd
+from reference import (
+    curvature_pairing, dr_component_bracket, sectional_base_fd, sectional_curvature_g0,
+)
 
 
 def frames():
@@ -217,6 +222,23 @@ def test_base_sectional_matches_fd_riemann():
     gauss = base_sectional(pfg, ffg, np.eye(4)[0], np.eye(4)[3])
     fd = sectional_base_fd(grassmann_sub(2, 4, 5), u, pfg.coeff[0], pfg.coeff[3])
     assert abs(gauss - fd) < 1e-4
+
+
+@pytest.mark.parametrize("field,N,k", [(Field.REAL, 5, 2), (Field.COMPLEX, 4, 1),
+                                       (Field.COMPLEX, 5, 2), (Field.QUATERNION, 4, 1),
+                                       (Field.QUATERNION, 5, 2)])
+def test_bracket_norm_from_kxk_blocks_matches_the_nxn_form(field, N, k):
+    """bracket_sq against ½(|C₁|² + |C₂|²) with the N×N C₂ = YX* − XY*, on
+    random horizontal pairs, one at a time and as a stack."""
+    rng = np.random.default_rng(N + k)
+    pt = point_from_stiefel(orthonormalize(random_matrix(rng, field, N, k), field), field)
+    X = np.stack([random_horizontal(rng, pt).H for _ in range(6)])
+    Y = np.stack([random_horizontal(rng, pt).H for _ in range(6)])
+    got = bracket_sq(X, Y, field)
+    for x, y, g in zip(X, Y, got):
+        want = sectional_curvature_g0(GrassTangent(pt, x), GrassTangent(pt, y))
+        assert abs(g - want) <= 1e-12 * max(1.0, want)
+        assert bracket_sq(x[None], y[None], field)[0] == pytest.approx(g, rel=1e-14)
 
 
 def test_inequality_margins():

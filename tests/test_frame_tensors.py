@@ -72,8 +72,8 @@ def test_cholesky_frame_is_the_gram_schmidt_frame(point):
 
 
 def test_second_fundamental_form_matches_loop(point):
-    chart, u, pf, ff = point
-    loop = second_fundamental_form_loop(chart, u, pf)
+    _, _, pf, ff = point
+    loop = second_fundamental_form_loop(pf)
     assert np.max(np.abs(ff.II.H - loop)) <= TOL * max(1.0, np.max(np.abs(loop)))
 
 

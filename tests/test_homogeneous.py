@@ -242,11 +242,12 @@ def test_geodesic_k1_closed_form_matches_expm():
         pt = rand_point(rng, field, 4, 1)
         t = random_horizontal(rng, pt)
         for s in (0.2, 1.1):
-            Va = geodesic_stiefel_k1(pt.V[None], t.H[None], s)[0]
+            Va = geodesic_stiefel_k1(pt.V[None], t.H[None], field, s)[0]
             pa = point_from_stiefel(Va, field)
             pb = geodesic(pt, t, s)
             assert frob(pa.P - pb.P) < 1e-10
-    assert np.allclose(geodesic_stiefel_k1(pt.V[None], zeros(field, 4, 1)[None], 0.5)[0], pt.V)
+    at_zero = geodesic_stiefel_k1(pt.V[None], zeros(field, 4, 1)[None], field, 0.5)[0]
+    assert np.array_equal(at_zero, pt.V)
 
 
 def test_cp1_geodesic_period_pi():

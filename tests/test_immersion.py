@@ -34,15 +34,13 @@ from pullconn.immersion import (
     NotImmersionError,
     _orthonormalize_real_span,
     _pencil_extreme,
-    _projector_stencil,
     _sphere_net,
-    differential,
-    differential_stack,
+    chart_jet,
     point_frame,
     second_fundamental_form,
     shape_norm,
 )
-from pullconn.oracle import exp_chart
+from pullconn.oracle import _projector_stencil, differential_fd, exp_chart
 from reference import (
     central_stencil,
     horizontal_from_projector,
@@ -67,13 +65,12 @@ def closed_form_charts():
 @pytest.mark.parametrize("chart,u", closed_form_charts(),
                          ids=lambda c: c.name + "-" + c.field.value if isinstance(c, ImmersionChart) else None)
 def test_analytic_differential_matches_finite_differences(chart, u):
-    _, _, H = chart.analytic_diff(u[None])
-    analytic = [GrassTangent(chart(u), Hi) for Hi in H[0]]
-    fd_chart = dataclasses.replace(chart, analytic_diff=None)
-    numeric = differential(fd_chart, u)
-    assert len(analytic) == chart.dim
-    for a, f in zip(analytic, numeric):
-        assert frob(a.H - f.H) < 1e-8
+    """The jet's differentials against the oracle's Richardson differences."""
+    _, _, H, _ = chart_jet(chart, u[None], 1)
+    _, _, Hfd = differential_fd(chart, u[None])
+    assert H.shape[:2] == (1, chart.dim)
+    for a, f in zip(H[0], Hfd[0]):
+        assert frob(a - f) < 1e-8
 
 
 @pytest.mark.parametrize("chart,u", closed_form_charts(),
@@ -83,7 +80,7 @@ def test_differentials_are_horizontal_and_points_are_projectors(chart, u):
     P = pt.P
     assert frob(matmul_stack(P, P, f) - P) < 1e-12
     assert frob(P - ct_stack(P, f)) < 1e-12
-    for t in differential(chart, u):
+    for t in point_frame(chart, u).D:
         assert frob(matmul_stack(ct_stack(pt.V, f), t.H, f)) < 1e-9
 
 
@@ -116,15 +113,21 @@ def test_totally_geodesic_charts_have_vanishing_ii(chart, u):
 
 
 def test_second_ff_symmetry_and_normality():
+    """Symmetric and normal to rounding: the jet's second derivatives are
+    symmetric by construction, and the normal part is a projection."""
     for chart, u in [(veronese(2), np.array([0.3, -0.2])),
-                     (clifford_torus(), np.array([0.5, 1.0]))]:
+                     (clifford_torus(), np.array([0.5, 1.0])),
+                     (build_chart("perturbed", base="hline", amplitude=0.3),
+                      [0.2, -0.1, 0.3, 0.05])]:
         ff = second_fundamental_form(chart, u)
-        assert ff.symmetry_residual < 1e-8
-        assert ff.normality_residual < 1e-8
+        II = ff.II.H
+        assert np.max(np.abs(ff.pf.DD - ff.pf.DD.swapaxes(0, 1))) == 0.0
+        assert np.max(np.abs(II - II.swapaxes(0, 1))) < 1e-13 * max(1.0, np.max(np.abs(II)))
         n = ff.pf.n
         for a in range(n):
             for b in range(n):
-                assert ff.pf.project_tangential(ff.II[a][b]).norm() < 1e-8
+                tangential = ff.pf.project_tangential(ff.II[a][b]).norm()
+                assert tangential < 1e-13 * max(1.0, ff.II[a][b].norm())
 
 
 def test_point_frame_is_orthonormal_and_spans_differentials():
@@ -155,11 +158,12 @@ def test_point_frame_gauge_keeps_gram_and_projector():
 def test_degenerate_chart_raises_not_immersion():
     base = veronese(2)
 
-    def ev(U):
-        return base.eval_point(np.stack([U[:, 0], np.zeros(len(U))], axis=1))
+    def cols(J):
+        """The base chart at (u_0, 0): constant along u_1."""
+        return base.cols(J.lin(lambda x: x * np.array([1.0, 0.0])))
 
     flat = ImmersionChart(name="degenerate", field=Field.COMPLEX, N=3, k=1,
-                          dim=2, box=((-1.0, 1.0), (-1.0, 1.0)), eval_point=ev)
+                          dim=2, box=((-1.0, 1.0), (-1.0, 1.0)), cols=cols)
     with pytest.raises(NotImmersionError) as err:
         point_frame(flat, [0.2, 0.1])
     assert err.value.eigenvalue <= 1e-8
@@ -167,15 +171,20 @@ def test_degenerate_chart_raises_not_immersion():
 
 
 def test_domain_guard_rejects_boundary_and_bad_input():
+    """The jet needs no stencil room: the closed box evaluates, and points
+    outside it, non-finite or of the wrong length are refused."""
     chart = veronese(2)
     with pytest.raises(ChartDomainError):
-        differential(chart, [1.1995, 0.0])
+        chart_jet(chart, [[1.2005, 0.0]])
     with pytest.raises(ChartDomainError):
-        differential(chart, [np.nan, 0.0])
+        chart_jet(chart, [[np.nan, 0.0]])
     with pytest.raises(ChartDomainError):
-        differential(chart, [0.0, 0.0, 0.0])
-    # interior evaluation still fine
-    differential(chart, [1.19, 0.0], h=1e-3)
+        chart_jet(chart, [[0.0, 0.0, 0.0]])
+    chart_jet(chart, [[1.2, 0.0]])
+    # the oracle's stencil keeps its 2h margin
+    with pytest.raises(ChartDomainError):
+        differential_fd(chart, [[1.1995, 0.0]])
+    differential_fd(chart, [[1.19, 0.0]], h=1e-3)
 
 
 def test_arc_length_matches_gram_quadrature():
@@ -352,11 +361,11 @@ def test_shape_norm_against_dense_sample(chart, u):
     (clifford_torus(), [0.5, 1.0]), (veronese(2), [0.0, 0.0]),
 ], ids=["veronese-2", "veronese-3", "veronese-4", "clifford", "veronese-2-origin"])
 def test_shape_refinement_stops_on_circles_of_maxima(chart, u):
-    """On veronese and clifford the maximum is attained on a whole circle,
-    where the refinement's iterates need not settle; it stops on the value."""
+    """On veronese and clifford |S_η X| is the same for every unit X, so
+    the exact II makes a Clifford pencil: one SVD, no refinement."""
     res = shape_norm(second_fundamental_form(chart, u))
     assert res.converged
-    assert 1 <= res.rounds <= 10
+    assert res.rounds == 0 and res.gap <= 1e-13
 
 
 def test_shape_refinement_converges_on_sampled_points():
@@ -516,8 +525,8 @@ def test_hline_is_the_quaternionic_linear_chart():
     lin = build_chart("linear", field="h", m=2, N=3)
     assert (hline.name, hline.params, hline.box) == ("hline", {"N": 3}, lin.box)
     U = np.random.default_rng(1).uniform(-1.0, 1.0, (6, 4))
-    for a, b in zip(hline.eval_point(U) + hline.analytic_diff(U),
-                    lin.eval_point(U) + lin.analytic_diff(U)):
+    for a, b in zip(hline.eval_point(U) + chart_jet(hline, U),
+                    lin.eval_point(U) + chart_jet(lin, U)):
         assert np.array_equal(a, b)
 
 
@@ -599,36 +608,44 @@ def analytic_stacks():
 
 @pytest.mark.parametrize("chart,U", analytic_stacks())
 def test_batched_analytic_differentials_match_rows(chart, U):
-    V, P, H = chart.analytic_diff(U)
+    """One chart_jet call on a stack against one call per row, and its
+    differentials against the oracle's finite differences."""
+    V, P, H, DD = chart_jet(chart, U)
     quat = (4,) if chart.field is Field.QUATERNION else ()
     assert H.shape == (5, chart.dim, chart.N, chart.k) + quat
+    assert DD.shape == (5, chart.dim, chart.dim, chart.N, chart.k) + quat
     V0, P0 = chart.eval_point(U)
     assert np.array_equal(V, V0) and np.array_equal(P, P0)
     for b in range(5):
-        Vb, Pb, Hb = chart.analytic_diff(U[b:b + 1])
+        Vb, Pb, Hb, DDb = chart_jet(chart, U[b:b + 1])
         assert np.max(np.abs(Hb[0] - H[b])) < 1e-14
+        assert np.max(np.abs(DDb[0] - DD[b])) < 1e-13 * max(1.0, np.max(np.abs(DD[b])))
         assert np.max(np.abs(Vb[0] - V[b])) < 1e-14
         assert np.max(np.abs(Pb[0] - P[b])) < 1e-14
-    _, _, Hfd = differential_stack(chart, U, use_analytic=False)
+    _, _, Hfd = differential_fd(chart, U)
     assert np.max(np.abs(Hfd - H)) < 1e-8
 
 
-@pytest.mark.parametrize("chart", [veronese(2), grassmann_sub(2, 4, 5)],
-                         ids=["analytic", "finite-difference"])
+@pytest.mark.parametrize("chart,evaluate,margin", [
+    (veronese(2), chart_jet, 0.0),
+    (grassmann_sub(2, 4, 5), differential_fd, 2 * FD_STEP),
+], ids=["analytic", "finite-difference"])
 @pytest.mark.parametrize("bad", [5.0, np.nan], ids=["outside", "nan"])
-def test_stacked_domain_check_reports_the_failing_row(chart, bad):
+def test_stacked_domain_check_reports_the_failing_row(chart, evaluate, margin, bad):
+    """The chart's jet and the oracle's stencil name the first failing row
+    as check_rows does at their margins, 0 and 2h."""
     lo, hi = np.array(chart.box).T
     U = np.tile(0.5 * (lo + hi), (5, 1)) + 0.1
-    differential_stack(chart, U)
+    evaluate(chart, U)
     U[2, 1] = bad
     U[4, 0] = np.nan   # a later failing row is not the one reported
     with pytest.raises(ChartDomainError) as single:
-        chart.check_rows(U[2:3], 2 * FD_STEP)
+        chart.check_rows(U[2:3], margin)
     with pytest.raises(ChartDomainError) as stacked:
-        differential_stack(chart, U)
+        evaluate(chart, U)
     assert str(stacked.value) == str(single.value)
     with pytest.raises(ChartDomainError, match=f"expected {chart.dim} coordinates"):
-        differential_stack(chart, np.zeros((5, chart.dim + 1)))
+        evaluate(chart, np.zeros((5, chart.dim + 1)))
 
 
 def test_check_rows_messages():

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from pullconn.cli import main
-from pullconn.report import QUANTITIES
+from pullconn.algebra import Field
+from pullconn.cli import main, make_chart, sample_points
+from pullconn.connection import VERDICTS, analyze_point
+from pullconn.report import QUANTITIES, point_record
 from test_cli import ADVERTISED
 
 
@@ -25,3 +27,26 @@ def test_point_records_follow_the_table(name, field, tmp_path):
             assert None not in values, (key, rec[key])
         else:
             assert values == [None] * len(values), (key, rec[key])
+
+
+@pytest.mark.parametrize("name,field,params", [
+    ("totally-real", Field.COMPLEX, {"n": 1}),
+    ("linear", Field.REAL, {}),
+], ids=["totally-real-n1", "linear-r"])
+def test_verdict_is_null_where_the_record_gives_a_reason(name, field, params):
+    """PointAnalysis.verdict reads the reasons of QUANTITIES, as the record
+    does: on a one-dimensional base parallel, radial and the inequality have
+    no frame pairs, and rank one over R has no probes."""
+    chart = make_chart(name, field, params)
+    pa = analyze_point(chart, sample_points(chart, None, 1, 0)[0], normalize=True)
+    rec = point_record(pa)
+    verdict = pa.verdict
+    for name_, key, reads in VERDICTS:
+        assert verdict[name_] == rec[key][reads], name_
+        assert (verdict[name_] is None) is (rec[key]["reason"] is not None), name_
+    assert verdict.get("corollary_satisfied") == rec["corollary"]["satisfied"]
+    if name == "totally-real":
+        assert verdict == {"fat": False, "parallel": None, "radial": None,
+                           "inequality_strict": None, "corollary_satisfied": True}
+    else:
+        assert set(verdict.values()) == {None}

@@ -308,7 +308,7 @@ class Jet:
     order, 0, 1 or 2.  The operations follow the chain and product rules
     (Griewank and Walther, "Evaluating Derivatives", SIAM 2008).  A plain
     array is a constant: it broadcasts against the trailing axes without
-    enlarging them.  `*` and `/` are entrywise, so over H one factor is real."""
+    enlarging them.  `*` is entrywise, so over H one factor is real."""
 
     v: np.ndarray
     d: Optional[np.ndarray] = None
@@ -348,21 +348,6 @@ class Jet:
         return self * -1.0 + other
 
     __radd__, __rmul__ = __add__, __mul__
-
-    def __truediv__(self, b) -> "Jet":
-        """Entrywise quotient, from a = q·b: q_i = (a_i − q b_i)/b and
-        q_ij = (a_ij − q_i b_j − q_j b_i − q b_ij)/b."""
-        if not isinstance(b, Jet):
-            return self.lin(lambda x: x / b)
-        q = self.v / b.v
-        if self.d is None:
-            return Jet(q)
-        bv = b.v[:, None]
-        d = (self.d - q[:, None] * b.d) / bv
-        if self.dd is None:
-            return Jet(q, d)
-        cross = d[:, :, None] * b.d[:, None] + d[:, None] * b.d[:, :, None]
-        return Jet(q, d, (self.dd - cross - q[:, None, None] * b.dd) / bv[:, None])
 
 
 def _product(a, b, op) -> Jet:

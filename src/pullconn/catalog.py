@@ -150,8 +150,8 @@ def perturbed(base: ImmersionChart = None, amplitude: float = 0.05,
 
     def cols(J):
         W0 = base.cols(J)
-        V0 = W0 / apply(sq_norm(W0, field), np.sqrt, lambda s: 0.5 / s**0.5,
-                        lambda s: -0.25 / s**1.5)
+        V0 = W0 * apply(sq_norm(W0, field), lambda s: s**-0.5, lambda s: -0.5 * s**-1.5,
+                        lambda s: 0.75 * s**-2.5)
         waves = apply(J.lin(lambda x: x @ omegas.T) + phases, np.sin, np.cos, lambda t: -np.sin(t))
         normal = C - matmul_stack(V0, matmul_stack(ct_stack(V0, field), C, field), field)
         H = (normal * waves.lin(lambda x: x[spread])).lin(

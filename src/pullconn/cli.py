@@ -11,7 +11,7 @@ sweep    one chart parameter over a range, one summary row per value
 
 Exit status: 0 on success, 1 when a declared expectation or verification
 check fails, 2 for configuration errors (bad flags, empty sweep ranges,
-charts over the projector memory bound, sampling that would leave a chart's
+charts over the per-point memory bound, sampling that would leave a chart's
 safe interior, an ``--out`` file that cannot be opened, refused before any
 work), 3 for an internal error: any other exception, reported as one
 ``error:`` line on stderr naming its type and message.
@@ -41,13 +41,11 @@ import numpy as np
 from . import oracle
 from .algebra import Field
 from .catalog import CATALOG, build_chart, perturbed_base
-from .connection import analyze_point, curvature_norm
+from .connection import POINT_BYTES, analyze_point, curvature_norm, point_bytes
 from .immersion import (
-    PROJECTOR_BYTES,
     ChartDomainError,
     NotImmersionError,
     point_frame,
-    projector_bytes,
     second_fundamental_form,
 )
 from .report import NO_POINT, SCHEMA, aggregate_records, expectation_checks, point_record
@@ -172,9 +170,9 @@ def make_chart(name: str, field, params: dict):
             f"example '{name}' with {params or 'default parameters'} builds a "
             f"chart over {chart.field.value!r}, not {field.value!r}"
         )
-    if projector_bytes(chart) > PROJECTOR_BYTES:
-        raise ConfigError(f"example '{name}' needs {projector_bytes(chart) >> 20} MiB of N×N "
-                          f"arrays per point, over the {PROJECTOR_BYTES >> 20} MiB bound")
+    if point_bytes(chart) > POINT_BYTES:
+        raise ConfigError(f"example '{name}' needs about {point_bytes(chart) >> 20} MiB of "
+                          f"arrays per point, over the {POINT_BYTES >> 20} MiB bound")
     return chart
 
 

@@ -272,6 +272,21 @@ VERDICTS = (("fat", "fatness", "fat"), ("parallel", "parallel", "holds"),
             ("radial", "radial", "holds"), ("inequality_strict", "inequality", "strict"))
 
 
+POINT_BYTES = 256 * 2**20   # most bytes of the largest arrays of one analyzed point
+
+
+def point_bytes(chart: ImmersionChart) -> int:
+    """Bytes of the largest arrays of one analyzed point, with room to
+    spare: the projector and over H matmul_stack's 16·N² component
+    products; 40 arrays (n, n, N, k) of the column jets and II, which also
+    cover the seed's n³ (an immersion has n < N·k·real_dim); and
+    base_sectional's Σ_a x_a II_ab along both vectors of every probe pair."""
+    f, n = chart.field, chart.dim
+    col = chart.N * chart.k * f.real_dim
+    return 8 * ((f.real_dim + 16 * (f is Field.QUATERNION)) * chart.N**2 + 40 * n * n * col
+                + 2 * (n * (n - 1) + SEEDED_PAIRS) * n * col)
+
+
 def analyze_point(chart: ImmersionChart, u, normalize: bool = False) -> PointAnalysis:
     """Full frame-layer analysis of one chart point."""
     pf = point_frame(chart, u)

@@ -183,43 +183,36 @@ def ad_alpha(alpha_k: np.ndarray, t: GrassTangent) -> GrassTangent:
     return GrassTangent(t.base, -matmul_stack(t.H, alpha_k, t.base.field))
 
 
-def _even_in_r(coef, closed):
-    """(f, f', f'') in g = r² of an even function of r: the power series
-    Σ_k coef[k] g^k below g = 1, and closed(r) = (f, f', f'') above, where
-    the closed forms lose no more than a few bits to cancellation."""
-    series = [coef, P.polyder(coef), P.polyder(coef, 2)]
-
-    def part(m):
-        def f(g):
-            near = np.power.outer(g, np.arange(len(series[m]))) @ series[m]
-            if np.all(g < 1.0):
-                return near
-            return np.where(g < 1.0, near, closed(np.sqrt(np.maximum(g, 1.0)))[m])
-        return f
-    return tuple(part(m) for m in range(3))
+def _series(coef):
+    """(f, f', f'') of the power series f(g) = Σ_k coef[k] g^k."""
+    return tuple(lambda g, c=c: np.power.outer(g, np.arange(len(c))) @ c
+                 for c in (coef, P.polyder(coef), P.polyder(coef, 2)))
 
 
 _K = np.arange(14)
-# cos √g and sin √g / √g, with their first and second derivatives in g
-_COS = _even_in_r((-1.0) ** _K / np.array([factorial(2 * k) for k in _K], dtype=float),
-                  lambda r: (np.cos(r), -np.sin(r) / (2 * r),
-                             (np.sin(r) - r * np.cos(r)) / (4 * r**3)))
-_SINC = _even_in_r((-1.0) ** _K / np.array([factorial(2 * k + 1) for k in _K], dtype=float),
-                   lambda r: (np.sin(r) / r, (r * np.cos(r) - np.sin(r)) / (2 * r**3),
-                              (3 * np.sin(r) - 3 * r * np.cos(r) - r**2 * np.sin(r)) / (4 * r**5)))
+# cos √g and sin √g / √g as power series in g, with two derivatives
+_COS = _series((-1.0) ** _K / np.array([factorial(2 * k) for k in _K], dtype=float))
+_SINC = _series((-1.0) ** _K / np.array([factorial(2 * k + 1) for k in _K], dtype=float))
 
 
 def geodesic_stiefel_k1(V, H, field: Field, s: float = 1.0):
     """Closed-form k = 1 geodesic Stiefel representatives (frame-free) for
     stacks of columns V, H of shape (B, N, 1[, 4]), or for their jets.
 
-    V(s) = V cos(s|H|) + H s·sin(s|H|)/(s|H|), with cos √g and sin √g / √g
-    taken in g = s²|H|², so it is smooth through H = 0, to every order.
+    V(s) = V cos r + H s·sin r / r, r = s|H|, with cos r and sin r / r the
+    series in g = r² below g = 1, so it is smooth through H = 0 to every
+    order; above, r is halved m times into the series and doubled back by
+    cos 2r = 2cos² r − 1 and sin 2r / 2r = (sin r / r)·cos r.
     """
     if not isinstance(H, Jet):
         return geodesic_stiefel_k1(Jet(V), Jet(H), field, s).v
     g = sq_norm(H * s, field)
-    return V * apply(g, *_COS) + H * s * apply(g, *_SINC)
+    m = int(np.ceil(np.log2(np.max(g.v, initial=1.0)) / 2))
+    g = g * 0.25**m
+    c, sc = apply(g, *_COS), apply(g, *_SINC)
+    for _ in range(m):
+        c, sc = c * c * 2.0 - 1.0, sc * c
+    return V * c + H * s * sc
 
 
 # ----------------------------------------------------------------------------

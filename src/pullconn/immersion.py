@@ -120,15 +120,6 @@ def chart_jet(chart: ImmersionChart, U, order: int = 2):
     return V, P, D, DD
 
 
-PROJECTOR_BYTES = 256 * 2**20   # most bytes of the N×N arrays of one point
-
-
-def projector_bytes(chart: ImmersionChart) -> int:
-    """Bytes of the N×N arrays of one point: P, and over H matmul_stack's
-    16·N² component products."""
-    return (chart.field.real_dim + 16 * (chart.field is Field.QUATERNION)) * chart.N**2 * 8
-
-
 def _orthonormalize_real_span(H: np.ndarray, field: Field, tol: float = 1e-12) -> np.ndarray:
     """Orthonormal basis, for the real inner product, of the *real* span of
     a stack of tangents H (m, ...), which is a real vector space even over

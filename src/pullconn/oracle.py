@@ -1,20 +1,17 @@
 """Brute-force reference computations: finite-difference curvature,
 parallel transport, holonomy loops, transported derivatives.
 
-Everything here is deliberately independent of the closed-form frame
-expressions — projector stencils, the chart's first-order jet, RK4
-integration and matrix logarithms only — so agreement with the frame layer
-is evidence, not tautology.
-
-Every oracle makes one chart call per batch.  Finite differences live
-here and nowhere else: `_projector_stencil` builds every finite-difference
-row, the Christoffel symbols come from one stencil per node, and the
-curvature pairing from the first differences of `differential_fd`, never
-from the chart's jet.  Transports take the order-1 jet of the chart at the
-RK4 nodes of all their segments at once: `dr_oracle` stacks its four curve
-parameters, a holonomy loop its four legs and every loop size.  Holonomy
-generators are the Gregory series logarithm of the whole stack of return
-matrices.
+Finite differences live here and nowhere else: `_projector_stencil`
+builds every finite-difference row, and only the Christoffel symbols (one
+stencil per node) and the curvature pairing (the first differences of
+`differential_fd`) are finite differences; neither reads the chart's jet.
+The transports take the chart's order-1 jet at the RK4 nodes, the jet
+that also gives the frame layer its differentials, and
+`tests/test_jets.py` holds that jet to central differences of the chart's
+values.  Every oracle makes one chart call per batch: `dr_oracle` stacks
+its four curve parameters, a holonomy loop its four legs and every loop
+size.  Holonomy generators are the Gregory series logarithm of the whole
+stack of return matrices.
 
 Orientation note.  The fibre curvature operator that holonomy actually
 measures is the raw projector bracket ``P [d_i P, d_j P]``;

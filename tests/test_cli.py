@@ -370,18 +370,22 @@ def _analyze_under_a_memory_limit(argv):
 @pytest.mark.parametrize("argv", [
     ["--example", "linear", "--field", "h", "--param", "N=3000", "--random", "1"],
     ["--example", "linear", "--param", "N=5000", "--random", "1"],
-], ids=["linear-N3000", "linear-c-N5000"])
+    ["--example", "totally-real", "--param", "n=60", "--random", "1"],
+    ["--example", "grassmann-sub", "--param", "k=10", "--param", "m=60", "--param", "N=60",
+     "--random", "1"],
+], ids=["linear-N3000", "linear-c-N5000", "totally-real-n60", "grassmann-sub-n500"])
 def test_oversized_stencil_exits2_under_a_memory_limit(argv):
-    """Charts whose N×N arrays would pass PROJECTOR_BYTES per point are
-    refused by make_chart: the projector, and over H matmul_stack's 16·N²
-    component products (1.4 GB at N = 3000, which once exited 3 with
-    MemoryError under this limit)."""
+    """Charts whose arrays would pass POINT_BYTES per point are refused by
+    make_chart, before any work: large N through the projector and over H
+    matmul_stack's 16·N² component products (1.4 GB at N = 3000, which once
+    exited 3 with MemoryError under this limit), large dimension n through
+    the (n, n, N, k) jets and the probe pairs of the base curvature."""
     run = _analyze_under_a_memory_limit(argv)
     err = run.stderr.splitlines()
     assert run.returncode == 2 and len(err) == 1 and "MiB bound" in err[0], run.stderr
 
 
-def test_a_chart_within_the_projector_bound_runs_under_a_memory_limit():
+def test_a_chart_within_the_point_bound_runs_under_a_memory_limit():
     """linear N = 3000 over C: its 144 MB projector is the only N×N array
     of a point, so it runs where the finite-difference stencil was once
     refused, and the base curvature takes k×k blocks, not (pair, N, N)."""

@@ -13,9 +13,7 @@ from pullconn import cli
 from pullconn.algebra import Field, Jet, apply, ct_stack, matmul_stack, random_matrix, sq_norm
 from pullconn.catalog import CATALOG, build_chart, perturbed
 from pullconn.connection import analyze_point
-from pullconn.homogeneous import (
-    _COS, _SINC, geodesic_stiefel_k1, point_from_stiefel, random_horizontal,
-)
+from pullconn.homogeneous import geodesic_stiefel_k1, point_from_stiefel, random_horizontal
 from pullconn.immersion import point_frame, second_fundamental_form
 from reference import central_stencil, richardson_difference, second_fundamental_form_fd
 from test_immersion import _exp_pair_chart
@@ -94,7 +92,7 @@ def test_second_fundamental_form_matches_its_finite_difference_twin(chart):
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
 def test_jet_arithmetic_matches_central_differences(field):
-    """Sums, entrywise products and quotients, matrix products, conjugate
+    """Sums, entrywise products, matrix products, conjugate
     transposes, squared norms and entrywise functions of a smooth map."""
     rng = np.random.default_rng(4)
     A, B = random_matrix(rng, field, 3, 2), random_matrix(rng, field, 2, 2)
@@ -106,9 +104,9 @@ def test_jet_arithmetic_matches_central_differences(field):
         X = apply(J.lin(lambda x: np.tensordot(x, C, axes=1)), np.sin, np.cos, lambda t: -np.sin(t))
         S = X.lin(lambda x: x[..., None] * unit if field is Field.QUATERNION else x * unit)
         M = matmul_stack(S + A, B, field)
-        norm = apply(sq_norm(M, field), np.sqrt, lambda t: 0.5 / np.sqrt(t),
-                     lambda t: -0.25 / t**1.5)
-        return matmul_stack(ct_stack(M / norm, field), M, field) - 2.0 * (norm * norm)
+        scale = apply(sq_norm(M, field), lambda t: t**-0.5, lambda t: -0.5 * t**-1.5,
+                      lambda t: 0.75 * t**-2.5)
+        return matmul_stack(ct_stack(M * scale, field), M, field) - 2.0 * (scale * scale)
 
     _assert_jet_matches_differences(fn, lambda U: fn(Jet(U)).v, rng.uniform(-1, 1, (2, 3)))
 
@@ -116,16 +114,15 @@ def test_jet_arithmetic_matches_central_differences(field):
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
 def test_geodesic_jet_is_smooth_through_zero(field):
     """The jet of geodesic_stiefel_k1 along H(u) = u_0 A + u_1 B, through
-    H = 0 (the series branch) and through |H| = 1 (where the closed forms
-    take over), against central differences."""
+    H = 0 and through |H| = 1 (where halving and doubling take over),
+    against central differences."""
     rng = np.random.default_rng(11)
     pt = point_from_stiefel(random_matrix(rng, field, 4, 1), field)
     A, B = (random_horizontal(rng, pt).H for _ in range(2))
     A, B = A / np.sqrt(sq_norm(A, field)), B / np.sqrt(sq_norm(B, field))
 
     def fn(J):
-        H = J.lin(lambda x: x[..., 0, None, None, *([None] * (A.ndim - 2))] * A
-                  + x[..., 1, None, None, *([None] * (A.ndim - 2))] * B)
+        H = J.lin(lambda x: x[(..., 0) + (None,) * A.ndim] * A + x[(..., 1) + (None,) * A.ndim] * B)
         return geodesic_stiefel_k1(pt.V[None], H, field)
 
     _assert_jet_matches_differences(fn, lambda U: fn(Jet(U)).v,
@@ -134,14 +131,22 @@ def test_geodesic_jet_is_smooth_through_zero(field):
     assert np.array_equal(J.v[0], pt.V)
 
 
-def test_series_and_closed_forms_meet_at_the_threshold():
-    """cos √g and sin √g / √g with two derivatives each, on both sides of
-    g = 1: the series below and the closed forms above agree."""
-    g = np.array([1.0 - 1e-12, 1.0])
-    for parts in (_COS, _SINC):
-        for f in parts:
-            lo, hi = f(g)
-            assert abs(lo - hi) <= 1e-12
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
+def test_geodesic_jet_is_the_great_circle_on_both_sides_of_the_threshold(field):
+    """Along H = u·A with |A| = 1 the jet is the great circle V cos u + A sin u
+    with its two derivatives, from the series alone (u ≤ 1) and halved and
+    doubled back (u > 1), through g = 1."""
+    rng = np.random.default_rng(12)
+    pt = point_from_stiefel(random_matrix(rng, field, 4, 1), field)
+    A = random_horizontal(rng, pt).H
+    A = A / np.sqrt(sq_norm(A, field))
+    for u in (0.5, 1.0, 1.0 + 1e-12, 2.5, 6.0):
+        H = Jet.seed(np.array([[u]]), 2).lin(lambda x: x[(...,) + (None,) * (A.ndim - 1)] * A)
+        J = geodesic_stiefel_k1(pt.V[None], H, field)
+        c, s = np.cos(u), np.sin(u)
+        for got, want in [(J.v, pt.V * c + A * s), (J.d, A * c - pt.V * s),
+                          (J.dd, -pt.V * c - A * s)]:
+            assert np.abs(got.reshape(pt.V.shape) - want).max() <= 1e-13, u
 
 
 def test_perturbation_at_amplitude_zero_is_its_base():

@@ -15,6 +15,7 @@ quaternionic-holomorphic points, and a certified sphere search elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -32,8 +33,10 @@ from .immersion import (
     CertifiedMax,
     ImmersionChart,
     PointFrame,
+    SHAPE_NET_RESOLUTION,
     SecondFF,
     _pencil_extreme,
+    _sphere_net,
     point_frame,
     second_fundamental_form,
     shape_norm,
@@ -190,14 +193,18 @@ SEEDED_PAIRS = 6     # random orthonormal pairs added to the frame pairs
 PAIR_SEED = 20240
 
 
+@lru_cache(maxsize=None)
 def _probe_pairs(n: int):
-    """(X, Y) of shape (P, n): the ordered frame pairs (e_a, e_b), a ≠ b, then
-    SEEDED_PAIRS seeded random orthonormal pairs; none when n < 2."""
-    if n < 2:
-        return np.zeros((0, n)), np.zeros((0, n))
-    a, b = np.nonzero(~np.eye(n, dtype=bool))
-    q = np.linalg.qr(np.random.default_rng(PAIR_SEED).standard_normal((SEEDED_PAIRS, n, 2)))[0]
-    return np.concatenate([np.eye(n)[a], q[..., 0]]), np.concatenate([np.eye(n)[b], q[..., 1]])
+    """(X, Y) of shape (P, n), built once per n and read-only: the ordered
+    frame pairs (e_a, e_b), a ≠ b, then SEEDED_PAIRS seeded random
+    orthonormal pairs; none when n < 2."""
+    X = Y = np.zeros((0, n))
+    if n >= 2:
+        a, b = np.nonzero(~np.eye(n, dtype=bool))
+        q = np.linalg.qr(np.random.default_rng(PAIR_SEED).standard_normal((SEEDED_PAIRS, n, 2)))[0]
+        X, Y = np.concatenate([np.eye(n)[a], q[..., 0]]), np.concatenate([np.eye(n)[b], q[..., 1]])
+    X.flags.writeable = Y.flags.writeable = False
+    return X, Y
 
 
 def inequality_min_margin(pf: PointFrame, ff: SecondFF) -> InequalityResult:
@@ -207,7 +214,8 @@ def inequality_min_margin(pf: PointFrame, ff: SecondFF) -> InequalityResult:
     smallest eigenvalue of kb(x, y)·Q − d dᵀ, with Q[s, t] the pairing of
     the tangential parts of J_s x and J_t x and d_t = DR_t(x, y, x); all
     pairs share one batched eigenvalue call.  The pairs are the frame
-    pairs and a few seeded random rotations of them.
+    pairs and a few seeded random rotations of them.  d contracts DR with
+    the (P, n²) products x xᵀ in one matrix product, then with y.
     """
     X, Y = _probe_pairs(pf.n)
     kb = base_sectional(pf, ff, X, Y)
@@ -218,7 +226,9 @@ def inequality_min_margin(pf: PointFrame, ff: SecondFF) -> InequalityResult:
         # a one-dimensional base carries no 2-planes; vacuously strict
         return InequalityResult(float("inf"), False, 0)
     jx = np.einsum("tba,pa->ptb", pf.L, X)
-    drv = np.einsum("tabc,pa,pb,pc->pt", ff.DR, X, Y, X)
+    XX = (X[:, :, None] * X[:, None, :]).reshape(len(X), -1)                # [p, (a, c)]
+    dr = (XX @ ff.DR.transpose(1, 3, 0, 2).reshape(XX.shape[1], -1)).reshape(len(X), -1, pf.n)
+    drv = np.einsum("ptb,pb->pt", dr, Y)
     M = kb[:, None, None] * np.einsum("psb,ptb->pst", jx, jx) - drv[:, :, None] * drv[:, None, :]
     lam = np.linalg.eigvalsh(0.5 * (M + M.swapaxes(1, 2)))[:, 0]
     return InequalityResult(float(lam.min()), False, len(X), kb0)
@@ -277,14 +287,14 @@ POINT_BYTES = 256 * 2**20   # most bytes of the largest arrays of one analyzed p
 
 def point_bytes(chart: ImmersionChart) -> int:
     """Bytes of the largest arrays of one analyzed point, with room to
-    spare: the projector and over H matmul_stack's 16·N² component
-    products; 40 arrays (n, n, N, k) of the column jets and II, which also
-    cover the seed's n³ (an immersion has n < N·k·real_dim); and
-    base_sectional's Σ_a x_a II_ab along both vectors of every probe pair."""
-    f, n = chart.field, chart.dim
-    col = chart.N * chart.k * f.real_dim
-    return 8 * ((f.real_dim + 16 * (f is Field.QUATERNION)) * chart.N**2 + 40 * n * n * col
-                + 2 * (n * (n - 1) + SEEDED_PAIRS) * n * col)
+    spare: 40 arrays (n, n, N, k) of the column jets and II, which also
+    cover the seed's n³ (an immersion has n < N·k·real_dim);
+    base_sectional's Σ_a x_a II_ab along both vectors of every probe pair;
+    and two n×n matrices per point of the shape norm's and fatness's nets."""
+    n, col = chart.dim, chart.N * chart.k * chart.field.real_dim
+    nets = sum(len(_sphere_net(d, r)[0]) for d, r in ((n, SHAPE_NET_RESOLUTION),
+               (len(alpha_basis(chart.field, chart.k)), FATNESS_NET_RESOLUTION)) if d >= 2)
+    return 8 * n * (col * (40 * n + 2 * (n * (n - 1) + SEEDED_PAIRS)) + 2 * nets * n)
 
 
 def analyze_point(chart: ImmersionChart, u, normalize: bool = False) -> PointAnalysis:

@@ -2,9 +2,9 @@
 lifts, the block Lie-algebra decomposition, vertical probes and the
 curvature normalization.
 
-A point is held both as a Stiefel representative V (N x k, V*V = I) and as
-the projector P = V V*.  Tangent vectors are horizontal Stiefel coordinates
-H (V*H = 0) with projector-model form Delta = H V* + V H*
+A point is its Stiefel representative V (N x k, V*V = I); its projector
+P = V V* is formed when read.  Tangent vectors are horizontal Stiefel
+coordinates H (V*H = 0) with projector-model form Delta = H V* + V H*
 (`projector_derivative`).  Relative to a frame g = [V | W] in the isometry
 group, a tangent lifts to the block matrix X~ = [[0, -B*], [B, 0]] with
 B = W*H; the structure algebra m sits in the top-left k x k block as
@@ -16,6 +16,7 @@ agrees with the g0 norm of the lift and with the projector-model norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import Optional
 
@@ -46,29 +47,35 @@ from .algebra import (
 
 @dataclass(frozen=True)
 class GrassPoint:
-    """A k-plane in K^N: Stiefel representative plus projector."""
+    """A k-plane in K^N, held as its Stiefel representative V."""
 
     field: Field
     N: int
     k: int
     V: np.ndarray
-    P: np.ndarray
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """The N×N projector V V*, formed on first read."""
+        return projector(self.V, self.field)
 
 
-def stiefel_points(V: np.ndarray, field: Field):
-    """(V, P) for stacked Stiefel representatives V (B, N, k[, 4]): rows
-    with V*V = I within 1e-8·√k are kept, the others orthonormalized, and
-    P = V V*."""
+def projector(V: np.ndarray, field: Field) -> np.ndarray:
+    """Projectors V V* of stacked Stiefel representatives V (..., N, k[, 4])."""
+    return matmul_stack(V, ct_stack(V, field), field)
+
+
+def stiefel_points(V: np.ndarray, field: Field) -> np.ndarray:
+    """Stacked Stiefel representatives V (B, N, k[, 4]): rows with V*V = I
+    within 1e-8·√k are kept, the others orthonormalized."""
     k = V.shape[2]
     off = frob_stack(matmul_stack(ct_stack(V, field), V, field) - eye(field, k)) > 1e-8 * np.sqrt(k)
-    if off.any():
-        V = np.where(off, orthonormalize(V, field), V)
-    return V, matmul_stack(V, ct_stack(V, field), field)
+    return np.where(off, orthonormalize(V, field), V) if off.any() else V
 
 
 def point_from_stiefel(V: np.ndarray, field: Field) -> GrassPoint:
-    V, P = stiefel_points(np.asarray(V)[None], field)
-    return GrassPoint(field, V.shape[1], V.shape[2], V[0], P[0])
+    V = stiefel_points(np.asarray(V)[None], field)[0]
+    return GrassPoint(field, V.shape[0], V.shape[1], V)
 
 
 @dataclass(frozen=True)
@@ -166,7 +173,7 @@ class LieLift:
 
 
 def lie_lift(frame: FrameLift, t: GrassTangent) -> LieLift:
-    if t.base.P is not frame.pt.P and frob(t.base.P - frame.pt.P) > 1e-9:
+    if t.base is not frame.pt and frob(t.base.P - frame.pt.P) > 1e-9:
         raise ValueError("tangent is not based at the frame's point")
     f = frame.pt.field
     return LieLift(frame, matmul_stack(ct_stack(frame.W, f), t.H, f))

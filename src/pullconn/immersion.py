@@ -5,9 +5,9 @@ A chart maps an open box in R^n to Grassmannian points through its ambient
 columns W(u), whose span is the point.  It supplies only `cols`, written
 once with the jet operations of `algebra`, and `chart_jet` derives
 everything else from one cols call on a stack of coordinate rows: the
-points (V, P), the horizontal differentials D_i = (I−P)∂_iW·M with
+points V, the horizontal differentials D_i = (I−VV*)∂_iW·M with
 M = (V*W)⁻¹, and the covariant second derivatives
-(I−P)∂_i∂_jW·M − D_i c_j − D_j c_i, c_j = V*∂_jW·M, whose normal part is
+(I−VV*)∂_i∂_jW·M − D_i c_j − D_j c_i, c_j = V*∂_jW·M, whose normal part is
 II(∂_i, ∂_j).  These are exact; finite differences live only in `oracle`.
 The shape norm here and the fatness margin of `connection` are the maximum
 of σ_max and the minimum of σ_min of a linear matrix pencil
@@ -51,7 +51,7 @@ class ImmersionChart:
 
     cols maps the seed jet `Jet.seed(U, order)` of coordinate rows U
     (B, dim) to the jet of columns W (B, N, k[, 4]) spanning the points.
-    eval_point maps the rows to the stacked (V, P) of `stiefel_points`, by
+    eval_point maps the rows to the stacked V of `stiefel_points`, by
     default from an order-0 cols call (`dataclasses.replace` with a new
     cols keeps the old default unless given eval_point=None).
     """
@@ -64,7 +64,7 @@ class ImmersionChart:
     box: tuple
     cols: Callable[[Jet], Jet]
     params: dict = dc_field(default_factory=dict)
-    eval_point: Optional[Callable[[np.ndarray], tuple]] = None
+    eval_point: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.eval_point is None:
@@ -72,8 +72,8 @@ class ImmersionChart:
                 self.cols(Jet(np.asarray(U, dtype=float))).v, self.field))
 
     def __call__(self, u) -> GrassPoint:
-        V, P = self.eval_point(np.asarray(u, dtype=float)[None])
-        return GrassPoint(self.field, self.N, self.k, V[0], P[0])
+        V = self.eval_point(np.asarray(u, dtype=float)[None])[0]
+        return GrassPoint(self.field, self.N, self.k, V)
 
     def check_rows(self, U: np.ndarray, margin: float) -> None:
         """Raise ChartDomainError unless every row of U (B, dim) is finite
@@ -92,32 +92,32 @@ class ImmersionChart:
 
 
 def chart_jet(chart: ImmersionChart, U, order: int = 2):
-    """(V, P, D, DD) at every row of U (B, n) from one cols call of the given
-    order: V and P as eval_point gives them, the horizontal differentials
+    """(V, D, DD) at every row of U (B, n) from one cols call of the given
+    order: V as eval_point gives it, the horizontal differentials
     D (B, n, N, k[, 4]) = ∂φ/∂u_i and the covariant second derivatives
     DD (B, n, n, N, k[, 4]), whose normal part is II(∂_i, ∂_j); None above
-    the order.  With the lift V = W·M, M = (V*W)⁻¹, ∇Z = (I−P)Z' − Z·V*V'
-    gives ∇_j D_i = (I−P)∂_i∂_jW·M − D_i c_j − D_j c_i, c_j = V*∂_jW·M: the
-    derivatives of M cancel, and no N×N array is formed beyond P.
+    the order.  With the lift V = W·M, M = (V*W)⁻¹, ∇Z = (I−VV*)Z' − Z·V*V'
+    gives ∇_j D_i = (I−VV*)∂_i∂_jW·M − D_i c_j − D_j c_i, c_j = V*∂_jW·M:
+    the derivatives of M cancel, and (I−VV*)Z is `horizontal_stack`.
     """
     U = np.asarray(U, dtype=float)
     chart.check_rows(U, 0.0)
     f = chart.field
     W = chart.cols(Jet.seed(U, order))
-    V, P = stiefel_points(W.v, f)
+    V = stiefel_points(W.v, f)
     if order == 0:
-        return V, P, None, None
+        return V, None, None
     Vs = V[:, None]
     M = inv_small(matmul_stack(ct_stack(V, f), W.v, f), f)[:, None]
     D = matmul_stack(horizontal_stack(Vs, W.d, f), M, f)
     if not np.isfinite(D).all():
         raise ChartDomainError("non-finite chart derivative")
     if order == 1:
-        return V, P, D, None
+        return V, D, None
     c = matmul_stack(matmul_stack(ct_stack(Vs, f), W.d, f), M, f)
     Dc = matmul_stack(D[:, :, None], c[:, None], f)                       # Dc[:, i, j] = D_i c_j
     DD = matmul_stack(horizontal_stack(Vs[:, None], W.dd, f), M[:, None], f) - (Dc + Dc.swapaxes(1, 2))
-    return V, P, D, DD
+    return V, D, DD
 
 
 def _orthonormalize_real_span(H: np.ndarray, field: Field, tol: float = 1e-12) -> np.ndarray:
@@ -191,10 +191,10 @@ def point_frame(chart: ImmersionChart, u, gauge=None) -> PointFrame:
     """
     u = np.asarray(u, dtype=float)
     f = chart.field
-    V, P, H, DD = (X[0] for X in chart_jet(chart, u[None]))
+    V, H, DD = (X[0] for X in chart_jet(chart, u[None]))
     if gauge is not None:
         V, H, DD = (matmul_stack(X, gauge, f) for X in (V, H, DD))
-    pt = GrassPoint(f, chart.N, chart.k, V, P)
+    pt = GrassPoint(f, chart.N, chart.k, V)
     D = GrassTangent(pt, H)
     gram = D.pair(D)
     w = np.linalg.eigvalsh(gram)

@@ -1,10 +1,11 @@
 """Brute-force reference computations: finite-difference curvature,
 parallel transport, holonomy loops, transported derivatives.
 
-Finite differences live here and nowhere else: `_projector_stencil`
-builds every finite-difference row, and only the Christoffel symbols (one
-stencil per node) and the curvature pairing (the first differences of
-`differential_fd`) are finite differences; neither reads the chart's jet.
+Finite differences and the projector P = VV* live here and nowhere else:
+`_projector_stencil` builds every finite-difference row, and only the
+Christoffel symbols (one stencil per node) and the curvature pairing (the
+first differences of `differential_fd`) are finite differences; neither
+reads the chart's jet.
 The transports take the chart's order-1 jet at the RK4 nodes, the jet
 that also gives the frame layer its differentials, and
 `tests/test_jets.py` holds that jet to central differences of the chart's
@@ -51,6 +52,7 @@ from .homogeneous import (
     lie_lift,
     point_from_stiefel,
     proj_m,
+    projector,
     projector_derivative,
     random_horizontal,
 )
@@ -113,7 +115,8 @@ def _projector_stencil(chart: ImmersionChart, U: np.ndarray, h: float, mixed: bo
                            axis=1)
         offsets = np.concatenate([offsets, corners.reshape(-1, n)])
     rows = U[:, None, None] + steps[:, None, None] * offsets
-    V, P = chart.eval_point(np.concatenate([U[:, None], rows.reshape(B, -1, n)], axis=1).reshape(-1, n))
+    V = chart.eval_point(np.concatenate([U[:, None], rows.reshape(B, -1, n)], axis=1).reshape(-1, n))
+    P = projector(V, chart.field)
     V = V.reshape((B, -1) + V.shape[1:])[:, 0]
     P = P.reshape((B, 1 + 2 * len(offsets)) + P.shape[1:])
     P0 = P[:, 0]
@@ -198,14 +201,14 @@ def _segment_nodes(u0, u1, steps: int):
 
 
 def _transport_generator(chart: ImmersionChart, u0, u1, steps: int):
-    """V, P and the generator A = [P', P] of the fibre transport s' = A s at
-    the _segment_nodes of u0 → u1; one order-1 chart_jet call."""
+    """V, P = VV* and the generator A = [P', P] of the fibre transport
+    s' = A s at the _segment_nodes of u0 → u1; one order-1 chart_jet call."""
     du, nodes = _segment_nodes(u0, u1, steps)
-    V, P, H, _ = chart_jet(chart, nodes.reshape(-1, chart.dim), 1)
-    lead = nodes.shape[:-1]
-    V, P = V.reshape(lead + V.shape[1:]), P.reshape(lead + P.shape[1:])
+    V, H, _ = chart_jet(chart, nodes.reshape(-1, chart.dim), 1)
+    lead, f = nodes.shape[:-1], chart.field
+    V = V.reshape(lead + V.shape[1:])
+    P = projector(V, f)
     Hd = np.einsum("...i,...ix->...x", du, H.reshape(lead + (chart.dim, -1))).reshape(V.shape)
-    f = chart.field
     Pd = projector_derivative(V, Hd, f)   # P' = Σ du_i ∂_i P
     return V, P, matmul_stack(Pd, P, f) - matmul_stack(P, Pd, f)
 
@@ -221,7 +224,7 @@ def parallel_transport(chart: ImmersionChart, u0, u1, w0, steps: int = TRANSPORT
     V, P, A = _transport_generator(chart, u0, u1, steps)
     f = chart.field
     return (_rk4(A, np.asarray(w0), lambda M, v: matmul_stack(M, v, f), P),
-            GrassPoint(f, chart.N, chart.k, V[-1], P[-1]))
+            GrassPoint(f, chart.N, chart.k, V[-1]))
 
 
 LOG_TERMS = 60   # most odd terms of the series logarithm
@@ -271,10 +274,9 @@ def holonomy_map(chart: ImmersionChart, u, i: int, j: int, eps,
     s = V0 = V[0, 0]
     for leg in range(4):
         s = _rk4(A[:, leg], s, lambda M, v: matmul_stack(M, v, f), P[:, leg])
-    P0 = P[0, 0]
     if np.ndim(eps) == 0:
-        V0, P0, s = V0[0], P0[0], s[0]
-    return GrassPoint(f, chart.N, chart.k, V0, P0), s
+        V0, s = V0[0], s[0]
+    return GrassPoint(f, chart.N, chart.k, V0), s
 
 
 def holonomy_generator(chart: ImmersionChart, u, i: int, j: int, eps,

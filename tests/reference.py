@@ -27,6 +27,7 @@ from pullconn.homogeneous import (
     frame_lift,
     lie_lift,
     point_from_stiefel,
+    projector,
     projector_derivative,
 )
 from pullconn.immersion import chart_jet
@@ -170,7 +171,7 @@ def geodesic(pt, t: GrassTangent, s: float, order: str = "standard"):
 
 def sectional_curvature_g0(x: GrassTangent, y: GrassTangent) -> float:
     """Unnormalized ambient sectional curvature k(X,Y) = |[X~,Y~]|₀²."""
-    if x.base.P is not y.base.P and frob(x.base.P - y.base.P) > 1e-9:
+    if x.base is not y.base and frob(x.base.P - y.base.P) > 1e-9:
         raise ValueError("tangents have different base points")
     Hx, Hy, f = x.H, y.H, x.base.field
     C1 = matmul_stack(ct_stack(Hy, f), Hx, f) - matmul_stack(ct_stack(Hx, f), Hy, f)
@@ -252,8 +253,9 @@ def covariant_derivative(chart, u, i: int, section, h: float = FD_STEP, richards
 def curvature_raw(chart, u, i: int, j: int, w):
     """P [d_i P, d_j P] w — unbridged, exactly what holonomy measures; the
     differentials from the chart's jet."""
-    V, P, H = (X[0] for X in chart_jet(chart, np.asarray(u, dtype=float)[None], 1)[:3])
+    V, H = (X[0] for X in chart_jet(chart, np.asarray(u, dtype=float)[None], 1)[:2])
     f = chart.field
+    P = projector(V, f)
     dP = [projector_derivative(V, Hi, f) for Hi in H]
     return matmul_stack(P, matmul_stack(bracket(dP[i], dP[j], f), w, f), f)
 
@@ -362,7 +364,7 @@ def gram_at(chart, u) -> np.ndarray:
     at u of shape (..., n), one order-1 chart_jet call for all points."""
     U = np.asarray(u, dtype=float)
     n = chart.dim
-    _, _, H, _ = chart_jet(chart, U.reshape(-1, n), 1)
+    _, H, _ = chart_jet(chart, U.reshape(-1, n), 1)
     H = H.reshape(H.shape[0], n, -1)
     return np.real(np.einsum("bax,bcx->bac", H, np.conj(H))).reshape(U.shape[:-1] + (n, n))
 

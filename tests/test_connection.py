@@ -1,7 +1,10 @@
 """Frame-layer closed forms against the brute-force layer, plus fixtures."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pullconn import cli
 from pullconn.algebra import Field, inner_re, orthonormalize, random_matrix
 from pullconn.catalog import (
     clifford_torus,
@@ -24,12 +27,13 @@ from pullconn.connection import (
     fatness_margin,
     inequality_min_margin,
     parallel_residual,
+    point_bytes,
     radial_residual,
 )
 from pullconn.homogeneous import (
     GrassTangent, frame_lift, lie_lift, point_from_stiefel, random_horizontal,
 )
-from pullconn.immersion import point_frame, second_fundamental_form
+from pullconn.immersion import point_frame, second_fundamental_form, shape_norm
 from pullconn.oracle import curvature_pairing_fd, dr_oracle
 from reference import (
     curvature_pairing, dr_component_bracket, sectional_base_fd, sectional_curvature_g0,
@@ -313,3 +317,57 @@ def test_analyze_point_bundle():
                              normalize=True)
     assert real_res.theta is None and real_res.corollary is None
     assert real_res.verdict["fat"] is None
+
+
+ADVERTISED = [(e["name"], f) for e in cli.cmd_list(None)[0]["examples"] for f in e["fields"]]
+
+
+@pytest.mark.parametrize("name,field", ADVERTISED, ids=[f"{n}-{f}" for n, f in ADVERTISED])
+def test_the_analysis_never_forms_the_projector(name, field):
+    """One point of every example × field that `list` advertises, through
+    every stage of analyze_point: the point is its Stiefel columns, and the
+    N×N projector is never read."""
+    chart = cli.make_chart(name, Field.parse(field), {})
+    u = cli.sample_points(chart, None, 1, 0, None)[0]
+    pf = point_frame(chart, u)
+    ff = second_fundamental_form(chart, u, pf=pf)
+    shape_norm(ff)
+    fatness_margin(pf)
+    parallel_residual(pf, ff)
+    radial_residual(pf, ff)
+    inequality_min_margin(pf, ff)
+    assert ff.pf is pf and "P" not in vars(pf.pt)
+
+
+@pytest.mark.parametrize("name,field,params", [
+    ("perturbed", "h", {"base": "linear"}), ("grassmann-sub", "r", {"k": 4, "m": 8, "N": 8}),
+    ("totally-real", "c", {"n": 20}), ("linear", "h", {"N": 1000}),
+], ids=["perturbed-h-linear", "grassmann-sub-k4", "totally-real-n20", "linear-h-N1000"])
+def test_point_bytes_covers_the_traced_peak(name, field, params):
+    """The memory bound is at least the traced peak of one analyze_point,
+    the sphere nets of the shape norm (perturbed) and of fatness over six
+    probes (grassmann-sub k = 4) included."""
+    chart = cli.make_chart(name, Field.parse(field), params)
+    u = cli.sample_points(chart, None, 1, 0, None)[0]
+    analyze_point(chart, u)   # builds the cached sphere nets
+    tracemalloc.start()
+    try:
+        analyze_point(chart, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak > 2**20 and point_bytes(chart) >= peak
+
+
+def test_a_large_point_is_analyzed_in_small_memory():
+    """linear N = 5000 over C: without the 400 MB projector, one point of
+    analyze_point peaks below 32 MiB of traced allocations."""
+    chart = cli.make_chart("linear", None, {"N": 5000})
+    u = cli.sample_points(chart, None, 1, 0, None)[0]
+    tracemalloc.start()
+    try:
+        analyze_point(chart, u, normalize=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"

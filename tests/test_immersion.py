@@ -25,7 +25,8 @@ from pullconn.catalog import (
 )
 from pullconn.connection import fatness_margin
 from pullconn.constants import FD_STEP
-from pullconn.homogeneous import GrassTangent, horizontal_stack, point_from_stiefel, random_horizontal
+from pullconn.homogeneous import (GrassTangent, horizontal_stack, point_from_stiefel, projector,
+                                 random_horizontal)
 from pullconn.immersion import (
     NET_BUDGET,
     REFINE_ROUNDS,
@@ -66,7 +67,7 @@ def closed_form_charts():
                          ids=lambda c: c.name + "-" + c.field.value if isinstance(c, ImmersionChart) else None)
 def test_analytic_differential_matches_finite_differences(chart, u):
     """The jet's differentials against the oracle's Richardson differences."""
-    _, _, H, _ = chart_jet(chart, u[None], 1)
+    _, H, _ = chart_jet(chart, u[None], 1)
     _, _, Hfd = differential_fd(chart, u[None])
     assert H.shape[:2] == (1, chart.dim)
     for a, f in zip(H[0], Hfd[0]):
@@ -525,8 +526,8 @@ def test_hline_is_the_quaternionic_linear_chart():
     lin = build_chart("linear", field="h", m=2, N=3)
     assert (hline.name, hline.params, hline.box) == ("hline", {"N": 3}, lin.box)
     U = np.random.default_rng(1).uniform(-1.0, 1.0, (6, 4))
-    for a, b in zip(hline.eval_point(U) + chart_jet(hline, U),
-                    lin.eval_point(U) + chart_jet(lin, U)):
+    for a, b in zip((hline.eval_point(U),) + chart_jet(hline, U),
+                    (lin.eval_point(U),) + chart_jet(lin, U)):
         assert np.array_equal(a, b)
 
 
@@ -577,19 +578,19 @@ def test_batched_evaluation_matches_single_points(chart):
     rng = np.random.default_rng(5)
     lo, hi = np.array(chart.box).T
     U = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=(7, chart.dim))
-    V, P = chart.eval_point(U)
+    V = chart.eval_point(U)
     quat = (4,) if chart.field is Field.QUATERNION else ()
     dtype = complex if chart.field is Field.COMPLEX else float
     assert V.shape == (7, chart.N, chart.k) + quat and V.dtype == dtype
-    assert P.shape == (7, chart.N, chart.N) + quat and P.dtype == dtype
     for b, u in enumerate(U):
         pt = chart(u)
-        assert np.max(np.abs(P[b] - pt.P)) < 1e-14
         assert np.max(np.abs(V[b] - pt.V)) < 1e-14
-        # one row through the algebra of the chart's field: P = V V*, V* V = I
+        # one row through the algebra of the chart's field: V* V = I, and
+        # the lazy projector is V V*
         f = chart.field
-        assert pt.field is f
-        assert frob(matmul_stack(pt.V, ct_stack(pt.V, f), f) - P[b]) < 1e-14
+        assert pt.field is f and "P" not in vars(pt)
+        assert pt.P.shape == (chart.N, chart.N) + quat and pt.P.dtype == dtype
+        assert np.array_equal(pt.P, matmul_stack(pt.V, ct_stack(pt.V, f), f))
         assert frob(matmul_stack(ct_stack(pt.V, f), pt.V, f) - eye(f, chart.k)) < 1e-12
 
 
@@ -610,18 +611,16 @@ def analytic_stacks():
 def test_batched_analytic_differentials_match_rows(chart, U):
     """One chart_jet call on a stack against one call per row, and its
     differentials against the oracle's finite differences."""
-    V, P, H, DD = chart_jet(chart, U)
+    V, H, DD = chart_jet(chart, U)
     quat = (4,) if chart.field is Field.QUATERNION else ()
     assert H.shape == (5, chart.dim, chart.N, chart.k) + quat
     assert DD.shape == (5, chart.dim, chart.dim, chart.N, chart.k) + quat
-    V0, P0 = chart.eval_point(U)
-    assert np.array_equal(V, V0) and np.array_equal(P, P0)
+    assert np.array_equal(V, chart.eval_point(U))
     for b in range(5):
-        Vb, Pb, Hb, DDb = chart_jet(chart, U[b:b + 1])
+        Vb, Hb, DDb = chart_jet(chart, U[b:b + 1])
         assert np.max(np.abs(Hb[0] - H[b])) < 1e-14
         assert np.max(np.abs(DDb[0] - DD[b])) < 1e-13 * max(1.0, np.max(np.abs(DD[b])))
         assert np.max(np.abs(Vb[0] - V[b])) < 1e-14
-        assert np.max(np.abs(Pb[0] - P[b])) < 1e-14
     _, _, Hfd = differential_fd(chart, U)
     assert np.max(np.abs(Hfd - H)) < 1e-8
 
@@ -676,8 +675,8 @@ def test_stencil_first_differences_equal_the_richardson_twin(name, field, params
     U = np.array(cli.sample_points(chart, None, 3, 0, None))
     B, n = U.shape
     V, P, d, dd = _projector_stencil(chart, U, FD_STEP, mixed=False)
-    Vt, Pt = chart.eval_point(central_stencil(U, FD_STEP).reshape(-1, n))
-    Pt = Pt.reshape((B, 1 + 4 * n) + P.shape[1:])
+    Vt = chart.eval_point(central_stencil(U, FD_STEP).reshape(-1, n))
+    Pt = projector(Vt, chart.field).reshape((B, 1 + 4 * n) + P.shape[1:])
     assert dd is None
     assert np.array_equal(V, Vt.reshape((B, 1 + 4 * n) + V.shape[1:])[:, 0])
     assert np.array_equal(P, Pt[:, 0])

@@ -41,7 +41,7 @@ import numpy as np
 from . import oracle
 from .algebra import Field
 from .catalog import CATALOG, build_chart, perturbed_base
-from .connection import POINT_BYTES, analyze_point, curvature_norm, point_bytes
+from .connection import POINT_BYTES, analyze_point, point_bytes
 from .immersion import (
     ChartDomainError,
     NotImmersionError,
@@ -307,17 +307,13 @@ def cmd_list(args) -> tuple:
 
 
 def _config_echo(args, chart=None, seed=None):
-    cfg = {
-        "example": getattr(args, "example", None),
-        "field": getattr(args, "field", None),
-        "params": parse_params(getattr(args, "param", None)),
-        "grid": getattr(args, "grid", None),
-        "random": getattr(args, "random", None),
-        "seed": seed,
-        "fd_step": getattr(args, "fd_step", None),
-        "normalize": bool(getattr(args, "normalize", False)),
-        "workers": getattr(args, "workers", None),
-    }
+    """The command's own flags as parsed, --param as a dict and --seed resolved."""
+    cfg = {}
+    for key, value in vars(args).items():
+        if key == "param":
+            cfg["params"] = parse_params(value)
+        elif key not in ("command", "out", "format"):
+            cfg[key] = seed if key == "seed" else value
     if chart is not None:
         cfg["chart"] = {"name": chart.name, "field": chart.field.value,
                         "N": chart.N, "k": chart.k, "dim": chart.dim,
@@ -370,17 +366,18 @@ def _rel_err(a: float, b: float, floor: float = 0.05) -> float:
 
 
 def _norm_vs_oracle(chart, u, h=None) -> float:
-    """Worst relative error of the closed-form curvature norm against the
-    finite-difference oracle at step h, over frame directions and vertical
-    probes; one oracle call per probe pairs every two frame directions."""
+    """Worst relative error of the curvature norm the analysis reads,
+    ½‖L[t, :, a]‖ for the tangential J-action L, against the
+    finite-difference oracle at step h, over frame directions a and vertical
+    probes t; one oracle call per probe pairs every two frame directions."""
     pf = point_frame(chart, u)
     worst = 0.0
-    for alpha in pf.probes:
+    for t, alpha in enumerate(pf.probes):
         w, v = alpha.fiber_pair(pf.pt.V)
         comps = oracle.curvature_pairing_fd(chart, u, pf.coeff[:, None], pf.coeff[None], w, v,
                                             **({} if h is None else {"h": h}))
         for a in range(pf.n):
-            closed = curvature_norm(pf.E[a], alpha, pf.E)
+            closed = 0.5 * float(np.linalg.norm(pf.L[t, :, a]))
             worst = max(worst, _rel_err(closed, float(np.linalg.norm(comps[a]))))
     return worst
 

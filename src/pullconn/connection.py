@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Field, ct_stack, matmul_stack
-from .constants import STRICT_EPS
+from .constants import STACK_BYTES, STRICT_EPS
 from .homogeneous import (  # noqa: F401  (the probes are part of this module's API)
     AlphaElement,
     DegenerateStructureError,
@@ -33,27 +33,14 @@ from .immersion import (
     CertifiedMax,
     ImmersionChart,
     PointFrame,
-    SHAPE_NET_RESOLUTION,
     SecondFF,
     _pencil_extreme,
-    _sphere_net,
     point_frame,
     second_fundamental_form,
     shape_norm,
+    stack_slices,
 )
 from .report import point_record
-
-# ----------------------------------------------------------------------------
-# norms
-# ----------------------------------------------------------------------------
-
-def curvature_norm(x: GrassTangent, alpha: AlphaElement, tangents: GrassTangent) -> float:
-    """Half the norm of the tangential part of J_alpha X in the span of the
-    orthonormal stack `tangents`."""
-    if np.max(np.abs(tangents.pair(tangents) - np.eye(len(tangents)))) > 1e-8:
-        raise ValueError("tangent list must be orthonormal")
-    return 0.5 * float(np.linalg.norm(tangents.pair(alpha.jay(x))))
-
 
 @dataclass(frozen=True)
 class FatnessResult(CertifiedMax):
@@ -108,9 +95,7 @@ class ResidualResult:
 
     @property
     def holds(self) -> Optional[bool]:
-        if self.degenerate:
-            return None
-        return bool(self.value <= STRICT_EPS)
+        return None if self.degenerate else bool(self.value <= STRICT_EPS)
 
 
 def _residual_over_probes(pf: PointFrame, ff: SecondFF, radial: bool) -> ResidualResult:
@@ -184,9 +169,7 @@ class InequalityResult:
 
     @property
     def strict(self) -> Optional[bool]:
-        if self.degenerate:
-            return None
-        return bool(self.min_margin > STRICT_EPS)
+        return None if self.degenerate else bool(self.min_margin > STRICT_EPS)
 
 
 SEEDED_PAIRS = 6     # random orthonormal pairs added to the frame pairs
@@ -212,35 +195,36 @@ def inequality_min_margin(pf: PointFrame, ff: SecondFF) -> InequalityResult:
 
     For each ordered orthonormal pair (x, y) the probe minimization is the
     smallest eigenvalue of kb(x, y)·Q − d dᵀ, with Q[s, t] the pairing of
-    the tangential parts of J_s x and J_t x and d_t = DR_t(x, y, x); all
-    pairs share one batched eigenvalue call.  The pairs are the frame
-    pairs and a few seeded random rotations of them.  d contracts DR with
-    the (P, n²) products x xᵀ in one matrix product, then with y.
+    the tangential parts of J_s x and J_t x and d_t = DR_t(x, y, x).  The
+    pairs are the frame pairs and a few seeded random rotations of them,
+    taken in chunks cut by `stack_slices`, so base_sectional's arrays along
+    both vectors of a chunk's pairs fit STACK_BYTES; each chunk shares one
+    batched eigenvalue call.  d contracts DR with the products x xᵀ in one
+    matrix product, then with y.
     """
-    X, Y = _probe_pairs(pf.n)
-    kb = base_sectional(pf, ff, X, Y)
-    kb0 = float(kb[0]) if len(kb) else None
-    if not pf.probes:
-        return InequalityResult(0.0, True, 0, kb0)
+    n, (X, Y) = pf.n, _probe_pairs(pf.n)
     if not len(X):
         # a one-dimensional base carries no 2-planes; vacuously strict
-        return InequalityResult(float("inf"), False, 0)
-    jx = np.einsum("tba,pa->ptb", pf.L, X)
-    XX = (X[:, :, None] * X[:, None, :]).reshape(len(X), -1)                # [p, (a, c)]
-    dr = (XX @ ff.DR.transpose(1, 3, 0, 2).reshape(XX.shape[1], -1)).reshape(len(X), -1, pf.n)
-    drv = np.einsum("ptb,pb->pt", dr, Y)
-    M = kb[:, None, None] * np.einsum("psb,ptb->pst", jx, jx) - drv[:, :, None] * drv[:, None, :]
-    lam = np.linalg.eigvalsh(0.5 * (M + M.swapaxes(1, 2)))[:, 0]
-    return InequalityResult(float(lam.min()), False, len(X), kb0)
+        return InequalityResult(float("inf"), False, 0) if pf.probes else InequalityResult(0.0, True, 0)
+    if not pf.probes:
+        return InequalityResult(0.0, True, 0, float(base_sectional(pf, ff, X[:1], Y[:1])[0]))
+    kb0, worst = None, []
+    dr_rows = ff.DR.transpose(1, 3, 0, 2).reshape(n * n, -1)                # [(a, c), (t, b)]
+    for s in stack_slices(len(X), (2 * n + 16) * pf.E.H[0].nbytes + 16 * n * n):   # 2n + 16 tangents
+        x, y = X[s], Y[s]
+        kb = base_sectional(pf, ff, x, y)
+        kb0 = float(kb[0]) if kb0 is None else kb0
+        jx = np.einsum("tba,pa->ptb", pf.L, x)
+        xx = (x[:, :, None] * x[:, None, :]).reshape(len(x), -1)            # [p, (a, c)]
+        drv = np.einsum("ptb,pb->pt", (xx @ dr_rows).reshape(len(x), -1, n), y)
+        M = kb[:, None, None] * np.einsum("psb,ptb->pst", jx, jx) - drv[:, :, None] * drv[:, None, :]
+        worst.append(np.linalg.eigvalsh(0.5 * (M + M.swapaxes(1, 2)))[:, 0].min())
+    return InequalityResult(float(min(worst)), False, len(X), kb0)
 
 
 def corollary_bound(shape_sq_normalized: float, theta: float):
     """Shape bound 1 / (16 tan^2 theta + 8) and whether it holds."""
-    c = np.cos(theta)
-    if abs(c) < 1e-12:
-        rhs = 0.0
-    else:
-        rhs = 1.0 / (16.0 * np.tan(theta) ** 2 + 8.0)
+    rhs = 0.0 if abs(np.cos(theta)) < 1e-12 else 1.0 / (16.0 * np.tan(theta) ** 2 + 8.0)
     return float(shape_sq_normalized), float(rhs), bool(shape_sq_normalized <= rhs + 1e-12)
 
 
@@ -287,14 +271,15 @@ POINT_BYTES = 256 * 2**20   # most bytes of the largest arrays of one analyzed p
 
 def point_bytes(chart: ImmersionChart) -> int:
     """Bytes of the largest arrays of one analyzed point, with room to
-    spare: 40 arrays (n, n, N, k) of the column jets and II, which also
-    cover the seed's n³ (an immersion has n < N·k·real_dim);
-    base_sectional's Σ_a x_a II_ab along both vectors of every probe pair;
-    and two n×n matrices per point of the shape norm's and fatness's nets."""
+    spare: 8 arrays (n, n, N, k) of the column jets and II, which also
+    cover the seed's n³ (an immersion has n < N·k·real_dim); 2 arrays
+    (t, n, n, n) of the derivative component DR and 3 (t, t, n, n) of the
+    fatness pencil's Gram blocks, t the dimension of the vertical algebra
+    (a function of field and k); and one chunk of STACK_BYTES, which the
+    sphere nets and the probe pairs are cut to, whatever their count."""
     n, col = chart.dim, chart.N * chart.k * chart.field.real_dim
-    nets = sum(len(_sphere_net(d, r)[0]) for d, r in ((n, SHAPE_NET_RESOLUTION),
-               (len(alpha_basis(chart.field, chart.k)), FATNESS_NET_RESOLUTION)) if d >= 2)
-    return 8 * n * (col * (40 * n + 2 * (n * (n - 1) + SEEDED_PAIRS)) + 2 * nets * n)
+    t = len(alpha_basis(chart.field, chart.k))
+    return 8 * n * n * (8 * col + 2 * t * n + 3 * t * t) + STACK_BYTES
 
 
 def analyze_point(chart: ImmersionChart, u, normalize: bool = False) -> PointAnalysis:
@@ -307,8 +292,7 @@ def analyze_point(chart: ImmersionChart, u, normalize: bool = False) -> PointAna
     par = parallel_residual(pf, ff)
     rad = radial_residual(pf, ff)
     ineq = inequality_min_margin(pf, ff)
-    lam = None
-    coro = None
+    lam = coro = None
     if normalize:
         lam = curvature_normalization(chart.field, chart.N, chart.k)
         if theta is not None:

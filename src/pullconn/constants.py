@@ -27,6 +27,9 @@ STRICT_EPS = 1e-6       # verdict thresholds (fat / parallel / radial)
 # ODE integration
 TRANSPORT_STEPS = 200
 
+# per-point memory
+STACK_BYTES = 16 * 2**20   # most bytes of one chunk of a sphere net or of the probe pairs
+
 
 def kappa(field) -> float:
     """Gram factor of the vertical pairing: 1 over R, 2 over C and H."""

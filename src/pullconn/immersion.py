@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import Field, Jet, ct_stack, from_real, inv_small, matmul_stack, to_real
-from .constants import IMMERSION_EPS
+from .constants import IMMERSION_EPS, STACK_BYTES
 from .homogeneous import GrassPoint, GrassTangent, alpha_basis, horizontal_stack, stiefel_points
 
 
@@ -243,6 +243,12 @@ def second_fundamental_form(chart: ImmersionChart, u, pf: Optional[PointFrame] =
 NET_BUDGET = 10_000  # most points in one sphere net
 
 
+def stack_slices(rows: int, row_bytes: int) -> list:
+    """Slices of range(rows) whose arrays, row_bytes a row, fit STACK_BYTES."""
+    step = max(1, STACK_BYTES // row_bytes)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
 def _surface_count(dim: int, resolution: int) -> int:
     """Lattice points on the surface of the cube, one per antipodal pair."""
     return (resolution**dim - (resolution - 2)**dim) // 2
@@ -325,7 +331,9 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
 
     Otherwise σ(T(a)), which is even in a, is evaluated on
     _sphere_net(p, resolution), of radius δ up to sign (σ_max as √λ_max of
-    the Gram T(a)ᵀT(a), σ_min by SVD, which resolves it near 0).  The best
+    the Gram T(a)ᵀT(a), σ_min by SVD, which resolves it near 0), in chunks
+    of net points cut by `stack_slices`, so the stack of Grams or of T(a)
+    never passes STACK_BYTES whatever the net's size.  The best
     four net points are refined in lockstep.  A maximum fixes the left
     singular vector u of T(a) and takes (a, x) as the top singular pair of
     the rows uᵀT_t.  A minimum takes the better of an alternating step (a is
@@ -363,13 +371,17 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
         U, s, Vt = np.linalg.svd(np.einsum("st,tij->sij", A, T))
         return s[:, j], U[:, :, j], Vt[:, j]
 
+    def net_vals(A):
+        """σ(T(a)) for every row a of A, as √λ_max of the Gram or by SVD."""
+        if largest:
+            gram = ((A[:, :, None] * A[:, None, :]).reshape(-1, p * p)
+                    @ G.reshape(p * p, n * n)).reshape(-1, n, n)
+            return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+        return np.linalg.svd(np.einsum("st,tij->sij", A, T), compute_uv=False)[:, -1]
+
     net, delta = _sphere_net(p, resolution)
-    if largest:
-        gram = ((net[:, :, None] * net[:, None, :]).reshape(-1, p * p)
-                @ G.reshape(p * p, n * n)).reshape(-1, n, n)
-        vals = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-    else:
-        vals = np.linalg.svd(np.einsum("st,tij->sij", net, T), compute_uv=False)[:, -1]
+    row_bytes = 8 * (p * p + 3 * n * max(m, n))   # a aᵀ, then T(a) or its Gram and LAPACK's copies
+    vals = np.concatenate([net_vals(net[s]) for s in stack_slices(len(net), row_bytes)])
     order = np.argsort(-sign * vals, kind="stable")[:4]
     grid = float(vals[order[0]])
 

@@ -368,30 +368,29 @@ def _analyze_under_a_memory_limit(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--example", "linear", "--field", "h", "--param", "N=3000", "--random", "1"],
-    ["--example", "linear", "--param", "N=25000", "--random", "1"],
-    ["--example", "totally-real", "--param", "n=60", "--random", "1"],
+    ["--example", "linear", "--field", "h", "--param", "N=20000", "--random", "1"],
+    ["--example", "linear", "--param", "N=200000", "--random", "1"],
+    ["--example", "totally-real", "--param", "n=150", "--random", "1"],
     ["--example", "grassmann-sub", "--param", "k=10", "--param", "m=60", "--param", "N=60",
      "--random", "1"],
-], ids=["linear-N3000", "linear-c-N25000", "totally-real-n60", "grassmann-sub-n500"])
+], ids=["linear-h-N20000", "linear-c-N200000", "totally-real-n150", "grassmann-sub-n500"])
 def test_oversized_stencil_exits2_under_a_memory_limit(argv):
     """Charts whose arrays would pass POINT_BYTES per point are refused by
     make_chart, before any work: large N through the (n, n, N, k) column
     jets (no N×N array is formed), large dimension n through the jets and
-    the probe pairs of the base curvature."""
+    the derivative component's (t, n, n, n)."""
     run = _analyze_under_a_memory_limit(argv)
     err = run.stderr.splitlines()
     assert run.returncode == 2 and len(err) == 1 and "MiB bound" in err[0], run.stderr
 
 
 def test_a_chart_within_the_point_bound_runs_under_a_memory_limit():
-    """linear N = 5000 over C and N = 1000 over H, which the N×N projector
-    and over H its 16·N² component products once put over the bound: a
-    point is its Stiefel columns, and the base curvature takes k×k blocks,
-    not (pair, N, N)."""
-    for argv in (["--param", "N=5000"], ["--field", "h", "--param", "N=1000"]):
-        run = _analyze_under_a_memory_limit(["--example", "linear", *argv,
-                                             "--random", "1", "--workers", "1"])
+    """linear N = 25000 over C and N = 3000 over H, and totally-real
+    n = 60 (3,546 probe pairs): the sphere nets and the probe pairs are cut
+    into chunks of STACK_BYTES, so only the chart's own jets grow with it."""
+    for argv in (["linear", "--param", "N=25000"], ["linear", "--field", "h", "--param", "N=3000"],
+                 ["totally-real", "--param", "n=60"]):
+        run = _analyze_under_a_memory_limit(["--example", *argv, "--random", "1", "--workers", "1"])
         assert run.returncode == 0, run.stderr
         assert json.loads(run.stdout)["aggregate"]["points"] == 1
 

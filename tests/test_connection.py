@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pullconn import cli
+from pullconn import cli, connection, immersion
 from pullconn.algebra import Field, inner_re, orthonormalize, random_matrix
 from pullconn.catalog import (
     clifford_torus,
@@ -23,7 +23,6 @@ from pullconn.connection import (
     base_sectional,
     bracket_sq,
     corollary_bound,
-    curvature_norm,
     fatness_margin,
     inequality_min_margin,
     parallel_residual,
@@ -111,13 +110,10 @@ def test_rank_two_real_bracket_fixture():
 
 
 def test_curvature_norm_value_and_orthonormal_guard():
+    """The curvature norm the analysis reads, ½‖L[t, :, a]‖ for the
+    tangential J-action L, is ½ on a holomorphic curve."""
     pf = point_frame(veronese(2), [0.3, -0.2])
-    al = AlphaElement.imaginary_unit(Field.COMPLEX, 1j)
-    val = curvature_norm(pf.E[0], al, pf.E)
-    assert abs(val - 0.5) < 1e-9
-    bad = GrassTangent(pf.pt, np.stack([pf.E[0].H, 2.0 * pf.E[1].H]))
-    with pytest.raises(ValueError):
-        curvature_norm(pf.E[0], al, bad)
+    assert abs(0.5 * np.linalg.norm(pf.L[0, :, 0]) - 0.5) < 1e-9
 
 
 def test_alpha_element_validation():
@@ -339,23 +335,29 @@ def test_the_analysis_never_forms_the_projector(name, field):
     assert ff.pf is pf and "P" not in vars(pf.pt)
 
 
+def _traced_peak(chart, u, **kwargs) -> int:
+    """Peak bytes of traced allocations during one analyze_point."""
+    tracemalloc.start()
+    try:
+        analyze_point(chart, u, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("name,field,params", [
     ("perturbed", "h", {"base": "linear"}), ("grassmann-sub", "r", {"k": 4, "m": 8, "N": 8}),
-    ("totally-real", "c", {"n": 20}), ("linear", "h", {"N": 1000}),
-], ids=["perturbed-h-linear", "grassmann-sub-k4", "totally-real-n20", "linear-h-N1000"])
+    ("totally-real", "c", {"n": 20}), ("linear", "h", {"N": 1000}), ("totally-real", "c", {"n": 60}),
+], ids=["perturbed-h-linear", "grassmann-sub-k4", "totally-real-n20", "linear-h-N1000",
+        "totally-real-n60"])
 def test_point_bytes_covers_the_traced_peak(name, field, params):
     """The memory bound is at least the traced peak of one analyze_point,
-    the sphere nets of the shape norm (perturbed) and of fatness over six
-    probes (grassmann-sub k = 4) included."""
+    the chunks of the sphere nets (the shape norm's on perturbed, fatness's
+    over six probes on grassmann-sub k = 4) and of the probe pairs included."""
     chart = cli.make_chart(name, Field.parse(field), params)
     u = cli.sample_points(chart, None, 1, 0, None)[0]
     analyze_point(chart, u)   # builds the cached sphere nets
-    tracemalloc.start()
-    try:
-        analyze_point(chart, u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(chart, u)
     assert peak > 2**20 and point_bytes(chart) >= peak
 
 
@@ -364,10 +366,44 @@ def test_a_large_point_is_analyzed_in_small_memory():
     analyze_point peaks below 32 MiB of traced allocations."""
     chart = cli.make_chart("linear", None, {"N": 5000})
     u = cli.sample_points(chart, None, 1, 0, None)[0]
-    tracemalloc.start()
-    try:
-        analyze_point(chart, u, normalize=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(chart, u, normalize=True)
     assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("name,params,mib", [
+    ("totally-real", {"n": 60}, 64), ("grassmann-sub", {"k": 4, "m": 12, "N": 12}, 32),
+], ids=["totally-real-n60", "grassmann-sub-k4-m12"])
+def test_many_directions_are_analyzed_in_small_memory(name, params, mib):
+    """totally-real n = 60 (3,546 probe pairs) and grassmann-sub k = 4,
+    m = N = 12 (a 7,448-point fatness net over six probes): the pairs and
+    the net are taken in chunks of STACK_BYTES, so one warm analyze_point
+    peaks below mib MiB of traced allocations."""
+    chart = cli.make_chart(name, None, params)
+    u = cli.sample_points(chart, None, 1, 0, None)[0]
+    analyze_point(chart, u, normalize=True)   # builds the cached sphere nets
+    peak = _traced_peak(chart, u, normalize=True)
+    assert peak < mib * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("name,field,params", [
+    ("perturbed", "h", {"base": "linear"}), ("grassmann-sub", "r", {"k": 4, "m": 8, "N": 8}),
+    ("totally-real", "c", {"n": 12}),
+], ids=["perturbed-h-linear", "grassmann-sub-k4", "totally-real-n12"])
+def test_chunked_stacks_change_no_value(monkeypatch, name, field, params):
+    """The shape norm's net (perturbed), fatness's net over six probes
+    (grassmann-sub) and the probe pairs (all three) cut into chunks of a
+    few rows give the values and verdicts of the one-chunk evaluation."""
+    chart = cli.make_chart(name, Field.parse(field), params)
+    u = cli.sample_points(chart, None, 1, 0, None)[0]
+    whole = analyze_point(chart, u)
+    monkeypatch.setattr(immersion, "STACK_BYTES", 2**16)
+    chunks = []
+    monkeypatch.setattr(connection, "base_sectional", lambda *a: chunks.append(a) or base_sectional(*a))
+    cut = analyze_point(chart, u)
+    assert len(chunks) > 1
+    for res in (whole, cut):
+        assert res.fatness.converged and res.shape.converged
+    pairs = [(r.shape.value, r.shape.gap, r.fatness.value, r.fatness.gap,
+              r.inequality.min_margin, r.kb_probe) for r in (whole, cut)]
+    assert pairs[1] == pytest.approx(pairs[0], rel=1e-12, abs=1e-14)
+    assert cut.verdict == whole.verdict and cut.inequality.probes == whole.inequality.probes

@@ -1,5 +1,7 @@
 """Every module of the project compiles under Python 3.10, the oldest
-version pyproject.toml allows, whichever Python runs the suite."""
+version pyproject.toml allows, whichever Python runs the suite; every name
+a package module imports is used in it."""
+import ast
 import os
 import shutil
 import subprocess
@@ -32,3 +34,33 @@ def test_every_module_compiles_under_python_3_10():
     assert files
     run = subprocess.run([exe, "-c", COMPILE, *files], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def unused_imports(path: Path) -> list:
+    """Names an import statement of the module binds and nothing in it reads:
+    a name read anywhere in the module, or listed in its ``__all__``, is
+    used; statements marked ``# noqa: F401`` on any of their lines and
+    ``__future__`` imports are exempt."""
+    source = path.read_text(encoding="utf-8")
+    tree, lines = ast.parse(source), source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(f"{path.name}:{node.lineno}: {name}")
+    return unused
+
+
+def test_every_package_import_is_used():
+    files = sorted((ROOT / "src" / "pullconn").glob("*.py"))
+    assert files
+    assert [u for p in files for u in unused_imports(p)] == []

@@ -8,7 +8,7 @@ and holonomy.
 from .algebra import Field
 from .catalog import CATALOG, build_chart
 from .connection import PointAnalysis, analyze_point
-from .immersion import ImmersionChart, point_frame, second_fundamental_form
+from .immersion import ImmersionChart, point_frame
 
 __version__ = "0.1.0"
 
@@ -20,6 +20,5 @@ __all__ = [
     "analyze_point",
     "build_chart",
     "point_frame",
-    "second_fundamental_form",
     "__version__",
 ]

@@ -42,12 +42,7 @@ from . import oracle
 from .algebra import Field
 from .catalog import CATALOG, build_chart, perturbed_base
 from .connection import POINT_BYTES, analyze_point, point_bytes
-from .immersion import (
-    ChartDomainError,
-    NotImmersionError,
-    point_frame,
-    second_fundamental_form,
-)
+from .immersion import ChartDomainError, NotImmersionError, point_frame
 from .report import NO_POINT, SCHEMA, aggregate_records, expectation_checks, point_record
 
 
@@ -260,29 +255,23 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
 _WORKER = {}
 
 
-def _pool_point(task):
-    idx, u = task
+def _pool_point(u):
     try:
         pa = analyze_point(_WORKER["chart"], np.asarray(u), normalize=_WORKER["normalize"])
-        return idx, "ok", point_record(pa)
+        return "ok", point_record(pa)
     except (NotImmersionError, ChartDomainError) as exc:
-        return idx, "error", {"u": [float(x) for x in np.asarray(u)],
-                              "error": type(exc).__name__, "reason": str(exc)}
+        return "error", {"u": [float(x) for x in np.asarray(u)],
+                         "error": type(exc).__name__, "reason": str(exc)}
 
 
 def analyze_sample(chart, points, normalize, workers):
     """Run analyze_point over a sample, preserving point order."""
     _WORKER.update(chart=chart, normalize=normalize)
-    results = [None] * len(points)
     if workers <= 1 or len(points) <= 1:
-        for i, u in enumerate(points):
-            results[i] = _pool_point((i, u))[1:]
+        results = [_pool_point(u) for u in points]
     else:
-        ctx = mp.get_context("fork")
-        with ctx.Pool(min(workers, len(points))) as pool:
-            for idx, status, rec in pool.imap_unordered(
-                    _pool_point, list(enumerate(points)), chunksize=1):
-                results[idx] = (status, rec)
+        with mp.get_context("fork").Pool(min(workers, len(points))) as pool:
+            results = pool.map(_pool_point, points, chunksize=1)
     records = [rec for status, rec in results if status == "ok"]
     failures = [rec for status, rec in results if status != "ok"]
     return records, failures
@@ -385,13 +374,12 @@ def _norm_vs_oracle(chart, u, h=None) -> float:
 def _dr_vs_oracle(chart, u, triples, h=None) -> float:
     """Worst |closed-form derivative component - 2 x transported oracle|."""
     pf = point_frame(chart, u)
-    ff = second_fundamental_form(chart, u, pf=pf)
     w, v = pf.probes[0].fiber_pair(pf.pt.V)
     worst = 0.0
     for triple in triples:
         orc = oracle.dr_oracle(chart, u, *pf.coeff[list(triple)], w, v,
                                **({} if h is None else {"h": h}))
-        worst = max(worst, abs(ff.DR[(0,) + triple] - 2.0 * orc))
+        worst = max(worst, abs(pf.DR[(0,) + triple] - 2.0 * orc))
     return worst
 
 

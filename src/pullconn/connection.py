@@ -1,6 +1,7 @@
 """Closed-form frame layer: fatness, parallelism and the curvature
-inequality, with per-point verdicts, as contractions of the per-point
-tensors of `immersion` (the J-action L and the derivative components DR).
+inequality, with per-point verdicts, each a function of the `PointFrame`
+of `immersion` alone, as contractions of its tensors (the J-action L, the
+second fundamental form II and the derivative components DR).
 
 Conventions.  A vertical probe alpha is a normalized anti-Hermitian k-by-k
 scalar block: over R a decomposable x y^T - y x^T built from an orthonormal
@@ -33,14 +34,12 @@ from .immersion import (
     CertifiedMax,
     ImmersionChart,
     PointFrame,
-    SecondFF,
     _pencil_extreme,
     point_frame,
-    second_fundamental_form,
     shape_norm,
     stack_slices,
 )
-from .report import point_record
+
 
 @dataclass(frozen=True)
 class FatnessResult(CertifiedMax):
@@ -95,30 +94,31 @@ class ResidualResult:
 
     @property
     def holds(self) -> Optional[bool]:
-        return None if self.degenerate else bool(self.value <= STRICT_EPS)
+        """None where no triple was probed: no probes, or a one-dimensional base."""
+        return None if self.probes == 0 else bool(self.value <= STRICT_EPS)
 
 
-def _residual_over_probes(pf: PointFrame, ff: SecondFF, radial: bool) -> ResidualResult:
+def _residual_over_probes(pf: PointFrame, radial: bool) -> ResidualResult:
     """Largest probe-extremized |DR| over frame triples (E_a, E_b, E_c) with
     a ≠ b; radial triples have c = a.  The maximum of |Σ_t a_t DR_t| over
     unit probe coefficients a is the norm over t."""
     if not pf.probes:
         return ResidualResult(0.0, True, 0)
-    size = np.linalg.norm(ff.DR, axis=0)
+    size = np.linalg.norm(pf.DR, axis=0)
     if radial:
         size = np.diagonal(size, axis1=0, axis2=2).T   # size[a, b, a]
     vals = size[~np.eye(pf.n, dtype=bool)]
     return ResidualResult(float(vals.max(initial=0.0)), False, vals.size)
 
 
-def parallel_residual(pf: PointFrame, ff: SecondFF) -> ResidualResult:
+def parallel_residual(pf: PointFrame) -> ResidualResult:
     """Worst probe-extremized derivative component over frame triples."""
-    return _residual_over_probes(pf, ff, radial=False)
+    return _residual_over_probes(pf, radial=False)
 
 
-def radial_residual(pf: PointFrame, ff: SecondFF) -> ResidualResult:
+def radial_residual(pf: PointFrame) -> ResidualResult:
     """Same, restricted to derivative direction equal to the first argument."""
-    return _residual_over_probes(pf, ff, radial=True)
+    return _residual_over_probes(pf, radial=True)
 
 
 # ----------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def bracket_sq(Xt: np.ndarray, Yt: np.ndarray, field: Field) -> np.ndarray:
     return _row_pair(Z, Z) + _row_pair(XX, YY) - 2.0 * _row_pair(Z, ct_stack(Z, field))
 
 
-def base_sectional(pf: PointFrame, ff: SecondFF, x, y):
+def base_sectional(pf: PointFrame, x, y):
     """Gauss-equation sectional curvature of the base for orthonormal
     frame-coordinate pairs x, y of shape (n,) or (P, n): the ambient term
     bracket_sq of X = Σ_a x_a E_a and Y = Σ_b y_b E_b, plus the II terms,
@@ -154,7 +154,7 @@ def base_sectional(pf: PointFrame, ff: SecondFF, x, y):
         Z = (XY @ T.reshape(len(T), -1)).reshape((len(XY),) + T.shape[1:])
         return Z[:len(X)], Z[len(X):]
 
-    XII, YII = along(ff.II.H)                       # Σ_a x_a II_ab, Σ_a y_a II_ab
+    XII, YII = along(pf.II.H)                       # Σ_a x_a II_ab, Σ_a y_a II_ab
     Ixx, Ixy, Iyy = (np.einsum("pb,pb...->p...", s, T) for s, T in ((X, XII), (Y, XII), (Y, YII)))
     kb = bracket_sq(*along(pf.E.H), pf.pt.field) + _row_pair(Ixx, Iyy) - _row_pair(Ixy, Ixy)
     return float(kb[0]) if np.ndim(x) == 1 else kb
@@ -169,7 +169,8 @@ class InequalityResult:
 
     @property
     def strict(self) -> Optional[bool]:
-        return None if self.degenerate else bool(self.min_margin > STRICT_EPS)
+        """None where no pair was probed: no probes, or a one-dimensional base."""
+        return None if self.probes == 0 else bool(self.min_margin > STRICT_EPS)
 
 
 SEEDED_PAIRS = 6     # random orthonormal pairs added to the frame pairs
@@ -190,7 +191,7 @@ def _probe_pairs(n: int):
     return X, Y
 
 
-def inequality_min_margin(pf: PointFrame, ff: SecondFF) -> InequalityResult:
+def inequality_min_margin(pf: PointFrame) -> InequalityResult:
     """Worst-case inequality margin over frame pairs, probe-exact.
 
     For each ordered orthonormal pair (x, y) the probe minimization is the
@@ -204,15 +205,15 @@ def inequality_min_margin(pf: PointFrame, ff: SecondFF) -> InequalityResult:
     """
     n, (X, Y) = pf.n, _probe_pairs(pf.n)
     if not len(X):
-        # a one-dimensional base carries no 2-planes; vacuously strict
+        # a one-dimensional base carries no 2-planes: nothing to decide
         return InequalityResult(float("inf"), False, 0) if pf.probes else InequalityResult(0.0, True, 0)
     if not pf.probes:
-        return InequalityResult(0.0, True, 0, float(base_sectional(pf, ff, X[:1], Y[:1])[0]))
+        return InequalityResult(0.0, True, 0, float(base_sectional(pf, X[:1], Y[:1])[0]))
     kb0, worst = None, []
-    dr_rows = ff.DR.transpose(1, 3, 0, 2).reshape(n * n, -1)                # [(a, c), (t, b)]
+    dr_rows = pf.DR.transpose(1, 3, 0, 2).reshape(n * n, -1)                # [(a, c), (t, b)]
     for s in stack_slices(len(X), (2 * n + 16) * pf.E.H[0].nbytes + 16 * n * n):   # 2n + 16 tangents
         x, y = X[s], Y[s]
-        kb = base_sectional(pf, ff, x, y)
+        kb = base_sectional(pf, x, y)
         kb0 = float(kb[0]) if kb0 is None else kb0
         jx = np.einsum("tba,pa->ptb", pf.L, x)
         xx = (x[:, :, None] * x[:, None, :]).reshape(len(x), -1)            # [p, (a, c)]
@@ -252,18 +253,13 @@ class PointAnalysis:
 
     @property
     def verdict(self) -> dict:
-        """The per-point verdicts as the point record gives them: None
-        wherever `report.QUANTITIES` sets the quantity's reason."""
-        rec = point_record(self)
-        out = {name: rec[key][field] for name, key, field in VERDICTS}
+        """The per-point verdicts, None where the result has nothing to
+        decide on, as in the point record."""
+        out = {"fat": self.fatness.fat, "parallel": self.parallel.holds,
+               "radial": self.radial.holds, "inequality_strict": self.inequality.strict}
         if self.corollary is not None:
-            out["corollary_satisfied"] = rec["corollary"]["satisfied"]
+            out["corollary_satisfied"] = self.corollary[2]
         return out
-
-
-# (verdict, record key, record field)
-VERDICTS = (("fat", "fatness", "fat"), ("parallel", "parallel", "holds"),
-            ("radial", "radial", "holds"), ("inequality_strict", "inequality", "strict"))
 
 
 POINT_BYTES = 256 * 2**20   # most bytes of the largest arrays of one analyzed point
@@ -285,13 +281,12 @@ def point_bytes(chart: ImmersionChart) -> int:
 def analyze_point(chart: ImmersionChart, u, normalize: bool = False) -> PointAnalysis:
     """Full frame-layer analysis of one chart point."""
     pf = point_frame(chart, u)
-    ff = second_fundamental_form(chart, u, pf=pf)
-    shp = shape_norm(ff)
+    shp = shape_norm(pf)
     fat = fatness_margin(pf)
     theta = fat.theta if chart.field is not Field.REAL else None
-    par = parallel_residual(pf, ff)
-    rad = radial_residual(pf, ff)
-    ineq = inequality_min_margin(pf, ff)
+    par = parallel_residual(pf)
+    rad = radial_residual(pf)
+    ineq = inequality_min_margin(pf)
     lam = coro = None
     if normalize:
         lam = curvature_normalization(chart.field, chart.N, chart.k)

@@ -16,7 +16,7 @@ agrees with the g0 norm of the lift and with the projector-model norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Optional
 
@@ -269,20 +269,21 @@ class AlphaElement:
         return matmul_stack(V, self.mat, self.field), V
 
 
-def alpha_basis(field: Field, k: int):
-    """Probes spanning the extremization domain (exactly, per field)."""
+@lru_cache(maxsize=None)
+def alpha_basis(field: Field, k: int) -> tuple:
+    """Probes spanning the extremization domain (exactly, per field), built
+    once per (field, k) and shared, their matrices read-only."""
     if field is not Field.REAL and k == 1:
-        return [AlphaElement.imaginary_unit(field, q) for q in units(field)[1:]]
-    if field is Field.REAL:
-        if k < 2:
-            return []
-        basis = []
+        basis = [AlphaElement.imaginary_unit(field, q) for q in units(field)[1:]]
+    elif field is Field.REAL:
         eye = np.eye(k)
-        for a in range(k):
-            for b in range(a + 1, k):
-                basis.append(AlphaElement.decomposable(eye[a], eye[b]))
-        return basis
-    raise NotImplementedError("probes for higher-rank C/H bundles are not needed here")
+        basis = [AlphaElement.decomposable(eye[a], eye[b]) for a in range(k) for b in range(a + 1, k)]
+    else:
+        raise NotImplementedError("probes for higher-rank C/H bundles are not needed here")
+    for al in basis:
+        for arr in (al.mat,) + (al.pair or ()):
+            arr.flags.writeable = False
+    return tuple(basis)
 
 
 # ----------------------------------------------------------------------------

@@ -9,8 +9,13 @@ points V, the horizontal differentials D_i = (I−VV*)∂_iW·M with
 M = (V*W)⁻¹, and the covariant second derivatives
 (I−VV*)∂_i∂_jW·M − D_i c_j − D_j c_i, c_j = V*∂_jW·M, whose normal part is
 II(∂_i, ∂_j).  These are exact; finite differences live only in `oracle`.
-The shape norm here and the fatness margin of `connection` are the maximum
-of σ_max and the minimum of σ_min of a linear matrix pencil
+`point_frame` turns them into the one per-point object, `PointFrame`: the
+orthonormal frame, the second fundamental form in it, and the probes'
+J-action and derivative components, from which every per-point quantity
+of this module and of `connection` is read.
+
+The shape norm here and the fatness margin of `connection` are the
+maximum of σ_max and the minimum of σ_min of a linear matrix pencil
 T(a) = Σ_t a_t T_t over unit a.  One routine, `_pencil_extreme`, solves
 both: one SVD when the pencil's Gram blocks enclose σ(T(a)) to rounding (a
 Clifford pencil), else a covering net of the sphere up to sign (at most
@@ -24,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import Field, Jet, ct_stack, from_real, inv_small, matmul_stack, to_real
+from .algebra import Field, Jet, ct_stack, inv_small, matmul_stack, pair_re, to_real
 from .constants import IMMERSION_EPS, STACK_BYTES
 from .homogeneous import GrassPoint, GrassTangent, alpha_basis, horizontal_stack, stiefel_points
 
@@ -120,38 +125,27 @@ def chart_jet(chart: ImmersionChart, U, order: int = 2):
     return V, D, DD
 
 
-def _orthonormalize_real_span(H: np.ndarray, field: Field, tol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis, for the real inner product, of the *real* span of
-    a stack of tangents H (m, ...), which is a real vector space even over
-    C/H: the right singular vectors of the stacked real coordinates whose
-    singular values reach tol, from one SVD."""
-    R = to_real(H, field)
-    _, s, Vt = np.linalg.svd(R.reshape(len(R), -1), full_matrices=False)
-    B = Vt[s >= tol]
-    return from_real(B.reshape((len(B),) + R.shape[1:]), field)
-
-
 @dataclass(frozen=True)
 class PointFrame:
-    """Per-point bundle: differentials, Gram matrix, orthonormal frame, and
-    the tangential J-action of the vertical probes, computed on first use."""
+    """Everything the per-point quantities read at φ(u): the differentials,
+    their Gram matrix, the orthonormal frame, the second fundamental form in
+    that frame and, computed on first use, the probes' J-action and
+    derivative components."""
 
-    chart: ImmersionChart
-    u: np.ndarray
     pt: GrassPoint
     D: GrassTangent       # raw coordinate differentials ∂φ/∂u_i, stacked
     gram: np.ndarray      # G_ij = Re tr(D_j* D_i)
     gram_min_eig: float
     E: GrassTangent       # orthonormal tangent frame (real inner product), stacked
     coeff: np.ndarray     # E_a = Σ_i coeff[a, i] D_i
-    DD: np.ndarray        # covariant second derivatives ∇_{∂_j}∂_i, (n, n, N, k[, 4])
+    II: GrassTangent      # II[a][b] = II(E_a, E_b), H of shape (n, n, N, k[, 4])
 
     @property
     def n(self) -> int:
         return len(self.E)
 
     @cached_property
-    def probes(self) -> list:
+    def probes(self) -> tuple:
         return alpha_basis(self.pt.field, self.pt.k)
 
     @cached_property
@@ -167,27 +161,28 @@ class PointFrame:
         """L[t, b, a] = <E_b, J_t E_a>: the tangential J-action in the frame."""
         return self.E.pair(self.jay).transpose(1, 0, 2)
 
-    def tangent_coords(self, t: GrassTangent) -> np.ndarray:
-        """Real components of a tangent vector (or stack) in the orthonormal frame."""
-        return t.pair(self.E)
+    @cached_property
+    def DR(self) -> np.ndarray:
+        """DR[t, a, b, c], the derivative component of the curvature pairing
+        on the frame triple (E_a, E_b, E_c) for probe t: M − M with a and b
+        swapped, where M[t, a, b, c] = <II_bc, J_t E_a>."""
+        M = self.II.pair(self.jay).transpose(2, 3, 0, 1)
+        return M - M.swapaxes(1, 2)
 
     def from_coords(self, x) -> GrassTangent:
         return GrassTangent(self.pt, np.tensordot(x, self.E.H, axes=1))
 
-    def project_tangential(self, t: GrassTangent) -> GrassTangent:
-        return self.from_coords(self.tangent_coords(t))
-
-    def project_normal(self, t: GrassTangent) -> GrassTangent:
-        return GrassTangent(self.pt, t.H - self.project_tangential(t).H)
-
 
 def point_frame(chart: ImmersionChart, u, gauge=None) -> PointFrame:
-    """Differentials, Gram matrix, the Gram–Schmidt frame and the covariant
-    second derivatives at φ(u), from one order-2 chart_jet call.
+    """Differentials, Gram matrix, the Gram–Schmidt frame and the second
+    fundamental form at φ(u), from one order-2 chart_jet call.
 
     With gram = LLᵀ the Cholesky factorization, coeff = L⁻¹ is lower
     triangular, so E = coeff·D is the Gram–Schmidt frame in index order.
-    `gauge` (a k×k unitary) replaces the Stiefel representative V by V·gauge.
+    II(E_a, E_b) is the normal part of Σ_ij coeff[a, i] coeff[b, j] DD_ij,
+    DD the covariant second derivatives of chart_jet: less its components
+    along the frame.  `gauge` (a k×k unitary) replaces the Stiefel
+    representative V by V·gauge.
     """
     u = np.asarray(u, dtype=float)
     f = chart.field
@@ -202,38 +197,10 @@ def point_frame(chart: ImmersionChart, u, gauge=None) -> PointFrame:
         raise NotImmersionError(u, float(w[0]))
     coeff = np.linalg.inv(np.linalg.cholesky(gram))
     E = GrassTangent(pt, np.tensordot(coeff, H, axes=1))
-    return PointFrame(chart, u, pt, D, gram, float(w[0]), E, coeff, DD)
-
-
-# ----------------------------------------------------------------------------
-# second fundamental form
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SecondFF:
-    """Normal-valued second fundamental form in the orthonormal frame."""
-
-    pf: PointFrame
-    II: GrassTangent          # II[a][b] = II(E_a, E_b), H of shape (n, n, N, k[, 4])
-
-    @cached_property
-    def DR(self) -> np.ndarray:
-        """DR[t, a, b, c], the derivative component of the curvature pairing
-        on the frame triple (E_a, E_b, E_c) for probe t: M − M with a and b
-        swapped, where M[t, a, b, c] = <II_bc, J_t E_a>."""
-        M = self.II.pair(self.pf.jay).transpose(2, 3, 0, 1)
-        return M - M.swapaxes(1, 2)
-
-
-def second_fundamental_form(chart: ImmersionChart, u, pf: Optional[PointFrame] = None) -> SecondFF:
-    """The normal part of pf's covariant second derivatives in the
-    orthonormal frame: II(E_a, E_b) = Σ_ij coeff[a, i] coeff[b, j] II(∂_i, ∂_j);
-    pf is point_frame(chart, u) when not given."""
-    if pf is None:
-        pf = point_frame(chart, u)
-    raw = np.tensordot(pf.coeff, pf.DD, axes=1)                           # [a, j]
-    DD = np.tensordot(pf.coeff, raw, axes=([1], [1])).swapaxes(0, 1)      # [a, b]
-    return SecondFF(pf, pf.project_normal(GrassTangent(pf.pt, DD)))
+    raw = np.tensordot(coeff, DD, axes=1)                                 # [a, j]
+    S = np.tensordot(coeff, raw, axes=([1], [1])).swapaxes(0, 1)         # [a, b]
+    II = S - np.tensordot(pair_re(S, E.H, f.matrix_ndim), E.H, axes=1)
+    return PointFrame(pt, D, gram, float(w[0]), E, coeff, GrassTangent(pt, II))
 
 
 # ----------------------------------------------------------------------------
@@ -428,13 +395,18 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
 SHAPE_NET_RESOLUTION = 9  # lattice points per axis of the shape norm's sphere net
 
 
-def shape_norm(ff: SecondFF) -> CertifiedMax:
+def shape_norm(pf: PointFrame) -> CertifiedMax:
     """|S(p)| = max over unit tangent X and unit normal η of |S_η X|: the
-    largest σ_max(A·x) over unit x, A[c, a, b] = <II_ab, ν_c> for an
-    orthonormal basis ν of the span of II; argmax[0] is the unit tangent."""
-    n = ff.pf.n
-    nu = _orthonormalize_real_span(ff.II.H[np.triu_indices(n)], ff.pf.pt.field, tol=1e-10)
-    if not len(nu):
+    largest σ_max(T(x)) over unit x, T(x) = Σ_a x_a T_a, where column b of
+    T_a holds the coordinates of II_ab in any orthonormal coordinates that
+    contain the span of II; σ_max(T(x)) is the same in all of them.  They
+    are those of the triangular factor R of the real coordinates
+    X = [II_ab]_(a,b) = QR, at most n² rows however large N·k is, and no
+    normal basis Q is formed.  II zero to 1e-10 (a totally geodesic point)
+    gives the exact zero; argmax[0] is the unit tangent."""
+    n, II = pf.n, pf.II.H
+    if np.vdot(II, II).real <= 1e-20:
         return CertifiedMax(0.0, (np.zeros(n), None), 0.0, 0.0)
-    A = GrassTangent(ff.pf.pt, nu).pair(ff.II)   # A[c, a, b] = <II_ab, ν_c>
-    return _pencil_extreme(A.transpose(2, 0, 1), largest=True, resolution=SHAPE_NET_RESOLUTION)
+    R = np.linalg.qr(to_real(II, pf.pt.field).reshape(n * n, -1).T, mode="r")
+    T = R.reshape(len(R), n, n).transpose(1, 0, 2)   # T[a, r, b] = R[r, (a, b)]
+    return _pencil_extreme(T, largest=True, resolution=SHAPE_NET_RESOLUTION)

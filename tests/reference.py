@@ -432,15 +432,15 @@ def curvature_pairing(xl, zl, alpha) -> float:
                           pt.field)
 
 
-def dr_component_bracket(pf, ff, x, y, z, alpha, order: str = "standard") -> float:
+def dr_component_bracket(pf, x, y, z, alpha, order: str = "standard") -> float:
     """The derivative component from frame brackets of lifted tangents,
     paired against the embedded probe, in the frame lift of the given
     completion order."""
     fr = frame_lift(pf.pt, order=order)
     xl = lie_lift(fr, pf.from_coords(x)).mat
     yl = lie_lift(fr, pf.from_coords(y)).mat
-    iizy = lie_lift(fr, ii_apply(ff, z, y)).mat
-    iizx = lie_lift(fr, ii_apply(ff, z, x)).mat
+    iizy = lie_lift(fr, ii_apply(pf, z, y)).mat
+    iizx = lie_lift(fr, ii_apply(pf, z, x)).mat
     f = pf.pt.field
     emb = emb_alpha(alpha.mat, pf.pt.N, f)
     return inner_g0(bracket(xl, iizy, f), emb, f) - inner_g0(bracket(yl, iizx, f), emb, f)
@@ -477,11 +477,13 @@ def _frame_contraction_loop(pf, raw) -> np.ndarray:
                       for b in range(n)] for a in range(n)])
 
 
-def second_fundamental_form_loop(pf) -> np.ndarray:
+def second_fundamental_form_loop(chart, u, pf) -> np.ndarray:
     """II(E_a, E_b) as an (n, n, N, k[, 4]) array, built entry by entry
-    from pf's covariant second derivatives: the normal part of each
-    DD[i, j], then Σ_ij coeff[a, i] coeff[b, j] II(∂_i, ∂_j)."""
-    return _frame_contraction_loop(pf, [[_normal_loop(pf, pf.DD[i, j]) for j in range(pf.n)]
+    from the covariant second derivatives DD of chart_jet at u: the normal
+    part of each DD[i, j] in pf's frame, then
+    Σ_ij coeff[a, i] coeff[b, j] II(∂_i, ∂_j)."""
+    DD = chart_jet(chart, np.asarray(u, dtype=float)[None])[2][0]
+    return _frame_contraction_loop(pf, [[_normal_loop(pf, DD[i, j]) for j in range(pf.n)]
                                         for i in range(pf.n)])
 
 
@@ -512,23 +514,23 @@ def jay_matrix(pf, alpha) -> np.ndarray:
     return L
 
 
-def ii_apply(ff, x, y) -> GrassTangent:
+def ii_apply(pf, x, y) -> GrassTangent:
     """II(X, Y) for frame-coordinate vectors x, y, summed entry by entry."""
-    H = np.zeros_like(ff.II[0][0].H)
+    H = np.zeros_like(pf.II[0][0].H)
     for a, xa in enumerate(x):
         for b, yb in enumerate(y):
-            H = H + (float(xa) * float(yb)) * ff.II[a][b].H
-    return GrassTangent(ff.pf.pt, H)
+            H = H + (float(xa) * float(yb)) * pf.II[a][b].H
+    return GrassTangent(pf.pt, H)
 
 
-def dr_component_loop(pf, ff, x, y, z, alpha) -> float:
+def dr_component_loop(pf, x, y, z, alpha) -> float:
     """<II(y, z), J x> − <II(x, z), J y> through ii_apply."""
     jx = alpha.jay(pf.from_coords(x))
     jy = alpha.jay(pf.from_coords(y))
-    return inner_re(ii_apply(ff, y, z).H, jx.H) - inner_re(ii_apply(ff, x, z).H, jy.H)
+    return inner_re(ii_apply(pf, y, z).H, jx.H) - inner_re(ii_apply(pf, x, z).H, jy.H)
 
 
-def residual_loop(pf, ff, probes, radial: bool):
+def residual_loop(pf, probes, radial: bool):
     """(worst probe norm of dr_component_loop over triples with a ≠ b, count)."""
     n = pf.n
     eye = np.eye(n)
@@ -538,20 +540,20 @@ def residual_loop(pf, ff, probes, radial: bool):
             if a == b:
                 continue
             for c in ([a] if radial else range(n)):
-                vals = [dr_component_loop(pf, ff, eye[a], eye[b], eye[c], al) for al in probes]
+                vals = [dr_component_loop(pf, eye[a], eye[b], eye[c], al) for al in probes]
                 worst = max(worst, float(np.linalg.norm(vals)))
                 count += 1
     return worst, count
 
 
-def base_sectional_loop(pf, ff, x, y) -> float:
+def base_sectional_loop(pf, x, y) -> float:
     """Gauss equation through sectional_curvature_g0 and ii_apply."""
     amb = sectional_curvature_g0(pf.from_coords(x), pf.from_coords(y))
-    return amb + inner_re(ii_apply(ff, x, x).H, ii_apply(ff, y, y).H) \
-        - inner_re(ii_apply(ff, x, y).H, ii_apply(ff, x, y).H)
+    return amb + inner_re(ii_apply(pf, x, x).H, ii_apply(pf, y, y).H) \
+        - inner_re(ii_apply(pf, x, y).H, ii_apply(pf, x, y).H)
 
 
-def inequality_loop(pf, ff, probes, extra: int = 6, seed: int = 20240):
+def inequality_loop(pf, probes, extra: int = 6, seed: int = 20240):
     """(min margin, pair count): one 2-plane at a time, the frame pairs
     followed by `extra` seeded random rotations."""
     n = pf.n
@@ -563,10 +565,10 @@ def inequality_loop(pf, ff, probes, extra: int = 6, seed: int = 20240):
         pairs.append((q[:, 0], q[:, 1]))
     worst = np.inf
     for x, y in pairs:
-        kb = base_sectional_loop(pf, ff, x, y)
+        kb = base_sectional_loop(pf, x, y)
         jmat = np.stack([[inner_re(al.jay(pf.from_coords(x)).H, e.H) for e in pf.E]
                          for al in probes])
-        drv = np.array([dr_component_loop(pf, ff, x, y, x, al) for al in probes])
+        drv = np.array([dr_component_loop(pf, x, y, x, al) for al in probes])
         M = kb * (jmat @ jmat.T) - np.outer(drv, drv)
         lam = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]) if len(probes) > 1 else float(M[0, 0])
         worst = min(worst, lam)

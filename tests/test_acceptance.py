@@ -28,11 +28,7 @@ from pullconn.homogeneous import (
     point_from_stiefel,
     random_horizontal,
 )
-from pullconn.immersion import (
-    point_frame,
-    second_fundamental_form,
-    shape_norm,
-)
+from pullconn.immersion import point_frame, shape_norm
 from pullconn import oracle
 from reference import bracket, emb_alpha, proj_p_block, sectional_curvature_g0
 
@@ -92,11 +88,10 @@ def test_criterion_03_derivative_vs_transported_oracle():
     worst = 0.0
     for u in rng.uniform(-0.8, 0.8, size=(10, 2)):
         pf = point_frame(chart, u)
-        ff = second_fundamental_form(chart, u, pf=pf)
         w, v = alpha.fiber_pair(pf.pt.V)
         for _ in range(5):
             x, y, z = rng.normal(size=(3, 2))
-            closed = np.einsum("abc,a,b,c->", ff.DR[0], x, y, z)
+            closed = np.einsum("abc,a,b,c->", pf.DR[0], x, y, z)
             xc, yc, zc = (pf.coeff.T @ t for t in (x, y, z))
             orc = oracle.dr_oracle(chart, u, xc, yc, zc, w, v)
             worst = max(worst, abs(closed - 2.0 * orc))
@@ -144,9 +139,8 @@ def test_criterion_05_parallelism():
         for _ in range(n_pts):
             u = rng.uniform(-half, half, size=chart.dim)
             pf = point_frame(chart, u)
-            ff = second_fundamental_form(chart, u, pf=pf)
-            out.append((parallel_residual(pf, ff).value,
-                        radial_residual(pf, ff).value))
+            out.append((parallel_residual(pf).value,
+                        radial_residual(pf).value))
         return out
 
     loose = max(r for r, _ in residuals(build_chart("veronese", d=2), 2, 0.8)
@@ -207,8 +201,7 @@ def test_criterion_07_base_curvature_ratios():
         chart = build_chart("veronese", d=d)
         dims_ok = dims_ok and chart.N == d + 1
         pf = point_frame(chart, u)
-        ff = second_fundamental_form(chart, u, pf=pf)
-        kbs.append(base_sectional(pf, ff, e0, e1))
+        kbs.append(base_sectional(pf, e0, e1))
     devs = [abs(kb / kbs[0] - 1.0 / d) for d, kb in zip((1, 2, 3, 4), kbs)]
     ok = max(devs) < 1e-4 and dims_ok
     detail = (f"ratios within {max(devs):.1e} of (1, 1/2, 1/3, 1/4); "
@@ -263,12 +256,11 @@ def test_criterion_09_gauge_and_completion_independence():
         rows = []
         for g in (None, gauge):
             pf = point_frame(chart, u, gauge=g)
-            ff = second_fundamental_form(chart, u, pf=pf)
-            row = [shape_norm(ff).value,
+            row = [shape_norm(pf).value,
                    fatness_margin(pf).margin,
-                   parallel_residual(pf, ff).value,
-                   radial_residual(pf, ff).value,
-                   inequality_min_margin(pf, ff).min_margin]
+                   parallel_residual(pf).value,
+                   radial_residual(pf).value,
+                   inequality_min_margin(pf).min_margin]
             if chart.field is not Field.REAL:
                 row.append(fatness_margin(pf).theta.value)
             rows.append(row)

@@ -1,12 +1,15 @@
 """The benchmark's reading of the program, checked in the tier-1 suite.
 
 bench/checks.py pairs frame vectors through the public point_frame and
-inner_re to build its fatness floor.  The benchmark's own tests live
-outside the tier-1 paths, so these tests load checks.py (without writing
-bytecode next to it) and hold its pairing and its fatness check to the
-frame layer.
+inner_re to build its fatness floor, and bench/workload.py calls
+analyze_point and `pullconn verify` and reads their results.  The
+benchmark's own tests live outside the tier-1 paths, so these tests load
+checks.py and workload.py (without writing bytecode next to them), hold
+the pairing and the fatness check to the frame layer, and run one checked
+pass of each workload.
 """
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -16,11 +19,11 @@ from pullconn import cli
 from pullconn.connection import fatness_margin
 from pullconn.immersion import point_frame
 
-CHECKS_PY = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_checks():
-    spec = importlib.util.spec_from_file_location("bench_checks", CHECKS_PY)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -30,7 +33,21 @@ def _load_checks():
     return module
 
 
-checks = _load_checks()
+def _load_workload():
+    """workload.py sets OPENBLAS_NUM_THREADS for its own process when it
+    is imported; the variable is put back as it was."""
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    try:
+        return _load("bench_workload", BENCH / "workload.py")
+    finally:
+        if saved is None:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+checks = _load("bench_checks", BENCH / "checks.py")
+workload = _load_workload()
 
 CASES = [("hline", {}), ("perturbed", {"base": "hline", "amplitude": 0.05})]
 
@@ -55,3 +72,14 @@ def test_bench_fatness_check_fires_just_above_the_margin(example, params):
     floor = checks.sampled_fatness(checks.jay_matrices(chart, u))
     assert checks.fatness_overestimate(margin, floor) == []
     assert checks.fatness_overestimate(margin + 1e-6, floor)
+
+
+@pytest.mark.parametrize("name", ["analyze-frame", "analyze-quat", "verify-oracles"])
+def test_bench_workload_pass_is_clean(name, monkeypatch):
+    """One pass of each workload's operations, checked as the benchmark
+    checks them: no failed operation and no check message."""
+    monkeypatch.setitem(sys.modules, "checks", checks)   # the workload's `import checks`
+    cls = workload.VerifyWorkload if name == "verify-oracles" else workload.AnalyzeWorkload
+    work = cls(name, 1)
+    results = [op() for op in work.operations()]
+    assert work.check(results, 1) == (0, [])

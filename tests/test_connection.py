@@ -32,7 +32,7 @@ from pullconn.connection import (
 from pullconn.homogeneous import (
     GrassTangent, frame_lift, lie_lift, point_from_stiefel, random_horizontal,
 )
-from pullconn.immersion import point_frame, second_fundamental_form, shape_norm
+from pullconn.immersion import point_frame, shape_norm
 from pullconn.oracle import curvature_pairing_fd, dr_oracle
 from reference import (
     curvature_pairing, dr_component_bracket, sectional_base_fd, sectional_curvature_g0,
@@ -125,7 +125,7 @@ def test_alpha_element_validation():
         AlphaElement.decomposable([1.0, 0.0], [1.0, 0.0])      # not orthonormal
     with pytest.raises(DegenerateStructureError):
         AlphaElement.imaginary_unit(Field.REAL, 1.0)
-    assert alpha_basis(Field.REAL, 1) == []
+    assert alpha_basis(Field.REAL, 1) == ()
 
 
 def test_fatness_margin_fixtures():
@@ -149,16 +149,15 @@ def test_dr_paths_identical():
     rng = np.random.default_rng(2)
     for chart, u in frames():
         pf = point_frame(chart, u)
-        ff = second_fundamental_form(chart, u, pf=pf)
         for t, al in enumerate(alpha_basis(chart.field, chart.k)):
             x = rng.standard_normal(pf.n)
             y = rng.standard_normal(pf.n)
             z = rng.standard_normal(pf.n)
-            a = np.einsum("abc,a,b,c->", ff.DR[t], x, y, z)
+            a = np.einsum("abc,a,b,c->", pf.DR[t], x, y, z)
             for order in ("standard", "reversed"):
-                b = dr_component_bracket(pf, ff, x, y, z, al, order=order)
+                b = dr_component_bracket(pf, x, y, z, al, order=order)
                 assert abs(a - b) < 1e-12
-            assert abs(np.einsum("abc,a,b,c->", ff.DR[t], y, x, z) + a) < 1e-12
+            assert abs(np.einsum("abc,a,b,c->", pf.DR[t], y, x, z) + a) < 1e-12
 
 
 def test_residuals_vanish_on_catalog_parallels():
@@ -168,9 +167,8 @@ def test_residuals_vanish_on_catalog_parallels():
     ]
     for chart, u in cases:
         pf = point_frame(chart, u)
-        ff = second_fundamental_form(chart, u, pf=pf)
-        par = parallel_residual(pf, ff)
-        rad = radial_residual(pf, ff)
+        par = parallel_residual(pf)
+        rad = radial_residual(pf)
         assert par.value < 1e-9, chart.name
         assert rad.value <= par.value + 1e-12
         assert par.holds is True and rad.holds is True
@@ -180,8 +178,7 @@ def test_residual_degenerate_real_line():
     chart = linear_embedding(Field.REAL, 3, 5)
     u = np.array([0.1, -0.4])
     pf = point_frame(chart, u)
-    ff = second_fundamental_form(chart, u, pf=pf)
-    res = parallel_residual(pf, ff)
+    res = parallel_residual(pf)
     assert res.degenerate and res.value == 0.0 and res.holds is None
 
 
@@ -189,14 +186,13 @@ def test_perturbed_chart_breaks_parallelism_and_matches_oracle():
     chart = perturbed(veronese(2), amplitude=0.08, seed=5)
     u = np.array([0.25, -0.15])
     pf = point_frame(chart, u)
-    ff = second_fundamental_form(chart, u, pf=pf)
-    par = parallel_residual(pf, ff)
+    par = parallel_residual(pf)
     assert par.value > 1e-4
-    rad = radial_residual(pf, ff)
+    rad = radial_residual(pf)
     assert rad.value <= par.value + 1e-12
 
     al = AlphaElement.imaginary_unit(Field.COMPLEX, 1j)
-    drc = ff.DR[0, 0, 1, 0]
+    drc = pf.DR[0, 0, 1, 0]
     w, v = al.fiber_pair(pf.pt.V)
     dro = dr_oracle(chart, u, pf.coeff[0], pf.coeff[1], pf.coeff[0], w, v)
     assert abs(drc - 2.0 * dro) < 1e-6
@@ -205,21 +201,18 @@ def test_perturbed_chart_breaks_parallelism_and_matches_oracle():
 def test_base_sectional_matches_fd_riemann():
     e = np.eye(2)
     pf = point_frame(veronese(2), [0.3, -0.2])
-    ff = second_fundamental_form(veronese(2), [0.3, -0.2], pf=pf)
-    gauss = base_sectional(pf, ff, e[0], e[1])
+    gauss = base_sectional(pf, e[0], e[1])
     fd = sectional_base_fd(veronese(2), [0.3, -0.2], e[0], e[1])
     assert abs(gauss - 2.0) < 1e-6
     assert abs(gauss - fd) < 1e-4
 
     pfc = point_frame(clifford_torus(), [0.5, 1.0])
-    ffc = second_fundamental_form(clifford_torus(), [0.5, 1.0], pf=pfc)
-    assert abs(base_sectional(pfc, ffc, e[0], e[1])) < 1e-8
+    assert abs(base_sectional(pfc, e[0], e[1])) < 1e-8
 
     u = np.array([0.3, -0.2, 0.1, 0.4])
     pfg = point_frame(grassmann_sub(2, 4, 5), u)
-    ffg = second_fundamental_form(grassmann_sub(2, 4, 5), u, pf=pfg)
     # same plane in both conventions: frame vectors vs chart coordinates
-    gauss = base_sectional(pfg, ffg, np.eye(4)[0], np.eye(4)[3])
+    gauss = base_sectional(pfg, np.eye(4)[0], np.eye(4)[3])
     fd = sectional_base_fd(grassmann_sub(2, 4, 5), u, pfg.coeff[0], pfg.coeff[3])
     assert abs(gauss - fd) < 1e-4
 
@@ -244,19 +237,16 @@ def test_bracket_norm_from_kxk_blocks_matches_the_nxn_form(field, N, k):
 def test_inequality_margins():
     for d, expect in ((2, 2.0), (3, 4.0 / 3.0)):
         pf = point_frame(veronese(d), [0.3, -0.2])
-        ff = second_fundamental_form(veronese(d), [0.3, -0.2], pf=pf)
-        res = inequality_min_margin(pf, ff)
+        res = inequality_min_margin(pf)
         assert abs(res.min_margin - expect) < 1e-6
         assert res.strict is True
     pfc = point_frame(clifford_torus(), [0.5, 1.0])
-    ffc = second_fundamental_form(clifford_torus(), [0.5, 1.0], pf=pfc)
-    res = inequality_min_margin(pfc, ffc)
+    res = inequality_min_margin(pfc)
     assert abs(res.min_margin) < 1e-9
     assert res.strict is False
     # the quaternionic line is a round 4-sphere: every section curves at 4
     pfh = point_frame(quaternionic_line(3), [0.2, -0.1, 0.3, 0.05])
-    ffh = second_fundamental_form(quaternionic_line(3), [0.2, -0.1, 0.3, 0.05], pf=pfh)
-    res = inequality_min_margin(pfh, ffh)
+    res = inequality_min_margin(pfh)
     assert abs(res.min_margin - 4.0) < 1e-6
 
 
@@ -292,12 +282,10 @@ def test_analysis_frame_and_gauge_independent():
 
     pf1 = point_frame(chart, u)
     pf2 = point_frame(chart, u, gauge=np.array([[np.exp(-1.3j)]]))
-    ff1 = second_fundamental_form(chart, u, pf=pf1)
-    ff2 = second_fundamental_form(chart, u, pf=pf2)
-    assert abs(parallel_residual(pf1, ff1).value
-               - parallel_residual(pf2, ff2).value) < 1e-8
-    assert abs(inequality_min_margin(pf1, ff1).min_margin
-               - inequality_min_margin(pf2, ff2).min_margin) < 1e-8
+    assert abs(parallel_residual(pf1).value
+               - parallel_residual(pf2).value) < 1e-8
+    assert abs(inequality_min_margin(pf1).min_margin
+               - inequality_min_margin(pf2).min_margin) < 1e-8
 
 
 def test_analyze_point_bundle():
@@ -326,13 +314,12 @@ def test_the_analysis_never_forms_the_projector(name, field):
     chart = cli.make_chart(name, Field.parse(field), {})
     u = cli.sample_points(chart, None, 1, 0, None)[0]
     pf = point_frame(chart, u)
-    ff = second_fundamental_form(chart, u, pf=pf)
-    shape_norm(ff)
+    shape_norm(pf)
     fatness_margin(pf)
-    parallel_residual(pf, ff)
-    radial_residual(pf, ff)
-    inequality_min_margin(pf, ff)
-    assert ff.pf is pf and "P" not in vars(pf.pt)
+    parallel_residual(pf)
+    radial_residual(pf)
+    inequality_min_margin(pf)
+    assert "P" not in vars(pf.pt)
 
 
 def _traced_peak(chart, u, **kwargs) -> int:

@@ -19,7 +19,7 @@ from pullconn.connection import (
     parallel_residual,
     radial_residual,
 )
-from pullconn.immersion import point_frame, second_fundamental_form
+from pullconn.immersion import point_frame
 from reference import (
     base_sectional_loop,
     dr_component_loop,
@@ -56,12 +56,11 @@ def _close(got, want):
 @pytest.fixture(params=_cases())
 def point(request):
     chart, u = request.param
-    pf = point_frame(chart, u)
-    return chart, u, pf, second_fundamental_form(chart, u, pf=pf)
+    return chart, u, point_frame(chart, u)
 
 
 def test_cholesky_frame_is_the_gram_schmidt_frame(point):
-    _, _, pf, _ = point
+    _, _, pf = point
     loop = orthonormalize_real_span(pf.D)
     assert len(loop) == pf.n
     for a in range(pf.n):
@@ -72,13 +71,13 @@ def test_cholesky_frame_is_the_gram_schmidt_frame(point):
 
 
 def test_second_fundamental_form_matches_loop(point):
-    _, _, pf, ff = point
-    loop = second_fundamental_form_loop(pf)
-    assert np.max(np.abs(ff.II.H - loop)) <= TOL * max(1.0, np.max(np.abs(loop)))
+    chart, u, pf = point
+    loop = second_fundamental_form_loop(chart, u, pf)
+    assert np.max(np.abs(pf.II.H - loop)) <= TOL * max(1.0, np.max(np.abs(loop)))
 
 
 def test_probe_tensors_match_loops(point):
-    _, _, pf, ff = point
+    _, _, pf = point
     if not pf.probes:
         assert fatness_margin(pf).degenerate
         return
@@ -90,35 +89,35 @@ def test_probe_tensors_match_loops(point):
         for a in range(n):
             for b in range(n):
                 for c in range(n):
-                    want = dr_component_loop(pf, ff, eye[a], eye[b], eye[c], al)
-                    assert _close(ff.DR[t, a, b, c], want), (t, a, b, c)
+                    want = dr_component_loop(pf, eye[a], eye[b], eye[c], al)
+                    assert _close(pf.DR[t, a, b, c], want), (t, a, b, c)
 
 
 def test_residuals_match_loops(point):
-    _, _, pf, ff = point
+    _, _, pf = point
     if not pf.probes:
-        assert parallel_residual(pf, ff).degenerate and radial_residual(pf, ff).degenerate
+        assert parallel_residual(pf).degenerate and radial_residual(pf).degenerate
         return
-    for radial, res in ((False, parallel_residual(pf, ff)), (True, radial_residual(pf, ff))):
-        worst, count = residual_loop(pf, ff, pf.probes, radial)
+    for radial, res in ((False, parallel_residual(pf)), (True, radial_residual(pf))):
+        worst, count = residual_loop(pf, pf.probes, radial)
         assert res.probes == count
         assert _close(res.value, worst)
 
 
 def test_inequality_and_base_curvature_match_loops(point):
-    chart, u, pf, ff = point
-    res = inequality_min_margin(pf, ff)
+    chart, u, pf = point
+    res = inequality_min_margin(pf)
     e = np.eye(pf.n)
-    assert _close(res.kb_probe, base_sectional_loop(pf, ff, e[0], e[1]))
+    assert _close(res.kb_probe, base_sectional_loop(pf, e[0], e[1]))
     assert _close(analyze_point(chart, u).kb_probe, res.kb_probe)
     rng = np.random.default_rng(4)
     q = np.linalg.qr(rng.standard_normal((3, pf.n, 2)))[0]
-    kb = base_sectional(pf, ff, q[..., 0], q[..., 1])
+    kb = base_sectional(pf, q[..., 0], q[..., 1])
     for p in range(3):
-        assert _close(kb[p], base_sectional_loop(pf, ff, q[p, :, 0], q[p, :, 1]))
+        assert _close(kb[p], base_sectional_loop(pf, q[p, :, 0], q[p, :, 1]))
     if not pf.probes:
         assert res.degenerate
         return
-    margin, count = inequality_loop(pf, ff, pf.probes)
+    margin, count = inequality_loop(pf, pf.probes)
     assert res.probes == count
     assert _close(res.min_margin, margin)

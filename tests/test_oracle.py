@@ -18,11 +18,7 @@ from pullconn.catalog import (
     veronese,
 )
 from pullconn.connection import alpha_basis
-from pullconn.immersion import (
-    chart_jet,
-    point_frame,
-    second_fundamental_form,
-)
+from pullconn.immersion import chart_jet, point_frame
 from pullconn.oracle import (
     _series_log,
     base_transport,
@@ -361,12 +357,11 @@ def test_dr_oracle_on_quaternionic_four_dimensional_base():
     chart = build_chart("perturbed", field="h", base="hline")
     u = np.array([0.25, -0.3, 0.1, 0.2])
     pf = point_frame(chart, u)
-    ff = second_fundamental_form(chart, u, pf=pf)
     alpha = alpha_basis(chart.field, chart.k)[0]
     w, v = alpha.fiber_pair(pf.pt.V)
     for triple in [(0, 1, 0), (0, 2, 3)]:
         x, y, z = np.eye(4)[list(triple)]
-        closed = np.einsum("abc,a,b,c->", ff.DR[0], x, y, z)
+        closed = np.einsum("abc,a,b,c->", pf.DR[0], x, y, z)
         xc, yc, zc = (pf.coeff.T @ t for t in (x, y, z))
         assert abs(closed - 2.0 * dr_oracle(chart, u, xc, yc, zc, w, v)) < 1e-6
 

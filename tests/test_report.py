@@ -5,9 +5,13 @@ import pytest
 
 from pullconn.algebra import Field
 from pullconn.cli import main, make_chart, sample_points
-from pullconn.connection import VERDICTS, analyze_point
+from pullconn.connection import analyze_point
 from pullconn.report import QUANTITIES, point_record
 from test_cli import ADVERTISED
+
+# (verdict, record key, record field)
+VERDICTS = (("fat", "fatness", "fat"), ("parallel", "parallel", "holds"),
+            ("radial", "radial", "holds"), ("inequality_strict", "inequality", "strict"))
 
 
 @pytest.mark.parametrize("name,field", ADVERTISED, ids=[f"{n}-{f}" for n, f in ADVERTISED])
@@ -50,3 +54,23 @@ def test_verdict_is_null_where_the_record_gives_a_reason(name, field, params):
                            "inequality_strict": None, "corollary_satisfied": True}
     else:
         assert set(verdict.values()) == {None}
+
+
+VERDICT_CASES = [(name, Field.parse(field), {}) for name, field in ADVERTISED] + [
+    ("totally-real", Field.COMPLEX, {"n": 1})]
+
+
+@pytest.mark.parametrize("name,field,params", VERDICT_CASES,
+                         ids=[f"{n}-{f.value}" for n, f, _ in VERDICT_CASES[:-1]] + ["totally-real-n1"])
+def test_result_verdicts_agree_with_the_record(name, field, params):
+    """One point of every example × field that `list` advertises, and a
+    one-dimensional base: each result's own verdict property, and
+    PointAnalysis.verdict, equal the record's verdict field, null where
+    the record gives a reason."""
+    chart = make_chart(name, field, params)
+    pa = analyze_point(chart, sample_points(chart, None, 1, 0)[0], normalize=True)
+    rec = point_record(pa)
+    for name_, key, reads in VERDICTS:
+        assert getattr(getattr(pa, key), reads) == rec[key][reads], name_
+        assert pa.verdict[name_] == rec[key][reads], name_
+    assert pa.verdict.get("corollary_satisfied") == rec["corollary"]["satisfied"]

@@ -273,30 +273,6 @@ def orthonormalize(A: np.ndarray, field: Field, tol: float = 1e-12) -> np.ndarra
     return (out[0] if ncols == 1 else np.concatenate(out, axis=2)).reshape(A.shape)
 
 
-def complete_basis(V: np.ndarray, field: Field, order: str = "standard",
-                   tol: float = 1e-8) -> np.ndarray:
-    """Extend orthonormal columns V to a full unitary [V | W].
-
-    Candidate completion vectors are the standard basis vectors taken in index
-    order ("standard") or reversed ("reversed"); near-dependent candidates are
-    dropped.  Deterministic for a given order.
-    """
-    N, k = V.shape[0], V.shape[1]
-    idx = range(N) if order == "standard" else range(N - 1, -1, -1)
-    cols = [V[:, j:j + 1] for j in range(k)]
-    I = eye(field, N)
-    for j in idx:
-        v = _strip(np.array(I[:, j:j + 1]), cols, field)
-        n = frob(v)
-        if n > tol:
-            cols.append(v / n)
-        if len(cols) == N:
-            break
-    if len(cols) != N:
-        raise DegenerateColumnsError(len(cols), 0.0)
-    return np.concatenate(cols, axis=1)
-
-
 # ----------------------------------------------------------------------------
 # second-order jets
 # ----------------------------------------------------------------------------

@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (analyze, sweep):
         add_sampling(p)
     verify.add_argument("--fd-step", type=float, dest="fd_step",
-                        help="finite difference step of the brute-force oracles (default 1e-3)")
+                        help="finite difference step of the curvature pairing oracle (default 1e-3)")
     for p in (analyze, verify, sweep, listing):
         add_output(p)
     return parser

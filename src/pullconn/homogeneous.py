@@ -1,14 +1,14 @@
-"""Grassmannians G_k(K^N) as homogeneous spaces: points, tangents, frame
-lifts, the block Lie-algebra decomposition, vertical probes and the
-curvature normalization.
+"""Grassmannians G_k(K^N) as homogeneous spaces: points, tangents, their
+lifts to the isometry algebra, vertical probes and the curvature
+normalization.
 
 A point is its Stiefel representative V (N x k, V*V = I); its projector
 P = V V* is formed when read.  Tangent vectors are horizontal Stiefel
 coordinates H (V*H = 0) with projector-model form Delta = H V* + V H*
-(`projector_derivative`).  Relative to a frame g = [V | W] in the isometry
-group, a tangent lifts to the block matrix X~ = [[0, -B*], [B, 0]] with
-B = W*H; the structure algebra m sits in the top-left k x k block as
-diag(alpha, 0).
+(`projector_derivative`) and lift A = H V* - V H* to the isometry algebra
+(`ambient_lift`; Bendokat–Zimmermann–Absil, "A Grassmann manifold
+handbook", 2020).  The structure algebra m acts on the fibre, and
+V*[A_X, A_Y]V is the m-part of a bracket.
 
 All tangent-space inner products are the real pairing Re tr(H2* H1), which
 agrees with the g0 norm of the lift and with the projector-model norm.
@@ -27,7 +27,6 @@ from .algebra import (
     Field,
     Jet,
     apply,
-    complete_basis,
     ct_stack,
     eye,
     frob,
@@ -41,7 +40,6 @@ from .algebra import (
     sq_norm,
     to_real,
     units,
-    zeros,
 )
 
 
@@ -131,57 +129,17 @@ def projector_derivative(V: np.ndarray, H: np.ndarray, field: Field) -> np.ndarr
     return matmul_stack(H, ct_stack(V, field), field) + matmul_stack(V, ct_stack(H, field), field)
 
 
+def ambient_lift(V: np.ndarray, H: np.ndarray, field: Field) -> np.ndarray:
+    """Skew-Hermitian N×N lift HV* − VH* of stacked horizontal coordinates H
+    at stacked Stiefel representatives V: g X~ g* for any frame g = [V | W],
+    X~ = [[0, −B*], [B, 0]] the block lift with B = W*H, and [P', P] along
+    H; broadcasts over leading axes."""
+    return matmul_stack(H, ct_stack(V, field), field) - matmul_stack(V, ct_stack(H, field), field)
+
+
 def random_horizontal(rng: np.random.Generator, pt: GrassPoint, scale: float = 1.0) -> GrassTangent:
     A = random_matrix(rng, pt.field, pt.N, pt.k, scale=scale)
     return tangent(pt, A)
-
-
-@dataclass(frozen=True)
-class FrameLift:
-    """Group element g = [V | W] whose first k columns are the Stiefel rep."""
-
-    pt: GrassPoint
-    g: np.ndarray
-
-    @property
-    def W(self) -> np.ndarray:
-        return self.g[:, self.pt.k :]
-
-
-def frame_lift(pt: GrassPoint, order: str = "standard") -> FrameLift:
-    return FrameLift(pt, complete_basis(pt.V, pt.field, order=order))
-
-
-@dataclass(frozen=True)
-class LieLift:
-    """p-block lift of a tangent: X~ = [[0, -B*],[B, 0]], B = W*H."""
-
-    frame: FrameLift
-    B: np.ndarray
-
-    @property
-    def mat(self) -> np.ndarray:
-        f = self.frame.pt.field
-        N, k = self.frame.pt.N, self.frame.pt.k
-        out = zeros(f, N, N)
-        out[k:, :k] = self.B
-        out[:k, k:] = -ct_stack(self.B, f)
-        return out
-
-    def norm_g0(self) -> float:
-        return frob(self.B)
-
-
-def lie_lift(frame: FrameLift, t: GrassTangent) -> LieLift:
-    if t.base is not frame.pt and frob(t.base.P - frame.pt.P) > 1e-9:
-        raise ValueError("tangent is not based at the frame's point")
-    f = frame.pt.field
-    return LieLift(frame, matmul_stack(ct_stack(frame.W, f), t.H, f))
-
-
-def proj_m(A: np.ndarray, k: int) -> np.ndarray:
-    """Top-left k×k block (the structure-algebra component for A ∈ h⊕m⊕p)."""
-    return A[:k, :k]
 
 
 def ad_alpha(alpha_k: np.ndarray, t: GrassTangent) -> GrassTangent:

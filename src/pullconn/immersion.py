@@ -316,7 +316,7 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
     p, m, n = T.shape
     j = 0 if largest else -1
     if p == 1:
-        _, s, Vt = np.linalg.svd(T)
+        _, s, Vt = np.linalg.svd(T, full_matrices=False)
         return CertifiedMax(float(s[0, j]), (np.ones(1), Vt[0, j]), float(s[0, j]), 0.0)
     sign = 1.0 if largest else -1.0
     G = np.einsum("sci,tcj->stij", T, T)   # G[s, t] = T_sᵀ T_t
@@ -329,13 +329,13 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
     eps = 10 * max(m, n) * np.finfo(float).eps * lip       # rounding in the computed σ
     hi, lo = np.sqrt(c + rho), np.sqrt(max(c - rho, 0.0))
     if hi - lo <= eps:   # every σ(T(a)) is σ(T(e_1)) up to rounding
-        _, s, Vt = np.linalg.svd(T[0])
+        _, s, Vt = np.linalg.svd(T[0], full_matrices=False)
         v = float(s[j])
         return CertifiedMax(v, (np.eye(p)[0], Vt[j]), v, abs(float(hi + eps if largest else lo - eps) - v))
 
     def sig(A):
         """σ(T(a)) and its left and right singular vectors for every row a of A."""
-        U, s, Vt = np.linalg.svd(np.einsum("st,tij->sij", A, T))
+        U, s, Vt = np.linalg.svd(np.einsum("st,tij->sij", A, T), full_matrices=False)
         return s[:, j], U[:, :, j], Vt[:, j]
 
     def net_vals(A):
@@ -357,7 +357,7 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
     live = np.arange(len(a))
     for rounds in range(1, REFINE_ROUNDS + 1):   # the longest-lived start's count
         if largest:
-            na = np.linalg.svd(np.einsum("si,tij->stj", u[live], T))[0][:, :, 0]
+            na = np.linalg.svd(np.einsum("si,tij->stj", u[live], T), full_matrices=False)[0][:, :, 0]
             nv, nu, nx = sig(na)
         else:
             al, xl = a[live], x[live]

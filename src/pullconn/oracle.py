@@ -3,16 +3,17 @@ parallel transport, holonomy loops, transported derivatives.
 
 Finite differences and the projector P = VV* live here and nowhere else:
 `_projector_stencil` builds every finite-difference row, and only the
-Christoffel symbols (one stencil per node) and the curvature pairing (the
-first differences of `differential_fd`) are finite differences; neither
-reads the chart's jet.
-The transports take the chart's order-1 jet at the RK4 nodes, the jet
-that also gives the frame layer its differentials, and
-`tests/test_jets.py` holds that jet to central differences of the chart's
-values.  Every oracle makes one chart call per batch: `dr_oracle` stacks
-its four curve parameters, a holonomy loop its four legs and every loop
-size.  Holonomy generators are the Gregory series logarithm of the whole
-stack of return matrices.
+curvature pairing (the first differences of `differential_fd`) is a
+finite difference; it does not read the chart's jet.
+The transports take the chart's order-1 jet at the RK4 nodes, and the
+Christoffel symbols its order-2 jet: the jet that also gives the frame
+layer its differentials, which `tests/test_jets.py` holds to central
+differences of the chart's values.  A tangent enters the isometry
+algebra as its `ambient_lift` HV* − VH*, which is also the transport
+generator [P', P].  Every oracle makes one chart call per batch:
+`dr_oracle` stacks its four curve parameters, a holonomy loop its four
+legs and every loop size.  Holonomy generators are the Gregory series
+logarithm of the whole stack of return matrices.
 
 Orientation note.  The fibre curvature operator that holonomy actually
 measures is the raw projector bracket ``P [d_i P, d_j P]``;
@@ -47,11 +48,9 @@ from .constants import FD_STEP, TRANSPORT_STEPS, bridge
 from .homogeneous import (
     GrassPoint,
     GrassTangent,
-    frame_lift,
+    ambient_lift,
     horizontal_stack,
-    lie_lift,
     point_from_stiefel,
-    proj_m,
     projector,
     projector_derivative,
     random_horizontal,
@@ -94,44 +93,23 @@ def fit_m_generator(field: Field, k: int, G: np.ndarray):
 # finite differences of the projector map
 # ----------------------------------------------------------------------------
 
-def _projector_stencil(chart: ImmersionChart, U: np.ndarray, h: float, mixed: bool = True):
+def _projector_stencil(chart: ImmersionChart, U: np.ndarray, h: float):
     """Central differences of the projector map at the steps h and h/2 around
-    every row of U (B, n), from one chart call: (V, P, d, dd) with V and P at
-    the centres, the first differences d (2, B, n, N, N[, 4]) of ∂_i P and,
-    when mixed, the second differences dd (2, B, n, n, N, N[, 4]) of ∂_i∂_j P
-    (None otherwise); index 0 is step h, index 1 step h/2.
-
-    The rows are the centre, u + step e_i and u − step e_i, 1 + 4n per row;
-    mixed adds the corners u ± step e_i ± step e_j (i < j), 1 + 4n² in all.
-    Diagonal second differences use the three-point stencil.
-    """
+    every row of U (B, n), from one chart call on the 1 + 4n rows centre,
+    u + step e_i and u − step e_i: (V, P, d) with V and P at the centres
+    and d (2, B, n, N, N[, 4]) the differences of ∂_i P; index 0 is step h,
+    index 1 step h/2."""
     B, n = U.shape
     steps = np.array([h, h / 2.0])
     eye = np.eye(n)
-    offsets = np.concatenate([eye, -eye])
-    if mixed:
-        i, j = np.triu_indices(n, 1)
-        corners = np.stack([eye[i] + eye[j], eye[i] - eye[j], eye[j] - eye[i], -eye[i] - eye[j]],
-                           axis=1)
-        offsets = np.concatenate([offsets, corners.reshape(-1, n)])
-    rows = U[:, None, None] + steps[:, None, None] * offsets
+    rows = U[:, None, None] + steps[:, None, None] * np.concatenate([eye, -eye])
     V = chart.eval_point(np.concatenate([U[:, None], rows.reshape(B, -1, n)], axis=1).reshape(-1, n))
     P = projector(V, chart.field)
     V = V.reshape((B, -1) + V.shape[1:])[:, 0]
-    P = P.reshape((B, 1 + 2 * len(offsets)) + P.shape[1:])
-    P0 = P[:, 0]
-    P = np.moveaxis(P[:, 1:].reshape((B, 2, len(offsets)) + P0.shape[1:]), 1, 0)
-    sq = (steps**2).reshape((2,) + (1,) * (P0.ndim + 1))
-    pd = P[:, :, :2 * n].reshape((2, B, 2, n) + P0.shape[1:])
-    d = (pd[:, :, 0] - pd[:, :, 1]) / (2.0 * steps.reshape(sq.shape))
-    if not mixed:
-        return V, P0, d, None
-    pm = P[:, :, 2 * n:].reshape((2, B, len(i), 4) + P0.shape[1:])
-    dd = np.empty((2, B, n, n) + P0.shape[1:], dtype=P.dtype)
-    dd[:, :, np.arange(n), np.arange(n)] = (pd[:, :, 0] - 2.0 * P0[:, None] + pd[:, :, 1]) / sq
-    dd[:, :, i, j] = dd[:, :, j, i] = (pm[:, :, :, 0] - pm[:, :, :, 1] - pm[:, :, :, 2]
-                                       + pm[:, :, :, 3]) / (4.0 * sq)
-    return V, P0, d, dd
+    P = P.reshape((B, 1 + 4 * n) + P.shape[1:])
+    pd = np.moveaxis(P[:, 1:].reshape((B, 2, 2, n) + P.shape[2:]), 1, 0)   # [step, b, sign, i]
+    d = (pd[:, :, 0] - pd[:, :, 1]) / (2.0 * steps.reshape((2,) + (1,) * (pd.ndim - 2)))
+    return V, P[:, 0], d
 
 
 def differential_fd(chart: ImmersionChart, U, h: float = FD_STEP):
@@ -141,7 +119,7 @@ def differential_fd(chart: ImmersionChart, U, h: float = FD_STEP):
     U = np.asarray(U, dtype=float)
     chart.check_rows(U, 2 * h)
     f = chart.field
-    V, P, d, _ = _projector_stencil(chart, U, h, mixed=False)
+    V, P, d = _projector_stencil(chart, U, h)
     dP = (4.0 * d[1] - d[0]) / 3.0
     return V, P, horizontal_stack(V[:, None], matmul_stack(dP, V[:, None], f), f)
 
@@ -202,15 +180,14 @@ def _segment_nodes(u0, u1, steps: int):
 
 def _transport_generator(chart: ImmersionChart, u0, u1, steps: int):
     """V, P = VV* and the generator A = [P', P] of the fibre transport
-    s' = A s at the _segment_nodes of u0 → u1; one order-1 chart_jet call."""
+    s' = A s at the _segment_nodes of u0 → u1, the ambient_lift of the
+    horizontal velocity Σ du_i D_i; one order-1 chart_jet call."""
     du, nodes = _segment_nodes(u0, u1, steps)
     V, H, _ = chart_jet(chart, nodes.reshape(-1, chart.dim), 1)
     lead, f = nodes.shape[:-1], chart.field
     V = V.reshape(lead + V.shape[1:])
-    P = projector(V, f)
     Hd = np.einsum("...i,...ix->...x", du, H.reshape(lead + (chart.dim, -1))).reshape(V.shape)
-    Pd = projector_derivative(V, Hd, f)   # P' = Σ du_i ∂_i P
-    return V, P, matmul_stack(Pd, P, f) - matmul_stack(P, Pd, f)
+    return V, projector(V, f), ambient_lift(V, Hd, f)
 
 
 def parallel_transport(chart: ImmersionChart, u0, u1, w0, steps: int = TRANSPORT_STEPS):
@@ -296,35 +273,42 @@ def holonomy_generator(chart: ImmersionChart, u, i: int, j: int, eps,
 
 def exp_chart(pt: GrassPoint, X: GrassTangent, Y: GrassTangent,
               half_width: float = 1.0) -> ImmersionChart:
-    """Internal chart u -> span of (g e^{u1 X~} e^{u2 Y~})[:, :k]; both
-    exponentials are computed once per coordinate row.  The column jet is
-    written out: each derivative along u1 brings down X~ after g e^{u1 X~},
-    each along u2 brings down Y~ after e^{u2 Y~}."""
-    fr = frame_lift(pt)
-    Xl = lie_lift(fr, X).mat
-    Yl = lie_lift(fr, Y).mat
-    g = fr.g
-    k = pt.k
-    f = pt.field
-    expX, expY = skew_exp(Xl, f), skew_exp(Yl, f)
-    YYk = matmul_stack(Yl, Yl[:, :k], f)
+    """Internal chart u -> span of e^{u1 A_X} e^{u2 A_Y} V, A the
+    ambient_lift of each tangent; both exponentials are computed once per
+    coordinate row.  The column jet is written out: each derivative along
+    u1 brings down A_X after e^{u1 A_X}, each along u2 brings down A_Y
+    after e^{u2 A_Y}."""
+    f, V = pt.field, pt.V
+    AX, AY = ambient_lift(V, X.H, f), ambient_lift(V, Y.H, f)
+    expX, expY = skew_exp(AX, f), skew_exp(AY, f)
+    YV = matmul_stack(AY, V, f)
+    YYV = matmul_stack(AY, YV, f)
 
     def cols(J: Jet) -> Jet:
         """Columns at the rows of the seed jet J, to its order."""
-        gE, E1 = matmul_stack(g, expX(J.v[:, 0]), f), expY(J.v[:, 1])
-        right = [E1[:, :, :k]]                    # the factors right of g e^{u1 X~}, per order
+        EX, EY = expX(J.v[:, 0]), expY(J.v[:, 1])
+        right = [matmul_stack(EY, V, f)]          # the factors right of e^{u1 A_X}, per order
         if J.order >= 1:
-            X1, Y1 = matmul_stack(Xl, right[0], f), matmul_stack(E1, Yl[:, :k], f)
+            X1, Y1 = matmul_stack(AX, right[0], f), matmul_stack(EY, YV, f)
             right.append(np.stack([X1, Y1], axis=1))
         if J.order >= 2:
-            XY = matmul_stack(Xl, Y1, f)
-            right.append(np.stack([np.stack([matmul_stack(Xl, X1, f), XY], axis=1),
-                                   np.stack([XY, matmul_stack(E1, YYk, f)], axis=1)], axis=1))
-        return Jet(*(matmul_stack(gE[(slice(None),) + (None,) * m], R, f)
+            XY = matmul_stack(AX, Y1, f)
+            right.append(np.stack([np.stack([matmul_stack(AX, X1, f), XY], axis=1),
+                                   np.stack([XY, matmul_stack(EY, YYV, f)], axis=1)], axis=1))
+        return Jet(*(matmul_stack(EX[(slice(None),) + (None,) * m], R, f)
                      for m, R in enumerate(right)))
 
     box = ((-half_width, half_width), (-half_width, half_width))
-    return ImmersionChart(name="exp-pair", field=f, N=pt.N, k=k, dim=2, box=box, cols=cols)
+    return ImmersionChart(name="exp-pair", field=f, N=pt.N, k=pt.k, dim=2, box=box, cols=cols)
+
+
+def bracket_m(X: GrassTangent, Y: GrassTangent) -> np.ndarray:
+    """V*[A_X, A_Y]V, the structure-algebra part of the bracket of the
+    ambient lifts of two tangents at one point V."""
+    V, f = X.base.V, X.base.field
+    AX, AY = ambient_lift(V, X.H, f), ambient_lift(V, Y.H, f)
+    C = matmul_stack(AX, AY, f) - matmul_stack(AY, AX, f)
+    return matmul_stack(ct_stack(V, f), matmul_stack(C, V, f), f)
 
 
 @dataclass(frozen=True)
@@ -344,7 +328,7 @@ def lemma_omega_check(field, N: int, k: int, trials: int = 20,
 
     For random points and orthonormal horizontal pairs (X, Y), the square
     loop traversed with the second leg first has generator G with
-    -G / (2 eps^2) proportional to the vertical projection of [X~, Y~].
+    -G / (2 eps^2) proportional to bracket_m(X, Y) = V*[A_X, A_Y]V.
     A Richardson pair in eps removes the O(eps^2) loop bias.  Returns the
     least-squares constant (expected 1/2), the worst absolute deviation of
     the fitted algebra element from c_fit times the bracket projection,
@@ -363,17 +347,13 @@ def lemma_omega_check(field, N: int, k: int, trials: int = 20,
         Y = GrassTangent(pt, Y.H - X.H * inner_re(Y.H, X.H))
         Y = GrassTangent(pt, Y.H / Y.norm())
         chart = exp_chart(pt, X, Y, half_width=4.0 * eps)
-        fr = frame_lift(pt)
-        Xl, Yl = lie_lift(fr, X).mat, lie_lift(fr, Y).mat
-        beta_ref = proj_m(matmul_stack(Xl, Yl, field) - matmul_stack(Yl, Xl, field), k)
-
         e = np.array([eps, eps / 2.0])
         G = holonomy_generator(chart, np.zeros(2), 0, 1, e, steps_per_leg=steps_per_leg,
                                order="ji", centered=True) / e[:, None, None]**2
         G = (4.0 * G[1] - G[0]) / 3.0
         beta_fit, res = fit_m_generator(field, k, -G / 2.0)
         omegas.append(beta_fit)
-        refs.append(beta_ref)
+        refs.append(bracket_m(X, Y))
         residuals.append(res)
     num = sum(inner_re(o, r) for o, r in zip(omegas, refs))
     den = sum(inner_re(r, r) for r in refs)
@@ -387,39 +367,29 @@ def lemma_omega_check(field, N: int, k: int, trials: int = 20,
 # transported derivative of the curvature pairing
 # ----------------------------------------------------------------------------
 
-def christoffel(chart: ImmersionChart, u, h: float = FD_STEP) -> np.ndarray:
+def christoffel(chart: ImmersionChart, u) -> np.ndarray:
     """Gamma[..., l, i, j] of the pulled-back metric at u of shape (..., n),
-    from one chart call on one projector stencil per node.
-
-    The stencil (_projector_stencil) is the centre, u ± s e_i
-    and the corners u ± s e_i ± s e_j (i < j) for s = h and h/2: 1 + 4n²
-    rows.  With ∂_aP and ∂_k∂_aP Richardson differences over h and h/2,
-    g_ab = ½ Re tr(∂_aP ∂_bP) and
-    ∂_k g_ab = ½ Re tr(∂_k∂_aP ∂_bP + ∂_aP ∂_k∂_bP).
-    """
+    from one order-2 chart_jet call: Γ^l_ij = g^lm Re⟨DD_ij, D_m⟩ with
+    g_ij = Re⟨D_i, D_j⟩.  The tangential part of the covariant second
+    derivative DD_ij is the Levi-Civita derivative of the pulled-back
+    metric (Gauss formula), so the symbols are exact."""
     U = np.asarray(u, dtype=float)
     n = chart.dim
-    X = U.reshape(-1, n)
-    chart.check_rows(X, 2 * h)
-    d, dd = ((4.0 * Z[1] - Z[0]) / 3.0 for Z in _projector_stencil(chart, X, h)[2:])
-    d = d.reshape(len(X), n, -1)                          # d[b, a] = ∂_a P, flat
-    dd = dd.reshape(len(X), n, n, -1)                     # dd[b, k, a] = ∂_k∂_a P, flat
-    g = 0.5 * np.real(np.einsum("bax,bcx->bac", d, np.conj(d)))
-    T = np.real(np.einsum("bkax,bcx->bkac", dd, np.conj(d)))
-    dg = 0.5 * (T + np.swapaxes(T, 2, 3))                 # dg[b, i, j, m] = ∂_i g_jm
-    T = dg + np.swapaxes(dg, 1, 2) - np.moveaxis(dg, 1, -1)
-    gamma = 0.5 * np.einsum("blm,bijm->blij", np.linalg.inv(g), T)
+    _, D, DD = chart_jet(chart, U.reshape(-1, n))
+    D = D.reshape(len(D), n, -1)                          # D[b, m] = ∂_m φ, flat
+    g = np.real(np.einsum("bix,bjx->bij", D, np.conj(D)))
+    T = np.real(np.einsum("bijx,bmx->bijm", DD.reshape(len(D), n, n, -1), np.conj(D)))
+    gamma = np.einsum("blm,bijm->blij", np.linalg.inv(g), T)
     return gamma.reshape(U.shape[:-1] + (n, n, n))
 
 
-def base_transport(chart: ImmersionChart, u0, u1, x0, steps: int = 40,
-                   h: float = FD_STEP) -> np.ndarray:
+def base_transport(chart: ImmersionChart, u0, u1, x0, steps: int = 40) -> np.ndarray:
     """Levi-Civita transport of coordinate components x0 (n,) or columns
     (n, m) along a straight segment; u1 may be a stack (S, n) of end points
     when x0 has columns.  The Christoffel symbols at every RK4 node come
-    from one batched call."""
+    from one order-2 chart_jet call."""
     du, nodes = _segment_nodes(u0, u1, steps)
-    A = -np.einsum("...lij,...i->...lj", christoffel(chart, nodes, h), du)
+    A = -np.einsum("...lij,...i->...lj", christoffel(chart, nodes), du)
     return _rk4(A, np.array(x0, dtype=float), np.matmul)
 
 
@@ -438,15 +408,15 @@ def dr_oracle(chart: ImmersionChart, u, x_coords, y_coords, z_coords, w0, v0,
     differences with one Richardson level, t ∈ {±δ, ±δ/2}; the four curve
     parameters are one stack, so the Christoffel symbols, the fibre
     transport and the end-point pairing take one chart call each.  h is
-    the finite-difference step of the Christoffel symbols and the pairing;
-    the transport takes the chart's jet.
+    the finite-difference step of the pairing; the Christoffel symbols and
+    the fibre transport take the chart's jet.
     """
     u = np.asarray(u, dtype=float)
     ut = u + np.outer(DR_DELTA * np.array([1.0, -1.0, 0.5, -0.5]), z_coords)
     xy0 = np.stack([np.asarray(x_coords, dtype=float),
                     np.asarray(y_coords, dtype=float)], axis=1)
     k = w0.shape[1]
-    xy = base_transport(chart, u, ut, xy0, steps=DR_BASE_STEPS, h=h)
+    xy = base_transport(chart, u, ut, xy0, steps=DR_BASE_STEPS)
     wv, _ = parallel_transport(chart, u, ut, np.concatenate([w0, v0], axis=1),
                                steps=DR_TRANSPORT_STEPS)
     f = curvature_pairing_fd(chart, ut, xy[..., 0], xy[..., 1], wv[:, :, :k], wv[:, :, k:], h=h)

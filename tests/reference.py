@@ -1,20 +1,26 @@
 """Reference computations that only the tests use.
 
 Two kinds live here.  Independent oracles: brute-force finite-difference
-curvature, the bracket form of the derivative component, geodesics,
-Wirtinger angles and the g0 algebra helpers.  Loop references: the
-per-frame-index loops that the array frame layer replaced, kept so the
-tests can check the contractions against them entry by entry.
+curvature, the g0 frame g = [V | W] and the block lift X~ of a tangent in
+it, the bracket form of the derivative component, geodesics, Wirtinger
+angles and the g0 algebra helpers.  Loop references: the per-frame-index
+loops that the array frame layer replaced, kept so the tests can check
+the contractions against them entry by entry.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from pullconn.algebra import (
     QL,
+    DegenerateColumnsError,
     Field,
+    _strip,
     ct_stack,
     expm_alg,
+    eye,
     frob,
     inner_re,
     matmul_stack,
@@ -23,9 +29,8 @@ from pullconn.algebra import (
 )
 from pullconn.constants import FD_STEP, bridge
 from pullconn.homogeneous import (
+    GrassPoint,
     GrassTangent,
-    frame_lift,
-    lie_lift,
     point_from_stiefel,
     projector,
     projector_derivative,
@@ -35,7 +40,6 @@ from pullconn.oracle import (
     DR_BASE_STEPS,
     DR_DELTA,
     DR_TRANSPORT_STEPS,
-    _projector_stencil,
     base_transport,
     curvature_pairing_fd,
     left_mult_matrix,
@@ -133,6 +137,79 @@ def sym_eig_small(S: np.ndarray, check: bool = True, tol: float = 1e-8):
 # ----------------------------------------------------------------------------
 # the homogeneous model
 # ----------------------------------------------------------------------------
+
+def complete_basis(V: np.ndarray, field: Field, order: str = "standard",
+                   tol: float = 1e-8) -> np.ndarray:
+    """Extend orthonormal columns V to a full unitary [V | W].
+
+    Candidate completion vectors are the standard basis vectors taken in index
+    order ("standard") or reversed ("reversed"); near-dependent candidates are
+    dropped.  Deterministic for a given order.
+    """
+    N, k = V.shape[0], V.shape[1]
+    idx = range(N) if order == "standard" else range(N - 1, -1, -1)
+    cols = [V[:, j:j + 1] for j in range(k)]
+    I = eye(field, N)
+    for j in idx:
+        v = _strip(np.array(I[:, j:j + 1]), cols, field)
+        n = frob(v)
+        if n > tol:
+            cols.append(v / n)
+        if len(cols) == N:
+            break
+    if len(cols) != N:
+        raise DegenerateColumnsError(len(cols), 0.0)
+    return np.concatenate(cols, axis=1)
+
+
+
+@dataclass(frozen=True)
+class FrameLift:
+    """Group element g = [V | W] whose first k columns are the Stiefel rep."""
+
+    pt: GrassPoint
+    g: np.ndarray
+
+    @property
+    def W(self) -> np.ndarray:
+        return self.g[:, self.pt.k :]
+
+
+def frame_lift(pt: GrassPoint, order: str = "standard") -> FrameLift:
+    return FrameLift(pt, complete_basis(pt.V, pt.field, order=order))
+
+
+@dataclass(frozen=True)
+class LieLift:
+    """p-block lift of a tangent: X~ = [[0, -B*],[B, 0]], B = W*H."""
+
+    frame: FrameLift
+    B: np.ndarray
+
+    @property
+    def mat(self) -> np.ndarray:
+        f = self.frame.pt.field
+        N, k = self.frame.pt.N, self.frame.pt.k
+        out = zeros(f, N, N)
+        out[k:, :k] = self.B
+        out[:k, k:] = -ct_stack(self.B, f)
+        return out
+
+    def norm_g0(self) -> float:
+        return frob(self.B)
+
+
+def lie_lift(frame: FrameLift, t: GrassTangent) -> LieLift:
+    if t.base is not frame.pt and frob(t.base.P - frame.pt.P) > 1e-9:
+        raise ValueError("tangent is not based at the frame's point")
+    f = frame.pt.field
+    return LieLift(frame, matmul_stack(ct_stack(frame.W, f), t.H, f))
+
+
+def proj_m(A: np.ndarray, k: int) -> np.ndarray:
+    """Top-left k×k block (the structure-algebra component for A ∈ h⊕m⊕p)."""
+    return A[:k, :k]
+
 
 def tangent_strict(pt, H: np.ndarray) -> GrassTangent:
     if frob(matmul_stack(ct_stack(pt.V, pt.field), H, pt.field)) > TOL_ALG * max(1.0, frob(H)):
@@ -293,9 +370,9 @@ def curvature_oracle(chart, u, i: int, j: int, w, method: str = "projector", h: 
 def sectional_base_fd(chart, u, x_coords, y_coords, h: float = FD_STEP2) -> float:
     """Sectional curvature of the pulled-back metric from its Christoffels.
 
-    Takes them from christoffel_nested: a difference of the single-stencil
-    christoffel of oracle would amplify its rounding, about 1e-9, to about
-    1e-6 at this step."""
+    Takes them from christoffel_nested, which reads only the order-1 jet
+    (Gram matrices of the differentials), so the twin stays independent of
+    the order-2 jet from which oracle's christoffel takes its symbols."""
     u = np.asarray(u, dtype=float)
     gam_all = christoffel_nested(chart, central_stencil(u[None], h)[0])
     dG = richardson_difference(gam_all[None], h)[0]   # dG[i] = ∂_i Gamma
@@ -318,8 +395,9 @@ def sectional_base_fd(chart, u, x_coords, y_coords, h: float = FD_STEP2) -> floa
 
 
 # ----------------------------------------------------------------------------
-# finite-difference twins: the Richardson first-difference stencil and the
-# projector-model tangent map, kept apart from immersion's single stencil
+# finite-difference twins: the Richardson first-difference stencil, the
+# second differences of P and the projector-model tangent map, kept apart
+# from oracle's single stencil
 # ----------------------------------------------------------------------------
 
 def central_stencil(U: np.ndarray, h: float) -> np.ndarray:
@@ -342,6 +420,38 @@ def richardson_difference(F: np.ndarray, h: float) -> np.ndarray:
     d1 = (fp - fm) / (2.0 * h)
     d2 = (gp - gm) / (2.0 * (h / 2.0))
     return (4.0 * d2 - d1) / 3.0
+
+
+def projector_second_differences(chart, U: np.ndarray, h: float) -> np.ndarray:
+    """Second differences dd (2, B, n, n, N, N[, 4]) of ∂_i∂_j P at the steps
+    h and h/2 around every row of U (B, n), from one chart call; index 0 is
+    step h, index 1 step h/2.
+
+    The rows are the centre, u ± step e_i and the corners
+    u ± step e_i ± step e_j (i < j), 1 + 4n² per row.  Diagonal second
+    differences use the three-point stencil.
+    """
+    B, n = U.shape
+    steps = np.array([h, h / 2.0])
+    eye = np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    corners = np.stack([eye[i] + eye[j], eye[i] - eye[j], eye[j] - eye[i], -eye[i] - eye[j]],
+                       axis=1)
+    offsets = np.concatenate([eye, -eye, corners.reshape(-1, n)])
+    rows = U[:, None, None] + steps[:, None, None] * offsets
+    V = chart.eval_point(np.concatenate([U[:, None], rows.reshape(B, -1, n)], axis=1).reshape(-1, n))
+    P = projector(V, chart.field)
+    P = P.reshape((B, 1 + 2 * len(offsets)) + P.shape[1:])
+    P0 = P[:, 0]
+    P = np.moveaxis(P[:, 1:].reshape((B, 2, len(offsets)) + P0.shape[1:]), 1, 0)
+    sq = (steps**2).reshape((2,) + (1,) * (P0.ndim + 1))
+    pd = P[:, :, :2 * n].reshape((2, B, 2, n) + P0.shape[1:])
+    pm = P[:, :, 2 * n:].reshape((2, B, len(i), 4) + P0.shape[1:])
+    dd = np.empty((2, B, n, n) + P0.shape[1:], dtype=P.dtype)
+    dd[:, :, np.arange(n), np.arange(n)] = (pd[:, :, 0] - 2.0 * P0[:, None] + pd[:, :, 1]) / sq
+    dd[:, :, i, j] = dd[:, :, j, i] = (pm[:, :, :, 0] - pm[:, :, :, 1] - pm[:, :, :, 2]
+                                       + pm[:, :, :, 3]) / (4.0 * sq)
+    return dd
 
 
 def horizontal_from_projector(P: np.ndarray, V: np.ndarray, M: np.ndarray, field) -> np.ndarray:
@@ -493,7 +603,7 @@ def second_fundamental_form_fd(chart, u, pf, h: float = FD_STEP2) -> np.ndarray:
     each ∂_i∂_j P from the second differences of P at the steps h and h/2,
     one Richardson level, contracted entry by entry."""
     pt, n = pf.pt, pf.n
-    partials = _projector_stencil(chart, np.asarray(u, dtype=float)[None], h)[3][:, 0]
+    partials = projector_second_differences(chart, np.asarray(u, dtype=float)[None], h)[:, 0]
 
     def normal(M):
         return _normal_loop(pf, horizontal_from_projector(pt.P, pt.V, M, pt.field))

@@ -23,14 +23,14 @@ from pullconn.homogeneous import (
     GrassTangent,
     ad_alpha,
     curvature_normalization,
-    frame_lift,
-    lie_lift,
     point_from_stiefel,
     random_horizontal,
 )
 from pullconn.immersion import point_frame, shape_norm
 from pullconn import oracle
-from reference import bracket, emb_alpha, proj_p_block, sectional_curvature_g0
+from reference import (
+    bracket, emb_alpha, frame_lift, lie_lift, proj_p_block, sectional_curvature_g0,
+)
 
 
 def _line(num: int, ok: bool, detail: str):

@@ -13,7 +13,6 @@ from pullconn.algebra import (
     QJ,
     QK,
     QONE,
-    complete_basis,
     ct_stack,
     expm_alg,
     eye,
@@ -26,7 +25,7 @@ from pullconn.algebra import (
     random_matrix,
     zeros,
 )
-from reference import inner_g0, norm_g0, qmul, re_trace, scalar_right, sym_eig_small
+from reference import complete_basis, inner_g0, norm_g0, qmul, re_trace, scalar_right, sym_eig_small
 
 FIELDS = [Field.REAL, Field.COMPLEX, Field.QUATERNION]
 

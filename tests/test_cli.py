@@ -523,9 +523,9 @@ def test_verify_coarse_step_fails(tmp_path):
 
 
 def test_verify_fd_step_reaches_the_transported_oracle(tmp_path):
-    """--fd-step is the step of dr_oracle's Christoffel symbols and pairing
-    too (its transports take the chart's jet), so the derivative row moves
-    with it."""
+    """--fd-step is the step of dr_oracle's curvature pairing too (its
+    Christoffel symbols and transports take the chart's jet), so the
+    derivative row moves with it."""
     rows = []
     for argv, name in ((["verify"], "a.json"), (["verify", "--fd-step", "2e-3"], "b.json")):
         code, report = run_json(tmp_path, argv, name)
@@ -543,13 +543,14 @@ def test_verify_times_every_check(tmp_path):
     assert sum(seconds.values()) <= report["timing"]["seconds"]
 
 
-# chart work of one `verify` pass: 36 calls and 9,470 rows (38 calls and
-# 15,792 rows when the transports took finite-difference stencils and the
-# second fundamental form its own call; 182 calls and 41,574 rows when the
-# Christoffel stencil was nested and each holonomy leg, curve parameter and
-# frame pair took its own call)
+# chart work of one `verify` pass: 36 calls and 3,070 rows (36 calls and
+# 9,470 rows when the Christoffel symbols took a 1 + 4n² row projector
+# stencil per node; 38 calls and 15,792 rows when the transports took
+# finite-difference stencils and the second fundamental form its own call;
+# 182 calls and 41,574 rows when the Christoffel stencil was nested and
+# each holonomy leg, curve parameter and frame pair took its own call)
 VERIFY_CHART_CALLS = 36
-VERIFY_CHART_ROWS = 9_470
+VERIFY_CHART_ROWS = 3_070
 
 
 def test_verify_chart_work_stays_within_its_budget(monkeypatch, capsys):

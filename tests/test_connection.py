@@ -30,12 +30,13 @@ from pullconn.connection import (
     radial_residual,
 )
 from pullconn.homogeneous import (
-    GrassTangent, frame_lift, lie_lift, point_from_stiefel, random_horizontal,
+    GrassTangent, point_from_stiefel, random_horizontal,
 )
 from pullconn.immersion import point_frame, shape_norm
 from pullconn.oracle import curvature_pairing_fd, dr_oracle
 from reference import (
-    curvature_pairing, dr_component_bracket, sectional_base_fd, sectional_curvature_g0,
+    curvature_pairing, dr_component_bracket, frame_lift, lie_lift, sectional_base_fd,
+    sectional_curvature_g0,
 )
 
 

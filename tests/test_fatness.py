@@ -123,3 +123,23 @@ def test_wirtinger_angle_at_minimizing_tangent(chart, u):
     angle = wirtinger_angle(pf.E, x_star)
     # compare cos²: arccos amplifies rounding near 0 and π/2
     assert abs(np.cos(angle) ** 2 - np.cos(theta.value) ** 2) < 1e-12
+
+
+# the benchmark's quaternionic inputs at other sample seeds: hline 4 points
+# per seed, the perturbed charts one point per seed
+SEEDED_QUAT = [("hline", {}, 4, range(20)),
+               ("perturbed", {"base": "hline", "amplitude": 0.05}, 1, range(5)),
+               ("perturbed", {"base": "hline", "amplitude": 0.3}, 1, range(5))]
+
+
+@pytest.mark.parametrize("name,params,count,seeds", SEEDED_QUAT,
+                         ids=["hline", "perturbed-hline-0.05", "perturbed-hline-0.3"])
+def test_seeded_quaternionic_samples_never_raise(name, params, count, seeds):
+    """Every point of these seeded samples is analyzed without an exception
+    and certifies a finite fatness margin: the descent step that once
+    normalized a zero vector into NaN and an SVD failure is gone."""
+    chart = cli.make_chart(name, Field.QUATERNION, params)
+    for seed in seeds:
+        for u in cli.sample_points(chart, None, count, seed, None):
+            pa = analyze_point(chart, u, normalize=True)
+            assert np.isfinite(pa.fatness.margin) and np.isfinite(pa.fatness.gap)

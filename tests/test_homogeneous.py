@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from pullconn.algebra import (
     Field,
-    complete_basis,
     ct_stack,
     eye,
     frob,
@@ -22,22 +21,23 @@ from pullconn.homogeneous import (
     GrassTangent,
     ad_alpha,
     curvature_normalization,
-    frame_lift,
     geodesic_stiefel_k1,
-    lie_lift,
     point_from_stiefel,
-    proj_m,
     projector_derivative,
     random_horizontal,
     tangent,
 )
 from reference import (
     bracket,
+    complete_basis,
     emb_alpha,
+    frame_lift,
     geodesic,
     inner_g0,
     j_apply,
+    lie_lift,
     lift_to_tangent,
+    proj_m,
     proj_p_block,
     qmul,
     scalar_right,

@@ -423,6 +423,25 @@ def test_pencil_extreme_brackets_a_dense_sample(p, largest):
         assert res.gap > 0.0 and res.rounds >= 1
 
 
+@pytest.mark.parametrize("largest", [True, False], ids=["max", "min"])
+def test_tall_pencil_takes_reduced_singular_bases(largest):
+    """A (3, 2000, 4) pencil: no SVD forms a 2,000 × 2,000 singular basis,
+    so the search traces under 8 MiB, and its value is that of the square
+    reduction R_t, [T_1 | T_2 | T_3] = Q[R_1 | R_2 | R_3] with R 12 × 12,
+    as σ(Σ_t a_t T_t) = σ(Σ_t a_t R_t)."""
+    T = np.random.default_rng(2000).standard_normal((3, 2000, 4))
+    R = np.linalg.qr(T.transpose(1, 0, 2).reshape(2000, 12), mode="r")
+    square = _pencil_extreme(R.reshape(12, 3, 4).transpose(1, 0, 2), largest, 9)
+    tracemalloc.start()
+    try:
+        res = _pencil_extreme(T, largest, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"{peak / 2**20:.2f} MiB"
+    assert res.value == pytest.approx(square.value, rel=1e-12)
+
+
 def _left_mult(q):
     """Matrix of left multiplication by the quaternion q = w + xi + yj + zk on R⁴."""
     w, x, y, z = q
@@ -679,15 +698,14 @@ def test_check_rows_messages():
 ], ids=["perturbed-c", "perturbed-r-linear", "perturbed-h-hline", "perturbed-h-linear",
         "grassmann-sub"])
 def test_stencil_first_differences_equal_the_richardson_twin(name, field, params):
-    """_projector_stencil without mixed rows evaluates 1 + 4n rows per point
-    and its Richardson ∂P is the twin's bit for bit."""
+    """_projector_stencil evaluates 1 + 4n rows per point and its Richardson
+    ∂P is the twin's bit for bit."""
     chart = cli.make_chart(name, field, params)
     U = np.array(cli.sample_points(chart, None, 3, 0, None))
     B, n = U.shape
-    V, P, d, dd = _projector_stencil(chart, U, FD_STEP, mixed=False)
+    V, P, d = _projector_stencil(chart, U, FD_STEP)
     Vt = chart.eval_point(central_stencil(U, FD_STEP).reshape(-1, n))
     Pt = projector(Vt, chart.field).reshape((B, 1 + 4 * n) + P.shape[1:])
-    assert dd is None
     assert np.array_equal(V, Vt.reshape((B, 1 + 4 * n) + V.shape[1:])[:, 0])
     assert np.array_equal(P, Pt[:, 0])
     assert np.array_equal((4.0 * d[1] - d[0]) / 3.0, richardson_difference(Pt, FD_STEP))

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pullconn.algebra import (
-    Field, frob, inner_re, matmul_stack, orthonormalize, random_matrix, skew_exp, units,
+    Field, Jet, expm_alg, frob, inner_re, matmul_stack, orthonormalize, random_matrix, skew_exp,
+    units,
 )
 from pullconn.catalog import (
     build_chart,
@@ -22,6 +23,7 @@ from pullconn.immersion import chart_jet, point_frame
 from pullconn.oracle import (
     _series_log,
     base_transport,
+    bracket_m,
     christoffel,
     curvature_pairing_fd,
     differential_fd,
@@ -35,6 +37,7 @@ from pullconn.oracle import (
     parallel_transport,
 )
 from reference import (
+    bracket,
     central_stencil,
     christoffel_nested,
     covariant_derivative,
@@ -42,14 +45,17 @@ from reference import (
     curvature_raw,
     dr_oracle_loop,
     fit_m_generator_lstsq,
+    frame_lift,
     gram_at,
     holonomy_map_loop,
+    lie_lift,
     m_basis,
+    proj_m,
     richardson_difference,
     sectional_base_fd,
 )
 from pullconn.homogeneous import (
-    GrassTangent, frame_lift, lie_lift, point_from_stiefel, random_horizontal, stiefel_points,
+    GrassTangent, ambient_lift, point_from_stiefel, random_horizontal, stiefel_points,
 )
 
 
@@ -276,19 +282,58 @@ def test_exp_chart_matches_finite_differences():
         assert frob(chart(np.zeros(2)).P - pt.P) < 1e-12
 
 
+def _frame_column_jet(pt, X, Y, u):
+    """Columns (g e^{u1 X~} e^{u2 Y~})[:, :k] at u in the g0 frame g = [V | W],
+    X~ and Y~ the block lifts, and their first and second derivatives along
+    u, each a product with one expm_alg per exponential."""
+    f = pt.field
+    fr = frame_lift(pt)
+    Xl, Yl = lie_lift(fr, X).mat, lie_lift(fr, Y).mat
+    left, right = matmul_stack(fr.g, expm_alg(u[0] * Xl, f), f), expm_alg(u[1] * Yl, f)
+
+    def col(*factors):
+        out = left
+        for m in factors:
+            out = matmul_stack(out, m, f)
+        return out[:, :pt.k]
+    return (col(right), np.array([col(Xl, right), col(right, Yl)]),
+            np.array([[col(Xl, Xl, right), col(Xl, right, Yl)],
+                      [col(Xl, right, Yl), col(right, Yl, Yl)]]))
+
+
+@pytest.mark.parametrize("field,N,k", [(Field.REAL, 4, 2), (Field.COMPLEX, 3, 1),
+                                       (Field.COMPLEX, 4, 2), (Field.QUATERNION, 3, 1),
+                                       (Field.QUATERNION, 4, 2)])
+def test_ambient_lifts_match_the_frame_lifts(field, N, k):
+    """exp_chart's columns e^{u1 A_X} e^{u2 A_Y} V and their jet, and
+    bracket_m's V*[A_X, A_Y]V, against the frame g = [V | W] and the block
+    lifts X~ of the g0 reference: g X~ g* = A_X."""
+    rng = np.random.default_rng(21)
+    pt, X, Y = _unit_pair(rng, field, N, k)
+    chart = exp_chart(pt, X, Y, half_width=1.0)
+    U = np.array([[0.0, 0.0], [0.03, -0.02], [-0.4, 0.7]])
+    W = chart.cols(Jet.seed(U, 2))
+    for b, u in enumerate(U):
+        for got, want in zip((W.v[b], W.d[b], W.dd[b]), _frame_column_jet(pt, X, Y, u)):
+            assert np.max(np.abs(got - want)) < 1e-13
+    fr = frame_lift(pt)
+    want = proj_m(bracket(lie_lift(fr, X).mat, lie_lift(fr, Y).mat, field), k)
+    assert np.max(np.abs(bracket_m(X, Y) - want)) < 1e-13
+
+
 @pytest.mark.parametrize("field,N,k", [(Field.REAL, 4, 2), (Field.REAL, 5, 1),
                                        (Field.COMPLEX, 3, 1), (Field.COMPLEX, 4, 2)])
 def test_eigh_exponential_matches_expm(field, N, k):
-    """e^{uX~} from one eigendecomposition against scipy's expm, for u up
+    """e^{uA_X} from one eigendecomposition against scipy's expm, for u up
     to the half width of the charts lemma_omega_check builds and beyond."""
     rng = np.random.default_rng(3)
     pt, X, _ = _unit_pair(rng, field, N, k)
-    Xl = lie_lift(frame_lift(pt), X).mat
+    A = ambient_lift(pt.V, X.H, field)
     u = np.concatenate([np.linspace(-0.04, 0.04, 9), [-1.0, 0.5, 1.0]])
-    E = skew_exp(Xl, field)(u)
+    E = skew_exp(A, field)(u)
     assert E.dtype == (complex if field is Field.COMPLEX else float)
     for t, Et in zip(u, E):
-        assert np.max(np.abs(Et - sla.expm(t * Xl))) < 1e-13
+        assert np.max(np.abs(Et - sla.expm(t * A))) < 1e-13
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
@@ -392,10 +437,10 @@ STENCIL_CHARTS = [
 @pytest.mark.parametrize("chart", STENCIL_CHARTS,
                          ids=["perturbed", "veronese", "hline", "perturbed-hline", "gsub"])
 def test_christoffel_matches_the_nested_stencil(chart):
-    """One projector stencil per node against Richardson differences of the
-    Gram matrix of (analytic or Richardson) differentials."""
+    """The order-2 jet against Richardson differences of the Gram matrix of
+    the order-1 jet's differentials."""
     U = _nodes(chart, 12, 3)
-    assert np.max(np.abs(christoffel(chart, U) - christoffel_nested(chart, U))) < 1e-8
+    assert np.max(np.abs(christoffel(chart, U) - christoffel_nested(chart, U))) < 1e-10
 
 
 @pytest.mark.parametrize("chart", STENCIL_CHARTS[:3], ids=["perturbed", "veronese", "hline"])
@@ -409,7 +454,7 @@ def test_christoffel_is_metric_compatible(chart):
     gam = christoffel(chart, U)
     g = G[:, 0]
     want = np.einsum("blki,blj->bkij", gam, g) + np.einsum("blkj,bil->bkij", gam, g)
-    assert np.max(np.abs(dg - want)) < 1e-8
+    assert np.max(np.abs(dg - want)) < 1e-10
 
 
 def _near_identity(field, k, count, seed):

@@ -5,10 +5,10 @@ Matrices over R and C are ordinary numpy arrays (float64 / complex128).
 Quaternion matrices are float64 arrays of shape (m, n, 4) holding the
 (1, i, j, k) components; a quaternion scalar is a shape-(4,) array.  Other
 modules read the layout through `Field.matrix_ndim`, the real basis
-`units`, the real-coordinate map `to_real`/`from_real` and the right
-scalar action `scalar_right`.  The convention throughout the package is
-that scalar coefficients act on column vectors from the *right*, so that
-column spans stay well defined over the noncommutative scalars.
+`units` and the real-coordinate map `to_real`/`from_real`.  The convention
+throughout the package is that scalar coefficients act on column vectors
+from the *right*, so that column spans stay well defined over the
+noncommutative scalars.
 
 Every matrix operation takes the field as an argument and never reads it
 from an array's shape: a stack of real 4×4 matrices has the (m, n, 4)
@@ -140,13 +140,6 @@ def from_real(R: np.ndarray, field: Field) -> np.ndarray:
     if field is Field.COMPLEX:
         return R[..., 0] + 1j * R[..., 1]
     return R[..., 0]
-
-
-def scalar_right(A: np.ndarray, q, field: Field) -> np.ndarray:
-    """Every entry of A times the scalar q, from the right."""
-    if field is Field.QUATERNION:
-        return np.einsum("stu,...t,u->...s", QL, A, q)
-    return np.asarray(A) * q
 
 
 # ----------------------------------------------------------------------------

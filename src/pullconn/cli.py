@@ -113,15 +113,6 @@ def parse_range(text: str):
     return [int(v) if integral else float(v) for v in vals]
 
 
-def _parse_field(text):
-    if text is None:
-        return None
-    try:
-        return Field.parse(text)
-    except Exception as exc:
-        raise ConfigError(str(exc)) from None
-
-
 # ----------------------------------------------------------------------------
 # chart construction and sampling
 # ----------------------------------------------------------------------------
@@ -330,7 +321,7 @@ def _check_flags(args) -> None:
 def cmd_analyze(args) -> tuple:
     if not args.example:
         raise ConfigError("analyze needs --example NAME (see `pullconn list`)")
-    field = _parse_field(args.field)
+    field = Field.parse(args.field) if args.field else None
     params = parse_params(args.param)
     chart = make_chart(args.example, field, params)
     grid = parse_grid(args.grid) if args.grid else None
@@ -444,7 +435,7 @@ def cmd_verify(args) -> tuple:
 def cmd_sweep(args) -> tuple:
     if not args.example:
         raise ConfigError("sweep needs --example NAME (see `pullconn list`)")
-    field = _parse_field(args.field)
+    field = Field.parse(args.field) if args.field else None
     raw = parse_params(args.param)
     ranged = {k: v for k, v in raw.items() if isinstance(v, str) and ":" in v}
     fixed = {k: v for k, v in raw.items() if k not in ranged}

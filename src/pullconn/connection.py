@@ -236,10 +236,6 @@ def corollary_bound(shape_sq_normalized: float, theta: float):
 @dataclass(frozen=True)
 class PointAnalysis:
     u: np.ndarray
-    field: Field
-    N: int
-    k: int
-    dim: int
     gram_min_eig: float
     shape: CertifiedMax
     theta: Optional[CertifiedMax]  # undefined over R
@@ -293,8 +289,7 @@ def analyze_point(chart: ImmersionChart, u, normalize: bool = False) -> PointAna
         if theta is not None:
             coro = corollary_bound(shp.value**2 / lam, theta.value)
     return PointAnalysis(
-        u=np.asarray(u, dtype=float), field=chart.field, N=chart.N, k=chart.k,
-        dim=chart.dim, gram_min_eig=pf.gram_min_eig, shape=shp, theta=theta,
-        fatness=fat, parallel=par, radial=rad, inequality=ineq,
+        u=np.asarray(u, dtype=float), gram_min_eig=pf.gram_min_eig, shape=shp,
+        theta=theta, fatness=fat, parallel=par, radial=rad, inequality=ineq,
         kb_probe=ineq.kb_probe, normalization=lam, corollary=coro,
     )

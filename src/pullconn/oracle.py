@@ -13,7 +13,8 @@ algebra as its `ambient_lift` HV* − VH*, which is also the transport
 generator [P', P].  Every oracle makes one chart call per batch:
 `dr_oracle` stacks its four curve parameters, a holonomy loop its four
 legs and every loop size.  Holonomy generators are the Gregory series
-logarithm of the whole stack of return matrices.
+logarithm of the whole stack of return matrices V0* T: k×k matrices over
+the field, so they lie in the structure algebra m as `bracket_m` does.
 
 Orientation note.  The fibre curvature operator that holonomy actually
 measures is the raw projector bracket ``P [d_i P, d_j P]``;
@@ -34,15 +35,14 @@ from .algebra import (
     Field,
     Jet,
     ct_stack,
+    eye,
     frob,
-    from_real,
     inner_re,
+    inv_small,
     matmul_stack,
     random_matrix,
-    scalar_right,
     skew_exp,
-    to_real,
-    units,
+    sq_norm,
 )
 from .constants import FD_STEP, TRANSPORT_STEPS, bridge
 from .homogeneous import (
@@ -58,38 +58,6 @@ from .homogeneous import (
 from .immersion import ImmersionChart, chart_jet
 
 # ----------------------------------------------------------------------------
-# fibre matrices of the vertical algebra
-# ----------------------------------------------------------------------------
-
-def left_mult_matrix(field: Field, k: int, beta) -> np.ndarray:
-    """Real matrix of c -> beta c on fibre coefficients, basis e_a * unit_t:
-    row b·d + s, column a·d + t holds component s of beta_ba unit_t.  beta
-    may be a stack (..., k, k[, 4])."""
-    blocks = np.stack([to_real(scalar_right(beta, q, field), field) for q in units(field)],
-                      axis=-1).swapaxes(-3, -2)                      # [..., b, s, a, t]
-    d = field.real_dim
-    return blocks.reshape(blocks.shape[:-4] + (k * d, k * d)).astype(float, copy=False)
-
-
-def fit_m_generator(field: Field, k: int, G: np.ndarray):
-    """Least-squares fit of a real fibre matrix to a vertical-algebra action.
-
-    Returns (beta, residual): the anti-Hermitian scalar matrix whose
-    left-multiplication matrix best matches G, and the Frobenius residual.
-    beta ↦ left_mult_matrix(beta) is √d times an isometry whose adjoint
-    takes G to Σ_t G_t conj(unit_t), G_t the k×k images of unit_t; so the
-    fit is the anti-Hermitian part of (1/d) Σ_t G_t conj(unit_t).
-    """
-    d = field.real_dim
-    blocks = np.asarray(G, dtype=float).reshape(k, d, k, d).transpose(3, 0, 2, 1)   # [t, b, a, s]
-    imag = sum(scalar_right(from_real(Gt, field), q, field)
-               for Gt, q in zip(blocks[1:], units(field)[1:]))
-    M = (from_real(blocks[0], field) - imag) / d
-    beta = 0.5 * (M - ct_stack(M, field))
-    return beta, float(np.linalg.norm(G - left_mult_matrix(field, k, beta)))
-
-
-# ----------------------------------------------------------------------------
 # finite differences of the projector map
 # ----------------------------------------------------------------------------
 
@@ -101,8 +69,8 @@ def _projector_stencil(chart: ImmersionChart, U: np.ndarray, h: float):
     index 1 step h/2."""
     B, n = U.shape
     steps = np.array([h, h / 2.0])
-    eye = np.eye(n)
-    rows = U[:, None, None] + steps[:, None, None] * np.concatenate([eye, -eye])
+    basis = np.eye(n)
+    rows = U[:, None, None] + steps[:, None, None] * np.concatenate([basis, -basis])
     V = chart.eval_point(np.concatenate([U[:, None], rows.reshape(B, -1, n)], axis=1).reshape(-1, n))
     P = projector(V, chart.field)
     V = V.reshape((B, -1) + V.shape[1:])[:, 0]
@@ -207,24 +175,28 @@ def parallel_transport(chart: ImmersionChart, u0, u1, w0, steps: int = TRANSPORT
 LOG_TERMS = 60   # most odd terms of the series logarithm
 
 
-def _series_log(M: np.ndarray) -> np.ndarray:
-    """Real logarithm of a stack of real matrices near the identity, by
-    Gregory's series log M = 2 artanh(Z) = 2 Σ_j Z^{2j+1}/(2j+1) with
-    Z = (M − I)(M + I)⁻¹ (Higham, "Functions of Matrices", SIAM 2008,
+def _series_log(M: np.ndarray, field: Field) -> np.ndarray:
+    """Logarithm of a stack (..., k, k[, 4]) of matrices over the field near
+    the identity, by Gregory's series log M = 2 artanh(Z) = 2 Σ_j Z^{2j+1}/(2j+1)
+    with Z = (M + I)⁻¹(M − I) (Higham, "Functions of Matrices", SIAM 2008,
     §11.3), summed until every term is below its sum's rounding.  Raises
-    ValueError if M + I is singular, some ‖Z‖_F ≥ 1 or LOG_TERMS fall short."""
-    eye = np.eye(M.shape[-1])
-    Z = np.linalg.solve(M + eye, M - eye)   # M ± I commute
-    if not np.all(np.linalg.norm(Z, axis=(-2, -1)) < 1.0):
+    ValueError if M + I is singular, some ‖Z‖_F ≥ 1 or LOG_TERMS fall short.
+    Over H, k ≥ 2 raises NotImplementedError, as `inv_small` does; every
+    quaternionic catalog chart has rank one."""
+    one = eye(field, M.shape[-field.matrix_ndim])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Z = matmul_stack(inv_small(M + one, field), M - one, field)   # M ± I commute
+    if not np.all(sq_norm(Z, field) < 1.0):
         raise ValueError("return matrix too far from the identity for the series logarithm")
-    Z2 = Z @ Z
+    axes = tuple(range(-field.matrix_ndim, 0))
+    Z2 = matmul_stack(Z, Z, field)
     term = total = Z
     for j in range(1, LOG_TERMS):
-        term = term @ Z2
+        term = matmul_stack(term, Z2, field)
         step = term / (2 * j + 1)
         total = total + step
-        if np.all(np.abs(step).max(axis=(-2, -1))
-                  <= np.finfo(float).eps * np.abs(total).max(axis=(-2, -1))):
+        if np.all(np.abs(step).max(axis=axes)
+                  <= np.finfo(float).eps * np.abs(total).max(axis=axes)):
             return 2.0 * total
     raise ValueError(f"series logarithm not converged in {LOG_TERMS} terms")
 
@@ -259,12 +231,12 @@ def holonomy_map(chart: ImmersionChart, u, i: int, j: int, eps,
 def holonomy_generator(chart: ImmersionChart, u, i: int, j: int, eps,
                        steps_per_leg: int = 10, order: str = "ij",
                        centered: bool = False) -> np.ndarray:
-    """log of the real fibre return matrix of the square loop: the real
-    matrix of c ↦ (V0* T) c on fibre coefficients; stacked over an array
-    eps, as holonomy_map."""
+    """log of the return matrix V0* T of the square loop: a k×k matrix over
+    the field, in the structure algebra m up to the transport error;
+    stacked over an array eps, as holonomy_map."""
     pt0, T = holonomy_map(chart, u, i, j, eps, steps_per_leg, order, centered)
     f = pt0.field
-    return _series_log(left_mult_matrix(f, pt0.k, matmul_stack(ct_stack(pt0.V, f), T, f)))
+    return _series_log(matmul_stack(ct_stack(pt0.V, f), T, f), f)
 
 
 # ----------------------------------------------------------------------------
@@ -329,10 +301,12 @@ def lemma_omega_check(field, N: int, k: int, trials: int = 20,
     For random points and orthonormal horizontal pairs (X, Y), the square
     loop traversed with the second leg first has generator G with
     -G / (2 eps^2) proportional to bracket_m(X, Y) = V*[A_X, A_Y]V.
-    A Richardson pair in eps removes the O(eps^2) loop bias.  Returns the
+    A Richardson pair in eps removes the O(eps^2) loop bias.  The algebra
+    element of a trial is the anti-Hermitian part of -G / 2.  Returns the
     least-squares constant (expected 1/2), the worst absolute deviation of
-    the fitted algebra element from c_fit times the bracket projection,
-    and the mean fit residual.
+    the algebra elements from c_fit times the bracket projection, and the
+    mean Frobenius norm of the Hermitian parts of -G / 2: how far the
+    generators fall outside m.
     """
     field = Field.parse(field)
     rng = np.random.default_rng(seed)
@@ -349,12 +323,13 @@ def lemma_omega_check(field, N: int, k: int, trials: int = 20,
         chart = exp_chart(pt, X, Y, half_width=4.0 * eps)
         e = np.array([eps, eps / 2.0])
         G = holonomy_generator(chart, np.zeros(2), 0, 1, e, steps_per_leg=steps_per_leg,
-                               order="ji", centered=True) / e[:, None, None]**2
+                               order="ji", centered=True)
+        G = G / e.reshape((-1,) + (1,) * field.matrix_ndim)**2
         G = (4.0 * G[1] - G[0]) / 3.0
-        beta_fit, res = fit_m_generator(field, k, -G / 2.0)
-        omegas.append(beta_fit)
+        B = -G / 2.0
+        omegas.append(0.5 * (B - ct_stack(B, field)))
         refs.append(bracket_m(X, Y))
-        residuals.append(res)
+        residuals.append(frob(0.5 * (B + ct_stack(B, field))))
     num = sum(inner_re(o, r) for o, r in zip(omegas, refs))
     den = sum(inner_re(r, r) for r in refs)
     c = float(num / den)

@@ -3,9 +3,10 @@
 Two kinds live here.  Independent oracles: brute-force finite-difference
 curvature, the g0 frame g = [V | W] and the block lift X~ of a tangent in
 it, the bracket form of the derivative component, geodesics, Wirtinger
-angles and the g0 algebra helpers.  Loop references: the per-frame-index
-loops that the array frame layer replaced, kept so the tests can check
-the contractions against them entry by entry.
+angles, the real fibre matrices of k×k matrices over the field and the
+g0 algebra helpers.  Loop references: the per-frame-index loops that the
+array frame layer replaced, kept so the tests can check the contractions
+against them entry by entry.
 """
 from __future__ import annotations
 
@@ -25,6 +26,8 @@ from pullconn.algebra import (
     inner_re,
     matmul_stack,
     quat,
+    to_real,
+    units,
     zeros,
 )
 from pullconn.constants import FD_STEP, bridge
@@ -42,7 +45,6 @@ from pullconn.oracle import (
     DR_TRANSPORT_STEPS,
     base_transport,
     curvature_pairing_fd,
-    left_mult_matrix,
     parallel_transport,
 )
 
@@ -66,10 +68,21 @@ def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def scalar_right(A: np.ndarray, q) -> np.ndarray:
     """Right scalar action A -> A q of a number q, or of a quaternion q
-    given as a (4,) array on a quaternion matrix A."""
+    given as a (4,) array on a stack of quaternion matrices A."""
     if np.ndim(q) == 1:
-        return np.einsum("stu,mnt,u->mns", QL, np.asarray(A), np.asarray(q, dtype=float))
+        return np.einsum("stu,...t,u->...s", QL, np.asarray(A), np.asarray(q, dtype=float))
     return np.asarray(A) * q
+
+
+def left_mult_matrix(field: Field, k: int, beta) -> np.ndarray:
+    """Real matrix of c -> beta c on fibre coefficients, basis e_a * unit_t:
+    row b·d + s, column a·d + t holds component s of beta_ba unit_t.  beta
+    may be a stack (..., k, k[, 4]).  The real twin of the k×k matrices
+    over the field that the holonomy generators are."""
+    blocks = np.stack([to_real(scalar_right(beta, q), field) for q in units(field)],
+                      axis=-1).swapaxes(-3, -2)                      # [..., b, s, a, t]
+    d = field.real_dim
+    return blocks.reshape(blocks.shape[:-4] + (k * d, k * d)).astype(float, copy=False)
 
 
 def re_trace(A: np.ndarray, field: Field) -> float:
@@ -86,39 +99,6 @@ def inner_g0(A: np.ndarray, B: np.ndarray, field: Field) -> float:
 
 def norm_g0(A: np.ndarray, field: Field) -> float:
     return float(np.sqrt(max(inner_g0(A, A, field), 0.0)))
-
-
-def m_basis(field: Field, k: int):
-    """Basis of anti-Hermitian k-by-k scalar matrices (the vertical algebra)."""
-    one = quat(1.0) if field is Field.QUATERNION else 1.0
-    imag = _IMAG_UNITS.get(field, ())
-    out = []
-    for q in imag:
-        for a in range(k):
-            M = zeros(field, k, k)
-            M[a, a] = q
-            out.append(M)
-    for a in range(k):
-        for b in range(a + 1, k):
-            M = zeros(field, k, k)
-            M[a, b], M[b, a] = one, -one
-            out.append(M)
-            for q in imag:
-                M = zeros(field, k, k)
-                M[a, b] = M[b, a] = q
-                out.append(M)
-    return out
-
-
-def fit_m_generator_lstsq(field: Field, k: int, G: np.ndarray):
-    """oracle.fit_m_generator by least squares over the coefficients of
-    m_basis: (beta, residual), beta None where the algebra is zero."""
-    basis = np.array(m_basis(field, k))
-    if not len(basis):
-        return None, float(np.linalg.norm(G))
-    cols = left_mult_matrix(field, k, basis).reshape(len(basis), -1).T
-    x, *_ = np.linalg.lstsq(cols, G.ravel(), rcond=None)
-    return np.tensordot(x, basis, axes=1), float(np.linalg.norm(G.ravel() - cols @ x))
 
 
 def sym_eig_small(S: np.ndarray, check: bool = True, tol: float = 1e-8):

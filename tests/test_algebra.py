@@ -125,29 +125,6 @@ def test_real_coordinates_round_trip_exactly(field):
     assert field.matrix_ndim == A.ndim
 
 
-# e_t e_u = sign · e_index over the units (1, i, j, k)
-QUAT_TABLE = [[(1, 0), (1, 1), (1, 2), (1, 3)],
-              [(1, 1), (-1, 0), (1, 3), (-1, 2)],
-              [(1, 2), (-1, 3), (-1, 0), (1, 1)],
-              [(1, 3), (1, 2), (-1, 1), (-1, 0)]]
-
-
-def test_algebra_scalar_right_reproduces_the_quaternion_table():
-    H = Field.QUATERNION
-    e = algebra.units(H)
-    for t in range(4):
-        for u in range(4):
-            sign, idx = QUAT_TABLE[t][u]
-            A = np.broadcast_to(e[t], (2, 1, 4))
-            assert np.array_equal(algebra.scalar_right(A, e[u], H),
-                                  np.broadcast_to(sign * e[idx], (2, 1, 4)))
-    rng = np.random.default_rng(8)
-    A, q = random_matrix(rng, H, 3, 2), rand_q(rng)
-    assert np.allclose(algebra.scalar_right(A, q, H), qmul(A, q), rtol=0.0, atol=1e-14)
-    C = random_matrix(rng, Field.COMPLEX, 3, 2)
-    assert np.array_equal(algebra.scalar_right(C, 1j, Field.COMPLEX), C * 1j)
-
-
 @pytest.mark.parametrize("shape_a,shape_b", [
     ((6, 3, 2), (6, 2, 4)),          # one stack axis
     ((5, 4, 3, 3), (5, 4, 3, 2)),    # two stack axes

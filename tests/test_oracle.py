@@ -1,4 +1,4 @@
-"""Brute-force layer: stencils, transport, holonomy, generator fits."""
+"""Brute-force layer: stencils, transport, holonomy, loop generators."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pullconn.algebra import (
-    Field, Jet, expm_alg, frob, inner_re, matmul_stack, orthonormalize, random_matrix, skew_exp,
-    units,
+    Field, Jet, ct_stack, expm_alg, eye, frob, inner_re, matmul_stack, orthonormalize,
+    random_matrix, skew_exp, units,
 )
 from pullconn.catalog import (
     build_chart,
@@ -29,10 +29,8 @@ from pullconn.oracle import (
     differential_fd,
     dr_oracle,
     exp_chart,
-    fit_m_generator,
     holonomy_generator,
     holonomy_map,
-    left_mult_matrix,
     lemma_omega_check,
     parallel_transport,
 )
@@ -44,12 +42,11 @@ from reference import (
     curvature_oracle,
     curvature_raw,
     dr_oracle_loop,
-    fit_m_generator_lstsq,
     frame_lift,
     gram_at,
     holonomy_map_loop,
+    left_mult_matrix,
     lie_lift,
-    m_basis,
     proj_m,
     richardson_difference,
     sectional_base_fd,
@@ -175,10 +172,14 @@ def _raw_matrix(chart, u, i, j):
 def test_holonomy_generator_is_the_log_of_the_paired_return_matrix(chart, u):
     """holonomy_generator reads the return matrix off V0* T; pairing the
     transported frame with the start frame one unit at a time is the
-    reference."""
+    reference, in the real fibre representation.  The generator lies in
+    the anti-Hermitian structure algebra over R, C and H."""
     pt0, T = holonomy_map(chart, u, 0, 1, 0.02)
-    want = np.real(sla.logm(_fibre_matrix(pt0.field, pt0.k, T, pt0.V)))
-    assert np.max(np.abs(holonomy_generator(chart, u, 0, 1, 0.02) - want)) < 1e-13
+    f = pt0.field
+    want = np.real(sla.logm(_fibre_matrix(f, pt0.k, T, pt0.V)))
+    G = holonomy_generator(chart, u, 0, 1, 0.02)
+    assert np.max(np.abs(left_mult_matrix(f, pt0.k, G) - want)) < 1e-13
+    assert np.max(np.abs(G + ct_stack(G, f))) < 1e-12
 
 
 @pytest.mark.parametrize("chart,u", [
@@ -189,7 +190,8 @@ def test_holonomy_generator_matches_raw_curvature_at_third_order(chart, u):
     M = _raw_matrix(chart, u, 0, 1)
     errs = []
     for eps in (0.02, 0.01, 0.005):
-        G = holonomy_generator(chart, u, 0, 1, eps, steps_per_leg=10, order="ij")
+        G = left_mult_matrix(chart.field, chart.k,
+                             holonomy_generator(chart, u, 0, 1, eps, steps_per_leg=10, order="ij"))
         errs.append(np.linalg.norm(G - (-eps**2) * M))
     p1 = np.log2(errs[0] / errs[1])
     p2 = np.log2(errs[1] / errs[2])
@@ -216,24 +218,6 @@ def test_loop_generator_constant_is_half(field, N, k, trials):
     assert res.mean_residual < 1e-6
 
 
-def test_m_basis_fit_roundtrip():
-    rng = np.random.default_rng(5)
-    for field, k in [(Field.REAL, 2), (Field.COMPLEX, 1), (Field.COMPLEX, 2),
-                     (Field.QUATERNION, 1)]:
-        basis = m_basis(field, k)
-        coeffs = rng.standard_normal(len(basis))
-        beta = basis[0] * 0.0
-        for c, b in zip(coeffs, basis):
-            beta = beta + c * b
-        L = left_mult_matrix(field, k, beta)
-        fit, res = fit_m_generator(field, k, L)
-        assert res < 1e-10
-        assert frob(fit - beta) < 1e-10
-    # something outside the algebra leaves a residual
-    _, res = fit_m_generator(Field.COMPLEX, 1, np.eye(2))
-    assert res > 0.5
-
-
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
 @pytest.mark.parametrize("k", [1, 2])
 def test_left_mult_matrix_is_multiplicative(field, k):
@@ -241,22 +225,6 @@ def test_left_mult_matrix_is_multiplicative(field, k):
     a, b = random_matrix(rng, field, k, k), random_matrix(rng, field, k, k)
     L = left_mult_matrix(field, k, matmul_stack(a, b, field))
     assert np.max(np.abs(L - left_mult_matrix(field, k, a) @ left_mult_matrix(field, k, b))) < 1e-13
-
-
-@pytest.mark.parametrize("field,k", [(Field.REAL, 2), (Field.COMPLEX, 1), (Field.COMPLEX, 2),
-                                     (Field.QUATERNION, 1), (Field.QUATERNION, 2)])
-def test_closed_form_fit_matches_least_squares(field, k):
-    """The closed-form fit against its lstsq twin, on random real matrices
-    and on the left multiplication of a matrix outside the algebra."""
-    rng = np.random.default_rng(6)
-    d = field.real_dim
-    Gs = [rng.standard_normal((k * d, k * d)) for _ in range(3)]
-    Gs.append(left_mult_matrix(field, k, random_matrix(rng, field, k, k)))
-    for G in Gs:
-        beta, res = fit_m_generator(field, k, G)
-        want, want_res = fit_m_generator_lstsq(field, k, G)
-        assert np.max(np.abs(beta - want)) < 1e-13
-        assert abs(res - want_res) < 1e-13
 
 
 def _unit_pair(rng, field, N, k):
@@ -458,31 +426,34 @@ def test_christoffel_is_metric_compatible(chart):
 
 
 def _near_identity(field, k, count, seed):
-    """Stack of left-multiplication matrices of I + 0.05·(random beta)."""
+    """Stack of matrices I + 0.05·(random matrix) over the field."""
     rng = np.random.default_rng(seed)
-    one = left_mult_matrix(field, k, np.eye(k) if field is not Field.QUATERNION
-                           else np.einsum("ab,q->abq", np.eye(k), np.eye(4)[0]))
-    return np.array([one + 0.05 * left_mult_matrix(field, k, random_matrix(rng, field, k, k))
+    return np.array([eye(field, k) + 0.05 * random_matrix(rng, field, k, k)
                      for _ in range(count)])
 
 
 @pytest.mark.parametrize("field,k", [(Field.REAL, 3), (Field.COMPLEX, 2), (Field.QUATERNION, 1)],
                          ids=["r", "c", "h"])
 def test_series_log_matches_logm(field, k):
+    """The series on matrices over the field against logm of their real
+    fibre matrices."""
     M = _near_identity(field, k, 6, 8)
-    want = np.array([np.real(sla.logm(m)) for m in M])
-    assert np.max(np.abs(_series_log(M) - want)) < 1e-13
+    want = np.array([np.real(sla.logm(m)) for m in left_mult_matrix(field, k, M)])
+    assert np.max(np.abs(left_mult_matrix(field, k, _series_log(M, field)) - want)) < 1e-13
 
 
 def test_series_log_raises_at_minus_identity():
-    """M + I singular, Z of norm above 1, and Z = 0.9, whose series needs
-    about 340 terms."""
+    """M + I singular over R and over H (M = −1), Z of norm above 1, and
+    Z = 0.9, whose series needs about 340 terms."""
     with pytest.raises(ValueError):
-        _series_log(-np.eye(2))
+        _series_log(-np.eye(2), Field.REAL)
     with pytest.raises(ValueError):
-        _series_log(np.array([[19.0]]))
+        _series_log(-eye(Field.QUATERNION, 1), Field.QUATERNION)
     with pytest.raises(ValueError):
-        _series_log(np.array([np.eye(2), -np.eye(2) + 1e-3 * np.array([[0.0, 1.0], [-1.0, 0.0]])]))
+        _series_log(np.array([[19.0]]), Field.REAL)
+    with pytest.raises(ValueError):
+        _series_log(np.array([np.eye(2), -np.eye(2) + 1e-3 * np.array([[0.0, 1.0], [-1.0, 0.0]])]),
+                    Field.REAL)
 
 
 @pytest.mark.parametrize("chart,u", [

@@ -345,42 +345,61 @@ def _rel_err(a: float, b: float, floor: float = 0.05) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def _norm_vs_oracle(chart, u, h=None) -> float:
+def _norm_vs_oracle(chart, u, **fd) -> float:
     """Worst relative error of the curvature norm the analysis reads,
-    ½‖L[t, :, a]‖ for the tangential J-action L, against the
-    finite-difference oracle at step h, over frame directions a and vertical
-    probes t; one oracle call per probe pairs every two frame directions."""
+    ½‖L[t, :, a]‖ for the tangential J-action L, against the finite-difference
+    oracle (at the step h=... in fd, else its own), over frame directions a and
+    vertical probes t; one oracle call per probe pairs every two frame directions."""
     pf = point_frame(chart, u)
     worst = 0.0
     for t, alpha in enumerate(pf.probes):
         w, v = alpha.fiber_pair(pf.pt.V)
-        comps = oracle.curvature_pairing_fd(chart, u, pf.coeff[:, None], pf.coeff[None], w, v,
-                                            **({} if h is None else {"h": h}))
+        comps = oracle.curvature_pairing_fd(chart, u, pf.coeff[:, None], pf.coeff[None], w, v, **fd)
         for a in range(pf.n):
             closed = 0.5 * float(np.linalg.norm(pf.L[t, :, a]))
             worst = max(worst, _rel_err(closed, float(np.linalg.norm(comps[a]))))
     return worst
 
 
-def _dr_vs_oracle(chart, u, triples, h=None) -> float:
+def _dr_vs_oracle(chart, u, triples, **fd) -> float:
     """Worst |closed-form derivative component - 2 x transported oracle|."""
     pf = point_frame(chart, u)
     w, v = pf.probes[0].fiber_pair(pf.pt.V)
     worst = 0.0
     for triple in triples:
-        orc = oracle.dr_oracle(chart, u, *pf.coeff[list(triple)], w, v,
-                               **({} if h is None else {"h": h}))
+        orc = oracle.dr_oracle(chart, u, *pf.coeff[list(triple)], w, v, **fd)
         worst = max(worst, abs(pf.DR[(0,) + triple] - 2.0 * orc))
     return worst
 
 
+def _check_fd_step(h: float, stencils) -> None:
+    """ConfigError unless, at every (chart, centres U (B, n)) pair, the stencil
+    of step h stays in the box (margin 2h, as differential_fd checks) and h is
+    at least twice the largest float spacing of U, so that its half step moves
+    every centre and no difference quotient overflows."""
+    least = 2.0 * max(float(np.spacing(np.abs(U)).max()) for _, U in stencils)
+    most = min(float(np.minimum(U - lo, hi - U).min()) / 2.0
+               for chart, U in stencils for lo, hi in [np.array(chart.box, dtype=float).T])
+    if not least <= h <= most:
+        raise ConfigError(f"--fd-step {h} takes the difference stencil out of a chart's box or onto "
+                          f"its centres; verify takes a step from {least} to {most}")
+
+
 def cmd_verify(args) -> tuple:
     """Fixed battery: every closed-form quantity against a brute-force twin.
-    timing.checks holds each row's seconds since the previous row."""
-    h = args.fd_step
-    checks = []
-    seconds = {}
-    last = time.perf_counter()
+    timing.checks holds each row's seconds since the previous row.  A given
+    --fd-step passes _check_fd_step at every row before any oracle runs."""
+    fd = {} if args.fd_step is None else {"h": args.fd_step}
+    veronese = build_chart("veronese", d=2)
+    norm_rows = [("clifford", build_chart("clifford"), [[0.3, -0.4], [0.7, 0.2]]),
+                 ("veronese", veronese, [[0.35, -0.15], [-0.6, 0.45]])]
+    perturbed = build_chart("perturbed", amplitude=0.05, seed=7)
+    dr_rows = [([0.25, -0.3], [(0, 1, 0), (0, 1, 1)]), ([-0.45, 0.2], [(0, 1, 0), (1, 0, 1)])]
+    if args.fd_step is not None:
+        _check_fd_step(args.fd_step, [(chart, np.array(us)) for _, chart, us in norm_rows] + [
+            (perturbed, oracle.dr_centres(u, point_frame(perturbed, np.array(u)).coeff[t[2]]))
+            for u, triples in dr_rows for t in triples])
+    checks, seconds, last = [], {}, time.perf_counter()
 
     def add(name, detail, value, tol, passed=None):
         nonlocal last
@@ -389,40 +408,22 @@ def cmd_verify(args) -> tuple:
         now = time.perf_counter()
         seconds[name], last = now - last, now
 
-    chart = build_chart("clifford")
-    err = max(_norm_vs_oracle(chart, np.array([0.3, -0.4]), h),
-              _norm_vs_oracle(chart, np.array([0.7, 0.2]), h))
-    add("curvature-norm-vs-oracle/clifford",
-        "closed-form curvature norm against finite differences", err, 1e-4)
-
-    chart = build_chart("veronese", d=2)
-    err = max(_norm_vs_oracle(chart, np.array([0.35, -0.15]), h),
-              _norm_vs_oracle(chart, np.array([-0.6, 0.45]), h))
-    add("curvature-norm-vs-oracle/veronese",
-        "closed-form curvature norm against finite differences", err, 1e-4)
+    for name, chart, us in norm_rows:
+        add(f"curvature-norm-vs-oracle/{name}", "closed-form curvature norm against finite differences",
+            max(_norm_vs_oracle(chart, np.array(u), **fd) for u in us), 1e-4)
 
     res = oracle.lemma_omega_check(Field.REAL, 4, 2, trials=10)
-    add("loop-generator-factor/G2R4",
-        "holonomy loop generators fit -G/2 with factor 1/2",
+    add("loop-generator-factor/G2R4", "holonomy loop generators fit -G/2 with factor 1/2",
         abs(res.c_fit - 0.5), 1e-3)
-    add("loop-generator-deviation/G2R4",
-        "per-trial scatter of the loop generator fit",
+    add("loop-generator-deviation/G2R4", "per-trial scatter of the loop generator fit",
         res.max_deviation, 1e-4)
 
-    chart = build_chart("perturbed", amplitude=0.05, seed=7)
-    err = max(
-        _dr_vs_oracle(chart, np.array([0.25, -0.3]), [(0, 1, 0), (0, 1, 1)], h),
-        _dr_vs_oracle(chart, np.array([-0.45, 0.2]), [(0, 1, 0), (1, 0, 1)], h),
-    )
     add("derivative-vs-transported-oracle/perturbed",
         "covariant derivative component against transported differences",
-        err, 2e-3)
+        max(_dr_vs_oracle(perturbed, np.array(u), triples, **fd) for u, triples in dr_rows), 2e-3)
 
-    chart = build_chart("veronese", d=2)
     u0 = np.array([0.3, 0.2])
-    e1 = _norm_vs_oracle(chart, u0, 0.02)
-    e2 = _norm_vs_oracle(chart, u0, 0.01)
-    ratio = e1 / max(e2, 1e-15)
+    ratio = _norm_vs_oracle(veronese, u0, h=0.02) / max(_norm_vs_oracle(veronese, u0, h=0.01), 1e-15)
     add("fd-order/veronese", "halving the step shrinks the oracle error by 4x",
         ratio, 4.0, passed=ratio >= 4.0)
 

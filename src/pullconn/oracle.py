@@ -373,6 +373,11 @@ DR_TRANSPORT_STEPS = 24     # RK4 steps of the fibre transport per evaluation
 DR_BASE_STEPS = 12          # RK4 steps of the Levi-Civita transport per evaluation
 
 
+def dr_centres(u, z_coords) -> np.ndarray:
+    """The curve parameters u + t·z, t ∈ {±δ, ±δ/2}, at which dr_oracle pairs."""
+    return np.asarray(u, dtype=float) + np.outer(DR_DELTA * np.array([1.0, -1.0, 0.5, -0.5]), z_coords)
+
+
 def dr_oracle(chart: ImmersionChart, u, x_coords, y_coords, z_coords, w0, v0,
               h: float = FD_STEP) -> float:
     """Transported derivative of t -> Re <R(X_t, Y_t) w_t, v_t> at t = 0.
@@ -386,8 +391,7 @@ def dr_oracle(chart: ImmersionChart, u, x_coords, y_coords, z_coords, w0, v0,
     the finite-difference step of the pairing; the Christoffel symbols and
     the fibre transport take the chart's jet.
     """
-    u = np.asarray(u, dtype=float)
-    ut = u + np.outer(DR_DELTA * np.array([1.0, -1.0, 0.5, -0.5]), z_coords)
+    ut = dr_centres(u, z_coords)
     xy0 = np.stack([np.asarray(x_coords, dtype=float),
                     np.asarray(y_coords, dtype=float)], axis=1)
     k = w0.shape[1]

@@ -65,12 +65,12 @@ def test_criterion_02_curvature_norm_vs_oracle():
     for chart in (build_chart("veronese", d=2), build_chart("veronese", d=3),
                   build_chart("clifford"), build_chart("perturbed")):
         for u in (np.array([0.3, -0.25]), np.array([-0.55, 0.4])):
-            worst = max(worst, _norm_vs_oracle(chart, u, h))
+            worst = max(worst, _norm_vs_oracle(chart, u, h=h))
     ratios = []
     for chart in (build_chart("veronese", d=2), build_chart("perturbed")):
         u = np.array([0.3, 0.2])
-        e1 = _norm_vs_oracle(chart, u, 0.02)
-        e2 = _norm_vs_oracle(chart, u, 0.01)
+        e1 = _norm_vs_oracle(chart, u, h=0.02)
+        e2 = _norm_vs_oracle(chart, u, h=0.01)
         ratios.append(e1 / max(e2, 1e-15))
     ok = worst < 1e-4 and all(r >= 4.0 for r in ratios)
     detail = (f"max rel err {worst:.2e} at h={h}; "

@@ -235,12 +235,25 @@ def test_complete_basis_unitary(seed):
             assert np.allclose(np.asarray(matmul_stack(ct_stack(W, field), V, field)), 0.0, atol=1e-10)
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=20, deadline=None)
-def test_expm_quat_matches_embedding(seed):
-    rng = np.random.default_rng(seed)
-    A = random_matrix(rng, Field.QUATERNION, 3, 3, scale=0.8)
-    assert np.allclose(embed_qmat(expm_alg(A, Field.QUATERNION)), sla.expm(embed_qmat(A)), atol=1e-9)
+def complex_form(A, field):
+    """The complex matrix of A: A itself over R and C, embed_qmat over H."""
+    return embed_qmat(A) if field is Field.QUATERNION else np.asarray(A, dtype=complex)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_expm_alg_matches_scipy(field):
+    """The Taylor series against scipy's expm of the complex matrix, on five
+    3×3 matrices at each Frobenius norm from 1e-3 (no squaring) to 20 (seven
+    squarings), within 1e-12 of max(max|e^A|, 1).  A real A enters scipy as a
+    complex matrix: on these matrices scipy's real path is off by up to 2.5e-12
+    of a 50-digit reference, its complex path and the series by under 5e-14."""
+    for scale in (1e-3, 0.2, 1.0, 5.0, 20.0):
+        for seed in range(5):
+            A = random_matrix(np.random.default_rng(seed), field, 3, 3)
+            A = A * (scale / frob(A))
+            want = sla.expm(complex_form(A, field))
+            err = np.abs(complex_form(expm_alg(A, field), field) - want).max()
+            assert err <= 1e-12 * max(np.abs(want).max(), 1.0), (scale, seed, err)
 
 
 def test_expm_skew_gives_unitary():

@@ -487,15 +487,20 @@ def test_halton_matches_scipy_bit_for_bit(d):
             assert np.array_equal(cli._halton(d, n, seed), want), (seed, n)
 
 
-def test_sampling_leaves_scipy_stats_unimported():
-    """Random sampling costs no scipy.stats import (about 40 MB of RSS)."""
+def test_analyze_and_verify_load_no_scipy():
+    """A random-sample analyze with --normalize and a verify pass, in one
+    process, load no scipy module: the package runs on numpy alone (scipy's
+    import cost about 0.2 s and 20 MB of RSS per run)."""
     code = ("import sys, pullconn.cli as c; "
-            "ch = c.make_chart('hline', None, {}); "
-            "assert len(c.sample_points(ch, None, 4, 0, None)) == 4; "
-            "assert 'scipy.stats' not in sys.modules")
+            "assert c.main(['analyze', '--example', 'hline', '--random', '2', "
+            "'--workers', '1', '--normalize']) == 0; "
+            "assert c.main(['verify']) == 0; "
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "assert loaded == [], loaded")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
 
 
 # ----------------------------------------------------------------------------
@@ -512,6 +517,22 @@ def test_verify_battery_green(tmp_path):
     assert "fd-order/veronese" in names
     for c in report["checks"]:
         assert c["pass"] is True, c
+
+
+def test_verify_fd_step_outside_its_range_exit2(capsys):
+    """A step whose stencil leaves a chart's box (margin 2h) used to exit 3
+    with ChartDomainError, and a subnormal step made the oracle's quotients
+    overflow to NaN, which the worst-error maxima dropped, so every row
+    passed.  Both are refused before any oracle runs, with the admitted range;
+    the largest step it names still runs."""
+    for value in ("1e9", "1e-300", "5e-324", "0.5"):
+        assert main(["verify", "--fd-step", value]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: --fd-step {float(value)} takes the difference stencil"), err
+    most = err[0].split()[-1]
+    assert float(most) == 0.3   # veronese's centre -0.6 in the box (-1.2, 1.2)
+    assert main(["verify", "--fd-step", most, "--out", os.devnull]) == 1
 
 
 def test_verify_coarse_step_fails(tmp_path):

@@ -1,10 +1,13 @@
 """Every module of the project compiles under Python 3.10, the oldest
 version pyproject.toml allows, whichever Python runs the suite; every name
-a package module imports is used in it."""
+a package module imports is used in it; the third-party packages imported
+are the ones pyproject.toml declares."""
 import ast
 import os
+import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,34 @@ def test_every_package_import_is_used():
     files = sorted((ROOT / "src" / "pullconn").glob("*.py"))
     assert files
     assert [u for p in files for u in unused_imports(p)] == []
+
+
+def third_party_imports(files, local) -> set:
+    """Top-level names of every absolute import statement in the files,
+    inside functions too, less the standard library and the local names."""
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - set(local)
+
+
+def requirement_names(requirements) -> set:
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_") for r in requirements}
+
+
+def test_imports_are_the_declared_dependencies():
+    """The package imports exactly pyproject's runtime dependencies, and the
+    tests import exactly those they use of them plus the test extra, so no
+    package is used undeclared or declared unused.  An import name is taken
+    to be its distribution's name."""
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    runtime = requirement_names(project["dependencies"])
+    test_extra = requirement_names(project["optional-dependencies"]["test"])
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert third_party_imports(sorted((ROOT / "src" / "pullconn").glob("*.py")), ["pullconn"]) == runtime
+    assert third_party_imports(tests, ["pullconn"] + [p.stem for p in tests]) - runtime == test_extra

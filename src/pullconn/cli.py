@@ -345,31 +345,32 @@ def _rel_err(a: float, b: float, floor: float = 0.05) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
+def _worst(errs) -> float:
+    """The largest error, NaN when any is NaN (max() keeps whichever it met first)."""
+    return float(np.max(list(errs), initial=0.0))
+
+
 def _norm_vs_oracle(chart, u, **fd) -> float:
     """Worst relative error of the curvature norm the analysis reads,
     ½‖L[t, :, a]‖ for the tangential J-action L, against the finite-difference
     oracle (at the step h=... in fd, else its own), over frame directions a and
     vertical probes t; one oracle call per probe pairs every two frame directions."""
     pf = point_frame(chart, u)
-    worst = 0.0
+    errs = []
     for t, alpha in enumerate(pf.probes):
         w, v = alpha.fiber_pair(pf.pt.V)
         comps = oracle.curvature_pairing_fd(chart, u, pf.coeff[:, None], pf.coeff[None], w, v, **fd)
-        for a in range(pf.n):
-            closed = 0.5 * float(np.linalg.norm(pf.L[t, :, a]))
-            worst = max(worst, _rel_err(closed, float(np.linalg.norm(comps[a]))))
-    return worst
+        errs += [_rel_err(0.5 * float(np.linalg.norm(pf.L[t, :, a])), float(np.linalg.norm(comps[a])))
+                 for a in range(pf.n)]
+    return _worst(errs)
 
 
 def _dr_vs_oracle(chart, u, triples, **fd) -> float:
     """Worst |closed-form derivative component - 2 x transported oracle|."""
     pf = point_frame(chart, u)
     w, v = pf.probes[0].fiber_pair(pf.pt.V)
-    worst = 0.0
-    for triple in triples:
-        orc = oracle.dr_oracle(chart, u, *pf.coeff[list(triple)], w, v, **fd)
-        worst = max(worst, abs(pf.DR[(0,) + triple] - 2.0 * orc))
-    return worst
+    return _worst(abs(pf.DR[(0,) + t] - 2.0 * oracle.dr_oracle(chart, u, *pf.coeff[list(t)], w, v, **fd))
+                  for t in triples)
 
 
 def _check_fd_step(h: float, stencils) -> None:
@@ -403,14 +404,17 @@ def cmd_verify(args) -> tuple:
 
     def add(name, detail, value, tol, passed=None):
         nonlocal last
-        checks.append({"name": name, "detail": detail, "value": float(value),
-                       "tolerance": tol, "pass": bool(value < tol if passed is None else passed)})
+        row = {"name": name, "detail": detail, "value": float(value),
+               "tolerance": tol, "pass": bool(value < tol if passed is None else passed)}
+        if not math.isfinite(value):
+            row.update({"value": None, "pass": False, "reason": "the value is not finite"})
+        checks.append(row)
         now = time.perf_counter()
         seconds[name], last = now - last, now
 
     for name, chart, us in norm_rows:
         add(f"curvature-norm-vs-oracle/{name}", "closed-form curvature norm against finite differences",
-            max(_norm_vs_oracle(chart, np.array(u), **fd) for u in us), 1e-4)
+            _worst(_norm_vs_oracle(chart, np.array(u), **fd) for u in us), 1e-4)
 
     res = oracle.lemma_omega_check(Field.REAL, 4, 2, trials=10)
     add("loop-generator-factor/G2R4", "holonomy loop generators fit -G/2 with factor 1/2",
@@ -420,7 +424,7 @@ def cmd_verify(args) -> tuple:
 
     add("derivative-vs-transported-oracle/perturbed",
         "covariant derivative component against transported differences",
-        max(_dr_vs_oracle(perturbed, np.array(u), triples, **fd) for u, triples in dr_rows), 2e-3)
+        _worst(_dr_vs_oracle(perturbed, np.array(u), triples, **fd) for u, triples in dr_rows), 2e-3)
 
     u0 = np.array([0.3, 0.2])
     ratio = _norm_vs_oracle(veronese, u0, h=0.02) / max(_norm_vs_oracle(veronese, u0, h=0.01), 1e-15)

@@ -8,7 +8,8 @@ current code; with --report it leaves the files alone and prints, for every
 record field, the largest relative and absolute move of the current code's
 records against the file, and how many records changed a value that is not
 a float on both sides (such as `fatness.margin: 16 records float → null`),
-then every `verify` row's move.  The
+then every `verify` row's move; it exits 1 when any record or `verify`
+difference lies outside the tolerance rule, else 0.  The
 inputs are the benchmark's `analyze-frame` inputs at sample seeds 1 and 3, its
 `analyze-quat` inputs (sample seed 0), and the default samples of
 `analyze --example linear --field h` and
@@ -243,14 +244,22 @@ def report_verify(want: dict, got: dict) -> str:
     return "\n".join(lines + [f"{len(bad)} verify differences outside the tolerance rule"] + bad)
 
 
+def report_files(records: dict, verify: dict, path: Path = PATH, verify_path: Path = VERIFY_PATH) -> int:
+    """Prints report and report_verify of records and verify against the
+    files; the exit status of --report: 1 when any record or `verify`
+    difference lies outside the tolerance rule, else 0."""
+    want, want_verify = json.loads(path.read_text()), json.loads(verify_path.read_text())
+    print(report(want, records))
+    print(report_verify(want_verify, verify))
+    return int(bool(compare(want, records) or compare_verify(want_verify, verify)))
+
+
 if __name__ == "__main__":
     import sys
 
     records, verify = compute(), compute_verify()
     if sys.argv[1:] == ["--report"]:
-        print(report(json.loads(PATH.read_text()), records))
-        print(report_verify(json.loads(VERIFY_PATH.read_text()), verify))
-        sys.exit(0)
+        sys.exit(report_files(records, verify))
     # one record per line, so a regenerated file diffs point by point
     PATH.write_text("{\n" + ",\n".join(
         json.dumps(label) + ": [\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in recs)

@@ -535,6 +535,29 @@ def test_verify_fd_step_outside_its_range_exit2(capsys):
     assert main(["verify", "--fd-step", most, "--out", os.devnull]) == 1
 
 
+@pytest.mark.parametrize("oracle_name,rows", [
+    # dr_oracle pairs through curvature_pairing_fd, so its row reads NaN too
+    ("curvature_pairing_fd", ["curvature-norm-vs-oracle/clifford", "curvature-norm-vs-oracle/veronese",
+                              "derivative-vs-transported-oracle/perturbed", "fd-order/veronese"]),
+    ("dr_oracle", ["derivative-vs-transported-oracle/perturbed"]),
+])
+def test_verify_fails_a_nan_oracle_value(tmp_path, monkeypatch, oracle_name, rows):
+    """A NaN oracle value fails its row, which reads null with a reason; the
+    worst-error maxima used to drop it, so the row read 0.0 and passed (with
+    a NaN dr_oracle alone, verify exited 0).  The other rows are untouched."""
+    from pullconn import oracle
+
+    real = getattr(oracle, oracle_name)
+    monkeypatch.setattr(oracle, oracle_name, lambda *args, **kwargs: real(*args, **kwargs) * np.nan)
+    code, report = run_json(tmp_path, ["verify"])
+    assert code == 1
+    for c in report["checks"]:
+        if c["name"] in rows:
+            assert (c["value"], c["pass"], c["reason"]) == (None, False, "the value is not finite"), c
+        else:
+            assert c["pass"] is True and "reason" not in c, c
+
+
 def test_verify_coarse_step_fails(tmp_path):
     """An absurd finite-difference step must be caught, not absorbed."""
     code, report = run_json(tmp_path, ["verify", "--fd-step", "0.2"])

@@ -340,13 +340,17 @@ def _traced_peak(chart, u, **kwargs) -> int:
         "totally-real-n60"])
 def test_point_bytes_covers_the_traced_peak(name, field, params):
     """The memory bound is at least the traced peak of one analyze_point,
-    the chunks of the sphere nets (the shape norm's on perturbed, fatness's
-    over six probes on grassmann-sub k = 4) and of the probe pairs included."""
+    the chunks of the sphere nets (fatness's over six probes on
+    grassmann-sub k = 4) and of the probe pairs included.  The shape norm
+    on perturbed evaluates only its first bound-ordered chunks of 16 and 32
+    net points, so that point peaks below 1 MiB (its whole-net chunk did
+    not)."""
     chart = cli.make_chart(name, Field.parse(field), params)
     u = cli.sample_points(chart, None, 1, 0, None)[0]
     analyze_point(chart, u)   # builds the cached sphere nets
     peak = _traced_peak(chart, u)
-    assert peak > 2**20 and point_bytes(chart) >= peak
+    assert point_bytes(chart) >= peak
+    assert (peak < 2**20) if name == "perturbed" else (peak > 2**20)
 
 
 def test_a_large_point_is_analyzed_in_small_memory():

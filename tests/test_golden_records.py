@@ -5,7 +5,7 @@ import copy
 import json
 
 from golden_records import (
-    PATH, VERIFY_PATH, compare, compare_verify, compute, compute_verify, report,
+    PATH, VERIFY_PATH, compare, compare_verify, compute, compute_verify, report, report_files,
 )
 
 
@@ -60,3 +60,23 @@ def test_verify_comparison_fires_on_each_tolerance():
     got = copy.deepcopy(want)
     got["checks"][0]["pass"] = not got["checks"][0]["pass"]
     assert compare_verify(want, got) == [f"{want['checks'][0]['name']}.pass: True -> False"]
+
+
+def test_report_exits_1_on_a_corrupted_copy(tmp_path, capsys):
+    """--report's status: 0 when the records and `verify` match the files
+    within the rule, 1 when a copy of either file has one value moved past
+    it."""
+    records, verify = json.loads(PATH.read_text()), json.loads(VERIFY_PATH.read_text())
+    assert report_files(records, verify) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 verify differences outside the tolerance rule"
+    label = next(iter(records))
+    bad = copy.deepcopy(records)
+    bad[label][0]["shape"]["value"] = bad[label][0]["shape"]["value"] * (1.0 + 1e-9) + 1e-9
+    (tmp_path / "records.json").write_text(json.dumps(bad))
+    assert report_files(records, verify, path=tmp_path / "records.json") == 1
+    assert "1 differences outside the tolerance rule" in capsys.readouterr().out.splitlines()
+    bad = copy.deepcopy(verify)
+    bad["checks"][0]["value"] += 1e-9
+    (tmp_path / "verify.json").write_text(json.dumps(bad))
+    assert report_files(records, verify, verify_path=tmp_path / "verify.json") == 1
+    assert capsys.readouterr().out.splitlines()[-2] == "1 verify differences outside the tolerance rule"

@@ -235,12 +235,17 @@ def test_shape_norm_certificate_invariants():
         assert probe <= res.value + 1e-9
 
 
+PERTURBED_H_LINEAR = build_chart("perturbed", field=Field.QUATERNION, base="linear")
+
+
 @pytest.mark.parametrize("chart,u", [
     (veronese(3), [0.1, 0.4]),
     (build_chart("perturbed", base="hline", amplitude=0.3), [0.2, -0.1, 0.3, 0.05]),
+    (PERTURBED_H_LINEAR, cli.sample_points(PERTURBED_H_LINEAR, None, 1, 0, None)[0]),
 ])
 def test_shape_norm_net_matches_one_svd_per_point(chart, u):
-    """The batched net evaluation against the per-point loop it replaced."""
+    """The bound-ordered net evaluation against a per-point loop over the
+    whole net (3,280 points at n = 8)."""
     pf = point_frame(chart, u)
     n = pf.n
     nu = [q.H for q in orthonormalize_real_span(
@@ -252,6 +257,80 @@ def test_shape_norm_net_matches_one_svd_per_point(chart, u):
                for x in net)
     assert loop > 0.1
     assert shape_norm(pf).grid_best == pytest.approx(loop, rel=1e-12)
+
+
+def _eigvalsh_matrices(monkeypatch):
+    """Counts the matrices every np.linalg.eigvalsh call is given."""
+    count = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return count
+
+
+def _rank_one_pencil():
+    """T_t = c_t u vᵀ: σ_max(T(a)) = |a·c|·|u||v| = ‖T(a)‖_F, so the
+    Frobenius bound is attained at every net point and the ε margin alone
+    decides where the search stops."""
+    rng = np.random.default_rng(1)
+    return np.einsum("t,i,j->tij", rng.standard_normal(4), rng.standard_normal(5),
+                     rng.standard_normal(3))
+
+
+@pytest.mark.parametrize("pencil", [
+    _rank_one_pencil,
+    lambda: np.einsum("ti,tj->tij", np.eye(4), np.eye(4)),   # T_t = e_t e_tᵀ
+    lambda: np.random.default_rng(12).standard_normal((4, 12, 4)),
+], ids=["rank-one", "diagonal", "random"])
+def test_bound_ordered_net_keeps_the_whole_nets_choice(monkeypatch, pencil):
+    """A maximum evaluates σ_max only where the Frobenius bound can still
+    reach the fourth-best value, yet grid_best, the refined start and the
+    certificate are those of the whole net, ties broken by net order."""
+    T = pencil()
+    res = _pencil_extreme(T, True, 9)
+    net, _ = _sphere_net(4, 9)
+    with monkeypatch.context() as m:
+        m.setattr(immersion, "FIRST_CHUNK", len(net))   # the whole net as one evaluation
+        whole = _pencil_extreme(T, True, 9)
+    assert res.grid_best == whole.grid_best
+    assert np.array_equal(res.argmax[0], whole.argmax[0])
+    assert (res.value, res.gap, res.rounds) == (whole.value, whole.gap, whole.rounds)
+    vals = np.linalg.svd(np.einsum("st,tij->sij", net, T), compute_uv=False)[:, 0]
+    assert res.grid_best == pytest.approx(vals.max(), rel=1e-12)
+
+
+def test_equal_bounds_evaluate_every_chunk(monkeypatch):
+    """T_t = e_t e_tᵀ: σ_max(T(a)) = max|a_t| ties at the four axes, while
+    ‖T(a)‖_F = 1 everywhere, so no chunk can be skipped: the 16 blocks of
+    the enclosure, the one of ℓ, and every point of the 2,080-point net."""
+    count = _eigvalsh_matrices(monkeypatch)
+    res = _pencil_extreme(np.einsum("ti,tj->tij", np.eye(4), np.eye(4)), True, 9)
+    assert count[0] == 16 + 1 + len(_sphere_net(4, 9)[0])
+    assert res.grid_best == res.value == 1.0
+
+
+@pytest.mark.parametrize("name,field,params,count", [
+    ("perturbed", None, {"base": "hline", "amplitude": 0.05}, 1),
+    ("perturbed", None, {"base": "hline", "amplitude": 0.3}, 1),
+    ("perturbed", "h", {"base": "linear"}, 3),
+], ids=["hline-0.05", "hline-0.3", "h-linear"])
+def test_shape_norm_evaluates_few_net_points(monkeypatch, name, field, params, count):
+    """On the benchmark's two perturbed quaternionic points (n = 4, a
+    2,080-point net) and on perturbed over linear/h (n = 8, 3,280 points),
+    the Frobenius bound leaves fewer than 200 matrices for eigvalsh, the
+    enclosure's p² blocks included (2,097 and 3,345 with the whole net)."""
+    chart = cli.make_chart(name, None if field is None else Field.parse(field), params)
+    for u in cli.sample_points(chart, None, count, 0, None):
+        pf = point_frame(chart, u)
+        with monkeypatch.context() as m:
+            matrices = _eigvalsh_matrices(m)
+            res = shape_norm(pf)
+        assert res.rounds >= 1
+        assert matrices[0] < 200, matrices[0]
 
 
 @pytest.mark.parametrize("dim,resolution", [(2, 9), (3, 9), (4, 9), (3, 17)])

@@ -19,7 +19,9 @@ maximum of σ_max and the minimum of σ_min of a linear matrix pencil
 T(a) = Σ_t a_t T_t over unit a.  One routine, `_pencil_extreme`, solves
 both: one SVD when the pencil's Gram blocks enclose σ(T(a)) to rounding (a
 Clifford pencil), else a covering net of the sphere up to sign (at most
-NET_BUDGET points), lockstep refinement and a bound from the net's radius.
+NET_BUDGET points), of which only the points a bound cannot rule out of the
+best four are evaluated, a refinement of the best four (alternating for a
+maximum, Riemannian Newton for a minimum) and a bound from the net's radius.
 """
 from __future__ import annotations
 
@@ -221,6 +223,14 @@ def _surface_count(dim: int, resolution: int) -> int:
     return (resolution**dim - (resolution - 2)**dim) // 2
 
 
+def _net_side(dim: int, resolution: int) -> int:
+    """r − 1 of the lattice that _sphere_net(dim, resolution) keeps within
+    NET_BUDGET, or 0 when the net is the axes."""
+    while resolution > 2 and _surface_count(dim, resolution) > NET_BUDGET:
+        resolution -= 1
+    return 0 if _surface_count(dim, resolution) > NET_BUDGET else resolution - 1
+
+
 @lru_cache(maxsize=None)
 def _sphere_net(dim: int, resolution: int):
     """Deterministic covering net of S^{dim-1} up to sign, dim ≥ 2, built
@@ -244,12 +254,10 @@ def _sphere_net(dim: int, resolution: int):
     past that, the net is the axes e_i, which every unit vector is within
     √2 of up to sign.
     """
-    while resolution > 2 and _surface_count(dim, resolution) > NET_BUDGET:
-        resolution -= 1
-    if _surface_count(dim, resolution) > NET_BUDGET:
+    side = _net_side(dim, resolution)   # the lattice scaled to integers 2j − side
+    if not side:
         net, delta = np.eye(dim), float(np.sqrt(2.0))
     else:
-        side = resolution - 1   # the lattice scaled to integers 2j − side
         grid = np.arange(-side, side + 1, 2)
         flat = np.stack(np.meshgrid(*([grid] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
         first = flat[np.arange(len(flat)), np.argmax(flat != 0, axis=1)]
@@ -258,6 +266,48 @@ def _sphere_net(dim: int, resolution: int):
         delta = float(np.sqrt(dim - 1) / side)
     net.flags.writeable = False
     return net, delta
+
+
+PARENT_CHUNK = 16  # net points per block of the nearest-parent search, kept small for peak RSS
+
+
+@lru_cache(maxsize=None)
+def _net_levels(dim: int, resolution: int):
+    """_sphere_net(dim, resolution) coarse to fine over its nested
+    sub-lattices, built once per (dim, resolution) and returned read-only:
+    the net indices `order`, level by level, the level boundaries `starts`
+    in it, and for every point b outside the coarsest level its nearest
+    point c of the coarser levels up to sign, `parent`, at distance
+    `dist` = √(2 − 2|b·c|) (−1 and 0 on the coarsest level).
+
+    Of side s = r − 1, the lattice of side s/2 is the points whose lattice
+    indices (g + s)/2 are all even; its surface points with a positive first
+    nonzero coordinate are net points.  The side is halved while the half
+    stays even: resolution 17 gives levels of resolution 3, 5, 9 and 17.
+    An odd side, and the axes, make one level, the whole net.
+    """
+    net, _ = _sphere_net(dim, resolution)
+    side, halvings = _net_side(dim, resolution), 0
+    while side and side % (4 << halvings) == 0:
+        halvings += 1
+    idx = np.rint((net / np.abs(net).max(axis=1, keepdims=True) + 1.0) * (side / 2)).astype(int)
+    level = np.zeros(len(net), int)   # 0 on the coarsest sub-lattice
+    for j in range(halvings):
+        level += (idx % (2 << j) != 0).any(axis=1)
+    order = np.argsort(level, kind="stable")
+    starts = np.searchsorted(level[order], np.arange(halvings + 2))
+    parent, dist = np.full(len(net), -1), np.zeros(len(net))
+    for lv in range(1, halvings + 1):
+        coarse = net[order[:starts[lv]]]
+        for i in range(starts[lv], starts[lv + 1], PARENT_CHUNK):
+            fine = order[i:min(i + PARENT_CHUNK, starts[lv + 1])]
+            dots = np.abs(net[fine] @ coarse.T)
+            near = np.argmax(dots, axis=1)
+            parent[fine] = order[near]
+            dist[fine] = np.sqrt(np.maximum(2.0 - 2.0 * dots[np.arange(len(fine)), near], 0.0))
+    for arr in (order, starts, parent, dist):
+        arr.flags.writeable = False
+    return order, starts, parent, dist
 
 
 @dataclass(frozen=True)
@@ -282,6 +332,34 @@ REFINE_ROUNDS = 60  # most refinement rounds per start
 FIRST_CHUNK = 16    # net points in a maximum's first chunk; a net no larger is evaluated whole
 
 
+def _newton_probes(T: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One Riemannian Newton step on ½|r|², r = T(a)x, over S^{p−1} × S^{n−1}
+    from every row pair (a, x) of a (s, p) and x (s, n); the new unit a.
+
+    With B = [T_1x … T_px | T(a)] the Euclidean gradient is g = Bᵀr and the
+    Hessian BᵀB + [[0, C], [Cᵀ, 0]], C_tj = (T_tᵀr)_j, as r is bilinear;
+    on the product of spheres the Weingarten terms are aᵀg_a = xᵀg_x = |r|²
+    (Absil, Mahony and Sepulchre, "Optimization Algorithms on Matrix
+    Manifolds", 2008).  The step is −pinv(PHP)·Pg, P the projector
+    onto a⊥ × x⊥: the minimum-norm solution, which ignores the flat
+    direction of a repeated σ, as the paired σ of a skew pencil.
+    """
+    p, n = len(T), T.shape[2]
+    Ta = np.einsum("st,tij->sij", a, T)                    # T(a)
+    B = np.concatenate([np.einsum("tij,sj->sit", T, x), Ta], axis=2)
+    r = np.einsum("sij,sj->si", Ta, x)
+    C = np.einsum("tij,si->stj", T, r)
+    H = B.swapaxes(1, 2) @ B - np.sum(r * r, axis=1)[:, None, None] * np.eye(p + n)
+    H[:, :p, p:] += C
+    H[:, p:, :p] += C.swapaxes(1, 2)
+    Z = np.zeros((len(a), 2, p + n))
+    Z[:, 0, :p], Z[:, 1, p:] = a, x
+    P = np.eye(p + n) - Z.swapaxes(1, 2) @ Z
+    step = -np.linalg.pinv(P @ H @ P) @ (P @ (B.swapaxes(1, 2) @ r[:, :, None]))
+    na = a + step[:, :p, 0]
+    return na / np.linalg.norm(na, axis=1, keepdims=True)
+
+
 def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedMax:
     """max over unit a of σ_max(T(a)), or min of σ_min(T(a)), for the pencil
     T(a) = Σ_t a_t T_t of T (p, m, n); argmax = (a, x) with x the extreme
@@ -301,21 +379,25 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
     _sphere_net(p, resolution), of radius δ up to sign (σ_max as √λ_max of
     the Gram T(a)ᵀT(a), σ_min by SVD, which resolves it near 0), in chunks
     of net points cut by `stack_slices`, so the stack of Grams or of T(a)
-    never passes STACK_BYTES whatever the net's size.  A maximum on more
-    than FIRST_CHUNK net points takes σ_max in order of the bound
-    ‖T(a)‖_F = √(aᵀΦa), Φ_st = <T_s, T_t>_F, in chunks of FIRST_CHUNK,
-    twice that, …, until the next bound plus ε falls below the fourth-best
-    value: the points left (−∞) cannot enter the best four.  A minimum's
-    bound √max(c − ‖Σ a_s a_t R_st‖_F, 0) keeps most of its net and costs
-    more than it saves, and on FIRST_CHUNK points or fewer the bound
-    prunes nothing, so both nets are evaluated whole.  The best four net
-    points are refined in lockstep.  A maximum fixes the left
-    singular vector u of T(a) and takes (a, x) as the top singular pair of
-    the rows uᵀT_t.  A minimum takes the better of an alternating step (a is
-    the λ_min eigenvector of the Gram of the T_t x) and a Gauss-Newton step
-    on T(a)x, which converges near a zero minimum, where alternation crawls.
-    A start stops once a round improves its value v by at most
-    1e-15·max(1, v), or after REFINE_ROUNDS.
+    never passes STACK_BYTES whatever the net's size, and only where a bound
+    says the point can still enter the best four; the points left (±∞)
+    cannot, so grid_best and the best four are those of the whole net, ties
+    broken by net order.  A maximum on more than FIRST_CHUNK net points
+    takes σ_max in order of the bound ‖T(a)‖_F = √(aᵀΦa),
+    Φ_st = <T_s, T_t>_F, in chunks of FIRST_CHUNK, twice that, …, until the
+    next bound plus ε falls below the fourth-best value; a smaller net is
+    evaluated whole.  A minimum takes the net coarse to fine over its nested
+    sub-lattices (`_net_levels`): the coarsest whole, then each point b
+    whose lower bound max(s − ℓd, √max(s² − Λd, 0)) less ε reaches the
+    fourth-best value so far, s the value or bound of its nearest coarser
+    point c and d = √(2 − 2|b·c|) the distance to ±c (ℓ and Λ below).
+    The best four net points are refined in lockstep.  A maximum fixes the
+    left singular vector u of T(a) and takes (a, x) as the top singular pair
+    of the rows uᵀT_t.  A minimum takes a Riemannian Newton step on ½|T(a)x|²
+    over the two spheres (`_newton_probes`) and x the σ_min vector of the
+    new T(a).  A start keeps only steps that improve its value v, and stops
+    once a round improves it by at most 1e-15·max(1, v), or after
+    REFINE_ROUNDS.
 
     The net's certified bound is the better of grid ± ℓδ, as σ(T(a)) is
     ℓ-Lipschitz, and √(grid² ± Λδ), as σ² moves by at most Λ‖a − b‖ with
@@ -356,7 +438,20 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
 
     net, delta = _sphere_net(p, resolution)
     row_bytes = 8 * (p * p + 3 * n * max(m, n))   # a aᵀ, then T(a) or its Gram and LAPACK's copies
-    if largest and len(net) > FIRST_CHUNK:
+    if not largest:
+        # coarse to fine: σ_min only where the bound from the nearest coarser
+        # point, evaluated or bounded, can still reach the fourth-best value
+        levels, starts, parent, dist = _net_levels(p, resolution)
+        vals, low = np.full(len(net), np.inf), np.zeros(len(net))   # low: σ_min or its bound
+        for i, k in zip(starts[:-1], starts[1:]):
+            take = levels[i:k]
+            if i:
+                s, d = low[parent[take]], dist[take]
+                low[take] = np.maximum(s - lip * d, np.sqrt(np.maximum(s**2 - np.sqrt(2.0) * rho * d, 0.0)))
+                take = take[low[take] - eps <= np.partition(vals, 3)[3]]
+            for sl in stack_slices(len(take), row_bytes):
+                vals[take[sl]] = low[take[sl]] = net_vals(net[take[sl]])
+    elif len(net) > FIRST_CHUNK:
         # ‖T(a)‖_F = √(aᵀΦa) ≥ σ_max(T(a)), Φ_st = <T_s, T_t>_F the trace of G[s, t]
         fro = np.sqrt(np.maximum(np.einsum("is,st,it->i", net, np.trace(G, axis1=2, axis2=3), net), 0.0))
         by = np.argsort(-fro, kind="stable")
@@ -377,24 +472,9 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
     for rounds in range(1, REFINE_ROUNDS + 1):   # the longest-lived start's count
         if largest:
             na = np.linalg.svd(np.einsum("si,tij->stj", u[live], T), full_matrices=False)[0][:, :, 0]
-            nv, nu, nx = sig(na)
         else:
-            al, xl = a[live], x[live]
-            Tx = np.einsum("tij,sj->sti", T, xl)         # T_t x
-            Ta = np.einsum("st,tij->sij", al, T)         # T(a)
-            r = np.einsum("sij,sj->si", Ta, xl)          # the residual T(a)x = Σ_t a_t T_t x
-            # Gauss-Newton on the residual, tangent to both spheres: the
-            # minimum-norm solution of J (da, dx) = −r
-            J = np.concatenate([Tx.swapaxes(1, 2) - r[:, :, None] * al[:, None, :],
-                                Ta - r[:, :, None] * xl[:, None, :]], axis=2)
-            step = al + np.einsum("sij,sj->si", np.linalg.pinv(J), -r)[:, :p]
-            step /= np.linalg.norm(step, axis=1, keepdims=True)
-            eig = np.linalg.eigh(np.einsum("sti,sui->stu", Tx, Tx))[1][:, :, 0]
-            cand = np.concatenate([eig, step])
-            cv, cu, cx = sig(cand)
-            k = len(live)
-            pick = np.arange(k) + k * (cv[k:] < cv[:k])   # ties go to the eigen-step
-            na, nv, nu, nx = cand[pick], cv[pick], cu[pick], cx[pick]
+            na = _newton_probes(T, a[live], x[live])
+        nv, nu, nx = sig(na)
         old = cur[live]
         go = sign * (nv - old) > 1e-15 * np.maximum(1.0, old)
         live = live[go]

@@ -220,6 +220,17 @@ def test_orthonormalize_degenerate_column():
     assert err.value.column == 1
 
 
+def test_orthonormalize_degeneracy_threshold_scales_with_the_matrix():
+    """A column is degenerate when its remainder falls below tol times the
+    matrix's scale, its Frobenius norm per column and at least 1: the
+    remainder 1e-11 passes at scale 1 and fails at scale 100, where
+    tol·scale = 1e-10."""
+    orthonormalize(np.array([[1.0, 1.0], [0.0, 1e-11]]), Field.REAL)
+    with pytest.raises(DegenerateColumnsError) as err:
+        orthonormalize(np.array([[100.0, 100.0], [0.0, 1e-11]]), Field.REAL)
+    assert err.value.column == 1
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_complete_basis_unitary(seed):

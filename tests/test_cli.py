@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -577,6 +578,17 @@ def test_verify_fd_step_reaches_the_transported_oracle(tmp_path):
         rows.append({c["name"]: c["value"] for c in report["checks"]})
     key = "derivative-vs-transported-oracle/perturbed"
     assert rows[0][key] != rows[1][key]
+
+
+def test_reported_seconds_lie_within_the_call(tmp_path):
+    """timing.seconds is the run's own elapsed time: positive and no more
+    than the wall time of the main call that reports it."""
+    start = time.perf_counter()
+    code, report = run_json(tmp_path, ["analyze", "--example", "veronese", "--random", "4",
+                                       "--workers", "1"])
+    wall = time.perf_counter() - start
+    assert code == 0
+    assert 0.0 < report["timing"]["seconds"] <= wall
 
 
 def test_verify_times_every_check(tmp_path):

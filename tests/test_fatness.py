@@ -143,3 +143,42 @@ def test_seeded_quaternionic_samples_never_raise(name, params, count, seeds):
         for u in cli.sample_points(chart, None, count, seed, None):
             pa = analyze_point(chart, u, normalize=True)
             assert np.isfinite(pa.fatness.margin) and np.isfinite(pa.fatness.gap)
+
+
+def _svd_matrices(monkeypatch):
+    """Counts the matrices every np.linalg.svd call is given."""
+    count = [0]
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return count
+
+
+@pytest.mark.parametrize("amplitude", [0.05, 0.3])
+def test_fatness_margin_evaluates_few_matrices(monkeypatch, amplitude):
+    """On the benchmark's two perturbed quaternionic points the pruned net
+    and the Newton refinement pass fewer than 450 matrices to np.linalg.svd
+    (897 and 807 with the whole 769-point net and the Gauss-Newton/eigen
+    alternation)."""
+    (chart, u), = _points("perturbed", {"base": "hline", "amplitude": amplitude}, 1, 0)
+    pf = point_frame(chart, u)
+    pf.L
+    with monkeypatch.context() as m:
+        matrices = _svd_matrices(m)
+        res = fatness_margin(pf)
+    assert res.rounds >= 1
+    assert matrices[0] < 450, matrices[0]
+
+
+def test_fatness_refinement_converges_in_few_rounds():
+    """`analyze --example perturbed --field h --param base=linear --random 48`:
+    every fatness search stops by its rule within 6 Newton rounds (9 of
+    the 48 alternations stopped at the 60-round cap)."""
+    chart = cli.make_chart("perturbed", Field.QUATERNION, {"base": "linear"})
+    results = [fatness_margin(point_frame(chart, u)) for u in cli.sample_points(chart, None, 48, 0, None)]
+    assert all(res.converged for res in results)
+    assert max(res.rounds for res in results) <= 6

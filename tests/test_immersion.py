@@ -303,6 +303,103 @@ def test_bound_ordered_net_keeps_the_whole_nets_choice(monkeypatch, pencil):
     assert res.grid_best == pytest.approx(vals.max(), rel=1e-12)
 
 
+def _svd_log(monkeypatch):
+    """Records (stack, compute_uv, result) of every np.linalg.svd call."""
+    log = []
+    svd = np.linalg.svd
+
+    def logged(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        log.append((np.array(a), kwargs.get("compute_uv", True), out))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", logged)
+    return log
+
+
+def _scaled_quaternion_pencil():
+    """T_t = c_t Q_t, Q_t the left multiplications by i, j and k on R⁴:
+    T(a)ᵀT(a) = Σ c_t² a_t² I, so with c = (1, 1, 1.3) σ_min = 1 on the
+    circle a_3 = 0, where 15 net points tie exactly."""
+    Q = np.array([[[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+                  [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+                  [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]], dtype=float)
+    return np.array([1.0, 1.0, 1.3])[:, None, None] * Q
+
+
+def _perturbed_hline_pencil(amplitude):
+    chart = cli.make_chart("perturbed", None, {"base": "hline", "amplitude": amplitude})
+    return point_frame(chart, cli.sample_points(chart, None, 1, 0, None)[0]).L
+
+
+@pytest.mark.parametrize("pencil", [
+    lambda: np.random.default_rng(3).standard_normal((3, 5, 5)),
+    lambda: (lambda A: A - A.swapaxes(1, 2))(np.random.default_rng(4).standard_normal((3, 4, 4))),
+    _scaled_quaternion_pencil,
+    lambda: np.einsum("ti,tj->tij", np.eye(3), np.eye(3)),   # σ_min = min|a_t|: ties at zero
+    lambda: _perturbed_hline_pencil(0.05),
+    lambda: _perturbed_hline_pencil(0.3),
+], ids=["random", "skew", "quaternion-ties", "diagonal-ties", "hline-0.05", "hline-0.3"])
+def test_pruned_net_keeps_the_whole_nets_choice(monkeypatch, pencil):
+    """A minimum evaluates σ_min coarse to fine only where the bound from
+    the nearest coarser point can still reach the fourth-best value, yet
+    grid_best, the best four net points and their values, the refined value
+    and the certificate are those of the whole net, ties broken by net order."""
+    T = pencil()
+    net, _ = _sphere_net(3, 17)
+    mats = {m.tobytes(): i for i, m in enumerate(np.einsum("st,tij->sij", net, T))}
+    runs = []
+    for whole in (False, True):
+        with monkeypatch.context() as m:
+            if whole:   # one level: the whole net
+                m.setattr(immersion, "_net_levels",
+                          lambda dim, r: (np.arange(len(net)), np.array([0, len(net)]), None, None))
+            log = _svd_log(m)
+            res = _pencil_extreme(T, False, 17)
+        vals = np.full(len(net), np.inf)   # σ_min of every net point the search evaluated
+        for stack, uv, out in log:
+            if not uv:
+                vals[[mats[a.tobytes()] for a in stack]] = out[:, -1]
+        starts = next(stack for stack, uv, _ in log if uv)
+        runs.append((res, vals, starts))
+    (res, vals, starts), (whole, wvals, wstarts) = runs
+    assert np.isfinite(wvals).all()
+    best = np.argsort(wvals, kind="stable")[:4]
+    assert np.array_equal(np.argsort(vals, kind="stable")[:4], best)
+    assert np.array_equal(vals[best], wvals[best])
+    assert np.array_equal(starts, wstarts)
+    assert np.array_equal(starts, np.einsum("st,tij->sij", net[best], T))
+    assert (res.grid_best, res.value, res.gap, res.rounds) == (
+        whole.grid_best, whole.value, whole.gap, whole.rounds)
+    assert res.grid_best == wvals[best[0]]
+    assert np.array_equal(res.argmax[0], whole.argmax[0])
+
+
+@pytest.mark.parametrize("dim,resolution,sizes", [
+    (3, 17, [13, 49, 193, 769]),       # resolutions 3, 5, 9, 17
+    (2, 9, [4, 8, 16]),
+    (3, 7, [(7**3 - 5**3) // 2]),      # r − 1 = 6 halves to an odd side: one level
+    (4, 9, [40, 272, 2080]),
+    (4, 17, [(14**4 - 12**4) // 2]),   # lowered to resolution 14 by the budget: an odd side
+    (16, 9, [16]),                     # the axes
+])
+def test_net_levels_are_the_nested_sub_lattices(dim, resolution, sizes):
+    """Each level adds the points of the next finer sub-lattice; every later
+    point's parent is a nearest coarser point up to sign."""
+    net, _ = _sphere_net(dim, resolution)
+    order, starts, parent, dist = immersion._net_levels(dim, resolution)
+    assert list(starts[1:]) == sizes
+    assert sorted(order) == list(range(len(net)))
+    assert (parent[order[:starts[1]]] == -1).all()
+    for lv in range(1, len(sizes)):
+        coarse, fine = order[:starts[lv]], order[starts[lv]:starts[lv + 1]]
+        assert np.isin(parent[fine], coarse).all()
+        dots = np.abs(net[fine] @ net[coarse].T)
+        assert np.allclose(dist[fine], np.sqrt(np.maximum(2 - 2 * dots.max(axis=1), 0)), atol=1e-15)
+    assert immersion._net_levels(dim, resolution)[0] is order
+    assert not any(arr.flags.writeable for arr in (order, starts, parent, dist))
+
+
 def test_equal_bounds_evaluate_every_chunk(monkeypatch):
     """T_t = e_t e_tᵀ: σ_max(T(a)) = max|a_t| ties at the four axes, while
     ‖T(a)‖_F = 1 everywhere, so no chunk can be skipped: the 16 blocks of

@@ -1,12 +1,14 @@
 """The report contract of `pullconn.report` on the records `analyze` writes."""
 import json
+import math
 
 import pytest
 
 from pullconn.algebra import Field
+from pullconn.catalog import CATALOG
 from pullconn.cli import main, make_chart, sample_points
 from pullconn.connection import analyze_point
-from pullconn.report import QUANTITIES, point_record
+from pullconn.report import QUANTITIES, expectation_checks, point_record
 from test_cli import ADVERTISED
 
 # (verdict, record key, record field)
@@ -74,3 +76,23 @@ def test_result_verdicts_agree_with_the_record(name, field, params):
         assert getattr(getattr(pa, key), reads) == rec[key][reads], name_
         assert pa.verdict[name_] == rec[key][reads], name_
     assert pa.verdict.get("corollary_satisfied") == rec["corollary"]["satisfied"]
+
+
+def test_an_every_point_check_fails_when_one_point_misses_it():
+    """A catalog check holds at every point of the sample, so its value is
+    the worst point's: veronese's holomorphic check passes on veronese
+    points and fails once a totally-real point, of Wirtinger angle π/2,
+    joins them."""
+    def records(name):
+        chart = make_chart(name, Field.COMPLEX, {})
+        return [point_record(analyze_point(chart, u)) for u in sample_points(chart, None, 2, 0)]
+
+    def holomorphic(recs):
+        return next(c for c in expectation_checks(CATALOG["veronese"], recs, [])
+                    if c["name"] == "holomorphic")
+
+    veronese = records("veronese")
+    assert holomorphic(veronese)["pass"] is True
+    mixed = holomorphic(veronese + records("totally-real"))
+    assert mixed["pass"] is False
+    assert mixed["value"] == pytest.approx(math.pi / 2)

@@ -203,14 +203,15 @@ def frob_stack(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((A.conj() * A).real, axis=tuple(range(1, A.ndim)), keepdims=True))
 
 
+def re_dot(X: np.ndarray, Y: np.ndarray, field: Field) -> np.ndarray:
+    """Re tr(X* Y) of each matrix pair of two stacks, summed as inner_re sums one pair."""
+    return np.add.reduce((np.conj(X) * Y).real, axis=tuple(range(-field.matrix_ndim, 0)), keepdims=True)
+
+
 def sq_norm(A, field: Field):
     """Σ|a|² over each matrix of a stack, or of a jet: real, and shaped
     (with unit matrix axes) to scale the stack."""
-    axes = tuple(range(-field.matrix_ndim, 0))
-
-    def re_dot(X, Y):
-        return np.add.reduce((np.conj(X) * Y).real, axis=axes, keepdims=True)
-    return _product(A, A, re_dot) if isinstance(A, Jet) else re_dot(A, A)
+    return _product(A, A, lambda X, Y: re_dot(X, Y, field)) if isinstance(A, Jet) else re_dot(A, A, field)
 
 
 def inv_small(A: np.ndarray, field: Field) -> np.ndarray:
@@ -354,12 +355,13 @@ def apply(x: Jet, f, f1, f2) -> Jet:
 # ----------------------------------------------------------------------------
 
 def expm_alg(A: np.ndarray, field: Field) -> np.ndarray:
-    """Matrix exponential over any field: the 18-term Taylor series of A/2^s,
-    ‖A/2^s‖_F ≤ 1/4, squared s times (Moler & Van Loan, SIAM Rev. 45, 2003)."""
-    nrm = frob(A)
+    """Matrix exponential over any field of one matrix or a stack
+    (..., n, n[, 4]): the 18-term Taylor series of A/2^s, ‖A/2^s‖_F ≤ 1/4 at
+    the stack's largest norm, squared s times (Moler & Van Loan, SIAM Rev. 45, 2003)."""
+    nrm = float(np.sqrt(sq_norm(A, field).max(initial=0.0)))
     s = int(np.ceil(np.log2(nrm / 0.25))) if nrm > 0.25 else 0
     T = A / (2.0 ** s)
-    out = term = eye(field, A.shape[0])
+    out = term = eye(field, A.shape[-field.matrix_ndim])
     for mdeg in range(1, 19):
         term = matmul_stack(term, T, field) / mdeg
         out = out + term
@@ -369,29 +371,31 @@ def expm_alg(A: np.ndarray, field: Field) -> np.ndarray:
 
 
 def skew_exp(A: np.ndarray, field: Field):
-    """u ↦ the stack e^{u_b A} over the entries of a column u, for one
-    skew-Hermitian A.
+    """u ↦ the stack e^{u_b A} (B, ..., n, n[, 4]) over the entries of a
+    column u (B,), for one skew-Hermitian A or a stack (..., n, n[, 4]).
 
     Over R and C from one eigendecomposition iA = Q diag(w) Q*, so that
     e^{uA} = Q diag(e^{−iuw}) Q* (Moler & Van Loan, "Nineteen dubious ways
     to compute the exponential of a matrix, twenty-five years later", SIAM
-    Rev. 45, 2003, method 14); the real part over R.  Over H one expm_alg
-    call per entry.
+    Rev. 45, 2003, method 14); over R a contiguous copy of the real part.
+    Over H one expm_alg call per entry, over the whole stack of A.
     """
     if field is Field.QUATERNION:
         return lambda u: np.array([expm_alg(A * float(t), field) for t in u])
     w, Q = np.linalg.eigh(1j * A)
-    Qh = Q.conj().T
+    Qh = np.swapaxes(Q.conj(), -1, -2)
 
     def expo(u):
-        E = (Q * np.exp(-1j * np.multiply.outer(u, w))[:, None, :]) @ Qh
-        return E.real if field is Field.REAL else E
+        E = (Q * np.exp(-1j * np.multiply.outer(u, w))[..., None, :]) @ Qh
+        return np.ascontiguousarray(E.real) if field is Field.REAL else E
     return expo
 
 
-def random_matrix(rng: np.random.Generator, field: Field, m: int, n: int, scale: float = 1.0) -> np.ndarray:
-    if field is Field.QUATERNION:
-        return scale * rng.standard_normal((m, n, 4))
+def random_matrix(rng: np.random.Generator, field: Field, m: int, n: int, scale: float = 1.0,
+                  lead: tuple = ()) -> np.ndarray:
+    """Gaussian m×n matrices over the field, stacked over `lead` in the order of one call each."""
     if field is Field.COMPLEX:
-        return scale * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-    return scale * rng.standard_normal((m, n))
+        R = rng.standard_normal(lead + (2, m, n))
+        return scale * (R[..., 0, :, :] + 1j * R[..., 1, :, :])
+    shape = lead + ((m, n, 4) if field is Field.QUATERNION else (m, n))
+    return scale * rng.standard_normal(shape)

@@ -30,7 +30,6 @@ import csv
 import io
 import json
 import math
-import multiprocessing as mp
 import os
 import re
 import sys
@@ -261,6 +260,7 @@ def analyze_sample(chart, points, normalize, workers):
     if workers <= 1 or len(points) <= 1:
         results = [_pool_point(u) for u in points]
     else:
+        import multiprocessing as mp   # here only: a serial run never pays its import
         with mp.get_context("fork").Pool(min(workers, len(points))) as pool:
             results = pool.map(_pool_point, points, chunksize=1)
     records = [rec for status, rec in results if status == "ok"]

@@ -30,7 +30,6 @@ from .algebra import (
     ct_stack,
     eye,
     frob,
-    frob_stack,
     from_real,
     inner_re,
     matmul_stack,
@@ -64,10 +63,11 @@ def projector(V: np.ndarray, field: Field) -> np.ndarray:
 
 
 def stiefel_points(V: np.ndarray, field: Field) -> np.ndarray:
-    """Stacked Stiefel representatives V (B, N, k[, 4]): rows with V*V = I
-    within 1e-8·√k are kept, the others orthonormalized."""
-    k = V.shape[2]
-    off = frob_stack(matmul_stack(ct_stack(V, field), V, field) - eye(field, k)) > 1e-8 * np.sqrt(k)
+    """Stacked Stiefel representatives V (..., N, k[, 4]): matrices with
+    V*V = I within 1e-8·√k are kept, the others orthonormalized."""
+    k = V.shape[1 - field.matrix_ndim]
+    gap = matmul_stack(ct_stack(V, field), V, field) - eye(field, k)
+    off = np.sqrt(sq_norm(gap, field)) > 1e-8 * np.sqrt(k)
     return np.where(off, orthonormalize(V, field), V) if off.any() else V
 
 

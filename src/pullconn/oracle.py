@@ -12,9 +12,10 @@ differences of the chart's values.  A tangent enters the isometry
 algebra as its `ambient_lift` HV* − VH*, which is also the transport
 generator [P', P].  Every oracle makes one chart call per batch:
 `dr_oracle` stacks its four curve parameters, a holonomy loop its four
-legs and every loop size.  Holonomy generators are the Gregory series
-logarithm of the whole stack of return matrices V0* T: k×k matrices over
-the field, so they lie in the structure algebra m as `bracket_m` does.
+legs and every loop size, `lemma_omega_check` its trials in one `exp_chart`.
+Holonomy generators are the Gregory series logarithm of the whole stack of
+return matrices V0* T: k×k matrices over the field, so they lie in the
+structure algebra m as `bracket_m` does.
 
 Orientation note.  The fibre curvature operator that holonomy actually
 measures is the raw projector bracket ``P [d_i P, d_j P]``;
@@ -36,11 +37,10 @@ from .algebra import (
     Jet,
     ct_stack,
     eye,
-    frob,
-    inner_re,
     inv_small,
     matmul_stack,
     random_matrix,
+    re_dot,
     skew_exp,
     sq_norm,
 )
@@ -50,10 +50,9 @@ from .homogeneous import (
     GrassTangent,
     ambient_lift,
     horizontal_stack,
-    point_from_stiefel,
     projector,
     projector_derivative,
-    random_horizontal,
+    stiefel_points,
 )
 from .immersion import ImmersionChart, chart_jet
 
@@ -249,7 +248,8 @@ def exp_chart(pt: GrassPoint, X: GrassTangent, Y: GrassTangent,
     ambient_lift of each tangent; both exponentials are computed once per
     coordinate row.  The column jet is written out: each derivative along
     u1 brings down A_X after e^{u1 A_X}, each along u2 brings down A_Y
-    after e^{u2 A_Y}."""
+    after e^{u2 A_Y}.  Over a stack (trials, N, k[, 4]) of V, X.H and Y.H
+    the columns are (rows, [2, [2,]] trials, N, k[, 4])."""
     f, V = pt.field, pt.V
     AX, AY = ambient_lift(V, X.H, f), ambient_lift(V, Y.H, f)
     expX, expY = skew_exp(AX, f), skew_exp(AY, f)
@@ -306,34 +306,29 @@ def lemma_omega_check(field, N: int, k: int, trials: int = 20,
     least-squares constant (expected 1/2), the worst absolute deviation of
     the algebra elements from c_fit times the bracket projection, and the
     mean Frobenius norm of the Hermitian parts of -G / 2: how far the
-    generators fall outside m.
+    generators fall outside m.  The trials are one stack (V, X, Y) of shape
+    (trials, N, k[, 4]): one exp_chart, one holonomy_generator over eps ×
+    trials, G (2, trials, k, k[, 4]), and Python sums in trial order.
     """
     field = Field.parse(field)
     rng = np.random.default_rng(seed)
-    omegas = []
-    refs = []
-    residuals = []
-    for _ in range(trials):
-        pt = point_from_stiefel(random_matrix(rng, field, N, k), field)
-        X = random_horizontal(rng, pt)
-        X = GrassTangent(pt, X.H / X.norm())
-        Y = random_horizontal(rng, pt)
-        Y = GrassTangent(pt, Y.H - X.H * inner_re(Y.H, X.H))
-        Y = GrassTangent(pt, Y.H / Y.norm())
-        chart = exp_chart(pt, X, Y, half_width=4.0 * eps)
-        e = np.array([eps, eps / 2.0])
-        G = holonomy_generator(chart, np.zeros(2), 0, 1, e, steps_per_leg=steps_per_leg,
-                               order="ji", centered=True)
-        G = G / e.reshape((-1,) + (1,) * field.matrix_ndim)**2
-        G = (4.0 * G[1] - G[0]) / 3.0
-        B = -G / 2.0
-        omegas.append(0.5 * (B - ct_stack(B, field)))
-        refs.append(bracket_m(X, Y))
-        residuals.append(frob(0.5 * (B + ct_stack(B, field))))
-    num = sum(inner_re(o, r) for o, r in zip(omegas, refs))
-    den = sum(inner_re(r, r) for r in refs)
-    c = float(num / den)
-    dev = max(frob(o - c * r) for o, r in zip(omegas, refs))
+    V, X, Y = np.moveaxis(random_matrix(rng, field, N, k, lead=(trials, 3)), 1, 0)
+    pt = GrassPoint(field, N, k, stiefel_points(V, field))
+    X, Y = horizontal_stack(pt.V, np.stack([X, Y]), field)
+    X = X / np.sqrt(sq_norm(X, field))
+    Y = Y - X * re_dot(X, Y, field)
+    X, Y = GrassTangent(pt, X), GrassTangent(pt, Y / np.sqrt(sq_norm(Y, field)))
+    chart = exp_chart(pt, X, Y, half_width=4.0 * eps)
+    e = np.array([eps, eps / 2.0])
+    G = holonomy_generator(chart, np.zeros(2), 0, 1, e, steps_per_leg=steps_per_leg,
+                           order="ji", centered=True)
+    G = G / e.reshape((-1,) + (1,) * (field.matrix_ndim + 1))**2
+    B = -(4.0 * G[1] - G[0]) / 3.0 / 2.0
+    omegas, refs = 0.5 * (B - ct_stack(B, field)), bracket_m(X, Y)
+    residuals = np.sqrt(sq_norm(0.5 * (B + ct_stack(B, field)), field))
+    c = float(sum(re_dot(refs, omegas, field).ravel().tolist())
+              / sum(sq_norm(refs, field).ravel().tolist()))
+    dev = np.sqrt(sq_norm(omegas - c * refs, field)).max()
     return LoopGeneratorCheck(c, float(dev), float(np.mean(residuals)), trials)
 
 

@@ -26,6 +26,7 @@ from pullconn.algebra import (
     inner_re,
     matmul_stack,
     quat,
+    random_matrix,
     to_real,
     units,
     zeros,
@@ -37,14 +38,19 @@ from pullconn.homogeneous import (
     point_from_stiefel,
     projector,
     projector_derivative,
+    random_horizontal,
 )
 from pullconn.immersion import chart_jet
 from pullconn.oracle import (
     DR_BASE_STEPS,
     DR_DELTA,
     DR_TRANSPORT_STEPS,
+    LoopGeneratorCheck,
     base_transport,
+    bracket_m,
     curvature_pairing_fd,
+    exp_chart,
+    holonomy_generator,
     parallel_transport,
 )
 
@@ -487,6 +493,50 @@ def holonomy_map_loop(chart, u, i: int, j: int, eps: float, steps_per_leg: int =
     for a, b in zip(corners[:-1], corners[1:]):
         s, _ = parallel_transport(chart, a, b, s, steps=steps_per_leg)
     return pt0, s
+
+
+def lemma_omega_check_loop(field, N: int, k: int, trials: int = 20, eps: float = 0.01,
+                           seed: int = 424242, steps_per_leg: int = 10) -> LoopGeneratorCheck:
+    """lemma_omega_check one trial at a time: three draws, one exp_chart and
+    one holonomy_generator per trial, and Python sums over the trials."""
+    rng = np.random.default_rng(seed)
+    omegas, refs, residuals = [], [], []
+    for _ in range(trials):
+        pt = point_from_stiefel(random_matrix(rng, field, N, k), field)
+        X = random_horizontal(rng, pt)
+        X = GrassTangent(pt, X.H / X.norm())
+        Y = random_horizontal(rng, pt)
+        Y = GrassTangent(pt, Y.H - X.H * inner_re(Y.H, X.H))
+        Y = GrassTangent(pt, Y.H / Y.norm())
+        chart = exp_chart(pt, X, Y, half_width=4.0 * eps)
+        e = np.array([eps, eps / 2.0])
+        G = holonomy_generator(chart, np.zeros(2), 0, 1, e, steps_per_leg=steps_per_leg,
+                               order="ji", centered=True)
+        G = G / e.reshape((-1,) + (1,) * field.matrix_ndim)**2
+        G = (4.0 * G[1] - G[0]) / 3.0
+        B = -G / 2.0
+        omegas.append(0.5 * (B - ct_stack(B, field)))
+        refs.append(bracket_m(X, Y))
+        residuals.append(frob(0.5 * (B + ct_stack(B, field))))
+    num = sum(inner_re(o, r) for o, r in zip(omegas, refs))
+    den = sum(inner_re(r, r) for r in refs)
+    c = float(num / den)
+    dev = max(frob(o - c * r) for o, r in zip(omegas, refs))
+    return LoopGeneratorCheck(c, float(dev), float(np.mean(residuals)), trials)
+
+
+def expm_taylor(A: np.ndarray, field: Field) -> np.ndarray:
+    """The scaled Taylor exponential of one matrix, scaled by its own norm."""
+    nrm = frob(A)
+    s = int(np.ceil(np.log2(nrm / 0.25))) if nrm > 0.25 else 0
+    T = A / (2.0 ** s)
+    out = term = eye(field, A.shape[0])
+    for mdeg in range(1, 19):
+        term = matmul_stack(term, T, field) / mdeg
+        out = out + term
+    for _ in range(s):
+        out = matmul_stack(out, out, field)
+    return out
 
 
 def dr_oracle_loop(chart, u, x_coords, y_coords, z_coords, w0, v0) -> float:

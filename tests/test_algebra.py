@@ -23,9 +23,12 @@ from pullconn.algebra import (
     qconj,
     quat,
     random_matrix,
+    sq_norm,
     zeros,
 )
-from reference import complete_basis, inner_g0, norm_g0, qmul, re_trace, scalar_right, sym_eig_small
+from reference import (
+    complete_basis, expm_taylor, inner_g0, norm_g0, qmul, re_trace, scalar_right, sym_eig_small,
+)
 
 FIELDS = [Field.REAL, Field.COMPLEX, Field.QUATERNION]
 
@@ -265,6 +268,23 @@ def test_expm_alg_matches_scipy(field):
             want = sla.expm(complex_form(A, field))
             err = np.abs(complex_form(expm_alg(A, field), field) - want).max()
             assert err <= 1e-12 * max(np.abs(want).max(), 1.0), (scale, seed, err)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.value)
+def test_expm_alg_on_a_stack(field):
+    """A (5, 3, 3[, 4]) stack at Frobenius norms 1e-3, 0.2, 1, 5 and 20
+    takes one scaling, from its largest norm: every exponential is within
+    1e-13·max(1, max|e^A|) of its own call.  A single matrix is still the
+    series scaled by its own norm, bit for bit."""
+    A = random_matrix(np.random.default_rng(6), field, 3, 3, lead=(5,))
+    scale = np.array([1e-3, 0.2, 1.0, 5.0, 20.0]).reshape((5,) + (1,) * field.matrix_ndim)
+    A = A * (scale / np.sqrt(sq_norm(A, field)))
+    E = expm_alg(A, field)
+    assert E.shape == A.shape
+    for a, e in zip(A, E):
+        one = expm_alg(a, field)
+        assert np.array_equal(one, expm_taylor(a, field))
+        assert np.abs(e - one).max() <= 1e-13 * max(1.0, np.abs(one).max())
 
 
 def test_expm_skew_gives_unitary():

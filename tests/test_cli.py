@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -491,12 +492,14 @@ def test_halton_matches_scipy_bit_for_bit(d):
 def test_analyze_and_verify_load_no_scipy():
     """A random-sample analyze with --normalize and a verify pass, in one
     process, load no scipy module: the package runs on numpy alone (scipy's
-    import cost about 0.2 s and 20 MB of RSS per run)."""
+    import cost about 0.2 s and 20 MB of RSS per run).  Nor do they load
+    multiprocessing, which only a pool of workers uses (about 0.67 MB of
+    RSS and 6 ms per process)."""
     code = ("import sys, pullconn.cli as c; "
             "assert c.main(['analyze', '--example', 'hline', '--random', '2', "
             "'--workers', '1', '--normalize']) == 0; "
             "assert c.main(['verify']) == 0; "
-            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "loaded = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')]; "
             "assert loaded == [], loaded")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
@@ -599,36 +602,42 @@ def test_verify_times_every_check(tmp_path):
     assert sum(seconds.values()) <= report["timing"]["seconds"]
 
 
-# chart work of one `verify` pass: 36 calls and 3,070 rows (36 calls and
-# 9,470 rows when the Christoffel symbols took a 1 + 4n² row projector
+# chart work of one `verify` pass: 27 calls and 3,070 rows (36 calls and
+# 3,070 rows when each trial of the loop-generator check built its own exp
+# chart; 36 calls and 9,470 rows when the Christoffel symbols took a 1 + 4n² row projector
 # stencil per node; 38 calls and 15,792 rows when the transports took
 # finite-difference stencils and the second fundamental form its own call;
 # 182 calls and 41,574 rows when the Christoffel stencil was nested and
 # each holonomy leg, curve parameter and frame pair took its own call)
-VERIFY_CHART_CALLS = 36
+VERIFY_CHART_CALLS = 27
 VERIFY_CHART_ROWS = 3_070
 
 
 def test_verify_chart_work_stays_within_its_budget(monkeypatch, capsys):
     """Counts the cols calls (a jet of any order) and the eval_point calls
     (order 0), and their rows, of the charts `verify` builds; a re-nested
-    stencil or an unstacked loop fails here without any timing."""
+    stencil or an unstacked loop fails here without any timing.  A row is
+    one matrix of the returned columns: a chart over a stack of points, as
+    the loop-generator check's exp chart is, returns (rows, trials, N,
+    k[, 4]) and counts rows × trials."""
     from pullconn import oracle
 
     work = [0, 0]
 
-    def counted(fn):
+    def counted(fn, field):
         def wrapped(U):
+            out = fn(U)
+            V = getattr(out, "v", out)
             work[0] += 1
-            work[1] += len(getattr(U, "v", U))
-            return fn(U)
+            work[1] += int(np.prod(V.shape[:V.ndim - field.matrix_ndim]))
+            return out
         return wrapped
 
     def traced(factory):
         def build(*args, **kwargs):
             chart = factory(*args, **kwargs)
-            return dataclasses.replace(chart, cols=counted(chart.cols),
-                                       eval_point=counted(chart.eval_point))
+            return dataclasses.replace(chart, cols=counted(chart.cols, chart.field),
+                                       eval_point=counted(chart.eval_point, chart.field))
         return build
 
     monkeypatch.setattr(cli, "build_chart", traced(cli.build_chart))
@@ -636,6 +645,23 @@ def test_verify_chart_work_stays_within_its_budget(monkeypatch, capsys):
     assert main(["verify"]) == 0
     capsys.readouterr()
     assert work[0] <= VERIFY_CHART_CALLS and work[1] <= VERIFY_CHART_ROWS, work
+
+
+def test_verify_traces_little_memory(capsys):
+    """One in-process `verify` pass peaks below 3 MiB of traced allocations
+    (1.44 MiB with one exp chart per loop-generator trial, 2.17 MiB with the
+    trials stacked, both on a first pass).  The benchmark's peak RSS bound
+    is 5% on `verify-oracles`, and its timed loop keeps every result
+    (ROADMAP item 1), so a stack that trades memory for calls shows here
+    before it reads there as a regression."""
+    tracemalloc.start()
+    try:
+        assert main(["verify"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 3 * 2**20, peak
 
 
 @pytest.mark.parametrize("argv,nets", [

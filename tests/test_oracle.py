@@ -45,6 +45,7 @@ from reference import (
     frame_lift,
     gram_at,
     holonomy_map_loop,
+    lemma_omega_check_loop,
     left_mult_matrix,
     lie_lift,
     proj_m,
@@ -52,7 +53,7 @@ from reference import (
     sectional_base_fd,
 )
 from pullconn.homogeneous import (
-    GrassTangent, ambient_lift, point_from_stiefel, random_horizontal, stiefel_points,
+    GrassPoint, GrassTangent, ambient_lift, point_from_stiefel, random_horizontal, stiefel_points,
 )
 
 
@@ -218,6 +219,42 @@ def test_loop_generator_constant_is_half(field, N, k, trials):
     assert res.mean_residual < 1e-6
 
 
+@pytest.mark.parametrize("field,N,k,trials", [(Field.REAL, 4, 2, 10), (Field.COMPLEX, 3, 1, 16)],
+                         ids=["r-G2R4", "c-3x1"])
+def test_stacked_trials_match_the_per_trial_loop(field, N, k, trials):
+    """lemma_omega_check over one stack of trials returns what one exp chart
+    and one holonomy per trial return, bit for bit: the draws follow the
+    same stream and the sums over trials run in the same order (numpy's
+    pairwise sum over the 16 complex trials differs in the last bit)."""
+    got = lemma_omega_check(field, N, k, trials=trials, seed=424242)
+    want = lemma_omega_check_loop(field, N, k, trials=trials, seed=424242)
+    for name in ("c_fit", "max_deviation", "mean_residual", "trials"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("field,N,k", [(Field.REAL, 4, 2), (Field.COMPLEX, 3, 1),
+                                       (Field.COMPLEX, 4, 2), (Field.QUATERNION, 3, 1)])
+def test_stacked_exp_chart_holonomy_matches_one_chart_per_trial(field, N, k):
+    """One exp_chart over a stack of five (V, X, Y) carries a trial axis:
+    its holonomy generators, (eps, trials, k, k[, 4]), equal those of one
+    chart per trial, bitwise over R and C; over H within 1e-12, since the
+    stacked expm_alg scales every trial by the largest norm."""
+    rng = np.random.default_rng(17)
+    pairs = [_unit_pair(rng, field, N, k) for _ in range(5)]
+    pt = GrassPoint(field, N, k, np.array([p.V for p, _, _ in pairs]))
+    X, Y = (GrassTangent(pt, np.array([t[i].H for t in pairs])) for i in (1, 2))
+    e = np.array([0.01, 0.005])
+    kw = dict(steps_per_leg=10, order="ji", centered=True)
+    G = holonomy_generator(exp_chart(pt, X, Y, half_width=0.04), np.zeros(2), 0, 1, e, **kw)
+    assert G.shape == (2, 5) + eye(field, k).shape
+    for t, (p, x, y) in enumerate(pairs):
+        want = holonomy_generator(exp_chart(p, x, y, half_width=0.04), np.zeros(2), 0, 1, e, **kw)
+        if field is Field.QUATERNION:
+            assert np.max(np.abs(G[:, t] - want)) <= 1e-12
+        else:
+            assert np.array_equal(G[:, t], want)
+
+
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
 @pytest.mark.parametrize("k", [1, 2])
 def test_left_mult_matrix_is_multiplicative(field, k):
@@ -317,6 +354,26 @@ def test_stiefel_rows_follow_point_from_stiefel(field):
         pt = point_from_stiefel(V[b], field)
         assert np.max(np.abs(Vs[b] - pt.V)) < 1e-15
     assert np.array_equal(Vs[0], V[0]) and not np.array_equal(Vs[1], V[1])
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX, Field.QUATERNION])
+def test_stiefel_points_on_two_leading_axes(field):
+    """A (2, 3, N, k[, 4]) stack, its first row orthonormal already, gives
+    the (6, N, k[, 4]) stack's result bit for bit, and every matrix its own
+    result: bit for bit over R and C; over H within 1e-15, since the
+    quaternion product of a single column pair takes a matrix-vector BLAS
+    kernel where a stack of them takes a matrix-matrix one."""
+    rng = np.random.default_rng(8)
+    V = random_matrix(rng, field, 4, 2, lead=(2, 3))
+    V[0] = orthonormalize(V[0], field)
+    Vs = stiefel_points(V, field)
+    assert Vs.shape == V.shape and np.array_equal(Vs[0], V[0])
+    flat = V.reshape((6,) + V.shape[2:])
+    assert np.array_equal(Vs.reshape(flat.shape), stiefel_points(flat, field))
+    for a in range(2):
+        for b in range(3):
+            one = stiefel_points(V[a, b][None], field)[0]
+            assert np.abs(Vs[a, b] - one).max() <= (1e-15 if field is Field.QUATERNION else 0.0)
 
 
 def test_base_transport_isometry_and_reversal():

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb, isfinite
+from numbers import Real
+from typing import Callable
 
 import numpy as np
 
@@ -121,22 +123,16 @@ def grassmann_sub(k: int = 2, m: int = 4, N: int = 5) -> ImmersionChart:
 # perturbed: geodesic-graph perturbation of a rank-one base chart
 # ----------------------------------------------------------------------------
 
-PERTURBED_BASES = {Field.REAL: "linear", Field.COMPLEX: "veronese", Field.QUATERNION: "hline"}
+# the base chart `perturbed` wraps when none is given, by field (None: no field)
+PERTURBED_BASES = {Field.REAL: "linear", Field.COMPLEX: "veronese", Field.QUATERNION: "hline",
+                   None: "veronese"}
 
 
-def perturbed_base(field: Field = None) -> str:
-    """The base chart `perturbed` wraps when none is given: linear over R,
-    veronese over C or with no field, hline over H."""
-    return PERTURBED_BASES[Field.COMPLEX if field is None else Field.parse(field)]
-
-
-def perturbed(base: ImmersionChart = None, amplitude: float = 0.05,
+def perturbed(base: ImmersionChart, amplitude: float = 0.05,
               seed: int = 7, modes: int = 3) -> ImmersionChart:
     """The base point V0 = W0/|W0| moved along the geodesic of
     amplitude·Σ_t (c_t − V0V0*c_t)·sin(ω_t·u + φ_t) for seeded ω_t, φ_t and
     unit c_t."""
-    if base is None:
-        base = veronese(2)
     if base.k != 1:
         raise ValueError("perturbation wrapper supports rank-one charts only")
     rng = np.random.default_rng(seed)
@@ -175,40 +171,52 @@ class CatalogEntry:
     summary: str
     fields: tuple              # fields the chart exists over
     defaults: dict
-    expected: dict             # headline properties for reports and tests
+    expected: dict             # properties report.EXPECTATIONS checks on every sample
+    make: Callable             # make(field or None, **every parameter) -> ImmersionChart
+    bases: dict = None         # a wrapper's default `base` entry by field; base_* keys go to it
 
-    def build(self, field: Field = None, **params) -> ImmersionChart:
-        p = dict(self.defaults)
-        p.update({k: v for k, v in params.items() if v is not None})
+    def build(self, field=None, **params) -> ImmersionChart:
+        """The one gate for a chart's parameters, checked in this order:
+        unknown keys (a wrapper's base_* keys against its base entry),
+        non-finite values, whole values where the default is an int (3.0
+        is 3), a field the entry does not list, and a built chart over
+        another field.  Each raises ValueError; None means the default."""
+        field = None if field is None else Field.parse(field)
+        p = {**self.defaults, **{k: v for k, v in params.items() if v is not None}}
+        base = None
+        if self.bases:
+            p["base"] = base = self.bases[field] if p["base"] is None else p["base"]
+            if base not in CATALOG:
+                raise ValueError(f"unknown base {base!r}; known: {sorted(CATALOG)}")
+        for key in params:
+            if base and key.startswith("base_"):
+                if key[5:] not in CATALOG[base].defaults:
+                    raise ValueError(f"parameter '{key}' does not apply to base '{base}' "
+                                     f"(known: {sorted('base_' + k for k in CATALOG[base].defaults)})")
+            elif key not in self.defaults:
+                raise ValueError(f"unknown parameter '{key}' for example '{self.name}' "
+                                 f"(known: {sorted(self.defaults)})")
         for key, v in p.items():
             if isinstance(v, float) and not isfinite(v):
                 raise ValueError(f"parameter '{key}' must be finite, got {v!r}")
+        for key, default in self.defaults.items():
+            if isinstance(default, int):   # a fractional value is an error, not truncated
+                if not isinstance(p[key], Real) or float(p[key]) != int(p[key]):
+                    raise ValueError(f"parameter '{key}' must be an integer, got {p[key]!r}")
+                p[key] = int(p[key])
+        if field is not None and field not in self.fields:
+            raise ValueError(f"example '{self.name}' is not defined over {field.value!r}; "
+                             f"fields: {[f.value for f in self.fields]}")
+        chart = self.make(field, **p)
+        if field is not None and chart.field is not field:
+            raise ValueError(f"example '{self.name}' with {params or 'default parameters'} builds a "
+                             f"chart over {chart.field.value!r}, not {field.value!r}")
+        return chart
 
-        def whole(key: str) -> int:
-            """An integer parameter; a fractional value is an error, not truncated."""
-            if float(p[key]) != int(p[key]):
-                raise ValueError(f"parameter '{key}' must be an integer, got {p[key]!r}")
-            return int(p[key])
 
-        if self.name == "linear":
-            f = Field.parse(field) if field is not None else Field.COMPLEX
-            return linear_embedding(f, m=whole("m"), N=whole("N"))
-        if self.name == "veronese":
-            return veronese(whole("d"))
-        if self.name == "totally-real":
-            return totally_real(whole("n"))
-        if self.name == "clifford":
-            return clifford_torus()
-        if self.name == "hline":
-            return quaternionic_line(whole("N"))
-        if self.name == "grassmann-sub":
-            return grassmann_sub(whole("k"), whole("m"), whole("N"))
-        if self.name == "perturbed":
-            base = CATALOG[perturbed_base(field) if p["base"] is None else p["base"]].build(
-                field, **{k[5:]: v for k, v in p.items() if k.startswith("base_")}
-            )
-            return perturbed(base, amplitude=float(p["amplitude"]), seed=whole("seed"))
-        raise KeyError(self.name)
+def _perturbed(field, base, amplitude, seed, **base_params) -> ImmersionChart:
+    return perturbed(CATALOG[base].build(field, **{k[5:]: v for k, v in base_params.items()}),
+                     amplitude=float(amplitude), seed=seed)
 
 
 CATALOG = {
@@ -216,45 +224,53 @@ CATALOG = {
         "linear", "projective subspace K P^{m-1} in G_1(K^N)",
         (Field.REAL, Field.COMPLEX, Field.QUATERNION),
         {"m": 3, "N": 4},
-        {"totally_geodesic": True, "fat_expected": "field-dependent"},
+        {"totally_geodesic": True},
+        lambda field, m, N: linear_embedding(Field.COMPLEX if field is None else field, m, N),
     ),
     "veronese": CatalogEntry(
         "veronese", "degree-d rational normal curve in CP^d",
         (Field.COMPLEX,),
         {"d": 2},
-        {"holomorphic": True, "parallel": True, "gram_ratio": "d"},
+        {"holomorphic": True, "parallel": True},
+        lambda field, d: veronese(d),
     ),
     "totally-real": CatalogEntry(
         "totally-real", "real projective space RP^n in CP^n",
         (Field.COMPLEX,),
         {"n": 2},
         {"totally_geodesic": True, "wirtinger": "pi/2"},
+        lambda field, n: totally_real(n),
     ),
     "clifford": CatalogEntry(
         "clifford", "flat Lagrangian torus in CP^2",
         (Field.COMPLEX,),
         {},
-        {"flat": True, "minimal": True, "wirtinger": "pi/2"},
+        {"flat": True, "wirtinger": "pi/2"},
+        lambda field: clifford_torus(),
     ),
     "hline": CatalogEntry(
         "hline", "quaternionic projective line in HP^{N-1}",
         (Field.QUATERNION,),
         {"N": 3},
-        {"totally_geodesic": True, "quaternionic": True},
+        {"totally_geodesic": True},
+        lambda field, N: quaternionic_line(N),
     ),
     "grassmann-sub": CatalogEntry(
         "grassmann-sub", "real sub-Grassmannian G_k(R^m) in G_k(R^N)",
         (Field.REAL,),
         {"k": 2, "m": 4, "N": 5},
         {"totally_geodesic": True},
+        lambda field, k, m, N: grassmann_sub(k, m, N),
     ),
     "perturbed": CatalogEntry(
         "perturbed", "seeded geodesic-graph perturbation of a base chart, by default "
-        + ", ".join(f"{b} over {f.value}" for f, b in PERTURBED_BASES.items())
-        + f" and {perturbed_base()} with no field",
+        + ", ".join(f"{b} over {f.value}" for f, b in PERTURBED_BASES.items() if f)
+        + f" and {PERTURBED_BASES[None]} with no field",
         (Field.REAL, Field.COMPLEX, Field.QUATERNION),
         {"base": None, "amplitude": 0.05, "seed": 7},
-        {"deterministic": True, "breaks_parallel": True},
+        {"breaks_parallel": True},
+        _perturbed,
+        PERTURBED_BASES,
     ),
 }
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import oracle
 from .algebra import Field
-from .catalog import CATALOG, build_chart, perturbed_base
+from .catalog import CATALOG, build_chart
 from .connection import POINT_BYTES, analyze_point, point_bytes
 from .immersion import ChartDomainError, NotImmersionError, point_frame
 from .report import NO_POINT, SCHEMA, aggregate_records, expectation_checks, point_record
@@ -116,45 +116,15 @@ def parse_range(text: str):
 # chart construction and sampling
 # ----------------------------------------------------------------------------
 
-def _validate_params(name: str, field, params: dict):
-    entry = CATALOG[name]
-    for key in params:
-        if name == "perturbed" and key.startswith("base_"):
-            base = params.get("base", perturbed_base(field))
-            known = CATALOG[base].defaults if base in CATALOG else {}
-            if key[5:] in known:
-                continue
-            raise ConfigError(
-                f"parameter '{key}' does not apply to base '{base}' "
-                f"(known: {sorted('base_' + k for k in known)})"
-            )
-        if key in entry.defaults:
-            continue
-        raise ConfigError(
-            f"unknown parameter '{key}' for example '{name}' "
-            f"(known: {sorted(entry.defaults)})"
-        )
-
-
 def make_chart(name: str, field, params: dict):
+    """The catalog chart, or ConfigError for an unknown name, what
+    `CatalogEntry.build` refuses, or a chart over the per-point memory bound."""
     if name not in CATALOG:
         raise ConfigError(f"unknown example '{name}'; known: {sorted(CATALOG)}")
-    entry = CATALOG[name]
-    if field is not None and field not in entry.fields:
-        raise ConfigError(
-            f"example '{name}' is not defined over {field.value!r}; "
-            f"fields: {[f.value for f in entry.fields]}"
-        )
-    _validate_params(name, field, params)
     try:
         chart = build_chart(name, field=field, **params)
     except Exception as exc:
         raise ConfigError(f"could not build '{name}': {exc}") from exc
-    if field is not None and chart.field is not field:
-        raise ConfigError(
-            f"example '{name}' with {params or 'default parameters'} builds a "
-            f"chart over {chart.field.value!r}, not {field.value!r}"
-        )
     if point_bytes(chart) > POINT_BYTES:
         raise ConfigError(f"example '{name}' needs about {point_bytes(chart) >> 20} MiB of "
                           f"arrays per point, over the {POINT_BYTES >> 20} MiB bound")
@@ -168,11 +138,9 @@ SAMPLE_MARGIN = 1.05 * 4.0 * 10.0 ** -2.5
 
 def sample_points(chart, grid, random_n, seed, margin=None):
     """Sample interior chart coordinates, margin (default SAMPLE_MARGIN)
-    clear of the box edges.
-
-    Two-dimensional charts default to a uniform grid; higher dimensions use
-    a scrambled Halton sequence.  Raises ConfigError when the margin leaves
-    no interior.
+    clear of the box edges: the uniform grid (a, b) of a 2-d chart, or
+    random_n points of the scrambled Halton sequence of `seed`.  Raises
+    ConfigError when the margin leaves no interior.
     """
     margin = SAMPLE_MARGIN if margin is None else margin
     lows = np.array([lo + margin for lo, _ in chart.box])
@@ -184,8 +152,6 @@ def sample_points(chart, grid, random_n, seed, margin=None):
         )
     if grid is not None and random_n is not None:
         raise ConfigError("--grid and --random are mutually exclusive")
-    if grid is None and random_n is None and chart.dim == 2:
-        grid = (4, 4)
     if grid is not None:
         if chart.dim != 2:
             raise ConfigError(
@@ -196,12 +162,25 @@ def sample_points(chart, grid, random_n, seed, margin=None):
         us = np.linspace(lows[0], highs[0], a)
         vs = np.linspace(lows[1], highs[1], b)
         return [np.array([x, y]) for x in us for y in vs]
-    if random_n is None:
-        random_n = 12
     if random_n < 1:
         raise ConfigError("--random must request at least one point")
     unit = _halton(chart.dim, random_n, seed)
     return [lows + row * (highs - lows) for row in unit]
+
+
+def _command_sample(chart, args, default):
+    """The points `analyze` or `sweep` runs: --grid, --random, or by default
+    the grid default[0] on a 2-d chart and default[1] Halton points on any
+    other.  --seed seeds only Halton points, so a grid refuses it."""
+    grid = parse_grid(args.grid) if args.grid else None
+    count = args.random
+    if grid is None and count is None:
+        grid, count = (default[0], None) if chart.dim == 2 else (None, default[1])
+    points = sample_points(chart, grid, count, args.seed or 0)
+    if count is None and args.seed is not None:
+        raise ConfigError(f"--seed applies to --random samples; '{chart.name}' is sampled "
+                          f"on a {grid[0]}x{grid[1]} grid")
+    return points
 
 
 def _primes(count: int) -> list:
@@ -273,37 +252,26 @@ def analyze_sample(chart, points, normalize, workers):
 # ----------------------------------------------------------------------------
 
 def cmd_list(args) -> tuple:
-    rows = []
-    for name in sorted(CATALOG):
-        e = CATALOG[name]
-        rows.append({
-            "name": e.name,
-            "summary": e.summary,
-            "fields": [f.value for f in e.fields],
-            "defaults": dict(e.defaults),
-            "expected": dict(e.expected),
-        })
+    rows = [{"name": e.name, "summary": e.summary, "fields": [f.value for f in e.fields],
+             "defaults": dict(e.defaults), "expected": dict(e.expected)}
+            for _, e in sorted(CATALOG.items())]
     return {"examples": rows}, 0
 
 
-def _config_echo(args, chart=None, seed=None):
-    """The command's own flags as parsed, --param as a dict and --seed resolved."""
+def _config_echo(args, chart=None):
+    """The command's own flags as parsed, --param as a dict and --seed resolved (0 when not given)."""
     cfg = {}
     for key, value in vars(args).items():
         if key == "param":
             cfg["params"] = parse_params(value)
         elif key not in ("command", "out", "format"):
-            cfg[key] = seed if key == "seed" else value
+            cfg[key] = (value or 0) if key == "seed" else value
     if chart is not None:
         cfg["chart"] = {"name": chart.name, "field": chart.field.value,
                         "N": chart.N, "k": chart.k, "dim": chart.dim,
                         "params": {k: v for k, v in chart.params.items()
                                    if np.isscalar(v)}}
     return cfg
-
-
-def _workers(args) -> int:
-    return args.workers if args.workers is not None else (os.cpu_count() or 1)
 
 
 def _check_flags(args) -> None:
@@ -321,17 +289,13 @@ def _check_flags(args) -> None:
 def cmd_analyze(args) -> tuple:
     if not args.example:
         raise ConfigError("analyze needs --example NAME (see `pullconn list`)")
-    field = Field.parse(args.field) if args.field else None
-    params = parse_params(args.param)
-    chart = make_chart(args.example, field, params)
-    grid = parse_grid(args.grid) if args.grid else None
-    seed = args.seed if args.seed is not None else 0
-    points = sample_points(chart, grid, args.random, seed)
-    records, failures = analyze_sample(chart, points, args.normalize, _workers(args))
+    chart = make_chart(args.example, args.field, parse_params(args.param))
+    points = _command_sample(chart, args, ((4, 4), 12))
+    records, failures = analyze_sample(chart, points, args.normalize, args.workers)
     agg = aggregate_records(records, failures)
     checks = expectation_checks(CATALOG[args.example], records, failures)
     report = {
-        "config": _config_echo(args, chart, seed),
+        "config": _config_echo(args, chart),
         "points": records,
         "failed_points": failures,
         "aggregate": agg,
@@ -431,7 +395,7 @@ def cmd_verify(args) -> tuple:
     add("fd-order/veronese", "halving the step shrinks the oracle error by 4x",
         ratio, 4.0, passed=ratio >= 4.0)
 
-    report = {"config": _config_echo(args, seed=None), "checks": checks,
+    report = {"config": _config_echo(args), "checks": checks,
               "timing": {"checks": seconds}}
     code = 0 if all(c["pass"] for c in checks) else 1
     return report, code
@@ -440,7 +404,6 @@ def cmd_verify(args) -> tuple:
 def cmd_sweep(args) -> tuple:
     if not args.example:
         raise ConfigError("sweep needs --example NAME (see `pullconn list`)")
-    field = Field.parse(args.field) if args.field else None
     raw = parse_params(args.param)
     ranged = {k: v for k, v in raw.items() if isinstance(v, str) and ":" in v}
     fixed = {k: v for k, v in raw.items() if k not in ranged}
@@ -448,20 +411,13 @@ def cmd_sweep(args) -> tuple:
         raise ConfigError("sweep needs exactly one ranged --param key=lo:hi[:step]")
     key, range_text = next(iter(ranged.items()))
     values = parse_range(range_text)
-    seed = args.seed if args.seed is not None else 0
-    grid = parse_grid(args.grid) if args.grid else None
 
+    charts = [make_chart(args.example, args.field, {**fixed, key: val}) for val in values]
+    samples = [_command_sample(chart, args, ((3, 3), 6)) for chart in charts]   # refusals before any work
     rows = []
     base_kb = None
-    for val in values:
-        params = dict(fixed)
-        params[key] = val
-        chart = make_chart(args.example, field, params)
-        if grid is None and args.random is None:   # the default sample: 3x3 in 2-d, else 6
-            points = sample_points(chart, *(((3, 3), None) if chart.dim == 2 else (None, 6)), seed)
-        else:
-            points = sample_points(chart, grid, args.random, seed)
-        records, failures = analyze_sample(chart, points, args.normalize, _workers(args))
+    for val, chart, points in zip(values, charts, samples):
+        records, failures = analyze_sample(chart, points, args.normalize, args.workers)
         probe = records[0]["kb_probe"] if records else {"value": None, "reason": NO_POINT}
         kb = probe["value"]
         if base_kb is None and kb is not None:
@@ -481,7 +437,7 @@ def cmd_sweep(args) -> tuple:
             "checks": expectation_checks(CATALOG[args.example], records, failures),
         })
     report = {
-        "config": _config_echo(args, seed=seed),
+        "config": _config_echo(args),
         "parameter": key,
         "values": values,
         "rows": rows,
@@ -602,13 +558,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="uniform sample grid (2-d charts only)")
         p.add_argument("--random", type=int, metavar="N",
                        help="low-discrepancy sample of N interior points")
-        p.add_argument("--seed", type=int, help="sampling seed (default 0)")
+        p.add_argument("--seed", type=int, help="seed of a --random sample (default 0)")
         p.add_argument("--normalize", action="store_true",
                        help="also report the ambient curvature maximum λ and the "
                             "shape bound, whose left side is shape²/λ; rescales nothing")
-        p.add_argument("--workers", type=int,
-                       help="worker processes for point analysis "
-                            "(default: available parallelism)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes for point analysis (default 1); a pool "
+                            "pays off only on samples of hundreds of points")
 
     def add_output(p):
         p.add_argument("--out", help="write the report to FILE instead of stdout")

@@ -20,8 +20,8 @@ T(a) = Σ_t a_t T_t over unit a.  One routine, `_pencil_extreme`, solves
 both: one SVD when the pencil's Gram blocks enclose σ(T(a)) to rounding (a
 Clifford pencil), else a covering net of the sphere up to sign (at most
 NET_BUDGET points), of which only the points a bound cannot rule out of the
-best four are evaluated, a refinement of the best four (alternating for a
-maximum, Riemannian Newton for a minimum) and a bound from the net's radius.
+best four are evaluated, a Riemannian Newton refinement of the best four
+and a bound from the net's radius.
 """
 from __future__ import annotations
 
@@ -329,7 +329,7 @@ class CertifiedMax:
 
 
 REFINE_ROUNDS = 60  # most refinement rounds per start
-FIRST_CHUNK = 16    # net points in a maximum's first chunk; a net no larger is evaluated whole
+FIRST_CHUNK = 16    # net points in a maximum's first chunk
 
 
 def _newton_probes(T: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -382,20 +382,18 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
     never passes STACK_BYTES whatever the net's size, and only where a bound
     says the point can still enter the best four; the points left (±∞)
     cannot, so grid_best and the best four are those of the whole net, ties
-    broken by net order.  A maximum on more than FIRST_CHUNK net points
-    takes σ_max in order of the bound ‖T(a)‖_F = √(aᵀΦa),
-    Φ_st = <T_s, T_t>_F, in chunks of FIRST_CHUNK, twice that, …, until the
-    next bound plus ε falls below the fourth-best value; a smaller net is
-    evaluated whole.  A minimum takes the net coarse to fine over its nested
+    broken by net order.  A maximum takes σ_max in order of the bound
+    ‖T(a)‖_F = √(aᵀΦa), Φ_st = <T_s, T_t>_F, in chunks of FIRST_CHUNK,
+    twice that, …, until the next bound plus ε falls below the fourth-best
+    value.  A minimum takes the net coarse to fine over its nested
     sub-lattices (`_net_levels`): the coarsest whole, then each point b
     whose lower bound max(s − ℓd, √max(s² − Λd, 0)) less ε reaches the
     fourth-best value so far, s the value or bound of its nearest coarser
     point c and d = √(2 − 2|b·c|) the distance to ±c (ℓ and Λ below).
-    The best four net points are refined in lockstep.  A maximum fixes the
-    left singular vector u of T(a) and takes (a, x) as the top singular pair
-    of the rows uᵀT_t.  A minimum takes a Riemannian Newton step on ½|T(a)x|²
-    over the two spheres (`_newton_probes`) and x the σ_min vector of the
-    new T(a).  A start keeps only steps that improve its value v, and stops
+    The best four net points are refined in lockstep, for either extreme by
+    a Riemannian Newton step on ½|T(a)x|² over the two spheres
+    (`_newton_probes`) and x the extreme right singular vector of the new
+    T(a).  A start keeps only steps that improve its value v, and stops
     once a round improves it by at most 1e-15·max(1, v), or after
     REFINE_ROUNDS.
 
@@ -424,9 +422,9 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
         return CertifiedMax(v, (np.eye(p)[0], Vt[j]), v, abs(float(hi + eps if largest else lo - eps) - v))
 
     def sig(A):
-        """σ(T(a)) and its left and right singular vectors for every row a of A."""
-        U, s, Vt = np.linalg.svd(np.einsum("st,tij->sij", A, T), full_matrices=False)
-        return s[:, j], U[:, :, j], Vt[:, j]
+        """σ(T(a)) and its right singular vector for every row a of A."""
+        _, s, Vt = np.linalg.svd(np.einsum("st,tij->sij", A, T), full_matrices=False)
+        return s[:, j], Vt[:, j]
 
     def net_vals(A):
         """σ(T(a)) for every row a of A, as √λ_max of the Gram or by SVD."""
@@ -451,7 +449,7 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
                 take = take[low[take] - eps <= np.partition(vals, 3)[3]]
             for sl in stack_slices(len(take), row_bytes):
                 vals[take[sl]] = low[take[sl]] = net_vals(net[take[sl]])
-    elif len(net) > FIRST_CHUNK:
+    else:
         # ‖T(a)‖_F = √(aᵀΦa) ≥ σ_max(T(a)), Φ_st = <T_s, T_t>_F the trace of G[s, t]
         fro = np.sqrt(np.maximum(np.einsum("is,st,it->i", net, np.trace(G, axis1=2, axis2=3), net), 0.0))
         by = np.argsort(-fro, kind="stable")
@@ -461,24 +459,19 @@ def _pencil_extreme(T: np.ndarray, largest: bool, resolution: int) -> CertifiedM
             take = by[i:i + min(size, most)]
             vals[take] = net_vals(net[take])
             i, size = i + len(take), 2 * size
-    else:
-        vals = np.concatenate([net_vals(net[s]) for s in stack_slices(len(net), row_bytes)])
     order = np.argsort(-sign * vals, kind="stable")[:4]
     grid = float(vals[order[0]])
 
     a = net[order]
-    cur, u, x = sig(a)
+    cur, x = sig(a)
     live = np.arange(len(a))
     for rounds in range(1, REFINE_ROUNDS + 1):   # the longest-lived start's count
-        if largest:
-            na = np.linalg.svd(np.einsum("si,tij->stj", u[live], T), full_matrices=False)[0][:, :, 0]
-        else:
-            na = _newton_probes(T, a[live], x[live])
-        nv, nu, nx = sig(na)
+        na = _newton_probes(T, a[live], x[live])
+        nv, nx = sig(na)
         old = cur[live]
         go = sign * (nv - old) > 1e-15 * np.maximum(1.0, old)
         live = live[go]
-        cur[live], a[live], u[live], x[live] = nv[go], na[go], nu[go], nx[go]
+        cur[live], a[live], x[live] = nv[go], na[go], nx[go]
         if not len(live):
             break
     b = int(np.argmax(sign * cur))

@@ -181,10 +181,10 @@ def test_analyze_exit_codes_config(tmp_path):
 
 
 def test_analyze_field_the_base_does_not_carry_exit2(capsys):
-    # veronese is complex only
+    # veronese is complex only: its own entry refuses the field
     assert main(["analyze", "--example", "perturbed", "--field", "h",
                  "--param", "base=veronese"]) == 2
-    assert "over 'c', not 'h'" in capsys.readouterr().err
+    assert "example 'veronese' is not defined over 'h'" in capsys.readouterr().err
 
 
 def test_analyze_base_parameter_unknown_to_base_exit2(capsys):
@@ -238,6 +238,30 @@ def test_negative_seed_exit2(capsys):
     assert main(["analyze", "--example", "grassmann-sub", "--random", "2",
                  "--seed", "-1"]) == 2
     _only_error_line(capsys, "--seed must be non-negative")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--example", "veronese", "--grid", "2x2"],
+    ["analyze", "--example", "veronese"],                  # the default 4x4 grid of a 2-d chart
+    ["sweep", "--example", "veronese", "--param", "d=1:2"],   # the default 3x3 grid
+], ids=["analyze-grid", "analyze-default-grid", "sweep-default-grid"])
+def test_seed_on_a_grid_sample_exit2(argv, capsys):
+    """A grid has no seed: --seed used to be echoed while the grid ignored it."""
+    assert main(argv + ["--seed", "5", "--workers", "1"]) == 2
+    _only_error_line(capsys, "--seed applies to --random samples; 'veronese' is sampled on a")
+
+
+def test_sweep_refuses_before_any_value_is_analyzed(monkeypatch, capsys):
+    """A value refused late in the range (d = 1.5; m = 3, whose 2-d chart is
+    sampled on a grid, with --seed) used to come after the earlier values
+    were analyzed."""
+    calls = []
+    monkeypatch.setattr(cli, "analyze_sample", lambda *a: calls.append(a) or ([], []))
+    for argv in (["--example", "veronese", "--param", "d=1:2:0.5"],
+                 ["--example", "linear", "--field", "r", "--param", "m=2:3", "--seed", "5"]):
+        assert main(["sweep", *argv, "--workers", "1"]) == 2
+        capsys.readouterr()
+    assert calls == []
 
 
 @pytest.mark.parametrize("value", ["0", "-0.001", "nan", "inf"])

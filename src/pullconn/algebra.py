@@ -197,12 +197,6 @@ def pair_re(X: np.ndarray, Y: np.ndarray, tail: int) -> np.ndarray:
     return np.real(out).reshape(xs + ys)
 
 
-def frob_stack(A: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every array in a stack, over all axes but the
-    first, shaped to broadcast against A."""
-    return np.sqrt(np.add.reduce((A.conj() * A).real, axis=tuple(range(1, A.ndim)), keepdims=True))
-
-
 def re_dot(X: np.ndarray, Y: np.ndarray, field: Field) -> np.ndarray:
     """Re tr(X* Y) of each matrix pair of two stacks, summed as inner_re sums one pair."""
     return np.add.reduce((np.conj(X) * Y).real, axis=tuple(range(-field.matrix_ndim, 0)), keepdims=True)
@@ -225,8 +219,7 @@ def inv_small(A: np.ndarray, field: Field) -> np.ndarray:
 
 def inner_re(A: np.ndarray, B: np.ndarray) -> float:
     """Unhalved real inner product Re tr(B* A) = sum of Re(conj(b) a); over
-    H the component dot product of the real arrays.  Summed as frob_stack
-    sums."""
+    H the component dot product of the real arrays.  Summed as re_dot sums."""
     return float(np.add.reduce((np.conj(B) * A).real, axis=None))
 
 
@@ -254,11 +247,11 @@ def orthonormalize(A: np.ndarray, field: Field, tol: float = 1e-12) -> np.ndarra
     A = np.asarray(A)
     S = A.reshape((-1,) + A.shape[A.ndim - field.matrix_ndim:])
     ncols = S.shape[2]
-    scale = np.maximum(frob_stack(S) / max(np.sqrt(ncols), 1.0), 1.0)
+    scale = np.maximum(np.sqrt(sq_norm(S, field)) / max(np.sqrt(ncols), 1.0), 1.0)
     out = []
     for jcol in range(ncols):
         v = _strip(np.array(S[:, :, jcol:jcol + 1]), out, field)
-        n = frob_stack(v)
+        n = np.sqrt(sq_norm(v, field))
         low = n < tol * scale
         if low.any():
             raise DegenerateColumnsError(jcol, float(n[low].min()))
@@ -378,10 +371,10 @@ def skew_exp(A: np.ndarray, field: Field):
     e^{uA} = Q diag(e^{−iuw}) Q* (Moler & Van Loan, "Nineteen dubious ways
     to compute the exponential of a matrix, twenty-five years later", SIAM
     Rev. 45, 2003, method 14); over R a contiguous copy of the real part.
-    Over H one expm_alg call per entry, over the whole stack of A.
+    Over H one expm_alg call on the stack u_b A of every entry.
     """
     if field is Field.QUATERNION:
-        return lambda u: np.array([expm_alg(A * float(t), field) for t in u])
+        return lambda u: expm_alg(np.multiply.outer(u, A), field)
     w, Q = np.linalg.eigh(1j * A)
     Qh = np.swapaxes(Q.conj(), -1, -2)
 

@@ -269,8 +269,7 @@ def _config_echo(args, chart=None):
     if chart is not None:
         cfg["chart"] = {"name": chart.name, "field": chart.field.value,
                         "N": chart.N, "k": chart.k, "dim": chart.dim,
-                        "params": {k: v for k, v in chart.params.items()
-                                   if np.isscalar(v)}}
+                        "params": chart.params}
     return cfg
 
 
@@ -450,68 +449,43 @@ def cmd_sweep(args) -> tuple:
 # output
 # ----------------------------------------------------------------------------
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def _flatten(prefix: str, obj, row: dict):
     if isinstance(obj, dict):
         for k, v in obj.items():
             _flatten(f"{prefix}.{k}" if prefix else str(k), v, row)
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         for i, v in enumerate(obj):
             _flatten(f"{prefix}{i}", v, row)
     else:
         row[prefix] = "" if obj is None else obj
 
 
-def _csv_rows(report: dict):
-    if "points" in report and isinstance(report["points"], list):
-        items = report["points"] + report["failed_points"]
-    elif "rows" in report:
-        items = report["rows"]
-    elif "checks" in report:
-        items = report["checks"]
-    elif "examples" in report:
-        items = [{**e, "fields": "|".join(e["fields"]),
-                  "defaults": json.dumps(e["defaults"]),
-                  "expected": json.dumps(e["expected"])}
-                 for e in report["examples"]]
-    else:
-        items = [report]
-    flat = []
-    columns = []
-    for item in items:
-        row = {}
-        _flatten("", item, row)
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-        flat.append(row)
-    return columns, flat
+# the rows each command's CSV lists
+CSV_ROWS = {
+    "list": lambda r: [{**e, "fields": "|".join(e["fields"]), "defaults": json.dumps(e["defaults"]),
+                        "expected": json.dumps(e["expected"])} for e in r["examples"]],
+    "analyze": lambda r: r["points"] + r["failed_points"],
+    "sweep": lambda r: r["rows"],
+    "verify": lambda r: r["checks"],
+}
 
 
 def render_report(report: dict, fmt: str) -> str:
+    """The report as JSON, exactly as the command built it (every value is
+    already a plain Python value), or as CSV, one flattened row per item of
+    the command's CSV_ROWS."""
     if fmt == "json":
-        return json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n"
-    columns, rows = _csv_rows(report)
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    rows = []
+    for item in CSV_ROWS[report["command"]](report):
+        row = {}
+        _flatten("", item, row)
+        rows.append(row)
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, restval="")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Field, ct_stack, matmul_stack
+from .algebra import Field, ct_stack, matmul_stack, re_dot
 from .constants import STACK_BYTES, STRICT_EPS
 from .homogeneous import (  # noqa: F401  (the probes are part of this module's API)
     AlphaElement,
@@ -125,9 +125,9 @@ def radial_residual(pf: PointFrame) -> ResidualResult:
 # curvature inequality and the corollary bound
 # ----------------------------------------------------------------------------
 
-def _row_pair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Re tr(B_p* A_p) for every row p of two stacks of the same shape."""
-    return np.real(np.sum(A * np.conj(B), axis=tuple(range(1, A.ndim))))
+def _row_pair(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
+    """Re tr(B_p* A_p) for every row p of two stacks (P, ...) of the same shape."""
+    return re_dot(B, A, field).reshape(len(A))
 
 
 def bracket_sq(Xt: np.ndarray, Yt: np.ndarray, field: Field) -> np.ndarray:
@@ -137,7 +137,8 @@ def bracket_sq(Xt: np.ndarray, Yt: np.ndarray, field: Field) -> np.ndarray:
     C₁ = Y*X − X*Y and C₂ = YX* − XY*, without forming the N×N C₂."""
     Z = matmul_stack(ct_stack(Yt, field), Xt, field)
     XX, YY = (matmul_stack(ct_stack(T, field), T, field) for T in (Xt, Yt))
-    return _row_pair(Z, Z) + _row_pair(XX, YY) - 2.0 * _row_pair(Z, ct_stack(Z, field))
+    return (_row_pair(Z, Z, field) + _row_pair(XX, YY, field)
+            - 2.0 * _row_pair(Z, ct_stack(Z, field), field))
 
 
 def base_sectional(pf: PointFrame, x, y):
@@ -156,7 +157,8 @@ def base_sectional(pf: PointFrame, x, y):
 
     XII, YII = along(pf.II.H)                       # Σ_a x_a II_ab, Σ_a y_a II_ab
     Ixx, Ixy, Iyy = (np.einsum("pb,pb...->p...", s, T) for s, T in ((X, XII), (Y, XII), (Y, YII)))
-    kb = bracket_sq(*along(pf.E.H), pf.pt.field) + _row_pair(Ixx, Iyy) - _row_pair(Ixy, Ixy)
+    f = pf.pt.field
+    kb = bracket_sq(*along(pf.E.H), f) + _row_pair(Ixx, Iyy, f) - _row_pair(Ixy, Ixy, f)
     return float(kb[0]) if np.ndim(x) == 1 else kb
 
 

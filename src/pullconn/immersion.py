@@ -99,21 +99,20 @@ class ImmersionChart:
 
 
 def chart_jet(chart: ImmersionChart, U, order: int = 2):
-    """(V, D, DD) at every row of U (B, n) from one cols call of the given
-    order: V as eval_point gives it, the horizontal differentials
-    D (B, n, N, k[, 4]) = ∂φ/∂u_i and the covariant second derivatives
-    DD (B, n, n, N, k[, 4]), whose normal part is II(∂_i, ∂_j); None above
-    the order.  With the lift V = W·M, M = (V*W)⁻¹, ∇Z = (I−VV*)Z' − Z·V*V'
-    gives ∇_j D_i = (I−VV*)∂_i∂_jW·M − D_i c_j − D_j c_i, c_j = V*∂_jW·M:
-    the derivatives of M cancel, and (I−VV*)Z is `horizontal_stack`.
+    """(V, D, DD) at every row of U (B, n) from one cols call of order 1
+    or 2 (eval_point is the order-0 path): V as eval_point gives it, the
+    horizontal differentials D (B, n, N, k[, 4]) = ∂φ/∂u_i and the covariant
+    second derivatives DD (B, n, n, N, k[, 4]), whose normal part is
+    II(∂_i, ∂_j); DD is None at order 1.  With the lift V = W·M,
+    M = (V*W)⁻¹, ∇Z = (I−VV*)Z' − Z·V*V' gives
+    ∇_j D_i = (I−VV*)∂_i∂_jW·M − D_i c_j − D_j c_i, c_j = V*∂_jW·M: the
+    derivatives of M cancel, and (I−VV*)Z is `horizontal_stack`.
     """
     U = np.asarray(U, dtype=float)
     chart.check_rows(U, 0.0)
     f = chart.field
     W = chart.cols(Jet.seed(U, order))
     V = stiefel_points(W.v, f)
-    if order == 0:
-        return V, None, None
     Vs = V[:, None]
     M = inv_small(matmul_stack(ct_stack(V, f), W.v, f), f)[:, None]
     D = matmul_stack(horizontal_stack(Vs, W.d, f), M, f)

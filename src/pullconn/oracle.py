@@ -113,7 +113,7 @@ def curvature_pairing_fd(chart: ImmersionChart, u, x_coords, y_coords, w, v,
     DY = sum(c * d for c, d in zip(y, dP))
     comm = matmul_stack(DX, DY, f) - matmul_stack(DY, DX, f)
     Rw = bridge(f) * matmul_stack(P, matmul_stack(comm, w, f), f)
-    return np.add.reduce((np.conj(v) * Rw).real, axis=tuple(range(-tail, 0)))
+    return re_dot(v, Rw, f)[(...,) + (0,) * tail]
 
 
 # ----------------------------------------------------------------------------

@@ -23,13 +23,20 @@ REFUSALS = [
     ("veronese", None, {"d": float("inf")}, "parameter 'd' must be finite, got inf"),
     ("veronese", "h", {}, "example 'veronese' is not defined over 'h'; fields: ['c']"),
     ("perturbed", "h", {"base": "veronese"}, "example 'veronese' is not defined over 'h'"),
+    # values the gate admits and the chart's own builder refuses
+    ("veronese", None, {"d": 0}, "degree must be >= 1"),
+    ("linear", None, {"m": 5}, "need 2 <= m <= N"),
+    ("hline", None, {"N": 1}, "need N >= 2"),
+    ("grassmann-sub", None, {"k": 4}, "need 1 <= k < m <= N"),
+    ("totally-real", None, {"n": 0}, "need n >= 1"),
 ]
 
 
 @pytest.mark.parametrize("name,field,params,text", REFUSALS,
                          ids=["unknown", "base-key", "base-key-default-base", "base-name",
                               "fractional", "fractional-seed", "fractional-base", "string-int",
-                              "nan", "inf", "field", "base-field"])
+                              "nan", "inf", "field", "base-field", "range-d", "range-m",
+                              "range-N", "range-k", "range-n"])
 def test_build_refuses_each_rule_with_its_message(name, field, params, text):
     with pytest.raises(ValueError) as err:
         CATALOG[name].build(field, **params)

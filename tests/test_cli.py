@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from pullconn import cli
+from pullconn.catalog import CATALOG
 from pullconn.cli import main, parse_grid, parse_params, parse_range, ConfigError
 from pullconn.immersion import NotImmersionError
 
@@ -220,6 +221,21 @@ def test_analyze_boundary_margin_exit2():
 def _only_error_line(capsys, text):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and text in err[0], err
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["analyze", "--example", "veronese", "--param", "=3"], "--param expects key=value, got '=3'"),
+    (["sweep", "--example", "veronese", "--param", "d=1:2:3:4"],
+     "range expects lo:hi[:step], got '1:2:3:4'"),
+    (["sweep", "--example", "veronese", "--param", "d=a:b"], "range expects numbers, got 'a:b'"),
+    (["analyze", "--example", "veronese", "--random", "0"], "--random must request at least one point"),
+    (["sweep", "--param", "d=1:2"], "sweep needs --example NAME"),
+    (["analyze", "--example", "perturbed", "--param", "base=grassmann-sub"],
+     "perturbation wrapper supports rank-one charts only"),
+], ids=["empty-key", "range-parts", "range-text", "random-0", "sweep-no-example", "wrapper-rank"])
+def test_refusals_exit2_with_one_error_line(argv, text, capsys):
+    assert main(argv + ["--workers", "1"]) == 2
+    _only_error_line(capsys, text)
 
 
 def test_workers_below_one_exit2(capsys):
@@ -502,6 +518,40 @@ def test_csv_flattening(capsys):
             "inequality.min_margin", "theta.value"} <= set(rows[0])
     assert rows[0]["normalization.value"] == ""  # skipped without --normalize
     assert float(rows[0]["fatness.margin"]) == pytest.approx(1.0)
+
+
+def test_list_csv_has_one_row_per_entry(capsys):
+    assert main(["list", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["name"] for row in rows] == sorted(CATALOG)
+    for row in rows:
+        entry = CATALOG[row["name"]]
+        assert row["fields"] == "|".join(f.value for f in entry.fields)
+        assert (json.loads(row["defaults"]), json.loads(row["expected"])) == (entry.defaults,
+                                                                              entry.expected)
+
+
+def test_verify_csv_has_one_row_per_check(tmp_path, capsys):
+    code, report = run_json(tmp_path, ["verify"])
+    assert main(["verify", "--format", "csv"]) == code == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(row["name"], float(row["value"]), row["pass"]) for row in rows] == [
+        (c["name"], c["value"], str(c["pass"])) for c in report["checks"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["list"],
+    ["analyze", "--example", "veronese", "--param", "d=3", "--random", "3", "--normalize"],
+    ["analyze", "--example", "perturbed", "--field", "h", "--param", "base=hline", "--random", "2"],
+    ["verify"],
+    ["sweep", "--example", "veronese", "--param", "d=1:2", "--grid", "2x2"],
+], ids=["list", "analyze", "analyze-h", "verify", "sweep"])
+def test_report_bodies_are_plain_json_values(argv):
+    """Each command builds its report from plain Python values (render_report
+    converts nothing): a JSON round trip returns the body unchanged, with no
+    tuple, non-string key or NaN in it."""
+    body, _ = cli.COMMANDS[argv[0]](cli.build_parser().parse_args(argv))
+    assert json.loads(json.dumps(body, allow_nan=False)) == body
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
@@ -789,6 +839,20 @@ def test_sweep_names_its_failed_points_and_exits_1(tmp_path, monkeypatch):
         assert "not an immersion" in row["failures"][0]["reason"]
         assert row["checks"][0] == {"name": "immersion", "detail": row["checks"][0]["detail"],
                                     "value": 1, "tolerance": 0, "pass": False, "reason": None}
+
+
+@pytest.mark.parametrize("argv,code,reason", [
+    (["--example", "perturbed", "--param", "base=clifford", "--param", "amplitude=0:0.1:0.1"],
+     1, "reference curvature vanishes"),   # exit 1: amplitude 0 leaves clifford parallel
+    (["--example", "linear", "--field", "r", "--param", "m=2", "--param", "N=2:3"],
+     0, "base dimension below two"),
+], ids=["flat-reference", "one-dimensional-base"])
+def test_sweep_kb_ratio_is_null_with_its_reason(tmp_path, argv, code, reason):
+    """kb_ratio has no value when the first value's probe curvature is zero
+    (the flat clifford base) or when no value's base has a plane to probe."""
+    got, report = run_json(tmp_path, ["sweep", *argv, "--random", "2", "--workers", "1"])
+    assert got == code
+    assert [row["kb_ratio"] for row in report["rows"]] == [{"value": None, "reason": reason}] * 2
 
 
 def test_sweep_empty_range_exit2():

@@ -15,6 +15,15 @@ from an array's shape: a stack of real 4×4 matrices has the (m, n, 4)
 shape of one quaternion matrix.  The operations act on stacks of matrices
 with leading batch axes; a single matrix is a stack with none.
 `matmul_stack`, `ct_stack` and `sq_norm` also take second-order `Jet`s.
+
+A quaternion matrix product is one real matrix product.  The structure
+tensor `QL` is the one definition of the quaternion product; from it come,
+once at import, the index and sign tables of the right-regular real form
+R(b) (F. Zhang, "Quaternions and matrices of quaternions", Linear Algebra
+Appl. 251, 1997), for which ab = a·R(b) on component rows, and its (16, 4)
+reshape that combines component products.  `matmul_stack` forms the
+smaller of two four-fold expansions: R(B) of the right factor, or the
+component products of A's rows with B's columns, combined through `QL`.
 """
 from __future__ import annotations
 
@@ -90,6 +99,12 @@ def _structure_tensor() -> np.ndarray:
 
 
 QL = _structure_tensor()
+# R(b)[t, s] = Σ_u QL[s, t, u] b_u has one term, ±b at one component:
+# the index _R_INDEX[t, s] and the sign _R_SIGN[t, s] of that term
+_R_INDEX = np.argmax(np.abs(QL), axis=2).T
+_R_SIGN = QL.sum(axis=2).T
+_QL_PAIRS = QL.transpose(1, 2, 0).reshape(16, 4)   # [(t, u), s]
+_QCONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat(w=0.0, x=0.0, y=0.0, z=0.0) -> np.ndarray:
@@ -103,9 +118,8 @@ QK = quat(0.0, 0.0, 0.0, 1.0)
 
 
 def qconj(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out[..., 1:] *= -1.0
-    return out
+    """Conjugates of quaternions along a trailing component axis, as a new array."""
+    return np.multiply(a, _QCONJ)
 
 
 # ----------------------------------------------------------------------------
@@ -159,19 +173,41 @@ def matmul_stack(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
     """Matrix product over the trailing matrix axes of stacked matrices, or
     of jets by the product rule.
 
-    Over H the product is two contractions: one real matmul gives every
-    component product T[m, t, n, u] = Σ_k A[m, k, t] B[k, n, u], and QL
-    combines the (t, u) pairs.
+    Over H, for A (…, m, k, 4) and B (…, k, n, 4), it is one real matrix
+    product with one factor expanded four times: B's right-regular form
+    R(B) (…, 4k, 4n), R(b)[t, s] = Σ_u QL[s, t, u] b_u, a signed gather,
+    in C = A (…, m, 4k) · R(B); or the component products
+    T[m, t, n, u] = Σ_k A[m, k, t] B[k, n, u] (…, 4m, 4n), which read B as
+    a view, combined by one product against `QL` reshaped (16, 4).  The
+    smaller of the two is formed: R(B), 16·|B|·k·n entries for |B| matrices
+    in B's stack, when |B|·k ≤ max(|A|, |B|)·m, else T, 16·|A·B|·m·n.  So
+    a square product, or a stack times a small factor (M, a probe, c),
+    expands the right factor, and a row against a column (V*·∂W, an inner
+    product) forms T: for a 1×N row against an N×1 column R(B) would be
+    16N entries where T is 16.
     """
     if isinstance(A, Jet) or isinstance(B, Jet):
         return _product(A, B, lambda X, Y: matmul_stack(X, Y, field))
-    if field is Field.QUATERNION:
-        A, B = np.asarray(A), np.asarray(B)
-        m, k, n = A.shape[-3], A.shape[-2], B.shape[-2]
-        At = np.swapaxes(A, -1, -2).reshape(A.shape[:-3] + (4 * m, k))
-        T = np.matmul(At, B.reshape(B.shape[:-3] + (k, 4 * n)))
-        return np.tensordot(T.reshape(T.shape[:-2] + (m, 4, n, 4)), QL, axes=([-3, -1], [1, 2]))
-    return np.matmul(A, B)
+    if field is not Field.QUATERNION:
+        return np.matmul(A, B)
+    A, B = np.asarray(A), np.asarray(B)
+    m, k, n = A.shape[-3], A.shape[-2], B.shape[-2]
+    if B.size * k <= max(A.size * n, B.size * m):                       # |B|·k ≤ max(|A|, |B|)·m
+        R = np.multiply(B[..., _R_INDEX], _R_SIGN).swapaxes(-3, -2)      # [..., k, t, n, s]
+        C = np.matmul(A.reshape(A.shape[:-3] + (m, 4 * k)), R.reshape(R.shape[:-4] + (4 * k, 4 * n)))
+        return C.reshape(C.shape[:-2] + (m, n, 4))
+    At = np.swapaxes(A, -1, -2).reshape(A.shape[:-3] + (4 * m, k))
+    T = np.matmul(At, B.reshape(B.shape[:-3] + (k, 4 * n)))
+    pairs = T.reshape(T.shape[:-2] + (m, 4, n, 4)).swapaxes(-3, -2)     # [..., m, n, t, u]
+    return np.matmul(pairs.reshape(pairs.shape[:-2] + (16,)), _QL_PAIRS)
+
+
+def combine(x, X: np.ndarray) -> np.ndarray:
+    """Σ_i x[..., i] X[i], real coefficients x (..., n) of the stack X (n, …), as one matmul."""
+    x, X = np.asarray(x), np.asarray(X)
+    n, tail = X.shape[0], X.shape[1:]
+    out = x.reshape(prod(x.shape[:-1]), n) @ X.reshape(n, prod(tail))
+    return out.reshape(x.shape[:-1] + tail)
 
 
 def ct_stack(A: np.ndarray, field: Field) -> np.ndarray:

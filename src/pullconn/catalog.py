@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Field, apply, ct_stack, from_real, matmul_stack, random_matrix, sq_norm
+from .algebra import Field, apply, combine, ct_stack, from_real, matmul_stack, random_matrix, sq_norm
 from .homogeneous import geodesic_stiefel_k1
 from .immersion import ImmersionChart
 
@@ -22,7 +22,7 @@ from .immersion import ImmersionChart
 def _affine(name: str, field: Field, box: tuple, W: np.ndarray, params: dict) -> ImmersionChart:
     """The chart u ↦ span of W[0] + Σ_i u_i W[1 + i], for W (1 + dim, N, k[, 4])."""
     def cols(J):
-        return J.lin(lambda x: np.tensordot(x, W[1:], axes=1)) + W[0]
+        return J.lin(lambda x: combine(x, W[1:])) + W[0]
 
     return ImmersionChart(name=name, field=field, N=W.shape[1], k=W.shape[2], dim=len(W) - 1,
                           box=box, cols=cols, params=params)

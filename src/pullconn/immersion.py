@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import Field, Jet, ct_stack, inv_small, matmul_stack, pair_re, to_real
+from .algebra import Field, Jet, combine, ct_stack, inv_small, matmul_stack, pair_re, to_real
 from .constants import IMMERSION_EPS, STACK_BYTES
 from .homogeneous import GrassPoint, GrassTangent, alpha_basis, horizontal_stack, stiefel_points
 
@@ -106,7 +106,9 @@ def chart_jet(chart: ImmersionChart, U, order: int = 2):
     II(∂_i, ∂_j); DD is None at order 1.  With the lift V = W·M,
     M = (V*W)⁻¹, ∇Z = (I−VV*)Z' − Z·V*V' gives
     ∇_j D_i = (I−VV*)∂_i∂_jW·M − D_i c_j − D_j c_i, c_j = V*∂_jW·M: the
-    derivatives of M cancel, and (I−VV*)Z is `horizontal_stack`.
+    derivatives of M cancel, and (I−VV*)Z is `horizontal_stack`.  V*∂W is
+    formed once, for D = (∂W − V·V*∂W)·M and c; where W.dd is all zero (the
+    affine charts) its term is the exact zero and is not formed.
     """
     U = np.asarray(U, dtype=float)
     chart.check_rows(U, 0.0)
@@ -115,14 +117,17 @@ def chart_jet(chart: ImmersionChart, U, order: int = 2):
     V = stiefel_points(W.v, f)
     Vs = V[:, None]
     M = inv_small(matmul_stack(ct_stack(V, f), W.v, f), f)[:, None]
-    D = matmul_stack(horizontal_stack(Vs, W.d, f), M, f)
+    VdW = matmul_stack(ct_stack(Vs, f), W.d, f)
+    D = matmul_stack(W.d - matmul_stack(Vs, VdW, f), M, f)
+    c = matmul_stack(VdW, M, f)
     if not np.isfinite(D).all():
         raise ChartDomainError("non-finite chart derivative")
     if order == 1:
         return V, D, None
-    c = matmul_stack(matmul_stack(ct_stack(Vs, f), W.d, f), M, f)
     Dc = matmul_stack(D[:, :, None], c[:, None], f)                       # Dc[:, i, j] = D_i c_j
-    DD = matmul_stack(horizontal_stack(Vs[:, None], W.dd, f), M[:, None], f) - (Dc + Dc.swapaxes(1, 2))
+    DD = -(Dc + Dc.swapaxes(1, 2))
+    if W.dd.any():
+        DD += matmul_stack(horizontal_stack(Vs[:, None], W.dd, f), M[:, None], f)
     return V, D, DD
 
 
@@ -153,9 +158,10 @@ class PointFrame:
     def jay(self) -> GrassTangent:
         """J_t E_a for every probe t and frame index a, H of shape (p, n, N, k[, 4]);
         p = 0 at a point without probes."""
-        H = [al.jay(self.E).H for al in self.probes]
-        return GrassTangent(self.pt, np.stack(H) if H else np.zeros((0,) + self.E.H.shape,
-                                                                   self.E.H.dtype))
+        if not self.probes:
+            return GrassTangent(self.pt, np.zeros((0,) + self.E.H.shape, self.E.H.dtype))
+        mats = np.stack([al.mat for al in self.probes])[:, None]        # (p, 1, k, k[, 4])
+        return GrassTangent(self.pt, -matmul_stack(self.E.H, mats, self.pt.field))
 
     @cached_property
     def L(self) -> np.ndarray:
@@ -171,7 +177,7 @@ class PointFrame:
         return M - M.swapaxes(1, 2)
 
     def from_coords(self, x) -> GrassTangent:
-        return GrassTangent(self.pt, np.tensordot(x, self.E.H, axes=1))
+        return GrassTangent(self.pt, combine(x, self.E.H))
 
 
 def point_frame(chart: ImmersionChart, u, gauge=None) -> PointFrame:
@@ -197,10 +203,10 @@ def point_frame(chart: ImmersionChart, u, gauge=None) -> PointFrame:
     if w[0] <= IMMERSION_EPS:
         raise NotImmersionError(u, float(w[0]))
     coeff = np.linalg.inv(np.linalg.cholesky(gram))
-    E = GrassTangent(pt, np.tensordot(coeff, H, axes=1))
-    raw = np.tensordot(coeff, DD, axes=1)                                 # [a, j]
-    S = np.tensordot(coeff, raw, axes=([1], [1])).swapaxes(0, 1)         # [a, b]
-    II = S - np.tensordot(pair_re(S, E.H, f.matrix_ndim), E.H, axes=1)
+    E = GrassTangent(pt, combine(coeff, H))
+    raw = combine(coeff, DD)                                              # [a, j]
+    S = np.matmul(coeff, raw.reshape(len(coeff), len(coeff), -1)).reshape(raw.shape)   # [a, b]
+    II = S - combine(pair_re(S, E.H, f.matrix_ndim), E.H)
     return PointFrame(pt, D, gram, float(w[0]), E, coeff, GrassTangent(pt, II))
 
 

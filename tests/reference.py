@@ -3,10 +3,10 @@
 Two kinds live here.  Independent oracles: brute-force finite-difference
 curvature, the g0 frame g = [V | W] and the block lift X~ of a tangent in
 it, the bracket form of the derivative component, geodesics, Wirtinger
-angles, the real fibre matrices of k×k matrices over the field and the
-g0 algebra helpers.  Loop references: the per-frame-index loops that the
-array frame layer replaced, kept so the tests can check the contractions
-against them entry by entry.
+angles, the real fibre matrices of k×k matrices over the field, the
+g0 algebra helpers and the complex adjoint of quaternionic charts.  Loop
+references: the per-frame-index loops that the array frame layer replaced,
+kept so the tests can check the contractions against them entry by entry.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from pullconn.homogeneous import (
     projector_derivative,
     random_horizontal,
 )
-from pullconn.immersion import chart_jet
+from pullconn.immersion import ImmersionChart, chart_jet
 from pullconn.oracle import (
     DR_BASE_STEPS,
     DR_DELTA,
@@ -714,3 +714,23 @@ def inequality_loop(pf, probes, extra: int = 6, seed: int = 20240):
         worst = min(worst, lam)
     return worst, len(pairs)
 
+
+# ----------------------------------------------------------------------------
+# cross-field twin: a quaternionic chart as a complex one
+# ----------------------------------------------------------------------------
+
+def chi(A: np.ndarray) -> np.ndarray:
+    """Complex adjoint χ(Z₁ + Z₂j) = [[Z₁, Z₂], [−Z̄₂, Z̄₁]] of stacked
+    quaternion matrices (..., N, k, 4), q = (w + xi) + (y + zi)j: a
+    multiplicative map to (..., 2N, 2k) that doubles Re tr(A*A)
+    (F. Zhang, "Quaternions and matrices of quaternions", LAA 251, 1997)."""
+    Z1, Z2 = A[..., 0] + 1j * A[..., 1], A[..., 2] + 1j * A[..., 3]
+    return np.block([[Z1, Z2], [-Z2.conj(), Z1.conj()]])
+
+
+def lift(chart: ImmersionChart) -> ImmersionChart:
+    """A quaternionic chart W read as the complex rank-2k chart χ(W) in
+    C^{2N}: χ applied to every jet slot of cols."""
+    return ImmersionChart(name=f"lift({chart.name})", field=Field.COMPLEX, N=2 * chart.N,
+                          k=2 * chart.k, dim=chart.dim, box=chart.box,
+                          cols=lambda J: chart.cols(J).lin(chi), params=chart.params)

@@ -1,5 +1,7 @@
 """Scalar-field algebra: quaternion arithmetic against an independent
 complex 2x2 embedding, plus the generic matrix helpers."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -9,6 +11,7 @@ from pullconn import algebra
 from pullconn.algebra import (
     DegenerateColumnsError,
     Field,
+    Jet,
     QI,
     QJ,
     QK,
@@ -26,6 +29,7 @@ from pullconn.algebra import (
     sq_norm,
     zeros,
 )
+from pullconn.homogeneous import alpha_basis
 from reference import (
     complete_basis, expm_taylor, inner_g0, norm_g0, qmul, re_trace, scalar_right, sym_eig_small,
 )
@@ -148,6 +152,105 @@ def test_matmul_stack_quaternion_matches_entrywise_qmul(shape_a, shape_b):
                 want[idx + (i, j)] = sum(qmul(A[idx + (i, t)], B[idx + (t, j)]) for t in range(k))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+def _qmatmul_reference(A, B):
+    """Σ_k qmul(A[..., m, k], B[..., k, n]): the QL einsum product, entry by entry."""
+    return qmul(A[..., :, :, None, :], B[..., None, :, :, :]).sum(axis=-3)
+
+
+def _product_scale(A, B):
+    """max over (m, n) of Σ_k |A_mk| |B_kn|, the size of every sum the product forms."""
+    return float(np.max(np.linalg.norm(A, axis=-1) @ np.linalg.norm(B, axis=-1), initial=0.0))
+
+
+# (A stack and matrix shape, B stack and matrix shape, branch the size rule takes)
+QUAT_PRODUCTS = [
+    ((3, 2), (2, 5), "R(B)"),                   # k ≤ m
+    ((2, 2), (2, 2), "R(B)"),                   # square
+    ((6, 1, 3), (1, 6, 3, 1), "T"),             # rows against columns, B's stack broadcast
+    ((4, 3, 1), (1, 1), "R(B)"),                # a tall left stack against one scalar
+    ((1, 5), (7, 5, 1), "T"),                   # one row against a stack of columns
+    ((2, 1, 4, 3), (5, 3, 2), "R(B)"),          # A's stack broadcast against B's
+    ((5, 1, 2, 4), (1, 3, 4, 2), "T"),          # both stacks broadcast, k > m
+    ((0, 3, 2), (2, 2), "R(B)"),                # empty stack on the left
+    ((1, 4), (0, 4, 1), "T"),                   # empty stack on the right
+]
+
+
+@pytest.mark.parametrize("sa,sb,branch", QUAT_PRODUCTS,
+                         ids=[f"{a}x{b}-{r}" for a, b, r in QUAT_PRODUCTS])
+def test_matmul_stack_quaternion_matches_the_structure_tensor(monkeypatch, sa, sb, branch):
+    """Both branches of the size rule match the QL einsum product within
+    1e-15 of the operands' scale, on broadcast stacks, k ≥ 2 and empty
+    stacks.  The branch is the one named: poisoning its table with NaN
+    poisons the product, and poisoning the other one does not."""
+    rng = np.random.default_rng(len(sa) + 7 * len(sb))
+    A, B = rng.standard_normal(sa + (4,)), rng.standard_normal(sb + (4,))
+    got = matmul_stack(A, B, Field.QUATERNION)
+    want = _qmatmul_reference(A, B)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-15 * _product_scale(A, B)
+    if got.size:
+        table = {"R(B)": "_R_SIGN", "T": "_QL_PAIRS"}
+        for name, poisoned in ((table[branch], True), (table[{"R(B)": "T", "T": "R(B)"}[branch]], False)):
+            with monkeypatch.context() as m:
+                m.setattr(algebra, name, np.full_like(getattr(algebra, name), np.nan))
+                assert np.isnan(matmul_stack(A, B, Field.QUATERNION)).any() == poisoned, name
+
+
+@pytest.mark.parametrize("jet_side", ["left", "right", "both"])
+def test_matmul_stack_quaternion_on_jets(jet_side):
+    """Jet operands, or a jet and a constant, give every slot of the product
+    rule with the QL einsum product in place of the kernel, within 1e-15 of
+    the operands' scale: k·max|a|·max|b| for each of the rule's four terms."""
+    rng = np.random.default_rng(5)
+    bsz, n, k = 3, 2, 3
+
+    def jet(m, k):
+        return Jet(*(rng.standard_normal((bsz,) + (n,) * o + (m, k, 4)) for o in range(3)))
+
+    A, B = jet(2, k), jet(k, 2)
+    A = A if jet_side != "right" else A.v[0]   # a constant has no batch axis
+    B = B if jet_side != "left" else B.v[0]
+    got = matmul_stack(A, B, Field.QUATERNION)
+    want = algebra._product(A, B, _qmatmul_reference)
+
+    def top(x):
+        slots = (x.v, x.d, x.dd) if isinstance(x, Jet) else (x,)
+        return max(float(np.linalg.norm(s, axis=-1).max()) for s in slots)
+
+    for g, w in zip((got.v, got.d, got.dd), (want.v, want.d, want.dd)):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-15 * 4 * k * top(A) * top(B)
+
+
+def test_qconj_returns_a_new_array():
+    """Writing into a conjugate, or into a conjugate transpose, leaves the
+    read-only probe matrix it came from untouched."""
+    probe = alpha_basis(Field.QUATERNION, 1)[0].mat
+    before = probe.copy()
+    for out in (qconj(probe), ct_stack(probe, Field.QUATERNION)):
+        assert not np.shares_memory(out, probe)
+        out[...] = 7.0
+    assert not probe.flags.writeable and np.array_equal(probe, before)
+    assert np.array_equal(qconj(before), before * [1.0, -1.0, -1.0, -1.0])
+
+
+def test_matmul_stack_does_not_expand_a_tall_right_factor():
+    """A (1, 3000)·(8, 8, 3000, 1) product, shaped like V*·∂²W, forms the
+    (8, 8, 4, 4) component products and not the 46.9 MiB right-regular
+    form of its right factor: at most 2 MiB traced."""
+    rng = np.random.default_rng(3)
+    A, B = rng.standard_normal((1, 3000, 4)), rng.standard_normal((8, 8, 3000, 1, 4))
+    tracemalloc.start()
+    try:
+        C = matmul_stack(A, B, Field.QUATERNION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert C.shape == (8, 8, 1, 1, 4)
+    assert peak <= 2 * 2**20, peak
 
 
 def test_matmul_stack_real_four_by_four_is_a_plain_matmul():

@@ -17,13 +17,14 @@ with leading batch axes; a single matrix is a stack with none.
 `matmul_stack`, `ct_stack` and `sq_norm` also take second-order `Jet`s.
 
 A quaternion matrix product is one real matrix product.  The structure
-tensor `QL` is the one definition of the quaternion product; from it come,
-once at import, the index and sign tables of the right-regular real form
-R(b) (F. Zhang, "Quaternions and matrices of quaternions", Linear Algebra
-Appl. 251, 1997), for which ab = a·R(b) on component rows, and its (16, 4)
-reshape that combines component products.  `matmul_stack` forms the
-smaller of two four-fold expansions: R(B) of the right factor, or the
-component products of A's rows with B's columns, combined through `QL`.
+tensor `QL` is the one definition of the quaternion product, and each of
+the two ways `matmul_stack` forms a product is one matmul against a
+reshape of it: the right-regular real form R(b) (F. Zhang, "Quaternions
+and matrices of quaternions", Linear Algebra Appl. 251, 1997), for which
+ab = a·R(b) on component rows, is b times `QL` reshaped (4, 16); the
+component products of A's rows with B's columns are combined by `QL`
+reshaped (16, 4).  A size rule picks the expansion: R(B) of the right
+factor, or the component products.
 """
 from __future__ import annotations
 
@@ -99,10 +100,7 @@ def _structure_tensor() -> np.ndarray:
 
 
 QL = _structure_tensor()
-# R(b)[t, s] = Σ_u QL[s, t, u] b_u has one term, ±b at one component:
-# the index _R_INDEX[t, s] and the sign _R_SIGN[t, s] of that term
-_R_INDEX = np.argmax(np.abs(QL), axis=2).T
-_R_SIGN = QL.sum(axis=2).T
+_QL_RIGHT = QL.transpose(2, 1, 0).reshape(4, 16)   # [u, (t, s)]: R(b)[t, s] = Σ_u QL[s, t, u] b_u
 _QL_PAIRS = QL.transpose(1, 2, 0).reshape(16, 4)   # [(t, u), s]
 _QCONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -175,16 +173,19 @@ def matmul_stack(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
 
     Over H, for A (…, m, k, 4) and B (…, k, n, 4), it is one real matrix
     product with one factor expanded four times: B's right-regular form
-    R(B) (…, 4k, 4n), R(b)[t, s] = Σ_u QL[s, t, u] b_u, a signed gather,
-    in C = A (…, m, 4k) · R(B); or the component products
-    T[m, t, n, u] = Σ_k A[m, k, t] B[k, n, u] (…, 4m, 4n), which read B as
-    a view, combined by one product against `QL` reshaped (16, 4).  The
-    smaller of the two is formed: R(B), 16·|B|·k·n entries for |B| matrices
-    in B's stack, when |B|·k ≤ max(|A|, |B|)·m, else T, 16·|A·B|·m·n.  So
-    a square product, or a stack times a small factor (M, a probe, c),
-    expands the right factor, and a row against a column (V*·∂W, an inner
-    product) forms T: for a 1×N row against an N×1 column R(B) would be
-    16N entries where T is 16.
+    R(B) (…, 4k, 4n), R(b)[t, s] = Σ_u QL[s, t, u] b_u, one product of B's
+    components against `QL` reshaped (4, 16), in C = A (…, m, 4k) · R(B);
+    or the component products T[m, t, n, u] = Σ_k A[m, k, t] B[k, n, u]
+    (…, 4m, 4n), which read B as a view, combined by one product against
+    `QL` reshaped (16, 4).  R(B) has 16·|B|·k·n entries for |B| matrices
+    in B's stack and T has 16·|A·B|·m·n; the rule forms R(B) when
+    |B|·k ≤ max(|A|, |B|)·m, else T.  It takes max(|A|, |B|) for the
+    broadcast stack size |A·B|, which is exact when at most one stack
+    broadcasts, so it forms the smaller expansion there.  A square
+    product, or a stack times a small factor (M, a probe, c), expands the
+    right factor, and a row against a column (V*·∂W, an inner product)
+    forms T: for a 1×N row against an N×1 column R(B) would be 16N
+    entries where T is 16.
     """
     if isinstance(A, Jet) or isinstance(B, Jet):
         return _product(A, B, lambda X, Y: matmul_stack(X, Y, field))
@@ -193,7 +194,8 @@ def matmul_stack(A: np.ndarray, B: np.ndarray, field: Field) -> np.ndarray:
     A, B = np.asarray(A), np.asarray(B)
     m, k, n = A.shape[-3], A.shape[-2], B.shape[-2]
     if B.size * k <= max(A.size * n, B.size * m):                       # |B|·k ≤ max(|A|, |B|)·m
-        R = np.multiply(B[..., _R_INDEX], _R_SIGN).swapaxes(-3, -2)      # [..., k, t, n, s]
+        R = (B.reshape(-1, 4) @ _QL_RIGHT).reshape(B.shape[:-1] + (4, 4))
+        R = R.swapaxes(-3, -2)                                           # [..., k, t, n, s]
         C = np.matmul(A.reshape(A.shape[:-3] + (m, 4 * k)), R.reshape(R.shape[:-4] + (4 * k, 4 * n)))
         return C.reshape(C.shape[:-2] + (m, n, 4))
     At = np.swapaxes(A, -1, -2).reshape(A.shape[:-3] + (4 * m, k))

@@ -33,7 +33,8 @@ import numpy as np
 
 from .algebra import Field, Jet, combine, ct_stack, inv_small, matmul_stack, pair_re, to_real
 from .constants import IMMERSION_EPS, STACK_BYTES
-from .homogeneous import GrassPoint, GrassTangent, alpha_basis, horizontal_stack, stiefel_points
+from .homogeneous import (GrassPoint, GrassTangent, ad_alpha, alpha_basis, horizontal_stack,
+                          stiefel_points)
 
 
 class ChartDomainError(ValueError):
@@ -160,8 +161,7 @@ class PointFrame:
         p = 0 at a point without probes."""
         if not self.probes:
             return GrassTangent(self.pt, np.zeros((0,) + self.E.H.shape, self.E.H.dtype))
-        mats = np.stack([al.mat for al in self.probes])[:, None]        # (p, 1, k, k[, 4])
-        return GrassTangent(self.pt, -matmul_stack(self.E.H, mats, self.pt.field))
+        return ad_alpha(np.stack([al.mat for al in self.probes])[:, None], self.E)
 
     @cached_property
     def L(self) -> np.ndarray:

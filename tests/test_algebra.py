@@ -192,7 +192,7 @@ def test_matmul_stack_quaternion_matches_the_structure_tensor(monkeypatch, sa, s
     assert got.shape == want.shape
     assert np.abs(got - want).max(initial=0.0) <= 1e-15 * _product_scale(A, B)
     if got.size:
-        table = {"R(B)": "_R_SIGN", "T": "_QL_PAIRS"}
+        table = {"R(B)": "_QL_RIGHT", "T": "_QL_PAIRS"}
         for name, poisoned in ((table[branch], True), (table[{"R(B)": "T", "T": "R(B)"}[branch]], False)):
             with monkeypatch.context() as m:
                 m.setattr(algebra, name, np.full_like(getattr(algebra, name), np.nan))

@@ -34,7 +34,7 @@ def test_analyze_point_makes_no_tensordot_call(monkeypatch, name, field):
 
 # Python-level calls of one warmed hline analyze_point, as cProfile counts
 # them (pstats total_calls, C functions included): 1,853 when each
-# quaternion product ended in np.tensordot, 906 with one matmul per
+# quaternion product ended in np.tensordot, 917 with one matmul per
 # product.  Re-measure with the body of the test below.
 HLINE_POINT_CALLS = 1_000
 
